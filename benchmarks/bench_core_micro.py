@@ -1,19 +1,22 @@
 """Microbenchmarks of the core hot paths.
 
-These are true pytest-benchmark timings (many rounds): the ground-truth
-replay step, Algorithm 1 scheduling of one item, Algorithm 2 scheduling of
-one item, a full Q-greedy rollout, and the dispatch tick — a 16-item
-batch scheduled via the per-item serial loop vs the vectorized
-``schedule_batch`` (one stacked forward + masked argmax per round).
+These are true pytest-benchmark timings (many rounds): recording a
+64-item batch through the whole zoo, the ground-truth replay step,
+Algorithm 1 scheduling of one item, Algorithm 2 scheduling of one item, a
+full Q-greedy rollout, and the dispatch tick — a 16-item batch scheduled
+via the per-item serial loop vs the vectorized ``schedule_batch`` (one
+stacked forward + masked argmax per round).
 """
 
 from conftest import shared_context
 
 from repro.core.state import LabelingState
+from repro.data.streams import iid_stream
 from repro.scheduling.base import run_ordering_policy
 from repro.scheduling.deadline import CostQGreedyScheduler
 from repro.scheduling.deadline_memory import MemoryDeadlineScheduler
 from repro.scheduling.qgreedy import QGreedyPolicy
+from repro.zoo.oracle import GroundTruth
 
 
 def _setup():
@@ -22,6 +25,21 @@ def _setup():
     item_id = ctx.eval_ids("mscoco2017", 5)[0]
     predictor = ctx.predictor("mscoco2017", "dueling_dqn")
     return ctx, truth, item_id, predictor
+
+
+def test_record_batch_64_items(benchmark):
+    """The zoo executed once per batch, straight into columnar records."""
+    ctx = shared_context()
+    world = ctx.scale.world
+    items = list(iid_stream(ctx.space, world, "mscoco2017", 64, start_index=50_000))
+    truth = GroundTruth(ctx.zoo, [], world)
+
+    def run():
+        records = truth.record_batch(items)
+        truth.release_many(record.item.item_id for record in records)
+        return records
+
+    assert len(benchmark(run)) == 64 and len(truth) == 0
 
 
 def test_state_execute_all_models(benchmark):

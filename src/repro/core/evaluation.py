@@ -24,7 +24,7 @@ def evaluate_subset(
     Order-independent (f is a set function).  Duplicates are ignored.
     """
     rec = truth.record(item_id)
-    best = np.zeros_like(rec.best_confidence)
+    best = np.zeros(rec.n_labels, dtype=np.float64)
     for j in set(int(i) for i in model_indices):
         ids = rec.valuable_ids[j]
         if len(ids):
@@ -55,8 +55,7 @@ class OutputAccumulator:
     def __init__(self, truth: GroundTruth, item_id: str):
         self._truth = truth
         self._item_id = item_id
-        rec = truth.record(item_id)
-        self._best = np.zeros_like(rec.best_confidence)
+        self._best = np.zeros(truth.record(item_id).n_labels, dtype=np.float64)
         self.value = 0.0
         self.executed: set[int] = set()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,16 @@ class LabelOutput:
 
     def __str__(self) -> str:
         return f"{self.name} ({self.confidence:.2f})"
+
+
+def named_labels(
+    name_of: Callable[[int], str], ids: Iterable[int], confs: Iterable[float]
+) -> tuple[LabelOutput, ...]:
+    """Label objects for parallel (global id, confidence) sequences."""
+    return tuple(
+        LabelOutput(label_id=label_id, name=name_of(label_id), confidence=conf)
+        for label_id, conf in zip(ids, confs)
+    )
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 :class:`LabelingResult` is what every labeling entry point returns per item.
 It lives in the engine layer (the framework re-exports it for backwards
 compatibility) because result construction is the last step of the engine's
-prediction–scheduling–execution loop: read the executed models' recorded
-outputs back from the ground-truth cache and keep, per label, the
-highest-confidence emission (Eq. 1's max-confidence union).
+prediction–scheduling–execution loop: read the executed models' valuable
+emissions back from the ground-truth cache and keep, per label, the
+highest-confidence one (Eq. 1's max-confidence union).
 """
 
 from __future__ import annotations
@@ -46,14 +46,11 @@ class LabelingResult:
 
 def result_from_trace(truth: GroundTruth, trace: ScheduleTrace) -> LabelingResult:
     """Collect the valuable labels revealed along a trace into a result."""
-    state_conf: dict[int, float] = {}
     labels: dict[int, LabelOutput] = {}
     for execution in trace.executions:
-        output = truth.output(trace.item_id, execution.model_index)
-        for label in output.valuable(truth.threshold):
-            seen = state_conf.get(label.label_id, 0.0)
-            if label.confidence > seen:
-                state_conf[label.label_id] = label.confidence
+        for label in truth.valuable_labels(trace.item_id, execution.model_index):
+            seen = labels.get(label.label_id)
+            if seen is None or label.confidence > seen.confidence:
                 labels[label.label_id] = label
     return LabelingResult(
         item_id=trace.item_id,

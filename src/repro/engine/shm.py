@@ -17,11 +17,13 @@ more through the pipe.  This module keeps those payloads in
   pipe; the payload itself is written once and read in place.
 * :func:`encode_records` / :func:`decode_records` — a compact
   fixed-dtype layout for the *scheduling surface* of an
-  :class:`ItemRecord` (valuable ids/confs, solo values, best
-  confidences, total value).  Decoding builds numpy views directly into
-  the shared block — no per-array copies — with stub item content and
-  empty outputs: workers only schedule against the record cache, they
-  never execute models on shipped items.
+  :class:`ItemRecord`: its valuable offsets/ids/confs columns, written
+  with ``tobytes`` on the arrays the record already holds.  Decoding
+  builds numpy views directly into the shared block — no per-array
+  copies — with stub item content; aggregates (solo values, best
+  confidences, total value) are derived from the columns on first read.
+  Workers only schedule against the record cache, they never execute
+  models on shipped items.
 * :func:`encode_traces` / :func:`decode_traces` — per-trace headers plus
   one structured row per execution.
 
@@ -46,7 +48,6 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from repro.core.output import ModelOutput
 from repro.data.datasets import DataItem
 from repro.scheduling.base import ScheduledExecution, ScheduleTrace
 from repro.zoo.model import ModelZoo
@@ -245,12 +246,16 @@ class RingSpec:
 #   <Q n_items> <Q n_models> <Q n_labels>
 #   per item:
 #     <Q padded_id_len> <Q id_len>  id_bytes (padded to 8)
-#     <d total_value>
-#     solo_values        f64[n_models]
-#     best_confidence    f64[n_labels]
-#     valuable counts    i64[n_models]
-#     valuable ids       i64[sum(counts)]
-#     valuable confs     f64[sum(counts)]
+#     valuable offsets   i64[n_models + 1]
+#     valuable ids       i64[offsets[-1]]
+#     valuable confs     f64[offsets[-1]]
+#
+# These are the record's own ``valuable_columns``; solo values, the dense
+# best-confidence vector and the total value are derived from them on the
+# receiving side, on first read.
+
+_SHARD_HEAD = struct.Struct("<QQQ")
+_ITEM_HEAD = struct.Struct("<QQ")
 
 
 def encode_records(records: list[ItemRecord]) -> bytes | None:
@@ -262,106 +267,97 @@ def encode_records(records: list[ItemRecord]) -> bytes | None:
     """
     if not records:
         return None
-    first = records[0]
-    n_models = len(first.outputs)
-    n_labels = len(first.best_confidence)
+    n_models = records[0].n_models
+    n_labels = records[0].n_labels
+    parts: list[bytes] = [_SHARD_HEAD.pack(len(records), n_models, n_labels)]
     for record in records:
-        if type(record) is not ItemRecord:
-            return None
         if (
-            len(record.outputs) != n_models
-            or len(record.best_confidence) != n_labels
-            or len(record.valuable_ids) != n_models
+            type(record) is not ItemRecord
+            or record.n_models != n_models
+            or record.n_labels != n_labels
         ):
             return None
-    parts: list[bytes] = [struct.pack("<QQQ", len(records), n_models, n_labels)]
-    for record in records:
         id_bytes = record.item.item_id.encode("utf-8")
-        pad = (-len(id_bytes)) % 8
-        parts.append(struct.pack("<QQ", len(id_bytes) + pad, len(id_bytes)))
-        parts.append(id_bytes + b"\0" * pad)
-        parts.append(struct.pack("<d", float(record.total_value)))
-        parts.append(
-            np.ascontiguousarray(record.solo_values, dtype=np.float64).tobytes()
-        )
-        parts.append(
-            np.ascontiguousarray(record.best_confidence, dtype=np.float64).tobytes()
-        )
-        counts = np.asarray(
-            [len(ids) for ids in record.valuable_ids], dtype=np.int64
-        )
-        parts.append(counts.tobytes())
-        parts.append(
-            np.concatenate(
-                [np.asarray(a, dtype=np.int64) for a in record.valuable_ids]
-            ).tobytes()
-        )
-        parts.append(
-            np.concatenate(
-                [np.asarray(a, dtype=np.float64) for a in record.valuable_confs]
-            ).tobytes()
+        pad = -len(id_bytes) % 8
+        offsets, ids, confs = record.valuable_columns
+        parts += (
+            _ITEM_HEAD.pack(len(id_bytes) + pad, len(id_bytes)),
+            id_bytes,
+            bytes(pad),
+            offsets.tobytes(),
+            ids.tobytes(),
+            confs.tobytes(),
         )
     return b"".join(parts)
 
 
-def _read_array(
-    buf, dtype: np.dtype, count: int, offset: int
-) -> tuple[np.ndarray, int]:
+def _read_array(buf, dtype: type, count: int, offset: int) -> tuple[np.ndarray, int]:
+    """A read-only view of ``count`` 8-byte elements, bounds-checked first."""
+    end = offset + 8 * count
+    if end > len(buf):
+        raise ValueError(
+            f"record shard declares {count} elements at byte {offset} but "
+            f"holds only {len(buf)} bytes"
+        )
     array = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
     array.flags.writeable = False
-    return array, offset + count * dtype.itemsize
+    return array, end
 
 
 def decode_records(buf, zoo: ModelZoo) -> list[ItemRecord]:
     """Rebuild records from :func:`encode_records` bytes, zero-copy.
 
-    All numpy fields are read-only views into ``buf`` (valid only while
-    the producing slot is held — see the module docstring).  ``item``
-    carries no content and ``outputs`` are empty placeholders: shipped
-    records exist to be *scheduled against*, and every consumer on that
-    path (state updates, oracle gains, value accounting) reads only the
-    valuable arrays and aggregates encoded here.
+    The columns are read-only views into ``buf`` (valid only while the
+    producing slot is held — see the module docstring); every declared
+    count is checked against the buffer before a view is taken, so a
+    truncated or corrupted shard raises ``ValueError`` instead of reading
+    out of bounds.  ``item`` carries no content and the columns hold the
+    valuable emissions only: shipped records exist to be *scheduled
+    against*, and everything on that path (state updates, oracle gains,
+    value accounting) derives from the columns encoded here.
     """
-    n_items, n_models, n_labels = struct.unpack_from("<QQQ", buf, 0)
+    size = len(buf)
+    if size < _SHARD_HEAD.size:
+        raise ValueError(f"record shard of {size} bytes has no header")
+    n_items, n_models, n_labels = _SHARD_HEAD.unpack_from(buf, 0)
     if n_models != len(zoo) or n_labels != len(zoo.space):
         raise ValueError(
             f"shard encoded for {n_models} models / {n_labels} labels but the "
             f"zoo has {len(zoo)} / {len(zoo.space)}"
         )
-    names = zoo.names
-    offset = 24
+    offset = _SHARD_HEAD.size
     records: list[ItemRecord] = []
     for _ in range(n_items):
-        padded, id_len = struct.unpack_from("<QQ", buf, offset)
-        offset += 16
+        if offset + _ITEM_HEAD.size > size:
+            raise ValueError(f"record shard truncated at item {len(records)}")
+        padded, id_len = _ITEM_HEAD.unpack_from(buf, offset)
+        offset += _ITEM_HEAD.size
+        if id_len > padded or padded % 8 or offset + padded > size:
+            raise ValueError(
+                f"record shard declares a {padded}/{id_len}-byte item id at "
+                f"byte {offset} of {size}"
+            )
         item_id = bytes(buf[offset : offset + id_len]).decode("utf-8")
         offset += padded
-        (total_value,) = struct.unpack_from("<d", buf, offset)
-        offset += 8
-        solo, offset = _read_array(buf, np.dtype(np.float64), n_models, offset)
-        best, offset = _read_array(buf, np.dtype(np.float64), n_labels, offset)
-        counts, offset = _read_array(buf, np.dtype(np.int64), n_models, offset)
-        total_count = int(counts.sum())
-        ids, offset = _read_array(buf, np.dtype(np.int64), total_count, offset)
-        confs, offset = _read_array(
-            buf, np.dtype(np.float64), total_count, offset
-        )
-        splits = np.cumsum(counts)[:-1]
-        dataset = item_id.split("/", 1)[0]
+        offsets, offset = _read_array(buf, np.int64, n_models + 1, offset)
+        total = int(offsets[-1])
+        if offsets[0] != 0 or total < 0 or (np.diff(offsets) < 0).any():
+            raise ValueError(f"record for {item_id!r} has corrupt model offsets")
+        ids, offset = _read_array(buf, np.int64, total, offset)
+        confs, offset = _read_array(buf, np.float64, total, offset)
         records.append(
             ItemRecord(
                 item=DataItem(
-                    item_id=item_id, dataset=dataset, index=-1, content=None
+                    item_id=item_id,
+                    dataset=item_id.split("/", 1)[0],
+                    index=-1,
+                    content=None,
                 ),
-                outputs=tuple(
-                    ModelOutput(model=name, item_id=item_id, labels=())
-                    for name in names
-                ),
-                valuable_ids=tuple(np.split(ids, splits)),
-                valuable_confs=tuple(np.split(confs, splits)),
-                solo_values=solo,
-                best_confidence=best,
-                total_value=float(total_value),
+                offsets=offsets,
+                ids=ids,
+                confs=confs,
+                valuable=np.ones(total, dtype=bool),
+                n_labels=n_labels,
             )
         )
     return records

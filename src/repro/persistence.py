@@ -10,7 +10,7 @@ File layout (one npz):
 
 * header arrays (``__items``, ``__models``, thresholds, seeds);
 * per item/model: label-id and confidence arrays (ragged, stored flat with
-  offsets).
+  offsets) — the records' own emission columns, end to end.
 """
 
 from __future__ import annotations
@@ -21,37 +21,30 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import WorldConfig
-from repro.core.output import LabelOutput, ModelOutput
 from repro.data.datasets import DataItem
 from repro.data.semantics import SceneContent
 from repro.durability.checkpoint import atomic_write_bytes
 from repro.zoo.model import ModelZoo
-from repro.zoo.oracle import GroundTruth
+from repro.zoo.oracle import GroundTruth, ItemRecord
 
 _FORMAT_VERSION = 1
 
 
 def save_ground_truth(truth: GroundTruth, path: str | Path) -> None:
     """Serialize recorded outputs (all emissions, any confidence)."""
-    item_ids = list(truth.item_ids)
+    records = [truth.record(item_id) for item_id in truth.item_ids]
+    item_ids = [record.item.item_id for record in records]
     n_models = len(truth.zoo)
-    label_ids: list[np.ndarray] = []
-    confs: list[np.ndarray] = []
-    offsets = np.zeros((len(item_ids), n_models, 2), dtype=np.int64)
+    offsets = np.zeros((len(records), n_models, 2), dtype=np.int64)
     cursor = 0
-    for row, item_id in enumerate(item_ids):
-        rec = truth.record(item_id)
-        for j, output in enumerate(rec.outputs):
-            ids = np.asarray([l.label_id for l in output.labels], dtype=np.int64)
-            cf = np.asarray([l.confidence for l in output.labels], dtype=np.float64)
-            label_ids.append(ids)
-            confs.append(cf)
-            offsets[row, j] = (cursor, cursor + len(ids))
-            cursor += len(ids)
-    flat_ids = (
-        np.concatenate(label_ids) if label_ids else np.zeros(0, dtype=np.int64)
+    for row, record in enumerate(records):
+        offsets[row, :, 0] = cursor + record.offsets[:-1]
+        offsets[row, :, 1] = cursor + record.offsets[1:]
+        cursor += len(record.ids)
+    flat_ids = np.concatenate(
+        [record.ids for record in records] + [np.zeros(0, dtype=np.int64)]
     )
-    flat_confs = np.concatenate(confs) if confs else np.zeros(0)
+    flat_confs = np.concatenate([record.confs for record in records] + [np.zeros(0)])
     buffer = io.BytesIO()
     np.savez_compressed(
         buffer,
@@ -97,59 +90,29 @@ def load_ground_truth(
 
     truth = GroundTruth(zoo, [], config)
     placeholder = SceneContent(scene=0, scene_strength=0.0)
-    space = zoo.space
+    n_labels = len(zoo.space)
+    if (offsets[:, 1:, 0] != offsets[:, :-1, 1]).any():
+        raise ValueError("archive does not lay each item's models out back to back")
+    records = []
     for row, item_id in enumerate(item_ids):
-        outputs = []
-        for j, model in enumerate(zoo):
-            start, stop = offsets[row, j]
-            labels = tuple(
-                LabelOutput(
-                    label_id=int(gid),
-                    name=space.name_of(int(gid)),
-                    confidence=float(conf),
-                )
-                for gid, conf in zip(flat_ids[start:stop], flat_confs[start:stop])
+        # One item's emissions are one slice of the flat columns.
+        bounds = np.append(offsets[row, :, 0], offsets[row, -1, 1])
+        start, stop = bounds[0], bounds[-1]
+        dataset, _, index = item_id.partition("/")
+        records.append(
+            ItemRecord.from_emissions(
+                DataItem(
+                    item_id=item_id,
+                    dataset=dataset,
+                    index=int(index) if index.isdigit() else -1,
+                    content=placeholder,
+                ),
+                offsets=bounds - start,
+                ids=flat_ids[start:stop],
+                confs=flat_confs[start:stop],
+                threshold=truth.threshold,
+                n_labels=n_labels,
             )
-            outputs.append(
-                ModelOutput(model=model.name, item_id=item_id, labels=labels)
-            )
-        _inject_record(truth, item_id, outputs, placeholder)
+        )
+    truth.adopt(records)
     return truth
-
-
-def _inject_record(
-    truth: GroundTruth,
-    item_id: str,
-    outputs: list[ModelOutput],
-    placeholder: SceneContent,
-) -> None:
-    """Insert a replayed record, recomputing the derived value arrays."""
-    from repro.zoo.oracle import ItemRecord
-
-    n_labels = len(truth.zoo.space)
-    ids_list, confs_list = [], []
-    solo = np.zeros(len(truth.zoo))
-    best = np.zeros(n_labels)
-    for j, output in enumerate(outputs):
-        ids, confs = output.valuable_arrays(truth.threshold)
-        ids_list.append(ids)
-        confs_list.append(confs)
-        solo[j] = float(confs.sum())
-        if len(ids):
-            np.maximum.at(best, ids, confs)
-    dataset, _, index = item_id.partition("/")
-    item = DataItem(
-        item_id=item_id,
-        dataset=dataset,
-        index=int(index) if index.isdigit() else -1,
-        content=placeholder,
-    )
-    truth._records[item_id] = ItemRecord(
-        item=item,
-        outputs=tuple(outputs),
-        valuable_ids=tuple(ids_list),
-        valuable_confs=tuple(confs_list),
-        solo_values=solo,
-        best_confidence=best,
-        total_value=float(best.sum()),
-    )

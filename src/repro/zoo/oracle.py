@@ -3,7 +3,9 @@
 The paper executes all 30 models on every image once, stores the outputs,
 and then *simulates* every scheduling policy against the recorded outputs
 and recorded per-model costs (§II, §VI-A).  :class:`GroundTruth` is that
-store.  It precomputes, per item:
+store: one columnar :class:`~repro.zoo.record.ItemRecord` per item,
+written by :func:`~repro.zoo.record.record_items` in one walk per batch.
+From a record's columns it serves
 
 * each model's full output (labels + confidences),
 * each model's *valuable* labels (confidence >= threshold) as id/conf
@@ -18,37 +20,16 @@ Scheduling policies and the RL environment query this cache instead of
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.config import WorldConfig
-from repro.core.output import ModelOutput
+from repro.core.output import LabelOutput, ModelOutput, named_labels
 from repro.data.datasets import DataItem
 from repro.zoo.model import ModelZoo
+from repro.zoo.record import ItemRecord, record_items
 
-
-@dataclass(frozen=True)
-class ItemRecord:
-    """Recorded zoo execution for one item."""
-
-    item: DataItem
-    #: Model outputs, aligned with zoo order.
-    outputs: tuple[ModelOutput, ...]
-    #: Per-model arrays of valuable (ids, confs), aligned with zoo order.
-    valuable_ids: tuple[np.ndarray, ...]
-    valuable_confs: tuple[np.ndarray, ...]
-    #: Solo value of each model: sum of its valuable confidences.
-    solo_values: np.ndarray
-    #: Best achievable confidence per label over the whole zoo (dense).
-    best_confidence: np.ndarray
-    #: f(M, d): total achievable value.
-    total_value: float
-
-    @property
-    def useful_models(self) -> np.ndarray:
-        """Boolean mask over models: emits at least one valuable label."""
-        return self.solo_values > 0.0
+__all__ = ["GroundTruth", "ItemRecord"]
 
 
 class GroundTruth:
@@ -75,34 +56,13 @@ class GroundTruth:
         (the labeling engine in particular) can later :meth:`release` exactly
         the records they introduced.
         """
-        n_labels = len(self.zoo.space)
-        added: list[str] = []
+        fresh: dict[str, DataItem] = {}
         for item in items:
-            if item.item_id in self._records:
-                continue
-            added.append(item.item_id)
-            outputs = tuple(m.execute(item) for m in self.zoo)
-            ids_list: list[np.ndarray] = []
-            confs_list: list[np.ndarray] = []
-            solo = np.zeros(len(self.zoo), dtype=np.float64)
-            best = np.zeros(n_labels, dtype=np.float64)
-            for j, output in enumerate(outputs):
-                ids, confs = output.valuable_arrays(self.threshold)
-                ids_list.append(ids)
-                confs_list.append(confs)
-                solo[j] = float(confs.sum())
-                if len(ids):
-                    np.maximum.at(best, ids, confs)
-            self._records[item.item_id] = ItemRecord(
-                item=item,
-                outputs=outputs,
-                valuable_ids=tuple(ids_list),
-                valuable_confs=tuple(confs_list),
-                solo_values=solo,
-                best_confidence=best,
-                total_value=float(best.sum()),
-            )
-        return added
+            if item.item_id not in self._records:
+                fresh.setdefault(item.item_id, item)
+        for record in record_items(self.zoo, fresh.values(), self.threshold):
+            self._records[record.item.item_id] = record
+        return list(fresh)
 
     def record_batch(self, items: Sequence[DataItem]) -> list[ItemRecord]:
         """Record a batch of items and return their records, input-ordered.
@@ -133,9 +93,9 @@ class GroundTruth:
             item_id = record.item.item_id
             if item_id in self._records:
                 continue
-            if len(record.outputs) != len(self.zoo):
+            if record.n_models != len(self.zoo):
                 raise ValueError(
-                    f"record for {item_id!r} covers {len(record.outputs)} "
+                    f"record for {item_id!r} covers {record.n_models} "
                     f"models but the zoo has {len(self.zoo)}"
                 )
             self._records[item_id] = record
@@ -190,8 +150,9 @@ class GroundTruth:
         return self._records[item_id]
 
     def output(self, item_id: str, model_index: int) -> ModelOutput:
-        """The recorded output of one model on one item."""
-        return self._records[item_id].outputs[model_index]
+        """The recorded output of one model on one item, labels named."""
+        ids, confs = self._records[item_id].emissions(model_index)
+        return self.zoo[model_index].render(item_id, ids.tolist(), confs.tolist())
 
     def solo_values(self, item_id: str) -> np.ndarray:
         """Each model's standalone valuable-output value on the item."""
@@ -203,8 +164,25 @@ class GroundTruth:
 
     def valuable(self, item_id: str, model_index: int) -> tuple[np.ndarray, np.ndarray]:
         """(ids, confs) of one model's valuable labels on one item."""
-        rec = self._records[item_id]
-        return rec.valuable_ids[model_index], rec.valuable_confs[model_index]
+        return self._records[item_id].valuable_pairs[model_index]
+
+    def valuable_labels(
+        self, item_id: str, model_index: int
+    ) -> tuple[LabelOutput, ...]:
+        """One model's valuable labels on one item, named.
+
+        Rendered on first read and kept on the record, so replaying a
+        recorded item builds each label object once.
+        """
+        record = self._records[item_id]
+        labels = record.valuable_labels.get(model_index)
+        if labels is None:
+            ids, confs = record.valuable_pairs[model_index]
+            labels = named_labels(
+                self.zoo.space.name_of, ids.tolist(), confs.tolist()
+            )
+            record.valuable_labels[model_index] = labels
+        return labels
 
     # -- aggregate statistics ---------------------------------------------------
 

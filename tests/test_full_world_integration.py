@@ -105,7 +105,8 @@ class TestFullWorldCalibration:
         useful = junk = nothing = 0
         for item_id in list(truth.item_ids)[:40]:
             rec = truth.record(item_id)
-            for j, output in enumerate(rec.outputs):
+            for j in range(len(zoo)):
+                output = truth.output(item_id, j)
                 if rec.solo_values[j] > 0:
                     useful += 1
                 elif output.labels:

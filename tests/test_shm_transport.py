@@ -143,8 +143,11 @@ class TestRecordCodec:
         assert len(decoded) == len(records)
         for want, got in zip(records, decoded):
             assert got.item.item_id == want.item.item_id
+            assert got.item.dataset == want.item.dataset
+            assert (got.n_models, got.n_labels) == (want.n_models, want.n_labels)
             assert got.total_value == want.total_value
             np.testing.assert_array_equal(got.solo_values, want.solo_values)
+            np.testing.assert_array_equal(got.useful_models, want.useful_models)
             np.testing.assert_array_equal(
                 got.best_confidence, want.best_confidence
             )
@@ -152,6 +155,62 @@ class TestRecordCodec:
                 np.testing.assert_array_equal(g_ids, w_ids)
             for w_confs, g_confs in zip(want.valuable_confs, got.valuable_confs):
                 np.testing.assert_array_equal(g_confs, w_confs)
+            # What travels is the scheduling surface: the valuable
+            # emissions, and nothing standing in for the rest.
+            assert got.valuable.all()
+            for have, sent in zip(got.valuable_columns, want.valuable_columns):
+                np.testing.assert_array_equal(have, sent)
+            assert len(payload) < 2048 * len(records)
+
+    def test_decoded_record_renders_what_it_carries(self, truth, zoo, items):
+        item_id = items[0].item_id
+        want = truth.record(item_id)
+        shipped = type(truth)(zoo, [], truth.config)
+        shipped.adopt(decode_records(encode_records([want]), zoo))
+        for j in range(len(zoo)):
+            output = shipped.output(item_id, j)
+            assert output.labels == truth.valuable_labels(item_id, j)
+            assert shipped.valuable_labels(item_id, j) == output.labels
+
+    def test_truncated_shard_raises_instead_of_reading_past_the_end(
+        self, truth, zoo, items
+    ):
+        payload = encode_records([truth.record(i.item_id) for i in items[:3]])
+        for cut in range(len(payload)):
+            with pytest.raises(ValueError):
+                decode_records(payload[:cut], zoo)
+            with pytest.raises(ValueError):
+                decode_records(memoryview(payload)[:cut], zoo)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_items", 4),  # more items than the buffer holds
+            ("padded_id_len", 1 << 40),  # id runs past the end
+            ("padded_id_len", 4),  # ... or is not 8-aligned
+            ("id_len", 1 << 20),  # id longer than its padding
+            ("first_offset", 1),  # offsets must start at 0
+            ("last_offset", 1 << 50),  # emission count overruns the buffer
+            ("last_offset", -8),  # ... or is negative
+            ("mid_offset", 1 << 50),  # non-monotone slice bounds
+        ],
+    )
+    def test_count_corrupted_shard_raises(self, truth, zoo, items, field, value):
+        record = truth.record(items[0].item_id)
+        payload = bytearray(encode_records([record]))
+        id_len = len(record.item.item_id.encode())
+        offsets_at = 24 + 16 + id_len + (-id_len % 8)
+        where = {
+            "n_items": 0,
+            "padded_id_len": 24,
+            "id_len": 32,
+            "first_offset": offsets_at,
+            "mid_offset": offsets_at + 8 * (len(zoo) // 2),
+            "last_offset": offsets_at + 8 * len(zoo),
+        }[field]
+        payload[where : where + 8] = np.int64(value).tobytes()
+        with pytest.raises(ValueError):
+            decode_records(bytes(payload), zoo)
 
     def test_decoded_arrays_are_readonly_views(self, truth, zoo, items):
         payload = encode_records([truth.record(items[0].item_id)])
@@ -176,10 +235,10 @@ class TestRecordCodec:
 
     def test_inconsistent_shapes_fall_back(self, truth, items):
         first = truth.record(items[0].item_id)
-        truncated = dataclasses.replace(
-            first, best_confidence=first.best_confidence[:-1]
-        )
-        assert encode_records([first, truncated]) is None
+        fewer_models = dataclasses.replace(first, offsets=first.offsets[:-1])
+        assert encode_records([first, fewer_models]) is None
+        other_space = dataclasses.replace(first, n_labels=first.n_labels - 1)
+        assert encode_records([first, other_space]) is None
 
     def test_zoo_mismatch_rejected_on_decode(self, truth, zoo, items):
         payload = encode_records([truth.record(items[0].item_id)])

@@ -1,5 +1,7 @@
 """Model zoo: construction, costs, emission behaviour, determinism."""
 
+import pickle
+
 import pytest
 
 from repro.config import WorldConfig
@@ -42,6 +44,21 @@ class TestZooConstruction:
         assert zoo.index_of(model.name) == 0
         assert model.name in zoo
         assert "nonexistent" not in zoo
+
+    def test_cost_arrays_are_built_once_and_read_only(self, zoo):
+        for array, attr in ((zoo.times, "time"), (zoo.mems, "mem")):
+            assert array.tolist() == [getattr(m, attr) for m in zoo]
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert zoo.times is zoo.times and zoo.mems is zoo.mems
+        assert zoo.names is zoo.names
+        assert [zoo.index_of(name) for name in zoo.names] == list(range(len(zoo)))
+        with pytest.raises(KeyError):
+            zoo.index_of("no-such-model")
+        clone = pickle.loads(pickle.dumps(zoo))
+        assert clone.names == zoo.names
+        assert not clone.times.flags.writeable
 
     def test_models_for_task(self):
         zoo = build_zoo(WorldConfig(vocab_scale="full"))
