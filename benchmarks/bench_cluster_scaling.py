@@ -51,6 +51,7 @@ from repro.engine import (
 from repro.labels import build_label_space
 from repro.rl.agents import make_agent
 from repro.scheduling.qgreedy import AgentPredictor
+from repro.spec import LabelingSpec
 from repro.zoo.builder import build_zoo
 from repro.zoo.oracle import GroundTruth
 
@@ -60,9 +61,9 @@ TARGET_SCALING_SPEEDUP = 2.0
 
 #: (name, spec) per regime the parity check covers.
 PARITY_REGIMES = (
-    ("qgreedy", {}),
-    ("deadline", {"deadline": 0.35}),
-    ("deadline_memory", {"deadline": 0.5, "memory_budget": 8000.0}),
+    ("qgreedy", LabelingSpec()),
+    ("deadline", LabelingSpec(deadline=0.35)),
+    ("deadline_memory", LabelingSpec(deadline=0.5, memory_budget=8000.0)),
 )
 
 
@@ -89,7 +90,7 @@ def regime_references(world) -> dict[str, list]:
     config, zoo, items, truth, predictor = world
     engine = LabelingEngine(zoo, predictor, config, backend="serial")
     return {
-        name: [r.trace for r in engine.label_batch(items, truth=truth, **spec)]
+        name: [r.trace for r in engine.label_batch(items, spec, truth=truth)]
         for name, spec in PARITY_REGIMES
     }
 
@@ -122,7 +123,7 @@ def measure_fleet(
         engine.label_batch(items, truth=truth)  # warm: connect, ship world
         sweep = PARITY_REGIMES if full_parity else PARITY_REGIMES[:1]
         for name, spec in sweep:
-            results = engine.label_batch(items, truth=truth, **spec)
+            results = engine.label_batch(items, spec, truth=truth)
             out["regimes"][name] = traces_identical(
                 [r.trace for r in results], references[name]
             )

@@ -27,6 +27,7 @@ from repro.engine import BACKEND_REGISTRY, LabelingEngine
 from repro.labels import build_label_space
 from repro.rl.agents import make_agent
 from repro.scheduling.qgreedy import AgentPredictor
+from repro.spec import LabelingSpec
 from repro.zoo.builder import build_zoo
 from repro.zoo.oracle import GroundTruth
 
@@ -71,11 +72,12 @@ def items_per_second(
     engine = LabelingEngine(
         zoo, predictor, config, backend=backend, batch_size=batch_size
     )
+    spec = LabelingSpec(deadline=deadline)
     try:
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            engine.label_batch(items, deadline=deadline, truth=truth)
+            engine.label_batch(items, spec, truth=truth)
             best = min(best, time.perf_counter() - start)
         return len(items) / best
     finally:
@@ -99,10 +101,6 @@ def test_serial_backend_throughput(benchmark):
 
 def test_batched_backend_throughput(benchmark):
     _bench(benchmark, "batched")
-
-
-def test_thread_backend_throughput(benchmark):
-    _bench(benchmark, "thread")
 
 
 def test_batched_speedup_over_per_item():

@@ -1,4 +1,4 @@
-"""Dispatch-tick + transport speedup, and thread-vs-process scaling.
+"""Dispatch-tick + transport speedup, and process worker scaling.
 
 Two measurements share one pre-recorded world (pure scheduling, no zoo
 execution):
@@ -16,9 +16,9 @@ execution):
    run must actually have used the shared-memory result path
    (``chunk_stats`` says so) — speed never buys divergence.
 
-2. **Worker scaling** — threads (GIL-bound, near-flat) vs processes
-   (near-linear to core count) on the unconstrained trace, kept from the
-   original bench as the scheduling-escapes-the-GIL evidence.
+2. **Worker scaling** — process pools of doubling width against the
+   single-process ``batched`` backend on the unconstrained trace: the
+   scheduling-escapes-the-GIL evidence.
 
 Run standalone (the CI smoke path uses the tiny world and uploads the
 JSON as the ``BENCH_dispatch`` artifact)::
@@ -43,14 +43,11 @@ import time
 
 from repro.config import WorldConfig
 from repro.data.datasets import generate_dataset
-from repro.engine import (
-    LabelingEngine,
-    ProcessPoolBackend,
-    ThreadPoolBackend,
-)
+from repro.engine import BatchedBackend, LabelingEngine, ProcessPoolBackend
 from repro.labels import build_label_space
 from repro.rl.agents import make_agent
 from repro.scheduling.qgreedy import AgentPredictor
+from repro.spec import LabelingSpec
 from repro.zoo.builder import build_zoo
 from repro.zoo.oracle import GroundTruth
 
@@ -60,9 +57,9 @@ TARGET_DISPATCH_SPEEDUP = 2.0
 
 #: (name, spec) per regime the dispatch comparison covers.
 DISPATCH_REGIMES = (
-    ("qgreedy", {}),
-    ("deadline", {"deadline": 0.35}),
-    ("deadline_memory", {"deadline": 0.5, "memory_budget": 8000.0}),
+    ("qgreedy", LabelingSpec()),
+    ("deadline", LabelingSpec(deadline=0.35)),
+    ("deadline_memory", LabelingSpec(deadline=0.5, memory_budget=8000.0)),
 )
 
 
@@ -89,7 +86,7 @@ def regime_references(world) -> dict[str, list]:
     config, zoo, items, truth, predictor = world
     engine = LabelingEngine(zoo, predictor, config, backend="serial")
     return {
-        name: [r.trace for r in engine.label_batch(items, truth=truth, **spec)]
+        name: [r.trace for r in engine.label_batch(items, spec, truth=truth)]
         for name, spec in DISPATCH_REGIMES
     }
 
@@ -114,14 +111,14 @@ def measure_dispatch(world, backend_kwargs, repeats, references) -> dict:
         engine = LabelingEngine(zoo, predictor, config, backend=backend)
         engine.label_batch(items, truth=truth)  # warm: spawn pool, ship world
         for name, spec in DISPATCH_REGIMES:
-            results = engine.label_batch(items, truth=truth, **spec)
+            results = engine.label_batch(items, spec, truth=truth)
             parity = traces_identical(
                 [r.trace for r in results], references[name]
             )
             best = None
             for _ in range(max(repeats, 1)):
                 start = time.perf_counter()
-                engine.label_batch(items, truth=truth, **spec)
+                engine.label_batch(items, spec, truth=truth)
                 elapsed = time.perf_counter() - start
                 best = elapsed if best is None else min(best, elapsed)
             out["regimes"][name] = {
@@ -197,13 +194,11 @@ def run(scale: str, n_items: int, max_workers: int, repeats: int) -> dict:
         "parity": optimized["parity"] and baseline["parity"],
     }
 
-    # 2. Thread-vs-process scaling on the unconstrained trace.
+    # 2. Process scaling against single-process batched, unconstrained trace.
     reference = references["qgreedy"]
+    batched = measure_backend(world, BatchedBackend(), repeats)
     sweeps = []
     for workers in worker_sweep(max_workers):
-        thread = measure_backend(
-            world, ThreadPoolBackend(max_workers=workers), repeats
-        )
         process = measure_backend(
             world,
             ProcessPoolBackend(max_workers=workers),
@@ -213,10 +208,10 @@ def run(scale: str, n_items: int, max_workers: int, repeats: int) -> dict:
         sweeps.append(
             {
                 "workers": workers,
-                "thread_items_per_s": thread["items_per_s"],
                 "process_items_per_s": process["items_per_s"],
                 "process_first_run_s": process["first_run_s"],
-                "speedup": process["items_per_s"] / thread["items_per_s"],
+                "speedup_vs_batched": process["items_per_s"]
+                / batched["items_per_s"],
                 "parity": process["parity"],
             }
         )
@@ -235,6 +230,7 @@ def run(scale: str, n_items: int, max_workers: int, repeats: int) -> dict:
         "cpu_count": os.cpu_count(),
         "repeats": repeats,
         "dispatch": dispatch,
+        "batched_items_per_s": batched["items_per_s"],
         "sweeps": sweeps,
         "uneven_chunk_parity": uneven["parity"],
         "parity": (
@@ -275,14 +271,12 @@ def print_report(report: dict) -> None:
         f"worker scaling: scale={report['scale']} items={report['n_items']} "
         f"cpus={report['cpu_count']} regime=qgreedy (pre-recorded truth)"
     )
-    print(
-        f"{'workers':>7s} {'thread it/s':>12s} {'process it/s':>13s} "
-        f"{'speedup':>8s} {'parity':>7s}"
-    )
+    print(f"single-process batched: {report['batched_items_per_s']:.1f} it/s")
+    print(f"{'workers':>7s} {'process it/s':>13s} {'vs batched':>10s} {'parity':>7s}")
     for sweep in report["sweeps"]:
         print(
-            f"{sweep['workers']:7d} {sweep['thread_items_per_s']:12.1f} "
-            f"{sweep['process_items_per_s']:13.1f} {sweep['speedup']:7.2f}x "
+            f"{sweep['workers']:7d} {sweep['process_items_per_s']:13.1f} "
+            f"{sweep['speedup_vs_batched']:9.2f}x "
             f"{'ok' if sweep['parity'] else 'FAIL':>7s}"
         )
     print(

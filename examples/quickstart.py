@@ -41,8 +41,7 @@ def main() -> None:
           f"({result.total_steps} env steps)\n")
 
     # 4. Label a few test items under a 0.3 s deadline (Algorithm 1).
-    # Constraints travel as one LabelingSpec; the legacy
-    # `deadline=0.3` kwarg form still works and builds the same spec.
+    # Constraints travel as one LabelingSpec.
     spec = LabelingSpec(deadline=0.3)
     for item in test[:5]:
         labeled = scheduler.label(item, spec, truth=truth)

@@ -7,7 +7,7 @@ constraints.
 
 Quickstart::
 
-    from repro import AdaptiveModelScheduler, WorldConfig, build_zoo
+    from repro import AdaptiveModelScheduler, LabelingSpec, WorldConfig, build_zoo
     from repro.data.datasets import generate_dataset, train_test_split
     from repro.labels import build_label_space
 
@@ -19,7 +19,7 @@ Quickstart::
 
     scheduler = AdaptiveModelScheduler(zoo, config)
     scheduler.train(train.items, algo="dueling_dqn")
-    result = scheduler.label(test[0], deadline=0.5)
+    result = scheduler.label(test[0], LabelingSpec(deadline=0.5))
     print(result.label_names, result.time_used)
 """
 
@@ -35,8 +35,6 @@ from repro.engine import (
     LabelingEngine,
     ProcessConfig,
     SerialBackend,
-    ThreadConfig,
-    ThreadPoolBackend,
     make_backend,
 )
 from repro.labels import LabelSpace, build_label_space
@@ -63,8 +61,6 @@ __all__ = [
     "ClusterBackend",
     "ClusterConfig",
     "ProcessConfig",
-    "ThreadConfig",
-    "ThreadPoolBackend",
     "make_backend",
     "LabelingService",
     "LabelSpace",

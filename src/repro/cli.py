@@ -50,7 +50,6 @@ from repro.engine import (
     ClusterConfig,
     LabelingEngine,
     ProcessConfig,
-    ThreadConfig,
 )
 from repro.graph import build_relationship_graph
 from repro.labels import build_label_space
@@ -88,7 +87,7 @@ def _workers_arg(value: str):
 def _backend(args):
     """Typed backend config (or registry name) from --backend/--workers.
 
-    ``--workers`` sizes the thread/process pool.  With ``--backend
+    ``--workers`` sizes the process pool.  With ``--backend
     cluster`` it instead controls the fleet: an integer spawns that many
     local worker processes, while a comma-separated ``host:port`` list
     connects to already-running ``cluster-worker`` processes.
@@ -101,8 +100,6 @@ def _backend(args):
             f"--workers {','.join(addresses)}: host:port worker lists "
             f"require --backend cluster"
         )
-    if args.backend == "thread":
-        return ThreadConfig(max_workers=count)
     if args.backend == "process":
         return ProcessConfig(max_workers=count)
     if args.backend == "cluster":
@@ -772,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_workers_arg,
         default=None,
-        help="pool size for --backend thread/process/cluster (default: cpu "
+        help="pool size for --backend process/cluster (default: cpu "
         "count; cluster: 2), or a host:port,host:port list of running "
         "cluster-worker processes for --backend cluster",
     )

@@ -9,9 +9,8 @@ label items/streams under whatever constraints apply:
 * deadline+memory-> Algorithm 2.
 
 Constraints travel as one :class:`~repro.spec.LabelingSpec` — pass
-``spec=LabelingSpec(deadline=0.5)`` to any labeling call, or keep using
-the legacy ``deadline=/memory_budget=/max_models=`` kwargs, which are
-normalized into a spec (passing both raises).
+``spec=LabelingSpec(deadline=0.5)`` to any labeling call; omitting it
+means the default, unconstrained spec.
 
 The "prediction-scheduling-execution" loop lives in
 :mod:`repro.engine`: every labeling call delegates to a
@@ -19,8 +18,9 @@ The "prediction-scheduling-execution" loop lives in
 streams all go through the same backend machinery.  The default
 ``batched`` backend runs one stacked Q-network forward per scheduling
 round across all in-flight items and produces traces identical to serial
-execution; pass ``backend="serial"`` or ``backend="thread"`` (or a
-constructed backend) to change the execution strategy.
+execution; pass another registry name (``backend="serial"``), a typed
+:class:`~repro.engine.config.BackendConfig`, or a constructed backend to
+change the execution strategy.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class AdaptiveModelScheduler:
     agent:
         A trained Q agent; when omitted, call :meth:`train` first.
     backend:
-        Execution backend name (``"batched"``, ``"serial"``, ``"thread"``)
-        or instance used by all labeling calls.
+        Execution backend used by all labeling calls: a registry name
+        (``"batched"``, ``"serial"``, …), a typed config, or an instance.
     batch_size:
         Default number of in-flight items on the streaming/batch paths.
     """
@@ -130,9 +130,6 @@ class AdaptiveModelScheduler:
         item: DataItem,
         spec: LabelingSpec | None = None,
         *,
-        deadline: float | None = None,
-        memory_budget: float | None = None,
-        max_models: int | None = None,
         truth: GroundTruth | None = None,
     ) -> LabelingResult:
         """Label one item under one :class:`LabelingSpec`.
@@ -143,43 +140,20 @@ class AdaptiveModelScheduler:
         * ``deadline`` + ``memory_budget`` — Algorithm 2 (parallel).
         * neither — Q-greedy over all models (optionally capped by
           ``max_models``).
-
-        The legacy kwargs build the spec when ``spec`` is omitted;
-        passing both raises.
         """
-        return self.engine().label_batch(
-            [item],
-            LabelingSpec.resolve(
-                spec,
-                deadline=deadline,
-                memory_budget=memory_budget,
-                max_models=max_models,
-            ),
-            truth=truth,
-        )[0]
+        return self.engine().label_batch([item], spec, truth=truth)[0]
 
     def label_batch(
         self,
         items: Sequence[DataItem],
         spec: LabelingSpec | None = None,
         *,
-        deadline: float | None = None,
-        memory_budget: float | None = None,
-        max_models: int | None = None,
         truth: GroundTruth | None = None,
         release_records: bool = False,
     ) -> list[LabelingResult]:
         """Label a batch of items concurrently (input-ordered results)."""
         return self.engine().label_batch(
-            items,
-            LabelingSpec.resolve(
-                spec,
-                deadline=deadline,
-                memory_budget=memory_budget,
-                max_models=max_models,
-            ),
-            truth=truth,
-            release_records=release_records,
+            items, spec, truth=truth, release_records=release_records
         )
 
     def label_stream(
@@ -187,9 +161,6 @@ class AdaptiveModelScheduler:
         items: Iterable[DataItem],
         spec: LabelingSpec | None = None,
         *,
-        deadline: float | None = None,
-        memory_budget: float | None = None,
-        max_models: int | None = None,
         truth: GroundTruth | None = None,
         batch_size: int | None = None,
         release_records: bool = True,
@@ -203,17 +174,11 @@ class AdaptiveModelScheduler:
         live sources.  Ground-truth records the engine adds are released
         once their results are yielded, so unbounded streams run in
         bounded memory (``release_records=False`` keeps the cache
-        instead).  Spec/kwargs conflicts and invalid constraints raise at
-        call time, before the first item is consumed.
+        instead).
         """
         return self.engine().label_stream(
             items,
-            LabelingSpec.resolve(
-                spec,
-                deadline=deadline,
-                memory_budget=memory_budget,
-                max_models=max_models,
-            ),
+            spec,
             truth=truth,
             batch_size=batch_size,
             release_records=release_records,

@@ -15,7 +15,6 @@ from repro.engine.backends import (
     ProcessPoolBackend,
     SerialBackend,
     ShmPayload,
-    ThreadPoolBackend,
     schedule_one_item,
 )
 from repro.engine.cluster import (
@@ -32,7 +31,6 @@ from repro.engine.config import (
     ClusterConfig,
     ProcessConfig,
     SerialConfig,
-    ThreadConfig,
     make_backend,
 )
 from repro.engine.shm import RingSpec, SlotRing
@@ -67,8 +65,6 @@ __all__ = [
     "SerialConfig",
     "ShmPayload",
     "SlotRing",
-    "ThreadConfig",
-    "ThreadPoolBackend",
     "WorkerDied",
     "WorldSnapshot",
     "capture_predictor",

@@ -20,10 +20,6 @@ traces identical to :class:`SerialBackend`, the single-item reference:
   parity additionally assumes no two candidate Q values sit within that
   rounding distance — vanishingly rare with continuous weights, and
   enforced empirically by the parity tests on seeded worlds.
-* :class:`ThreadPoolBackend` — per-item scheduling fanned out over a thread
-  pool, for custom predictors without a batch path.  The GIL caps it near
-  one core: scheduling is CPU-bound pure Python with small numpy calls,
-  so threads interleave instead of running in parallel.
 * :class:`ProcessPoolBackend` — scheduling sharded into chunks over a
   persistent :class:`~concurrent.futures.ProcessPoolExecutor`.  A
   picklable :class:`~repro.engine.snapshot.WorldSnapshot` (zoo build
@@ -37,7 +33,7 @@ traces identical to :class:`SerialBackend`, the single-item reference:
 
 Q-network inference is stateless (``train=False`` forwards cache nothing)
 and ground-truth records are only read during scheduling, which is what
-makes the thread backend safe without locks.
+lets the serving tier's worker threads share one engine without locks.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ import os
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -69,7 +65,7 @@ from repro.scheduling.base import (
 from repro.scheduling.deadline import CostQGreedyScheduler
 from repro.scheduling.deadline_memory import MemoryDeadlineScheduler
 from repro.scheduling.qgreedy import QGreedyPolicy, QValuePredictor
-from repro.spec import LabelingSpec, validate_constraints  # noqa: F401 — re-export
+from repro.spec import LabelingSpec
 from repro.zoo.oracle import GroundTruth, ItemRecord
 
 logger = logging.getLogger("repro.engine.backends")
@@ -91,20 +87,6 @@ class LabelingJob:
         missing = [i for i in self.item_ids if i not in self.truth]
         if missing:
             raise KeyError(f"items not recorded in ground truth: {missing[:3]}")
-
-    # Convenience views so backends read constraints without spelling
-    # ``job.spec.`` everywhere.
-    @property
-    def deadline(self) -> float | None:
-        return self.spec.deadline
-
-    @property
-    def memory_budget(self) -> float | None:
-        return self.spec.memory_budget
-
-    @property
-    def max_models(self) -> int | None:
-        return self.spec.max_models
 
 
 class ExecutionBackend:
@@ -192,46 +174,19 @@ class BatchedBackend(ExecutionBackend):
     def run(
         self, job: LabelingJob, predictor: QValuePredictor
     ) -> list[ScheduleTrace]:
-        regime = job.spec.regime
+        spec = job.spec
+        regime = spec.regime
         if regime == "deadline_memory":
             return MemoryDeadlineScheduler(predictor).schedule_batch(
-                job.truth, job.item_ids, job.deadline, job.memory_budget
+                job.truth, job.item_ids, spec.deadline, spec.memory_budget
             )
         if regime == "deadline":
             return CostQGreedyScheduler(predictor).schedule_batch(
-                job.truth, job.item_ids, job.deadline
+                job.truth, job.item_ids, spec.deadline
             )
         return QGreedyPolicy(predictor).schedule_batch(
-            job.truth, job.item_ids, max_models=job.max_models
+            job.truth, job.item_ids, max_models=spec.max_models
         )
-
-
-class ThreadPoolBackend(ExecutionBackend):
-    """Per-item scheduling fanned out over a thread pool.
-
-    Items are independent, model outputs are pre-recorded, and inference
-    forwards are stateless, so per-item runs are pure reads over shared
-    structures — results are deterministic and input-ordered regardless of
-    thread interleaving.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None):
-        self.max_workers = max_workers
-
-    def run(
-        self, job: LabelingJob, predictor: QValuePredictor
-    ) -> list[ScheduleTrace]:
-        if len(job.item_ids) <= 1:
-            return SerialBackend().run(job, predictor)
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(
-                pool.map(
-                    lambda item_id: schedule_one_item(job, predictor, item_id),
-                    job.item_ids,
-                )
-            )
 
 
 @dataclass(frozen=True)
@@ -338,8 +293,8 @@ class ProcessPoolBackend(ExecutionBackend):
     deltas.  Scheduling is deterministic per item and chunks are
     reassembled in input order, so traces are identical to
     :class:`SerialBackend` for every ``max_workers``/``chunk_size``
-    combination — the same parity contract the thread/batched backends
-    honor (enforced by the parity tests and the scaling benchmark).
+    combination — the same parity contract the batched backend
+    honors (enforced by the parity tests and the scaling benchmark).
 
     A chunk that raises (a poisoned item, a predictor bug) fails this
     :meth:`run` with the worker's exception while the pool stays alive for

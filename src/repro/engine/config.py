@@ -1,10 +1,7 @@
 """Typed backend configuration: eagerly-validated, frozen, buildable.
 
-``make_backend(name, **kwargs)`` used to forward loose kwargs straight
-into backend constructors — typos surfaced as ``TypeError`` deep inside
-the engine, invalid values surfaced only when a pool finally spawned,
-and ``make_backend(instance, **kwargs)`` silently *dropped* the kwargs.
-This module replaces that with one frozen config dataclass per backend:
+One frozen config dataclass per backend is the only way to parameterize
+one:
 
 * every field is validated eagerly in ``__post_init__``, so a bad
   worker count or a malformed ``host:port`` fails at *config* time, not
@@ -16,16 +13,13 @@ This module replaces that with one frozen config dataclass per backend:
   fields — configs are the single source of truth for constructor
   surface.
 
-:func:`make_backend` remains the one resolution entry point.  Passing a
-name with loose kwargs still works but now warns ``DeprecationWarning``
-and round-trips through the typed config (so it inherits the eager
-validation); passing kwargs alongside an already-constructed instance —
-previously ignored — is now a ``TypeError``.
+:func:`make_backend` is the one resolution entry point: a bare registry
+name builds that backend's default config, a config builds itself, and
+an already-constructed instance passes through.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -34,7 +28,6 @@ from repro.engine.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
 )
 from repro.engine.cluster import ClusterBackend, _parse_address
 
@@ -45,7 +38,6 @@ __all__ = [
     "ClusterConfig",
     "ProcessConfig",
     "SerialConfig",
-    "ThreadConfig",
     "make_backend",
 ]
 
@@ -65,27 +57,15 @@ class BackendConfig:
         return self.backend_cls(**kwargs)
 
     @staticmethod
-    def resolve(name: str, **kwargs) -> "BackendConfig":
-        """Config for a registry name; loose kwargs are deprecated.
-
-        ``resolve("process")`` returns the default :class:`ProcessConfig`
-        silently; ``resolve("process", max_workers=4)`` still works but
-        warns — pass ``ProcessConfig(max_workers=4)`` around instead.
-        """
+    def resolve(name: str) -> "BackendConfig":
+        """The default config for a registry name."""
         try:
             _, config_cls = BACKEND_REGISTRY[name]
         except (KeyError, TypeError):
             raise ValueError(
                 f"unknown backend {name!r}; choose from {sorted(BACKEND_REGISTRY)}"
             ) from None
-        if kwargs:
-            warnings.warn(
-                f"passing loose kwargs for backend {name!r} is deprecated; "
-                f"pass a typed {config_cls.__name__} instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return config_cls(**kwargs)
+        return config_cls()
 
 
 @dataclass(frozen=True)
@@ -102,20 +82,6 @@ class BatchedConfig(BackendConfig):
 
     name: ClassVar[str] = "batched"
     backend_cls: ClassVar[type[ExecutionBackend]] = BatchedBackend
-
-
-@dataclass(frozen=True)
-class ThreadConfig(BackendConfig):
-    """Thread-pool backend parameters."""
-
-    name: ClassVar[str] = "thread"
-    backend_cls: ClassVar[type[ExecutionBackend]] = ThreadPoolBackend
-
-    max_workers: int | None = None
-
-    def __post_init__(self):
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -198,42 +164,16 @@ class ClusterConfig(BackendConfig):
 #: Name -> (backend class, config class), for config/CLI construction.
 BACKEND_REGISTRY: dict[str, tuple[type[ExecutionBackend], type[BackendConfig]]] = {
     config_cls.name: (config_cls.backend_cls, config_cls)
-    for config_cls in (
-        SerialConfig,
-        BatchedConfig,
-        ThreadConfig,
-        ProcessConfig,
-        ClusterConfig,
-    )
+    for config_cls in (SerialConfig, BatchedConfig, ProcessConfig, ClusterConfig)
 }
 
 
 def make_backend(
-    backend: str | BackendConfig | ExecutionBackend, **kwargs
+    backend: str | BackendConfig | ExecutionBackend,
 ) -> ExecutionBackend:
-    """Resolve a backend from a name, a typed config, or an instance.
-
-    Names resolve through :meth:`BackendConfig.resolve` (bare names
-    silently, loose kwargs with a ``DeprecationWarning``).  Kwargs
-    alongside a config or an already-constructed instance are a
-    ``TypeError`` — they used to be silently dropped for instances,
-    which hid real configuration bugs.
-    """
+    """Resolve a backend from a registry name, a typed config, or an instance."""
     if isinstance(backend, ExecutionBackend):
-        if kwargs:
-            raise TypeError(
-                "make_backend() got keyword arguments "
-                f"{sorted(kwargs)} for an already-constructed "
-                f"{type(backend).__name__} instance; configure the instance "
-                "directly or pass a typed config instead"
-            )
         return backend
-    if isinstance(backend, BackendConfig):
-        if kwargs:
-            raise TypeError(
-                "make_backend() got keyword arguments "
-                f"{sorted(kwargs)} alongside a {type(backend).__name__}; "
-                "put them in the config"
-            )
-        return backend.build()
-    return BackendConfig.resolve(backend, **kwargs).build()
+    if not isinstance(backend, BackendConfig):
+        backend = BackendConfig.resolve(backend)
+    return backend.build()

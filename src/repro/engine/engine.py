@@ -10,9 +10,8 @@ releases the records it created once their results have been yielded, so
 labeling an unbounded stream runs in bounded memory.
 
 Scheduling constraints arrive as one :class:`~repro.spec.LabelingSpec`
-(``spec=``) or as the legacy ``deadline=/memory_budget=/max_models=``
-kwargs; both forms funnel through :meth:`LabelingSpec.resolve`, so the
-legacy form keeps working unchanged while passing both raises eagerly.
+(``spec=``; ``None`` means the default, unconstrained spec), validated
+when it was constructed.
 
 Eviction never touches records that pre-existed in a caller-supplied
 cache: the engine only releases what it recorded itself, and callers can
@@ -35,7 +34,7 @@ from repro.engine.config import BackendConfig, make_backend
 from repro.engine.results import LabelingResult, result_from_trace
 from repro.obs.instrument import engine_observer
 from repro.scheduling.qgreedy import QValuePredictor
-from repro.spec import LabelingSpec
+from repro.spec import LabelingSpec, spec_or
 from repro.zoo.model import ModelZoo
 from repro.zoo.oracle import GroundTruth
 
@@ -55,7 +54,7 @@ class LabelingEngine:
     world_config:
         World parameters (valuable-confidence threshold etc.).
     backend:
-        Registry name (``"serial"``, ``"batched"``, ``"thread"``, …), a
+        Registry name (``"serial"``, ``"batched"``, ``"process"``, …), a
         typed :class:`~repro.engine.config.BackendConfig`, or a
         constructed :class:`ExecutionBackend`.
     batch_size:
@@ -79,7 +78,7 @@ class LabelingEngine:
         self.batch_size = batch_size
 
     def with_backend(
-        self, backend: str | BackendConfig | ExecutionBackend, **kwargs
+        self, backend: str | BackendConfig | ExecutionBackend
     ) -> "LabelingEngine":
         """A sibling engine sharing this world but running another backend.
 
@@ -91,7 +90,7 @@ class LabelingEngine:
             self.zoo,
             self.predictor,
             self.world_config,
-            backend=make_backend(backend, **kwargs),
+            backend=backend,
             batch_size=self.batch_size,
         )
 
@@ -137,9 +136,6 @@ class LabelingEngine:
         items: Sequence[DataItem],
         spec: LabelingSpec | None = None,
         *,
-        deadline: float | None = None,
-        memory_budget: float | None = None,
-        max_models: int | None = None,
         truth: GroundTruth | None = None,
         release_records: bool = False,
     ) -> list[LabelingResult]:
@@ -149,17 +145,11 @@ class LabelingEngine:
         records this call added to ``truth`` are evicted before returning
         (records that were already present are always kept).
         """
-        # Resolve (and thereby validate) before paying for recording.
-        resolved = LabelingSpec.resolve(
-            spec,
-            deadline=deadline,
-            memory_budget=memory_budget,
-            max_models=max_models,
-        )
+        spec = spec_or(spec)  # a non-spec fails before the zoo runs
         items = list(items)
         if truth is None:
             truth = self._ephemeral_truth()
-        results, owned = self._run_batch(truth, items, resolved)
+        results, owned = self._run_batch(truth, items, spec)
         if release_records:
             truth.release_many(owned)
         return results
@@ -169,9 +159,6 @@ class LabelingEngine:
         items: Iterable[DataItem],
         spec: LabelingSpec | None = None,
         *,
-        deadline: float | None = None,
-        memory_budget: float | None = None,
-        max_models: int | None = None,
         truth: GroundTruth | None = None,
         batch_size: int | None = None,
         release_records: bool = True,
@@ -186,22 +173,17 @@ class LabelingEngine:
         that chunk are released (pass ``release_records=False`` to keep the
         cache growing instead).
         """
-        # Resolve and validate eagerly (before the first next()): a bad
-        # spec or a batch_size of 0 must be an error at call time, not a
-        # silent fall-through once iteration starts.
-        resolved = LabelingSpec.resolve(
-            spec,
-            deadline=deadline,
-            memory_budget=memory_budget,
-            max_models=max_models,
-        )
+        # Validate eagerly (before the first next()): a batch_size of 0 or
+        # a non-spec must be an error at call time, not once iteration
+        # starts.
+        spec = spec_or(spec)
         if batch_size is None:
             size = self.batch_size
         elif batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         else:
             size = batch_size
-        return self._stream(items, resolved, truth, size, release_records)
+        return self._stream(items, spec, truth, size, release_records)
 
     def _stream(
         self,

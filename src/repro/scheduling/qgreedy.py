@@ -84,8 +84,8 @@ class OraclePredictor(QValuePredictor):
     streams stay in bounded memory while hot items survive; a per-item
     build guard ensures two threads missing the same item build its
     matrix exactly once.  Scheduling is otherwise read-only; this cache
-    is the one write path, which is what keeps a shared oracle safe on
-    the thread backend.
+    is the one write path, which is what keeps a shared oracle safe
+    across the serving tier's worker threads.
     """
 
     #: Per-item dense matrices kept before evicting the least recently used.

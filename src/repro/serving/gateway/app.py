@@ -28,7 +28,7 @@ GET       ``/healthz``            liveness probe
 Admission is defense-in-depth, cheapest check first: API key (constant
 time, 401), token-bucket rate + in-flight quota (429 with
 ``Retry-After``), then the service's own bounded queue via the
-non-blocking ``submit_*_nowait_async`` path — so a full queue is an
+non-blocking ``submit(wait="async")`` path — so a full queue is an
 *immediate* 429, never a blocked event loop.  Tenant fairness between
 admitted requests is the hierarchical queue's job (install it with
 ``LabelingService(queue_factory=...)``); the gateway just stamps
@@ -47,6 +47,7 @@ import contextlib
 import json
 import logging
 import pickle
+import sys
 import threading
 import time
 import uuid
@@ -544,12 +545,12 @@ class LabelingGateway:
         return item
 
     def _build_spec(self, body: dict, tenant: Tenant) -> LabelingSpec:
+        # JSON null reads as "field absent", like a missing key.
+        fields = {
+            name: body[name] for name in _SPEC_FIELDS if body.get(name) is not None
+        }
         try:
-            return LabelingSpec.resolve(
-                None,
-                tenant=tenant.name,
-                **{name: body.get(name) for name in _SPEC_FIELDS},
-            )
+            return LabelingSpec(tenant=tenant.name, **fields)
         except (TypeError, ValueError) as exc:
             raise WireError(400, f"invalid labeling spec: {exc}") from exc
 
@@ -568,7 +569,11 @@ class LabelingGateway:
         deadline = body.get("admission_deadline")
         if deadline is None:
             return None
-        if not isinstance(deadline, (int, float)) or deadline <= 0:
+        if (
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float))
+            or not 0 < deadline <= sys.float_info.max  # also rejects NaN
+        ):
             raise WireError(400, "admission_deadline must be a positive number")
         return float(deadline)
 

@@ -82,7 +82,6 @@ import asyncio
 import logging
 import threading
 import time
-import warnings
 from collections.abc import Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -105,7 +104,7 @@ from repro.serving.queue import (
 )
 from repro.serving.result_cache import ResultCache
 from repro.serving.telemetry import ServiceTelemetry, TelemetrySnapshot
-from repro.spec import LabelingSpec
+from repro.spec import LabelingSpec, spec_or
 from repro.zoo.oracle import GroundTruth
 
 #: Default flush timer: how long a request waits for batch-mates at most.
@@ -120,23 +119,11 @@ DEFAULT_EXPIRY_INTERVAL = 0.05
 logger = logging.getLogger("repro.serving.service")
 
 
-def _resolve_wait_mode(wait: str, nowait: bool) -> str:
-    """Validate a ``wait=`` mode, folding in the legacy ``nowait`` flag."""
+def _check_wait_mode(wait: str) -> None:
     if wait not in ("block", "nowait", "async"):
         raise ValueError(
             f"wait must be 'block', 'nowait', or 'async', got {wait!r}"
         )
-    if nowait and wait == "block":
-        return "nowait"
-    return wait
-
-
-def _warn_submit_shim(old: str, new: str) -> None:
-    warnings.warn(
-        f"LabelingService.{old}() is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -252,11 +239,9 @@ class LabelingService:
         (``"block"`` or ``"reject"``), see :class:`RequestQueue`.
     spec:
         Default :class:`LabelingSpec` for requests submitted without one
-        (the paper's per-item regimes).  The legacy
-        ``deadline``/``memory_budget``/``max_models`` kwargs build it when
-        omitted; passing both raises.  Distinct from per-request
-        *admission* deadlines, which bound queue wait and are passed to
-        :meth:`submit`.
+        (the paper's per-item regimes; ``None`` is the unconstrained
+        default).  Distinct from per-request *admission* deadlines, which
+        bound queue wait and are passed to :meth:`submit`.
     truth:
         Optional shared ground-truth cache.  Items already recorded there
         are scheduled against the existing records; records the engine
@@ -316,9 +301,6 @@ class LabelingService:
         max_depth: int = DEFAULT_MAX_DEPTH,
         overflow: str = "block",
         spec: LabelingSpec | None = None,
-        deadline: float | None = None,
-        memory_budget: float | None = None,
-        max_models: int | None = None,
         truth: GroundTruth | None = None,
         cache: ResultCache | None = None,
         cache_size: int | None = None,
@@ -359,12 +341,7 @@ class LabelingService:
         self.batch_size = batch_size
         self.max_wait = max_wait
         self.workers = workers
-        self.default_spec = LabelingSpec.resolve(
-            spec,
-            deadline=deadline,
-            memory_budget=memory_budget,
-            max_models=max_models,
-        )
+        self.default_spec = spec_or(spec)
         self.truth = truth
         self.cache = cache if cache is not None else (
             ResultCache(cache_size) if cache_size else None
@@ -428,39 +405,14 @@ class LabelingService:
 
     # -- client API ----------------------------------------------------------
 
-    def _request_spec(
-        self, spec: LabelingSpec | None, priority: int | None
-    ) -> LabelingSpec:
-        """The spec one submission labels under.
-
-        An explicit ``spec`` wins (and makes the ``priority`` kwarg an
-        error — priorities live on the spec); otherwise the service
-        default applies, with ``priority`` layered on top.
-        """
-        if spec is None:
-            base = self.default_spec
-            return base if priority is None else base.with_(priority=priority)
-        if not isinstance(spec, LabelingSpec):
-            raise TypeError(
-                f"spec must be a LabelingSpec, got {type(spec).__name__}"
-            )
-        if priority is not None:
-            raise ValueError(
-                "pass priority either on the spec or as the priority kwarg, "
-                "not both"
-            )
-        return spec
-
     def submit(
         self,
         item: DataItem,
         spec: LabelingSpec | None = None,
         *,
-        priority: int | None = None,
         deadline: float | None = None,
         timeout: float | None = None,
         wait: str = "block",
-        nowait: bool = False,
     ) -> Future | asyncio.Future:
         """Enqueue one item; returns a future resolving to its result.
 
@@ -487,24 +439,17 @@ class LabelingService:
           (e.g. the gateway's 429 + ``Retry-After`` shed logic).  Must
           be called with a running event loop.
 
-        ``nowait=True`` is the legacy spelling of ``wait="nowait"``.
-
         With a result cache, a submission whose ``(item_id, batch_key)``
         is already cached resolves immediately without queueing, and one
         that duplicates an in-flight key returns that flight's shared
         future — the first submitter's admission terms apply to everyone
         attached.
         """
-        mode = _resolve_wait_mode(wait, nowait)
+        _check_wait_mode(wait)
         future = self._submit(
-            item,
-            spec,
-            priority=priority,
-            deadline=deadline,
-            timeout=timeout,
-            nowait=mode != "block",
+            item, spec, deadline=deadline, timeout=timeout, nowait=wait != "block"
         )
-        if mode == "async":
+        if wait == "async":
             return asyncio.wrap_future(future)
         return future
 
@@ -513,7 +458,6 @@ class LabelingService:
         item: DataItem,
         spec: LabelingSpec | None = None,
         *,
-        priority: int | None = None,
         deadline: float | None = None,
         timeout: float | None = None,
         nowait: bool = False,
@@ -526,7 +470,7 @@ class LabelingService:
         terminal is written by the recovery callback against that old
         seq — re-journaling would double-count the work.
         """
-        resolved = self._request_spec(spec, priority)
+        resolved = spec_or(spec, self.default_spec)
         request = LabelingRequest(
             item=item,
             priority=resolved.priority,
@@ -601,11 +545,9 @@ class LabelingService:
         items: Iterable[DataItem],
         spec: LabelingSpec | None = None,
         *,
-        priority: int | None = None,
         deadline: float | None = None,
         timeout: float | None = None,
         wait: str = "block",
-        nowait: bool = False,
     ) -> list[Future] | list[asyncio.Future]:
         """Bulk-submit items under one shared spec; one future per item.
 
@@ -624,23 +566,17 @@ class LabelingService:
         :class:`QueueFull`); ``"async"`` is non-blocking admission
         returning input-ordered :class:`asyncio.Future` awaitables, so
         ``asyncio.gather(..., return_exceptions=True)`` sees the complete
-        picture.  ``nowait=True`` is the legacy spelling of
-        ``wait="nowait"``.
+        picture.
 
         With a result cache, cached items resolve immediately, duplicates
         of in-flight keys (including duplicates *within* this call) share
         one future, and only first-flight items are enqueued.
         """
-        mode = _resolve_wait_mode(wait, nowait)
+        _check_wait_mode(wait)
         futures = self._submit_many(
-            items,
-            spec,
-            priority=priority,
-            deadline=deadline,
-            timeout=timeout,
-            nowait=mode != "block",
+            items, spec, deadline=deadline, timeout=timeout, nowait=wait != "block"
         )
-        if mode == "async":
+        if wait == "async":
             return [asyncio.wrap_future(future) for future in futures]
         return futures
 
@@ -649,14 +585,13 @@ class LabelingService:
         items: Iterable[DataItem],
         spec: LabelingSpec | None = None,
         *,
-        priority: int | None = None,
         deadline: float | None = None,
         timeout: float | None = None,
         nowait: bool = False,
     ) -> list[Future]:
         """Synchronous bulk-admission core shared by every ``wait`` mode."""
         items = list(items)
-        resolved = self._request_spec(spec, priority)
+        resolved = spec_or(spec, self.default_spec)
         if not items:
             return []
         with self._state:
@@ -749,92 +684,6 @@ class LabelingService:
                 request, error=ServiceStopped("service stopped during admission")
             )
         return futures
-
-    # -- deprecated submit_* shims -------------------------------------------
-    #
-    # The six-way submit family collapsed into submit()/submit_many()
-    # taking a ``wait=`` mode.  These shims pin the exact pre-unification
-    # behavior (note submit_async/submit_many_async admit *blocking*,
-    # which ``wait="async"`` deliberately does not).
-
-    def submit_async(
-        self,
-        item: DataItem,
-        spec: LabelingSpec | None = None,
-        *,
-        priority: int | None = None,
-        deadline: float | None = None,
-        timeout: float | None = None,
-    ) -> asyncio.Future:
-        """Deprecated: blocking admission + awaitable result.
-
-        Use ``submit(..., wait="async")`` for the non-blocking admission
-        a network front end needs, or wrap ``submit(...)`` yourself to
-        keep blocking admission with an awaitable.
-        """
-        _warn_submit_shim("submit_async", 'submit(..., wait="async")')
-        return asyncio.wrap_future(
-            self._submit(
-                item, spec, priority=priority, deadline=deadline, timeout=timeout
-            )
-        )
-
-    def submit_nowait_async(
-        self,
-        item: DataItem,
-        spec: LabelingSpec | None = None,
-        *,
-        priority: int | None = None,
-        deadline: float | None = None,
-    ) -> asyncio.Future:
-        """Deprecated alias of ``submit(..., wait="async")``."""
-        _warn_submit_shim("submit_nowait_async", 'submit(..., wait="async")')
-        return asyncio.wrap_future(
-            self._submit(
-                item, spec, priority=priority, deadline=deadline, nowait=True
-            )
-        )
-
-    def submit_many_nowait_async(
-        self,
-        items: Iterable[DataItem],
-        spec: LabelingSpec | None = None,
-        *,
-        priority: int | None = None,
-        deadline: float | None = None,
-    ) -> list[asyncio.Future]:
-        """Deprecated alias of ``submit_many(..., wait="async")``."""
-        _warn_submit_shim(
-            "submit_many_nowait_async", 'submit_many(..., wait="async")'
-        )
-        return [
-            asyncio.wrap_future(future)
-            for future in self._submit_many(
-                items, spec, priority=priority, deadline=deadline, nowait=True
-            )
-        ]
-
-    def submit_many_async(
-        self,
-        items: Iterable[DataItem],
-        spec: LabelingSpec | None = None,
-        *,
-        priority: int | None = None,
-        deadline: float | None = None,
-        timeout: float | None = None,
-    ) -> list[asyncio.Future]:
-        """Deprecated: blocking bulk admission + awaitable results.
-
-        Use ``submit_many(..., wait="async")`` (non-blocking admission),
-        or wrap ``submit_many(...)`` yourself to keep blocking admission.
-        """
-        _warn_submit_shim("submit_many_async", 'submit_many(..., wait="async")')
-        return [
-            asyncio.wrap_future(future)
-            for future in self._submit_many(
-                items, spec, priority=priority, deadline=deadline, timeout=timeout
-            )
-        ]
 
     def snapshot(self) -> TelemetrySnapshot:
         """Telemetry snapshot including live queue depth and in-flight count.

@@ -1,16 +1,13 @@
 """LabelingSpec: the one first-class request/constraint object.
 
 The paper schedules every item under one of three *regimes* — unconstrained
-Q-greedy, Algorithm 1 (deadline), Algorithm 2 (deadline + memory) — and a
-request's regime used to travel through the stack as loose kwargs copied
-verbatim from :class:`~repro.core.framework.AdaptiveModelScheduler` down to
-the serving tier.  :class:`LabelingSpec` replaces those kwargs with a single
+Q-greedy, Algorithm 1 (deadline), Algorithm 2 (deadline + memory).
+:class:`LabelingSpec` states a request's regime and constraints as a single
 frozen value that every layer shares:
 
-* the **framework** and **engine** accept ``spec=`` on every labeling call
-  (legacy ``deadline=/memory_budget=/max_models=`` kwargs still work and are
-  normalized through :meth:`LabelingSpec.resolve`; passing both raises);
-* **backends** receive the resolved spec inside the
+* the **framework** and **engine** take ``spec=`` on every labeling call
+  (``None`` means the default, unconstrained spec);
+* **backends** receive the spec inside the
   :class:`~repro.engine.backends.LabelingJob` and dispatch on
   :attr:`LabelingSpec.regime`;
 * the **serving tier** attaches a spec to each request and groups queued
@@ -18,20 +15,40 @@ frozen value that every layer shares:
   micro-batch is homogeneous — one service hosts Q-greedy, deadline, and
   deadline+memory traffic concurrently.
 
-Constraint validation happens once, eagerly, in ``__post_init__`` — a
-negative ``deadline``, a ``memory_budget`` without a deadline, or a
-``max_models`` below 1 raises :class:`ValueError` at the API boundary
-instead of flowing silently into the schedulers.
+The constructor is the only way to state constraints and the only gate
+they pass: ``__post_init__`` checks types and ranges eagerly — a string
+``priority``, a ``NaN`` or negative ``deadline``, a ``memory_budget``
+without a deadline, or a ``max_models`` below 1 raises
+:class:`TypeError`/:class:`ValueError` at the API boundary (the gateway
+builds specs from untrusted JSON bodies) instead of flowing into the
+queue and the schedulers.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
-__all__ = ["REGIMES", "LabelingSpec", "validate_constraints"]
+__all__ = ["REGIMES", "LabelingSpec", "spec_or"]
 
 #: The paper's scheduling regimes, also the legal ``policy`` overrides.
 REGIMES = ("qgreedy", "deadline", "deadline_memory")
+
+
+def _check_budget(name: str, value) -> None:
+    """A finite, non-negative, non-bool real number."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+    # One chained comparison rejects negatives, NaN (compares False), inf,
+    # and ints too large to convert to float.
+    if not 0 <= value <= sys.float_info.max:
+        raise ValueError(f"{name} must be non-negative and finite")
+
+
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -79,15 +96,17 @@ class LabelingSpec:
     tenant: str | None = None
 
     def __post_init__(self):
-        if self.deadline is not None and self.deadline < 0:
-            raise ValueError("deadline must be non-negative")
+        if self.deadline is not None:
+            _check_budget("deadline", self.deadline)
         if self.memory_budget is not None:
-            if self.memory_budget < 0:
-                raise ValueError("memory_budget must be non-negative")
+            _check_budget("memory_budget", self.memory_budget)
             if self.deadline is None:
                 raise ValueError("memory_budget requires a deadline")
-        if self.max_models is not None and self.max_models < 1:
-            raise ValueError("max_models must be >= 1")
+        if self.max_models is not None:
+            _check_integer("max_models", self.max_models)
+            if self.max_models < 1:
+                raise ValueError("max_models must be >= 1")
+        _check_integer("priority", self.priority)
         if self.policy is not None:
             if self.policy not in REGIMES:
                 raise ValueError(
@@ -158,61 +177,15 @@ class LabelingSpec:
         """A copy with the given fields replaced (re-validated)."""
         return replace(self, **changes)
 
-    @classmethod
-    def resolve(
-        cls,
-        spec: "LabelingSpec | None" = None,
-        *,
-        deadline: float | None = None,
-        memory_budget: float | None = None,
-        max_models: int | None = None,
-        priority: int | None = None,
-        policy: str | None = None,
-        tenant: str | None = None,
-    ) -> "LabelingSpec":
-        """Normalize one labeling call's constraints into a single spec.
 
-        Every entry point funnels through here: with ``spec=None`` the
-        legacy kwargs build a fresh (validated) spec; with a ``spec`` the
-        kwargs must all be unset — passing constraints both ways is
-        ambiguous and raises :class:`ValueError` instead of guessing.
-        """
-        kwargs = {
-            name: value
-            for name, value in (
-                ("deadline", deadline),
-                ("memory_budget", memory_budget),
-                ("max_models", max_models),
-                ("priority", priority),
-                ("policy", policy),
-                ("tenant", tenant),
-            )
-            if value is not None
-        }
-        if spec is None:
-            return cls(**kwargs)
-        if not isinstance(spec, cls):
-            raise TypeError(
-                f"spec must be a LabelingSpec, got {type(spec).__name__}"
-            )
-        if kwargs:
-            raise ValueError(
-                "pass constraints either as spec= or as legacy kwargs, not "
-                f"both (got spec and {sorted(kwargs)})"
-            )
-        return spec
+def spec_or(spec, default: LabelingSpec | None = None) -> LabelingSpec:
+    """``spec``, or ``default`` (else the default spec) when omitted.
 
-
-def validate_constraints(
-    deadline: float | None,
-    memory_budget: float | None,
-    max_models: int | None = None,
-) -> None:
-    """Reject inconsistent constraints (legacy helper).
-
-    Kept for callers predating :class:`LabelingSpec`; constructing the spec
-    *is* the validation now.
+    The call-time gate of every ``spec=`` parameter: anything that is
+    neither ``None`` nor a :class:`LabelingSpec` is a :class:`TypeError`.
     """
-    LabelingSpec(
-        deadline=deadline, memory_budget=memory_budget, max_models=max_models
-    )
+    if spec is None:
+        return default if default is not None else LabelingSpec()
+    if not isinstance(spec, LabelingSpec):
+        raise TypeError(f"spec must be a LabelingSpec, got {type(spec).__name__}")
+    return spec

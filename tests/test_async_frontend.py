@@ -56,7 +56,7 @@ class TestSubmitAsync:
         async def run():
             service = LabelingService(engine, batch_size=4, truth=truth)
             with service:
-                results = [await service.submit_async(item) for item in items[:8]]
+                results = [await service.submit(item, wait="async") for item in items[:8]]
                 service.drain()
             return results
 
@@ -69,8 +69,8 @@ class TestSubmitAsync:
         async def run():
             service = LabelingService(engine, batch_size=4, truth=truth)
             with service:
-                futures = service.submit_many_async(
-                    items, LabelingSpec(deadline=0.4, priority=1)
+                futures = service.submit_many(
+                    items, LabelingSpec(deadline=0.4, priority=1), wait="async"
                 )
                 results = await asyncio.gather(*futures)
                 service.drain()
@@ -83,7 +83,7 @@ class TestSubmitAsync:
         # Two coroutines interleave submissions on one loop; each gets
         # its own input-ordered results back.
         async def client(service, slice_):
-            return [await service.submit_async(item) for item in slice_]
+            return [await service.submit(item, wait="async") for item in slice_]
 
         async def run():
             service = LabelingService(engine, batch_size=4, truth=truth)
@@ -105,7 +105,7 @@ class TestSubmitAsync:
             service = LabelingService(engine, batch_size=4, truth=truth)
             with service:
                 with pytest.raises(DeadlineExpired):
-                    service.submit_async(items[0], deadline=0.0)
+                    service.submit(items[0], deadline=0.0, wait="async")
                 service.drain()
 
         asyncio.run(run())
@@ -116,7 +116,7 @@ class TestSubmitAsync:
             with service:
                 service.drain()
             with pytest.raises(ServiceStopped):
-                service.submit_async(items[0])
+                service.submit(items[0], wait="async")
 
         asyncio.run(run())
 
@@ -132,7 +132,7 @@ class TestSubmitAsync:
         async def run():
             service = LabelingService(engine, batch_size=4, truth=truth)
             with service:
-                future = service.submit_async(items[0])
+                future = service.submit(items[0], wait="async")
                 with pytest.raises(RuntimeError, match="predictor exploded"):
                     await future
                 service.drain()
@@ -143,23 +143,23 @@ class TestSubmitAsync:
         self, engine, truth, items
     ):
         # The gateway's admission path: against a full queue under the
-        # *blocking* overflow policy, submit_async would park the event
-        # loop thread until space appeared; submit_nowait_async must
+        # *blocking* overflow policy, blocking admission would park the
+        # event loop thread until space appeared; wait="async" must
         # instead raise QueueFull synchronously so callers can answer 429.
         async def run():
             service = LabelingService(
                 engine, batch_size=4, truth=truth, max_depth=2, overflow="block"
             )
             # never started: nothing drains, the queue genuinely fills
-            service.submit_nowait_async(items[0])
-            service.submit_nowait_async(items[1])
+            service.submit(items[0], wait="async")
+            service.submit(items[1], wait="async")
             started = asyncio.get_running_loop().time()
             with pytest.raises(QueueFull, match="nowait"):
-                service.submit_nowait_async(items[2])
+                service.submit(items[2], wait="async")
             assert asyncio.get_running_loop().time() - started < 1.0
             # the bulk variant sheds per item: rejections land on the
             # awaitables so accepted siblings still serve
-            futures = service.submit_many_nowait_async(items[2:4])
+            futures = service.submit_many(items[2:4], wait="async")
             outcome = await asyncio.gather(*futures, return_exceptions=True)
             assert all(isinstance(r, QueueFull) for r in outcome)
             service.queue.close()
@@ -173,7 +173,7 @@ class TestSubmitAsync:
         async def run():
             service = LabelingService(engine, batch_size=4, truth=truth)
             with service:
-                futures = service.submit_many_async(items[:4])
+                futures = service.submit_many(items[:4], wait="async")
                 outcome = await asyncio.gather(*futures, return_exceptions=True)
                 service.drain()
             return outcome

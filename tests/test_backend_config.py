@@ -1,4 +1,4 @@
-"""Typed backend configs: validation, registry, resolution, deprecation."""
+"""Typed backend configs: validation, registry, resolution."""
 
 import dataclasses
 
@@ -15,8 +15,6 @@ from repro.engine import (
     ProcessPoolBackend,
     SerialBackend,
     SerialConfig,
-    ThreadConfig,
-    ThreadPoolBackend,
     make_backend,
 )
 
@@ -26,7 +24,6 @@ class TestRegistry:
         assert set(BACKEND_REGISTRY) == {
             "serial",
             "batched",
-            "thread",
             "process",
             "cluster",
         }
@@ -42,8 +39,6 @@ class TestRegistry:
     def test_build_constructs_the_right_class(self):
         assert isinstance(SerialConfig().build(), SerialBackend)
         assert isinstance(BatchedConfig().build(), BatchedBackend)
-        thread = ThreadConfig(max_workers=3).build()
-        assert isinstance(thread, ThreadPoolBackend)
         process = ProcessConfig(max_workers=3, chunk_size=2).build()
         assert isinstance(process, ProcessPoolBackend)
         assert process.max_workers == 3
@@ -56,10 +51,6 @@ class TestRegistry:
 
 class TestValidation:
     """Bad values fail at config time, before any pool or socket exists."""
-
-    def test_thread(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            ThreadConfig(max_workers=0)
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -110,16 +101,6 @@ class TestResolution:
         with pytest.raises(ValueError, match="needs workers"):
             BackendConfig.resolve("cluster")
 
-    def test_loose_kwargs_warn_and_round_trip(self):
-        with pytest.warns(DeprecationWarning, match="typed ProcessConfig"):
-            config = BackendConfig.resolve("process", max_workers=4, chunk_size=3)
-        assert config == ProcessConfig(max_workers=4, chunk_size=3)
-
-    def test_loose_kwargs_inherit_eager_validation(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="max_workers"):
-                BackendConfig.resolve("process", max_workers=0)
-
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown backend"):
             BackendConfig.resolve("gpu")
@@ -128,23 +109,18 @@ class TestResolution:
 class TestMakeBackend:
     def test_name_and_config_and_instance(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend(ThreadConfig(max_workers=2)), ThreadPoolBackend)
-        backend = ThreadPoolBackend(max_workers=2)
+        process = make_backend(ProcessConfig(max_workers=2))
+        assert isinstance(process, ProcessPoolBackend)
+        assert process.max_workers == 2
+        backend = BatchedBackend()
         assert make_backend(backend) is backend
 
-    def test_name_with_kwargs_warns(self):
-        with pytest.warns(DeprecationWarning):
-            backend = make_backend("process", max_workers=3)
-        assert isinstance(backend, ProcessPoolBackend)
-        assert backend.max_workers == 3
-
     def test_instance_with_kwargs_is_a_type_error(self):
-        backend = ThreadPoolBackend(max_workers=2)
-        with pytest.raises(TypeError, match="already-constructed"):
-            make_backend(backend, max_workers=4)
+        with pytest.raises(TypeError):
+            make_backend(BatchedBackend(), max_workers=4)
 
     def test_config_with_kwargs_is_a_type_error(self):
-        with pytest.raises(TypeError, match="put them in the config"):
+        with pytest.raises(TypeError):
             make_backend(ProcessConfig(), max_workers=4)
 
     def test_unknown_backend(self):

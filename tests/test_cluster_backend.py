@@ -29,6 +29,7 @@ from repro.scheduling.qgreedy import (
     QValuePredictor,
 )
 from repro.serving import LabelingService
+from repro.spec import LabelingSpec
 from repro.zoo.oracle import GroundTruth
 
 
@@ -72,10 +73,10 @@ def assert_parity(got, ref):
 
 #: All three paper regimes plus the capped q-greedy variant.
 REGIMES = (
-    {},
-    {"max_models": 4},
-    {"deadline": 0.35},
-    {"deadline": 0.5, "memory_budget": 8000.0},
+    LabelingSpec(),
+    LabelingSpec(max_models=4),
+    LabelingSpec(deadline=0.35),
+    LabelingSpec(deadline=0.5, memory_budget=8000.0),
 )
 
 
@@ -169,8 +170,8 @@ class TestClusterParity:
         with backend:
             cluster = engine_for(zoo, predictor, world_config, backend)
             for regime in REGIMES:
-                ref = serial.label_batch(items, truth=truth, **regime)
-                got = cluster.label_batch(items, truth=truth, **regime)
+                ref = serial.label_batch(items, regime, truth=truth)
+                got = cluster.label_batch(items, regime, truth=truth)
                 assert_parity(got, ref)
 
     def test_post_snapshot_records_ship_as_chunk_deltas(
@@ -227,7 +228,7 @@ class TestClusterLifecycle:
             engine = engine_for(zoo, predictor, world_config, backend)
             engine.label_batch(items, truth=truth)
             links_after_first = dict(backend._links)
-            engine.label_batch(items, deadline=0.4, truth=truth)
+            engine.label_batch(items, LabelingSpec(deadline=0.4), truth=truth)
             assert backend._links == links_after_first  # no reconnect
             stats = backend.cluster_stats
             assert stats["snapshot_ships"] == len(inproc_addresses)

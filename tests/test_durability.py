@@ -266,7 +266,7 @@ class TestRunManifest:
 
 
 def service_for(engine, truth, journal_dir, **kwargs):
-    kwargs.setdefault("deadline", 0.35)
+    kwargs.setdefault("spec", LabelingSpec(deadline=0.35))
     return LabelingService(engine, truth=truth, journal=str(journal_dir), **kwargs)
 
 
@@ -338,7 +338,9 @@ class TestServiceJournal:
         service.shutdown()
 
     def test_recover_without_journal_raises(self, engine, truth):
-        service = LabelingService(engine, truth=truth, deadline=0.35)
+        service = LabelingService(
+            engine, truth=truth, spec=LabelingSpec(deadline=0.35)
+        )
         with pytest.raises(ValueError, match="journal"):
             service.recover()
         service.shutdown()

@@ -30,6 +30,7 @@ from repro.engine import LabelingEngine
 from repro.rl.agents import make_agent
 from repro.scheduling.qgreedy import AgentPredictor
 from repro.serving import LabelingService
+from repro.spec import LabelingSpec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -43,6 +44,7 @@ from repro.engine import LabelingEngine
 from repro.labels import build_label_space
 from repro.scheduling.qgreedy import QValuePredictor
 from repro.serving import LabelingService
+from repro.spec import LabelingSpec
 from repro.zoo.builder import build_zoo
 from repro.zoo.oracle import GroundTruth
 
@@ -69,7 +71,7 @@ engine = LabelingEngine(zoo, SlowPredictor(len(zoo)), cfg)
 service = LabelingService(
     engine,
     truth=truth,
-    deadline=0.35,
+    spec=LabelingSpec(deadline=0.35),
     journal=journal_dir,
     journal_fsync="always",
     batch_size=2,
@@ -185,7 +187,10 @@ class TestSigkillRecovery:
             zoo, AgentPredictor(agent, len(zoo)), world_config
         )
         service = LabelingService(
-            engine, truth=truth, deadline=0.35, journal=str(journal_dir)
+            engine,
+            truth=truth,
+            spec=LabelingSpec(deadline=0.35),
+            journal=str(journal_dir),
         )
         pending_ids = {
             entry.item.item_id for entry in service.journal.pending_entries()

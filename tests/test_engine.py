@@ -13,7 +13,6 @@ from repro.engine import (
     LabelingSpec,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     make_backend,
 )
 from repro.scheduling.qgreedy import AgentPredictor
@@ -37,10 +36,12 @@ def engine_for(zoo, predictor, world_config, backend):
 
 #: The three constraint regimes of the paper plus the capped variant.
 REGIMES = [
-    pytest.param({}, id="unconstrained"),
-    pytest.param({"max_models": 4}, id="max_models"),
-    pytest.param({"deadline": 0.35}, id="deadline"),
-    pytest.param({"deadline": 0.5, "memory_budget": 8000.0}, id="deadline_memory"),
+    pytest.param(LabelingSpec(), id="unconstrained"),
+    pytest.param(LabelingSpec(max_models=4), id="max_models"),
+    pytest.param(LabelingSpec(deadline=0.35), id="deadline"),
+    pytest.param(
+        LabelingSpec(deadline=0.5, memory_budget=8000.0), id="deadline_memory"
+    ),
 ]
 
 
@@ -48,15 +49,15 @@ class TestBackendParity:
     """Every backend must reproduce SerialBackend's traces exactly."""
 
     @pytest.mark.parametrize("regime", REGIMES)
-    @pytest.mark.parametrize("backend", ["batched", "thread"])
+    @pytest.mark.parametrize("backend", ["batched"])
     def test_trace_identical_to_serial(
         self, zoo, world_config, predictor, truth, items, backend, regime
     ):
         serial = engine_for(zoo, predictor, world_config, "serial").label_batch(
-            items, truth=truth, **regime
+            items, regime, truth=truth
         )
         other = engine_for(zoo, predictor, world_config, backend).label_batch(
-            items, truth=truth, **regime
+            items, regime, truth=truth
         )
         assert len(serial) == len(other) == len(items)
         for ref, got in zip(serial, other):
@@ -71,16 +72,17 @@ class TestBackendParity:
             ]
             assert got.recall == ref.recall
 
-    @pytest.mark.parametrize("backend", ["batched", "thread"])
+    @pytest.mark.parametrize("backend", ["batched"])
     def test_stream_matches_batch(
         self, zoo, world_config, predictor, truth, items, backend
     ):
         engine = engine_for(zoo, predictor, world_config, backend)
-        from_batch = engine.label_batch(items, deadline=0.4, truth=truth)
+        spec = LabelingSpec(deadline=0.4)
+        from_batch = engine.label_batch(items, spec, truth=truth)
         from_stream = list(
             engine.label_stream(
                 iter(items),
-                deadline=0.4,
+                spec,
                 truth=truth,
                 batch_size=7,
                 release_records=False,
@@ -114,49 +116,18 @@ class TestBackendParity:
 
 
 class TestSpecParity:
-    """The spec= form must be trace-identical to the legacy kwargs form."""
-
-    @pytest.mark.parametrize("regime", REGIMES)
-    def test_label_batch_spec_equals_kwargs(
-        self, zoo, world_config, predictor, truth, items, regime
-    ):
-        engine = engine_for(zoo, predictor, world_config, "batched")
-        via_kwargs = engine.label_batch(items, truth=truth, **regime)
-        via_spec = engine.label_batch(items, LabelingSpec(**regime), truth=truth)
-        for ref, got in zip(via_kwargs, via_spec):
-            assert got.item_id == ref.item_id
-            assert got.trace.executions == ref.trace.executions
-            assert got.label_names == ref.label_names
-
-    def test_label_stream_spec_equals_kwargs(
-        self, zoo, world_config, predictor, truth, items
-    ):
-        engine = engine_for(zoo, predictor, world_config, "batched")
-        via_kwargs = list(
-            engine.label_stream(
-                items, deadline=0.4, truth=truth, batch_size=7,
-                release_records=False,
-            )
-        )
-        via_spec = list(
-            engine.label_stream(
-                items, LabelingSpec(deadline=0.4), truth=truth, batch_size=7,
-                release_records=False,
-            )
-        )
-        for ref, got in zip(via_kwargs, via_spec):
-            assert got.trace.executions == ref.trace.executions
+    """spec= is the only way to state constraints on an engine call."""
 
     def test_spec_and_kwargs_together_raise(
         self, zoo, world_config, predictor, truth, items
     ):
         engine = engine_for(zoo, predictor, world_config, "batched")
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="deadline"):
             engine.label_batch(
                 items, LabelingSpec(deadline=0.4), deadline=0.4, truth=truth
             )
-        # streams validate at call time, before the first item is consumed
-        with pytest.raises(ValueError, match="not both"):
+        # streams reject at call time, before the first item is consumed
+        with pytest.raises(TypeError, match="max_models"):
             engine.label_stream(
                 items, LabelingSpec(deadline=0.4), max_models=3, truth=truth
             )
@@ -222,18 +193,11 @@ class TestRecordLifecycle:
 
 class TestEngineApi:
     def test_make_backend_registry(self):
-        assert set(BACKEND_REGISTRY) == {
-            "serial",
-            "batched",
-            "thread",
-            "process",
-            "cluster",
-        }
+        assert set(BACKEND_REGISTRY) == {"serial", "batched", "process", "cluster"}
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("batched"), BatchedBackend)
-        assert isinstance(make_backend("thread"), ThreadPoolBackend)
         assert isinstance(make_backend("process"), ProcessPoolBackend)
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = BatchedBackend()
         assert make_backend(backend) is backend
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpu")
@@ -251,13 +215,7 @@ class TestEngineApi:
             LabelingJob(truth=truth, item_ids=ids, spec={"deadline": 0.5})
         with pytest.raises(KeyError, match="not recorded"):
             LabelingJob(truth=truth, item_ids=("missing",))
-        job = LabelingJob(
-            truth=truth, item_ids=ids, spec=LabelingSpec(deadline=0.5, max_models=3)
-        )
-        # convenience views delegate to the spec
-        assert job.deadline == 0.5
-        assert job.memory_budget is None
-        assert job.max_models == 3
+        assert LabelingJob(truth=truth, item_ids=ids).spec == LabelingSpec()
 
     def test_invalid_batch_size(self, zoo, world_config, predictor):
         with pytest.raises(ValueError, match="batch_size"):
@@ -282,8 +240,9 @@ class TestEngineApi:
         batched_fw = AdaptiveModelScheduler(
             zoo, world_config, agent=trained.agent, backend="batched"
         )
-        singles = [per_item.label(i, deadline=0.4, truth=truth) for i in items[:8]]
-        batch = batched_fw.label_batch(items[:8], deadline=0.4, truth=truth)
+        spec = LabelingSpec(deadline=0.4)
+        singles = [per_item.label(i, spec, truth=truth) for i in items[:8]]
+        batch = batched_fw.label_batch(items[:8], spec, truth=truth)
         for ref, got in zip(singles, batch):
             assert got.trace.executions == ref.trace.executions
 
@@ -291,11 +250,14 @@ class TestEngineApi:
         self, zoo, world_config, trained, truth, items
     ):
         scheduler = AdaptiveModelScheduler(
-            zoo, world_config, agent=trained.agent, backend="thread", batch_size=4
+            zoo, world_config, agent=trained.agent, backend="serial", batch_size=4
         )
         results = list(
             scheduler.label_stream(
-                items[:8], deadline=0.4, truth=truth, release_records=False
+                items[:8],
+                LabelingSpec(deadline=0.4),
+                truth=truth,
+                release_records=False,
             )
         )
         assert [r.item_id for r in results] == [i.item_id for i in items[:8]]

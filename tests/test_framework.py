@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.framework import AdaptiveModelScheduler
+from repro.core.framework import AdaptiveModelScheduler, LabelingSpec
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +28,16 @@ class TestLabeling:
 
     def test_max_models_cap(self, scheduler, splits, shared_truth):
         _, test = splits
-        result = scheduler.label(test[1], max_models=4, truth=shared_truth)
+        result = scheduler.label(
+            test[1], LabelingSpec(max_models=4), truth=shared_truth
+        )
         assert len(result.models_executed) == 4
 
     def test_deadline_uses_algorithm1(self, scheduler, splits, shared_truth, zoo):
         _, test = splits
-        result = scheduler.label(test[2], deadline=0.3, truth=shared_truth)
+        result = scheduler.label(
+            test[2], LabelingSpec(deadline=0.3), truth=shared_truth
+        )
         assert result.time_used <= 0.3 + 1e-9
         assert result.trace.serial_time <= 0.3 + 1e-9
 
@@ -42,7 +46,9 @@ class TestLabeling:
     ):
         _, test = splits
         result = scheduler.label(
-            test[3], deadline=0.5, memory_budget=8000.0, truth=shared_truth
+            test[3],
+            LabelingSpec(deadline=0.5, memory_budget=8000.0),
+            truth=shared_truth,
         )
         # parallel: makespan bounded, memory respected
         for e in result.trace.executions:
@@ -51,7 +57,7 @@ class TestLabeling:
     def test_memory_without_deadline_rejected(self, scheduler, splits):
         _, test = splits
         with pytest.raises(ValueError, match="requires a deadline"):
-            scheduler.label(test[0], memory_budget=8000.0)
+            scheduler.label(test[0], LabelingSpec(memory_budget=8000.0))
 
     def test_label_names_match_valuable_outputs(
         self, scheduler, splits, shared_truth, world_config
@@ -70,7 +76,9 @@ class TestLabeling:
     def test_label_stream(self, scheduler, splits, shared_truth):
         _, test = splits
         results = list(
-            scheduler.label_stream(test[:5], deadline=0.4, truth=shared_truth)
+            scheduler.label_stream(
+                test[:5], LabelingSpec(deadline=0.4), truth=shared_truth
+            )
         )
         assert len(results) == 5
         for item, result in zip(test[:5], results):
@@ -85,7 +93,7 @@ class TestLabeling:
     def test_label_without_shared_truth(self, scheduler, splits):
         """The framework can execute the zoo on-the-fly for new items."""
         _, test = splits
-        result = scheduler.label(test[5], max_models=3)
+        result = scheduler.label(test[5], LabelingSpec(max_models=3))
         assert len(result.models_executed) == 3
 
 
@@ -99,7 +107,7 @@ class TestTrainingPath:
             train_config=train_config.with_(episodes=30),
         )
         assert scheduler.agent is result.agent
-        labeled = scheduler.label(test[0], deadline=0.5)
+        labeled = scheduler.label(test[0], LabelingSpec(deadline=0.5))
         assert labeled.time_used <= 0.5 + 1e-9
 
     def test_train_reuses_existing_truth(

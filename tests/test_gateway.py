@@ -17,7 +17,7 @@ from repro.engine import LabelingEngine
 from repro.obs import MetricsRegistry, TraceBuffer
 from repro.rl.agents import make_agent
 from repro.scheduling.qgreedy import AgentPredictor
-from repro.serving import HierarchicalRequestQueue, LabelingService
+from repro.serving import HierarchicalRequestQueue, LabelingService, LabelingSpec
 from repro.serving.gateway import (
     LabelingGateway,
     Tenant,
@@ -193,7 +193,7 @@ def gateway(engine, truth, dataset):
     service = LabelingService(
         engine,
         truth=truth,
-        deadline=0.35,
+        spec=LabelingSpec(deadline=0.35),
         batch_size=8,
         max_wait=0.005,
         cache_size=256,
@@ -388,6 +388,38 @@ class TestValidation:
         )
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"priority": "high"},
+            {"deadline": float("nan")},
+            {"deadline": float("inf")},
+            {"deadline": True},
+            {"max_models": 2.5},
+            {"admission_deadline": float("nan")},
+            {"admission_deadline": True},
+        ],
+        ids=lambda field: "-".join(f"{k}={v}" for k, v in field.items()),
+    )
+    def test_bad_typed_spec_field_is_400_and_dispatch_survives(
+        self, gateway, item_ids, field
+    ):
+        # json.loads accepts NaN/Infinity and any JSON type in any field; a
+        # string priority used to be admitted and kill the dispatcher thread
+        # for every tenant.
+        for path, body in (
+            ("/v1/label", {"item_id": item_ids[5]}),
+            ("/v1/label/batch", {"items": item_ids[5:7]}),
+            ("/v1/label/stream", {"items": item_ids[5:7]}),
+        ):
+            status, _, reply = call(gateway, "POST", path, {**body, **field})
+            assert status == 400, (path, reply)
+        status, _, reply = call(
+            gateway, "POST", "/v1/label", {"item_id": item_ids[6]}, key="key-beta"
+        )
+        assert status == 200 and reply["status"] == "completed"
+        assert gateway.service._dispatcher.is_alive()
+
     def test_malformed_json_is_400(self, gateway):
         conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10)
         try:
@@ -492,7 +524,11 @@ class TestBackpressure:
         # Retry-After immediately instead.
         directory = TenantDirectory([Tenant("solo", "key-solo")])
         service = LabelingService(
-            engine, truth=truth, deadline=0.35, max_depth=2, overflow="block"
+            engine,
+            truth=truth,
+            spec=LabelingSpec(deadline=0.35),
+            max_depth=2,
+            overflow="block",
         )
         gw = LabelingGateway(service, directory, dataset).start_background()
         try:
@@ -570,7 +606,7 @@ class TestJobDurability:
         service = LabelingService(
             engine,
             truth=truth,
-            deadline=0.35,
+            spec=LabelingSpec(deadline=0.35),
             batch_size=8,
             max_wait=0.005,
             cache_size=256,
@@ -635,7 +671,7 @@ class TestJobDurability:
         from repro.serving import LabelingSpec
         from repro.serving.gateway.app import _KIND_JOB_CREATE
 
-        spec = LabelingSpec.resolve(None, tenant="alpha")
+        spec = LabelingSpec(tenant="alpha")
         journal = Journal(tmp_path / "jobs")
         journal.append(
             _KIND_JOB_CREATE,

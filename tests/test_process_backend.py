@@ -14,6 +14,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine import (
     LabelingEngine,
+    ProcessConfig,
     ProcessPoolBackend,
     WorldSnapshot,
     make_backend,
@@ -25,6 +26,7 @@ from repro.scheduling.qgreedy import (
     QValuePredictor,
 )
 from repro.serving import LabelingService
+from repro.spec import LabelingSpec
 from repro.zoo.model import ModelZoo
 from repro.zoo.oracle import GroundTruth
 
@@ -54,10 +56,10 @@ def process_backend(**kwargs):
 
 #: All three paper regimes plus the capped q-greedy variant.
 REGIMES = (
-    {},
-    {"max_models": 4},
-    {"deadline": 0.35},
-    {"deadline": 0.5, "memory_budget": 8000.0},
+    LabelingSpec(),
+    LabelingSpec(max_models=4),
+    LabelingSpec(deadline=0.35),
+    LabelingSpec(deadline=0.5, memory_budget=8000.0),
 )
 
 
@@ -103,8 +105,8 @@ class TestProcessParity:
         with backend:
             process = engine_for(zoo, predictor, world_config, backend)
             for regime in REGIMES:
-                ref = serial.label_batch(items, truth=truth, **regime)
-                got = process.label_batch(items, truth=truth, **regime)
+                ref = serial.label_batch(items, regime, truth=truth)
+                got = process.label_batch(items, regime, truth=truth)
                 assert len(got) == len(ref) == len(items)
                 for r, g in zip(ref, got):
                     assert g.item_id == r.item_id
@@ -155,7 +157,7 @@ class TestPoolLifecycle:
             engine = engine_for(zoo, predictor, world_config, backend)
             engine.label_batch(items, truth=truth)
             pool_after_first = backend._pool
-            engine.label_batch(items, deadline=0.4, truth=truth)
+            engine.label_batch(items, LabelingSpec(deadline=0.4), truth=truth)
             assert backend._pool is pool_after_first  # no respawn, no re-ship
             counts = backend.dispatch_counts
             assert sum(counts.values()) == 2 * len(items)
@@ -234,8 +236,7 @@ class TestPoolLifecycle:
             assert len(results) == 4
 
     def test_make_backend_kwargs(self):
-        with pytest.warns(DeprecationWarning, match="typed ProcessConfig"):
-            backend = make_backend("process", max_workers=3, chunk_size=2)
+        backend = make_backend(ProcessConfig(max_workers=3, chunk_size=2))
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.max_workers == 3
         assert backend.chunk_size == 2

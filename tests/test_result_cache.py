@@ -227,7 +227,7 @@ class TestServiceCacheIntegration:
             cache_size=1,
             batch_size=4,
             max_wait=0.005,
-            deadline=0.35,
+            spec=LabelingSpec(deadline=0.35),
             workers=2,
         )
         with service:
@@ -280,7 +280,9 @@ class TestServiceCacheIntegration:
         assert service.cache.stats().inflight == 0
 
     def test_cache_disabled_by_default(self, engine, truth, items):
-        service = LabelingService(engine, truth=truth, deadline=0.35)
+        service = LabelingService(
+            engine, truth=truth, spec=LabelingSpec(deadline=0.35)
+        )
         assert service.cache is None
         with service:
             service.submit(items[0]).result(timeout=10)

@@ -49,7 +49,7 @@ def min_cost(zoo):
 
 
 def service_for(engine, truth, **kwargs):
-    kwargs.setdefault("deadline", 0.35)
+    kwargs.setdefault("spec", LabelingSpec(deadline=0.35))
     return LabelingService(engine, truth=truth, **kwargs)
 
 
@@ -95,7 +95,7 @@ class TestMicroBatchFlush:
         with service:
             futures = service.submit_many(items)
             served = [f.result(timeout=10) for f in futures]
-        direct = engine.label_batch(items, deadline=0.35, truth=truth)
+        direct = engine.label_batch(items, LabelingSpec(deadline=0.35), truth=truth)
         for got, ref in zip(served, direct):
             assert got.item_id == ref.item_id
             assert got.trace.executions == ref.trace.executions
@@ -108,8 +108,6 @@ class TestMicroBatchFlush:
             LabelingService(engine, max_wait=-0.1)
         with pytest.raises(ValueError, match="workers"):
             LabelingService(engine, workers=0)
-        with pytest.raises(ValueError, match="requires a deadline"):
-            LabelingService(engine, memory_budget=1000.0)
 
 
 class TestSharedTruthLifecycle:
@@ -123,7 +121,7 @@ class TestSharedTruthLifecycle:
         shared = GroundTruth(zoo, [], world_config)
         service = LabelingService(
             engine, truth=shared, batch_size=3, max_wait=0.005,
-            workers=3, deadline=0.35,
+            workers=3, spec=LabelingSpec(deadline=0.35),
         )
         with service:
             futures = service.submit_many(items[:12]) + service.submit_many(
@@ -175,7 +173,7 @@ class TestPriorityAdmission:
         # would dispatch high, high, low, low).  One worker serializes
         # batches so the dispatch log shows the queue's ordering.
         service = service_for(
-            engine, truth, batch_size=4, max_wait=5.0, workers=1, deadline=None
+            engine, truth, batch_size=4, max_wait=5.0, workers=1, spec=None
         )
         dispatched = []
         inner = service._label_batch
@@ -420,7 +418,7 @@ class TestMixedRegimes:
             LabelingSpec(deadline=0.5, memory_budget=8000.0),
         ]
         service, dispatched = recording_service(
-            engine, truth, batch_size=4, max_wait=0.005, deadline=None
+            engine, truth, batch_size=4, max_wait=0.005, spec=None
         )
         by_item = {}
         with service:
@@ -444,7 +442,7 @@ class TestMixedRegimes:
 
     def test_per_regime_telemetry_counters(self, engine, truth, items):
         service = service_for(
-            engine, truth, batch_size=4, max_wait=0.005, deadline=None
+            engine, truth, batch_size=4, max_wait=0.005, spec=None
         )
         with service:
             futures = [
@@ -465,7 +463,7 @@ class TestMixedRegimes:
         # other-key traffic was waiting when its timer expired, flushes as
         # regime_split; the second pop gets the rest.
         service, dispatched = recording_service(
-            engine, truth, batch_size=64, max_wait=0.05, workers=1, deadline=None
+            engine, truth, batch_size=64, max_wait=0.05, workers=1, spec=None
         )
         futures = []
         for i, item in enumerate(items[:8]):
@@ -487,7 +485,7 @@ class TestMixedRegimes:
         specs = [LabelingSpec(), LabelingSpec(deadline=0.35)]
         pairs = [(item, specs[i % 2]) for i, item in enumerate(items)]
         service = service_for(
-            engine, truth, batch_size=8, max_wait=0.005, deadline=None
+            engine, truth, batch_size=8, max_wait=0.005, spec=None
         )
         with service:
             futures = [(item, spec, service.submit(item, spec)) for item, spec in pairs]
@@ -501,31 +499,13 @@ class TestMixedRegimes:
 
     def test_spec_plus_priority_kwarg_rejected(self, engine, truth, items):
         service = service_for(engine, truth)
-        with pytest.raises(ValueError, match="not both"):
+        # priorities live on the spec, constraints in its constructor
+        with pytest.raises(TypeError, match="priority"):
             service.submit(items[0], LabelingSpec(priority=1), priority=2)
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="deadline"):
             LabelingService(
                 engine, spec=LabelingSpec(deadline=0.5), deadline=0.5
             )
-
-    def test_service_spec_constructor_equivalence(self, engine, truth, items):
-        via_kwargs = service_for(engine, truth)  # deadline=0.35 kwarg
-        via_spec = LabelingService(
-            engine, truth=truth, spec=LabelingSpec(deadline=0.35)
-        )
-        assert via_kwargs.default_spec == via_spec.default_spec
-        with via_kwargs, via_spec:
-            a = via_kwargs.submit(items[0]).result(timeout=10)
-            b = via_spec.submit(items[0]).result(timeout=10)
-        assert a.trace.executions == b.trace.executions
-
-    def test_priority_kwarg_layers_on_default_spec(self, engine, truth, items):
-        service = service_for(engine, truth)
-        spec = service._request_spec(None, 3)
-        assert spec.priority == 3
-        assert spec.deadline == service.default_spec.deadline
-        # and without a priority the default spec is used as-is
-        assert service._request_spec(None, None) is service.default_spec
 
 
 class TestBulkAdmission:
@@ -541,7 +521,7 @@ class TestBulkAdmission:
 
     def test_submit_many_with_spec(self, engine, truth, items):
         service = service_for(
-            engine, truth, batch_size=4, max_wait=0.01, deadline=None
+            engine, truth, batch_size=4, max_wait=0.01, spec=None
         )
         with service:
             futures = service.submit_many(

@@ -1,9 +1,16 @@
-"""LabelingSpec: eager validation, regime derivation, grouping, resolution."""
+"""LabelingSpec: eager validation, regime derivation, grouping, spec= calls."""
+
+import math
+from types import SimpleNamespace
 
 import pytest
 
-from repro import LabelingSpec
-from repro.spec import REGIMES, validate_constraints
+from repro import AdaptiveModelScheduler, LabelingEngine, LabelingSpec
+from repro.engine import make_backend
+from repro.scheduling.qgreedy import AgentPredictor
+from repro.serving import LabelingService
+from repro.spec import REGIMES
+from repro.zoo.oracle import GroundTruth
 
 
 class TestValidation:
@@ -47,10 +54,38 @@ class TestValidation:
             spec.with_(deadline=-1.0)
         assert spec.with_(priority=2).priority == 2
 
-    def test_legacy_validate_constraints_wrapper(self):
-        validate_constraints(0.5, 8000.0)
-        with pytest.raises(ValueError, match="requires a deadline"):
-            validate_constraints(None, 8000.0)
+    @pytest.mark.parametrize(
+        "kwargs,error",
+        [
+            ({"deadline": "0.5"}, TypeError),
+            ({"deadline": True}, TypeError),
+            ({"deadline": math.nan}, ValueError),
+            ({"deadline": math.inf}, ValueError),
+            ({"deadline": 10**400}, ValueError),
+            ({"deadline": 0.5, "memory_budget": [8000.0]}, TypeError),
+            ({"deadline": 0.5, "memory_budget": math.nan}, ValueError),
+            ({"max_models": 2.5}, TypeError),
+            ({"max_models": True}, TypeError),
+            ({"priority": "high"}, TypeError),
+            ({"priority": 1.0}, TypeError),
+            ({"priority": False}, TypeError),
+        ],
+    )
+    def test_field_types_are_checked(self, kwargs, error):
+        # The gateway builds specs from json.loads output, which yields
+        # strings, bools, NaN and Infinity for the asking.
+        with pytest.raises(error, match=next(reversed(kwargs))):
+            LabelingSpec(**kwargs)
+        with pytest.raises(error):
+            LabelingSpec(deadline=0.5).with_(**kwargs)
+
+    def test_numpy_scalars_are_numbers(self):
+        import numpy as np
+
+        spec = LabelingSpec(
+            deadline=np.float64(0.5), max_models=np.int64(3), priority=np.int32(1)
+        )
+        assert spec.batch_key == ("deadline", 0.5)
 
 
 class TestRegime:
@@ -130,7 +165,7 @@ class TestBatchKey:
 class TestTenant:
     def test_tenant_defaults_to_none_and_resolves(self):
         assert LabelingSpec().tenant is None
-        assert LabelingSpec.resolve(None, tenant="acme").tenant == "acme"
+        assert LabelingSpec(tenant="acme").tenant == "acme"
 
     def test_cache_key_is_tenant_partitioned(self):
         # unlike batch_key, the cache key MUST include the tenant: cached
@@ -147,16 +182,24 @@ class TestTenant:
 
 
 class TestResolve:
-    def test_kwargs_build_a_spec(self):
-        spec = LabelingSpec.resolve(None, deadline=0.5, max_models=3)
-        assert spec == LabelingSpec(deadline=0.5, max_models=3)
+    """What a labeling call makes of its ``spec=`` argument."""
 
-    def test_no_arguments_is_unconstrained(self):
-        assert LabelingSpec.resolve(None) == LabelingSpec()
+    @pytest.fixture(scope="class")
+    def engine(self, zoo, world_config, trained):
+        return LabelingEngine(
+            zoo, AgentPredictor(trained.agent, len(zoo)), world_config
+        )
 
-    def test_spec_passes_through_unchanged(self):
+    def test_no_arguments_is_unconstrained(self, engine, splits, truth):
+        _, test = splits
+        (default,) = engine.label_batch(test.items[:1], truth=truth)
+        (explicit,) = engine.label_batch(test.items[:1], LabelingSpec(), truth=truth)
+        assert default.trace.executions == explicit.trace.executions
+
+    def test_spec_passes_through_unchanged(self, engine):
         spec = LabelingSpec(deadline=0.5)
-        assert LabelingSpec.resolve(spec) is spec
+        assert LabelingService(engine, spec=spec).default_spec is spec
+        assert LabelingService(engine).default_spec == LabelingSpec()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -168,38 +211,40 @@ class TestResolve:
             {"policy": "qgreedy"},
         ],
     )
-    def test_spec_plus_any_kwarg_conflicts(self, kwargs):
+    def test_spec_plus_any_kwarg_conflicts(self, engine, splits, truth, kwargs):
+        _, test = splits
         spec = LabelingSpec(deadline=0.5, memory_budget=8000.0)
-        with pytest.raises(ValueError, match="not both"):
-            LabelingSpec.resolve(spec, **kwargs)
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            engine.label_batch(test.items[:1], spec, truth=truth, **kwargs)
 
-    def test_non_spec_rejected(self):
+    def test_non_spec_rejected(self, engine, splits, truth):
+        _, test = splits
         with pytest.raises(TypeError, match="LabelingSpec"):
-            LabelingSpec.resolve({"deadline": 0.5})
-
-    def test_kwargs_are_validated(self):
-        with pytest.raises(ValueError, match="requires a deadline"):
-            LabelingSpec.resolve(None, memory_budget=1.0)
+            engine.label_batch(test.items[:1], {"deadline": 0.5}, truth=truth)
+        # the positional slip label(item, 0.5): rejected at call time (no
+        # next() needed), before the zoo ran on a caller-supplied truth
+        shared = GroundTruth(engine.zoo, [], engine.world_config)
+        with pytest.raises(TypeError, match="LabelingSpec"):
+            engine.label_stream(test.items[:2], 0.5, truth=shared)
+        with pytest.raises(TypeError, match="LabelingSpec"):
+            engine.label_batch(test.items[:2], 0.5, truth=shared)
+        assert len(shared) == 0
+        with pytest.raises(TypeError, match="LabelingSpec"):
+            LabelingService(engine, spec={"deadline": 0.5})
+        with pytest.raises(TypeError, match="LabelingSpec"):
+            LabelingService(engine).submit(test[0], {"deadline": 0.5})
 
 
 class TestFrameworkSpecParity:
-    """spec= and legacy kwargs are the same call, end to end."""
+    """spec= is the one spelling, end to end."""
 
     @pytest.fixture(scope="class")
     def scheduler(self, zoo, world_config, trained):
-        from repro.core.framework import AdaptiveModelScheduler
-
         return AdaptiveModelScheduler(zoo, world_config, agent=trained.agent)
-
-    def test_label_spec_equals_kwargs(self, scheduler, splits, truth):
-        _, test = splits
-        ref = scheduler.label(test[0], deadline=0.4, truth=truth)
-        got = scheduler.label(test[0], LabelingSpec(deadline=0.4), truth=truth)
-        assert got.trace.executions == ref.trace.executions
 
     def test_label_conflict_raises(self, scheduler, splits, truth):
         _, test = splits
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="deadline"):
             scheduler.label(
                 test[0], LabelingSpec(deadline=0.4), deadline=0.4, truth=truth
             )
@@ -207,7 +252,7 @@ class TestFrameworkSpecParity:
     def test_label_stream_conflict_raises_eagerly(self, scheduler, splits, truth):
         _, test = splits
         # no iteration: the conflict must surface at call time
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="deadline"):
             scheduler.label_stream(
                 test[:5], LabelingSpec(deadline=0.4), deadline=0.4, truth=truth
             )
@@ -215,6 +260,77 @@ class TestFrameworkSpecParity:
     def test_invalid_constraints_raise_before_scheduling(self, scheduler, splits):
         _, test = splits
         with pytest.raises(ValueError, match="max_models"):
-            scheduler.label(test[0], max_models=0)
+            scheduler.label(test[0], LabelingSpec(max_models=0))
         with pytest.raises(ValueError, match="non-negative"):
-            scheduler.label_batch(test.items[:2], deadline=-0.5)
+            scheduler.label_batch(test.items[:2], LabelingSpec(deadline=-0.5))
+
+
+#: entry point -> call it with its positional payload plus a removed kwarg
+_CALLS = {
+    "scheduler.label": lambda w, kw: w.scheduler.label(w.items[0], **kw),
+    "scheduler.label_batch": lambda w, kw: w.scheduler.label_batch(w.items, **kw),
+    "scheduler.label_stream": lambda w, kw: w.scheduler.label_stream(w.items, **kw),
+    "engine.label_batch": lambda w, kw: w.engine.label_batch(w.items, **kw),
+    "engine.label_stream": lambda w, kw: w.engine.label_stream(w.items, **kw),
+    "LabelingService": lambda w, kw: LabelingService(w.engine, **kw),
+    "submit": lambda w, kw: w.service.submit(w.items[0], **kw),
+    "submit_many": lambda w, kw: w.service.submit_many(w.items, **kw),
+    "make_backend": lambda w, kw: make_backend("process", **kw),
+    "with_backend": lambda w, kw: w.engine.with_backend("process", **kw),
+}
+REMOVED_SPELLINGS = [
+    *(
+        (entry, kwarg, value)
+        for entry in list(_CALLS)[:6]  # the entry points that took constraints
+        for kwarg, value in (
+            ("deadline", 0.5),
+            ("memory_budget", 8000.0),
+            ("max_models", 3),
+        )
+    ),
+    ("submit", "nowait", True),
+    ("submit", "priority", 1),
+    ("submit_many", "nowait", True),
+    ("submit_many", "priority", 1),
+    ("make_backend", "max_workers", 3),
+    ("with_backend", "max_workers", 3),
+]
+
+
+class TestRemovedSpellings:
+    """Every second spelling is gone, not deprecated: using one is an error."""
+
+    @pytest.fixture(scope="class")
+    def world(self, zoo, world_config, trained, splits):
+        scheduler = AdaptiveModelScheduler(zoo, world_config, agent=trained.agent)
+        engine = scheduler.engine()
+        _, test = splits
+        return SimpleNamespace(
+            scheduler=scheduler,
+            engine=engine,
+            service=LabelingService(engine),
+            items=test.items[:2],
+        )
+
+    @pytest.mark.parametrize("entry,kwarg,value", REMOVED_SPELLINGS)
+    def test_removed_keyword_is_a_type_error(self, world, entry, kwarg, value):
+        with pytest.raises(TypeError, match=kwarg):
+            _CALLS[entry](world, {kwarg: value})
+
+    def test_removed_names_are_gone(self, world):
+        import repro
+        import repro.engine
+        import repro.spec
+
+        for name in (
+            "submit_async",
+            "submit_nowait_async",
+            "submit_many_async",
+            "submit_many_nowait_async",
+        ):
+            assert not hasattr(world.service, name)
+        assert not hasattr(LabelingSpec, "resolve")
+        assert not hasattr(repro.spec, "validate_constraints")
+        for module in (repro, repro.engine):
+            assert not hasattr(module, "ThreadPoolBackend")
+            assert not hasattr(module, "ThreadConfig")

@@ -1,4 +1,4 @@
-"""The unified submit family: wait= modes and the deprecated shims."""
+"""The unified submit family: submit()/submit_many() and their wait= modes."""
 
 import asyncio
 from concurrent.futures import Future
@@ -62,18 +62,6 @@ class TestWaitModes:
             pass  # drain the two admitted requests
         assert service.snapshot().counters["rejected"] == 1
 
-    def test_legacy_nowait_flag_folds_into_nowait_mode(
-        self, engine, truth, items
-    ):
-        service = LabelingService(
-            engine, truth=truth, max_depth=1, overflow="block"
-        )
-        service.submit(items[0], nowait=True)
-        with pytest.raises(QueueFull):
-            service.submit(items[1], nowait=True)
-        with service:
-            pass
-
     def test_async_returns_awaitables_on_the_calling_loop(
         self, engine, truth, items
     ):
@@ -117,54 +105,3 @@ class TestWaitModes:
             results = [f.result(timeout=30) for f in futures]
             service.drain()
         assert [r.item_id for r in results] == [i.item_id for i in items[:8]]
-
-
-class TestDeprecatedShims:
-    """The four old async names: warn, but pin the exact old behavior."""
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "submit_async",
-            "submit_nowait_async",
-            "submit_many_async",
-            "submit_many_nowait_async",
-        ],
-    )
-    def test_shims_warn(self, engine, truth, items, name):
-        async def run():
-            service = LabelingService(engine, batch_size=4, truth=truth)
-            with service:
-                with pytest.warns(DeprecationWarning, match=name):
-                    out = getattr(service, name)(
-                        items if name.startswith("submit_many") else items[0]
-                    )
-                futures = out if isinstance(out, list) else [out]
-                results = await asyncio.gather(*futures)
-                service.drain()
-            return results
-
-        results = asyncio.run(run())
-        expected = items if name.startswith("submit_many") else items[:1]
-        assert [r.item_id for r in results] == [i.item_id for i in expected]
-
-    def test_submit_async_keeps_blocking_admission(self, engine, truth, items):
-        # The old submit_async parked on a full queue until space freed —
-        # distinct from wait="async", which rejects. The shim must keep
-        # doing so (the queue drains once the service is running).
-        async def run():
-            service = LabelingService(
-                engine, batch_size=2, max_wait=0.005, truth=truth, max_depth=2
-            )
-            with service:
-                with pytest.warns(DeprecationWarning):
-                    futures = [
-                        service.submit_async(item, timeout=10.0)
-                        for item in items[:8]
-                    ]
-                results = await asyncio.gather(*futures)
-                service.drain()
-            return results
-
-        results = asyncio.run(run())
-        assert len(results) == 8
