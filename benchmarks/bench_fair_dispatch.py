@@ -4,21 +4,14 @@ Two claims, two experiments:
 
 1. **Weighted-fair buckets end regime starvation.**  A deterministic
    fake-clock trace drives sustained *saturating* high-priority traffic
-   of one regime past a trickle of low-priority traffic of another,
-   through both queue implementations:
-
-   * the legacy PR-3 grouper (``repro.serving.legacy``) anchors every
-     batch at the top of its priority heap, so the low-priority regime is
-     never dispatched while the pressure lasts — its queue wait grows
-     with the length of the trace (unbounded starvation);
-   * the per-key bucket queue (``repro.serving.queue``) serves buckets by
-     stride-scheduled weighted round-robin, so the low-priority bucket
-     keeps its bounded share and its p99 wait stays within a few service
-     slots no matter how long the trace runs.
-
-   Single-regime traffic is also replayed through both queues and must
-   produce byte-identical dispatch traces — fairness is free when there
-   is nothing to arbitrate.
+   of one regime past a trickle of low-priority traffic of another.  A
+   strict-priority grouper (the PR-3 heap this queue replaced) never
+   dispatches the low regime while the pressure lasts, so its wait grows
+   with the length of the trace; the per-key bucket queue
+   (``repro.serving.queue``) serves buckets by stride-scheduled weighted
+   round-robin, so the low-priority bucket keeps its bounded share and
+   its p99 wait must stay within a few service slots no matter how long
+   the trace runs.
 
 2. **The result cache turns repeat traffic into dictionary lookups.**  A
    Zipf-skewed stream (>=50% repeats by construction) hits one
@@ -51,15 +44,13 @@ from repro.labels import build_label_space
 from repro.rl.agents import make_agent
 from repro.scheduling.qgreedy import AgentPredictor
 from repro.serving import LabelingRequest, LabelingService, RequestQueue
-from repro.serving.legacy import LegacyGroupingQueue
 from repro.spec import LabelingSpec
 from repro.zoo.builder import build_zoo
 from repro.zoo.oracle import GroundTruth
 
 #: The fair queue must keep the starved regime's p99 wait within this
-#: many service slots; the legacy queue must exceed it by >= this factor.
+#: many service slots, and serve all of it while the pressure lasts.
 FAIR_WAIT_SLOTS = 20.0
-STARVATION_FACTOR = 5.0
 #: Cache-on over cache-off submit-to-result throughput on the Zipf
 #: stream (full scale; the smoke floor is softer for noisy CI runners).
 CACHE_SPEEDUP_FLOOR = {"smoke": 1.5, "full": 5.0}
@@ -88,7 +79,6 @@ class _Item:
 
 
 def run_fairness_trace(
-    queue_cls,
     steps: int,
     batch_size: int = 8,
     service_time: float = 0.01,
@@ -100,11 +90,11 @@ def run_fairness_trace(
     requests of one regime (exactly saturating capacity), every
     ``low_every``-th slot one low-priority request of another, then pops
     and "serves" one batch.  After ``steps`` slots the arrivals stop and
-    the backlog drains, so every low request is eventually dispatched by
-    both queues — the difference is *when*.
+    the backlog drains, so every low request is eventually dispatched —
+    the question is *when*.
     """
     clock = FakeClock()
-    queue = queue_cls(max_depth=10_000_000, clock=clock)
+    queue = RequestQueue(max_depth=10_000_000, clock=clock)
     high = LabelingSpec(priority=3)
     low = LabelingSpec(deadline=1e9, priority=0)
     low_waits: list[float] = []
@@ -147,24 +137,6 @@ def run_fairness_trace(
         "low_p99_slots": float(np.percentile(waits, 99) / service_time),
         "low_max_slots": float(waits.max() / service_time),
     }
-
-
-def run_single_regime_parity(n_items: int = 100, batch_size: int = 7) -> bool:
-    """Both queues must emit identical traces on single-regime traffic."""
-    spec = LabelingSpec(deadline=0.5)
-    traces = []
-    for queue_cls in (RequestQueue, LegacyGroupingQueue):
-        queue = queue_cls(max_depth=n_items)
-        for i in range(n_items):
-            queue.put(
-                LabelingRequest(item=_Item(f"it/{i}"), spec=spec, priority=1)
-            )
-        trace = []
-        while queue.depth:
-            batch, _, reason = queue.pop_batch(batch_size, 0.0)
-            trace.append(([r.item.item_id for r in batch], reason))
-        traces.append(trace)
-    return traces[0] == traces[1]
 
 
 # -- experiment 2: result-cache throughput on a Zipf stream ------------------
@@ -282,23 +254,19 @@ def main(argv: list[str] | None = None) -> int:
         f"cache_stream={n_requests} over {n_distinct} distinct items"
     )
 
-    fair = run_fairness_trace(RequestQueue, steps)
-    legacy = run_fairness_trace(LegacyGroupingQueue, steps)
-    parity = run_single_regime_parity()
+    fair = run_fairness_trace(steps)
     print("\nlow-priority regime under saturating high-priority cross-traffic")
     print(
         "  (waits in service slots; 'under pressure' = dispatched before "
         "the cross-traffic stopped)"
     )
-    for name, report in (("bucket queue", fair), ("legacy grouper", legacy)):
-        print(
-            f"  {name:15s} p50 {report['low_p50_slots']:8.1f}  "
-            f"p99 {report['low_p99_slots']:8.1f}  "
-            f"max {report['low_max_slots']:8.1f}  "
-            f"under pressure {report['low_served_under_pressure']}"
-            f"/{report['low_requests']}"
-        )
-    print(f"  single-regime dispatch traces identical: {parity}")
+    print(
+        f"  bucket queue    p50 {fair['low_p50_slots']:8.1f}  "
+        f"p99 {fair['low_p99_slots']:8.1f}  "
+        f"max {fair['low_max_slots']:8.1f}  "
+        f"under pressure {fair['low_served_under_pressure']}"
+        f"/{fair['low_requests']}"
+    )
 
     cache = run_cache_stream(
         args.scale,
@@ -322,17 +290,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  submit-to-result speedup: {cache['speedup']:.1f}x")
 
     failures = []
-    if not parity:
-        failures.append("single-regime traces diverged between queues")
     if fair["low_p99_slots"] > FAIR_WAIT_SLOTS:
         failures.append(
             f"bucket-queue low-priority p99 {fair['low_p99_slots']:.1f} "
             f"slots exceeds the {FAIR_WAIT_SLOTS:.0f}-slot bound"
         )
-    if legacy["low_p99_slots"] < STARVATION_FACTOR * fair["low_p99_slots"]:
-        failures.append("legacy grouper did not starve the low regime")
-    if legacy["low_served_under_pressure"] != 0:
-        failures.append("legacy grouper served low traffic under pressure")
+    if fair["low_served_under_pressure"] != fair["low_requests"]:
+        failures.append("low regime was not served while the pressure lasted")
     if cache["repeat_share"] < 0.5:
         failures.append(f"repeat share {cache['repeat_share']:.0%} below 50%")
     floor = CACHE_SPEEDUP_FLOOR[args.scale]
@@ -343,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
 
     report = {
         "scale": args.scale,
-        "fairness": {"bucket": fair, "legacy": legacy, "parity": parity},
+        "fairness": {"bucket": fair},
         "cache": cache,
         "failures": failures,
     }
@@ -363,10 +327,9 @@ def main(argv: list[str] | None = None) -> int:
 def test_fair_dispatch_and_cache():
     """The rewrite's measurable claims, at full scale.
 
-    The bucket queue bounds the starved regime's p99 wait where the
-    legacy grouper grows it without bound, stays trace-identical on
-    single-regime traffic, and the result cache yields >=5x on a >=50%
-    repeat Zipf stream.
+    The bucket queue bounds the starved regime's p99 wait under
+    saturating cross-traffic, and the result cache yields >=5x on a
+    >=50% repeat Zipf stream.
     """
     assert main(["--scale", "full"]) == 0
 

@@ -297,21 +297,13 @@ def cmd_serve(args) -> int:
     # --trace-export dumps the span ring at exit; either one turns on
     # the registry + tracer + scheduler-tick instrumentation.
     observing = args.metrics_port is not None or args.trace_export is not None
-    registry = tracer = metrics_server = None
+    registry = tracer = metrics_gateway = None
     if observing:
-        from repro.obs import MetricsRegistry, MetricsServer, TraceBuffer, install
+        from repro.obs import MetricsRegistry, TraceBuffer, install
 
         registry = MetricsRegistry()
         tracer = TraceBuffer(capacity=args.trace_buffer)
         install(registry)
-        if args.metrics_port is not None:
-            metrics_server = MetricsServer(
-                registry, tracer, port=args.metrics_port
-            ).start()
-            print(
-                f"metrics: {metrics_server.url}/metrics  "
-                f"traces: {metrics_server.url}/traces"
-            )
 
     config, space, zoo = _world(args)
     dataset = generate_dataset(space, config, args.dataset, args.items)
@@ -364,6 +356,19 @@ def cmd_serve(args) -> int:
     )
 
     items = list(dataset)
+    if args.metrics_port is not None:
+        from repro.serving.gateway import LabelingGateway, TenantDirectory
+
+        # The obs routes have one implementation, the gateway's listener;
+        # the demo roster and the dataset-as-catalog satisfy its
+        # constructor, and the label routes come along on the same port.
+        metrics_gateway = LabelingGateway(
+            service, TenantDirectory.demo(1), dataset, port=args.metrics_port
+        ).start_background()
+        print(
+            f"metrics: {metrics_gateway.url}/metrics  "
+            f"traces: {metrics_gateway.url}/traces"
+        )
 
     # Graceful shutdown: SIGTERM/SIGINT stop the load generators, then
     # the normal drain (bounded by --drain-timeout) and report run —
@@ -459,12 +464,12 @@ def cmd_serve(args) -> int:
             with open(args.trace_export, "w") as fh:
                 fh.write(tracer.to_json())
             print(f"  trace ring exported to {args.trace_export}")
-        if metrics_server is not None and args.metrics_linger > 0:
+        if metrics_gateway is not None and args.metrics_linger > 0:
             # Keep the endpoint up after drain so an external scraper
             # (CI smoke, a curious operator) can read the final families.
             print(
                 f"metrics endpoint lingering {args.metrics_linger:.0f}s "
-                f"at {metrics_server.url}/metrics"
+                f"at {metrics_gateway.url}/metrics"
             )
             time.sleep(args.metrics_linger)
         return 0 if snapshot.counters["failed"] == 0 else 1
@@ -472,8 +477,8 @@ def cmd_serve(args) -> int:
         for sig, handler in previous_handlers.items():
             signal.signal(sig, handler)
         service.engine.backend.close()
-        if metrics_server is not None:
-            metrics_server.close()
+        if metrics_gateway is not None:
+            metrics_gateway.stop_background()
         if observing:
             from repro.obs import uninstall
 

@@ -4,21 +4,24 @@ This package is the serving stack's single observability surface —
 everything later operational tooling (gateway quotas, cluster backend
 health, SLO dashboards) reads comes through here:
 
-* :mod:`repro.obs.registry` — :class:`MetricsRegistry`, the unified home
-  of named counters/gauges/histograms plus pull-time collectors that
-  absorb pre-existing surfaces (service telemetry, backend chunk stats).
+* :mod:`repro.obs.registry` — :class:`MetricsRegistry`, the one home of
+  every named counter/gauge/histogram (the service telemetry, the gateway
+  and the tick hooks all own families in it) plus pull-time collectors
+  for state another object already keeps (backend chunk stats, journal).
 * :mod:`repro.obs.trace` — per-request :class:`RequestTrace` spans
   (``admitted → queued → batched → scheduled → completed/...``) in a
   bounded :class:`TraceBuffer` ring.
 * :mod:`repro.obs.instrument` — process-global dispatch-tick hooks the
   schedulers and engine call; :func:`install` / :func:`uninstall` toggle
   them, and the bare path costs one branch when off.
-* :mod:`repro.obs.server` — :class:`MetricsServer`, the stdlib HTTP
-  thread behind ``serve --metrics-port`` (``/metrics``,
-  ``/metrics.json``, ``/traces``, ``/healthz``).
 * :mod:`repro.obs.bridge` — :func:`bind_service`, exporting a
-  :class:`~repro.serving.service.LabelingService` snapshot as metric
-  families at scrape time.
+  :class:`~repro.serving.service.LabelingService`'s live state and its
+  cache/backend/journal stats as metric families at scrape time.
+
+``/metrics``, ``/metrics.json``, ``/traces`` and ``/healthz`` are served
+by the gateway's asyncio listener
+(:class:`~repro.serving.gateway.app.LabelingGateway`), which is also what
+``serve --metrics-port`` binds.
 
 The whole package is stdlib-only, so the scheduling and engine layers
 can import their hooks without dragging the serving tier (or numpy)
@@ -42,7 +45,6 @@ from repro.obs.registry import (
     MetricFamily,
     MetricsRegistry,
 )
-from repro.obs.server import MetricsServer
 from repro.obs.trace import (
     SPAN_STAGES,
     TERMINAL_STAGES,
@@ -56,7 +58,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "MetricsServer",
     "RequestTrace",
     "SPAN_STAGES",
     "TERMINAL_STAGES",

@@ -1,36 +1,31 @@
-"""Scrape-time adapters: existing telemetry surfaces -> metric families.
+"""Scrape-time adapter: the service's pull-time state -> metric families.
 
-The serving tier already keeps rich accumulators — the
-:class:`~repro.serving.telemetry.ServiceTelemetry` snapshot, the result
-cache's :meth:`~repro.serving.result_cache.ResultCache.stats`, the
-process backend's ``chunk_stats`` and per-pid dispatch counters.  Rather
-than double-count into registry metrics on the hot path, this module
-converts those snapshots into :class:`~repro.obs.registry.MetricFamily`
-records **when the registry is scraped**: :func:`bind_service` registers
-one pull-time collector per service, and the scattered surfaces become
-one uniform ``/metrics`` namespace at zero steady-state cost.
+Everything the serving tier *counts* — requests, batches, items, queue
+wait, service time, per-regime and per-tenant SLO outcomes — is owned by
+:class:`~repro.serving.telemetry.ServiceTelemetry` as registry families
+and needs no translation.  What is left for this module is state some
+other object already keeps, read only **when the registry is scraped**
+so exporting it costs the request path nothing.  :func:`bind_service`
+registers one collector per service for:
 
-Exported families (the full catalog lives in README "Observability"):
-
-* ``repro_requests_total{outcome=...}``, ``repro_batches_total{reason=...}``
-* ``repro_queue_depth``, ``repro_in_flight``, ``repro_uptime_seconds``
-* ``repro_regime_items_total{regime}``, ``repro_worker_items_total{worker}``
-* ``repro_queue_wait_seconds`` / ``repro_service_time_seconds`` summaries
-* ``repro_slo_*{regime}`` — completions, expiries, failures, deadline-miss
-  ratio, time-to-first-result, end-to-end latency summary
-* ``repro_tenant_queue_wait_seconds{tenant}`` /
-  ``repro_tenant_slo_*{tenant}`` — the same views sliced per tenant, for
-  requests whose spec carried a :attr:`~repro.spec.LabelingSpec.tenant`
-  (the gateway's fairness and isolation numbers)
+* ``repro_queue_depth``, ``repro_in_flight``, ``repro_uptime_seconds`` —
+  live service state
+* ``repro_slo_deadline_miss_ratio{regime}``,
+  ``repro_slo_time_to_first_result_seconds{regime}`` and
+  ``repro_tenant_slo_deadline_miss_ratio{tenant}`` — gauges derived from
+  the owned SLO series
+* ``repro_worker_items_total{worker}`` when the backend counts its own
+  workers (per pid / per cluster address)
 * ``repro_cache_*`` and ``repro_backend_*`` when the service has a result
   cache / a chunk-counting backend
 * ``repro_journal_*`` / ``repro_recovery_*`` when the service carries a
   write-ahead journal — records, fsyncs, pending backlog, compaction,
   and replay outcomes of each ``recover()``
+* ``repro_cluster_*`` under the cluster backend
 
-This module imports only :mod:`repro.obs.registry`; the service imports
-*it* lazily (only when constructed with a registry), so the obs package
-stays out of the scheduling/engine import graph.
+The full catalog lives in README "Observability".  This module imports
+only :mod:`repro.obs.registry`, so the obs package stays out of the
+scheduling/engine import graph.
 """
 
 from __future__ import annotations
@@ -40,201 +35,71 @@ from repro.obs.registry import MetricFamily, MetricsRegistry
 __all__ = ["bind_service", "service_families"]
 
 
-def _summary(name: str, help: str, stats, labels: dict | None = None):
-    """Three families (quantiles, sum, count) from one LatencyStats."""
-    base = dict(labels or {})
-    quantiles = tuple(
-        ({**base, "quantile": q}, value)
-        for q, value in (
-            ("0.5", stats.p50),
-            ("0.95", stats.p95),
-            ("0.99", stats.p99),
-        )
-    )
-    return [
-        MetricFamily(name, "summary", help, quantiles),
-        MetricFamily(
-            f"{name}_sum",
-            "counter",
-            f"{help} (sum)",
-            ((base, stats.mean * stats.count),),
-        ),
-        MetricFamily(
-            f"{name}_count", "counter", f"{help} (count)", ((base, stats.count),)
-        ),
-    ]
-
-
-def _merge(families: list[MetricFamily]) -> list[MetricFamily]:
-    """Coalesce same-name families (per-regime summaries) into one."""
-    merged: dict[str, MetricFamily] = {}
-    for family in families:
-        existing = merged.get(family.name)
-        if existing is None:
-            merged[family.name] = family
-        else:
-            merged[family.name] = MetricFamily(
-                family.name,
-                family.kind,
-                family.help,
-                existing.samples + family.samples,
-            )
-    return list(merged.values())
-
-
 def service_families(service) -> list[MetricFamily]:
-    """One service's full metric surface, computed from live snapshots."""
-    snap = service.snapshot()
+    """One service's pull-time metric surface, read from live state."""
     families: list[MetricFamily] = [
-        MetricFamily(
-            "repro_requests_total",
-            "counter",
-            "Requests by outcome counter",
-            tuple(
-                ({"outcome": name}, count) for name, count in snap.counters.items()
-            ),
-        ),
-        MetricFamily(
-            "repro_batches_total",
-            "counter",
-            "Micro-batches dispatched by flush reason",
-            tuple(
-                ({"reason": reason}, count)
-                for reason, count in snap.flushes.items()
-            ),
-        ),
-        MetricFamily(
-            "repro_batched_items_total",
-            "counter",
-            "Items dispatched across all micro-batches",
-            (({}, snap.batched_items),),
-        ),
-        MetricFamily(
-            "repro_regime_items_total",
-            "counter",
-            "Items dispatched per scheduling regime",
-            tuple(
-                ({"regime": regime}, count)
-                for regime, count in snap.regimes.items()
-            ),
-        ),
-        MetricFamily(
-            "repro_worker_items_total",
-            "counter",
-            "Items dispatched per scheduling worker (thread or pid)",
-            tuple(
-                ({"worker": worker}, count)
-                for worker, count in snap.workers.items()
-            ),
-        ),
         MetricFamily(
             "repro_queue_depth",
             "gauge",
             "Requests waiting in the admission queue",
-            (({}, snap.queue_depth),),
+            (({}, service.queue.depth),),
         ),
         MetricFamily(
             "repro_in_flight",
             "gauge",
             "Requests inside worker batches right now",
-            (({}, snap.in_flight),),
+            (({}, service.in_flight),),
         ),
         MetricFamily(
             "repro_uptime_seconds",
             "gauge",
-            "Seconds since telemetry started or was reset",
-            (({}, snap.elapsed),),
+            "Seconds since the service was built",
+            (({}, service.uptime),),
         ),
     ]
-    families += _summary(
-        "repro_queue_wait_seconds", "Queue wait per request", snap.queue_wait
-    )
-    families += _summary(
-        "repro_service_time_seconds", "Batch service time", snap.service_time
-    )
-    for regime, slo in snap.slo.items():
-        labels = {"regime": regime}
-        families += [
-            MetricFamily(
-                "repro_slo_completed_total",
-                "counter",
-                "Requests completed per regime",
-                ((labels, slo.completed),),
-            ),
-            MetricFamily(
-                "repro_slo_expired_total",
-                "counter",
-                "Requests expired (admission deadline missed) per regime",
-                ((labels, slo.expired),),
-            ),
-            MetricFamily(
-                "repro_slo_failed_total",
-                "counter",
-                "Requests failed per regime",
-                ((labels, slo.failed),),
-            ),
-            MetricFamily(
-                "repro_slo_deadline_miss_ratio",
-                "gauge",
-                "expired / (completed + expired) per regime",
-                ((labels, slo.deadline_miss_rate),),
-            ),
-        ]
-        if slo.time_to_first_result is not None:
+    regimes = service.telemetry.slo("regime", e2e=False)
+    for label, prefix, view in (
+        ("regime", "repro_slo", regimes),
+        ("tenant", "repro_tenant_slo", service.telemetry.slo("tenant", e2e=False)),
+    ):
+        if view:
             families.append(
                 MetricFamily(
-                    "repro_slo_time_to_first_result_seconds",
+                    f"{prefix}_deadline_miss_ratio",
                     "gauge",
-                    "Submit-to-first-completion latency per regime",
-                    ((labels, slo.time_to_first_result),),
+                    f"expired / (completed + expired) per {label}",
+                    tuple(
+                        ({label: value}, slo.deadline_miss_rate)
+                        for value, slo in view.items()
+                    ),
                 )
             )
-        families += _summary(
-            "repro_slo_e2e_seconds",
-            "Submit-to-completion latency per regime",
-            slo.e2e,
-            labels,
-        )
-    for tenant, stats in snap.tenant_queue_wait.items():
-        families += _summary(
-            "repro_tenant_queue_wait_seconds",
-            "Queue wait per request per tenant",
-            stats,
-            {"tenant": tenant},
-        )
-    for tenant, slo in snap.tenant_slo.items():
-        labels = {"tenant": tenant}
-        families += [
+    first_results = tuple(
+        ({"regime": regime}, slo.time_to_first_result)
+        for regime, slo in regimes.items()
+        if slo.time_to_first_result is not None
+    )
+    if first_results:
+        families.append(
             MetricFamily(
-                "repro_tenant_slo_completed_total",
-                "counter",
-                "Requests completed per tenant",
-                ((labels, slo.completed),),
-            ),
-            MetricFamily(
-                "repro_tenant_slo_expired_total",
-                "counter",
-                "Requests expired (admission deadline missed) per tenant",
-                ((labels, slo.expired),),
-            ),
-            MetricFamily(
-                "repro_tenant_slo_failed_total",
-                "counter",
-                "Requests failed per tenant",
-                ((labels, slo.failed),),
-            ),
-            MetricFamily(
-                "repro_tenant_slo_deadline_miss_ratio",
+                "repro_slo_time_to_first_result_seconds",
                 "gauge",
-                "expired / (completed + expired) per tenant",
-                ((labels, slo.deadline_miss_rate),),
-            ),
-        ]
-        families += _summary(
-            "repro_tenant_slo_e2e_seconds",
-            "Submit-to-completion latency per tenant",
-            slo.e2e,
-            labels,
+                "Submit-to-first-completion latency per regime",
+                first_results,
+            )
+        )
+    worker_items = service.backend_dispatch_counts()
+    if worker_items is not None:
+        families.append(
+            MetricFamily(
+                "repro_worker_items_total",
+                "counter",
+                "Items dispatched per scheduling worker (thread or pid)",
+                tuple(
+                    ({"worker": worker}, count)
+                    for worker, count in worker_items.items()
+                ),
+            )
         )
     if service.cache is not None:
         stats = service.cache.stats()
@@ -435,7 +300,7 @@ def service_families(service) -> list[MetricFamily]:
                 (({}, stats["refreshes"]),),
             ),
         ]
-    return _merge(families)
+    return families
 
 
 def bind_service(registry: MetricsRegistry, service) -> None:

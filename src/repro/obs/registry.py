@@ -1,11 +1,13 @@
 """The unified metrics registry: named counters, gauges, and histograms.
 
-Before this module, every subsystem grew its own telemetry surface —
-:class:`~repro.serving.telemetry.ServiceTelemetry` counters and latency
-reservoirs, the process backend's ``chunk_stats`` dict, per-worker
-dispatch maps — each with its own snapshot shape and no common export.
-:class:`MetricsRegistry` is the one place they all publish into, and the
-one place exporters read from:
+Every counter, gauge and latency reservoir in the process lives here:
+the serving tier's :class:`~repro.serving.telemetry.ServiceTelemetry`
+is a typed front over families it owns in a :class:`MetricsRegistry`,
+the gateway and the scheduler-tick hooks own theirs the same way, and
+state that some other object already keeps (the process backend's
+``chunk_stats`` dict, journal and cache stats) is read at scrape time.
+The registry is the one place they all publish into, and the one place
+exporters read from:
 
 * **Owned metrics** — :meth:`~MetricsRegistry.counter`,
   :meth:`~MetricsRegistry.gauge`, and :meth:`~MetricsRegistry.histogram`
@@ -16,13 +18,14 @@ one place exporters read from:
 * **Pull-time collectors** — :meth:`~MetricsRegistry.register_collector`
   accepts a callable returning :class:`MetricFamily` records, evaluated
   only when the registry is scraped.  Surfaces that already accumulate
-  their own state (the service telemetry snapshot, a backend's
-  ``chunk_stats``) publish through a collector and pay **zero** hot-path
-  cost for being exported.
+  their own state (a backend's ``chunk_stats``, the journal, the result
+  cache) publish through a collector and pay **zero** hot-path cost for
+  being exported.
 * **Exporters** — :meth:`~MetricsRegistry.render_prometheus` emits the
   Prometheus text exposition format; :meth:`~MetricsRegistry.snapshot`
   emits the same data as a JSON-able dict.  Histograms export as
-  summaries: ``{quantile="0.5"}`` samples plus ``_sum``/``_count``.
+  summaries: ``{quantile="0.5"}`` samples from the reservoir plus an
+  exact, monotonic ``_sum``/``_count``.
 
 This module is deliberately **stdlib-only** (no numpy, no repro imports):
 the scheduling layer imports it from inside ``schedule_batch``, and the
@@ -33,6 +36,7 @@ anything heavy) into their import graphs.
 from __future__ import annotations
 
 import json
+import logging
 import random
 import threading
 from dataclasses import dataclass, field
@@ -48,6 +52,8 @@ __all__ = [
 
 #: Quantiles every histogram exports (as Prometheus summary samples).
 SUMMARY_QUANTILES = (0.5, 0.95, 0.99)
+
+logger = logging.getLogger("repro.obs.registry")
 
 
 @dataclass(frozen=True)
@@ -235,11 +241,14 @@ class Gauge(_Metric):
 class _HistogramValue:
     """Bounded reservoir of observations plus exact count and sum.
 
-    The same classic reservoir-sampling scheme as the serving tier's
-    ``LatencyHistogram`` (first ``capacity`` observations kept verbatim,
-    then uniform replacement), reimplemented here without numpy so the
-    registry stays stdlib-only.  Quantiles are computed by sorting the
-    reservoir at collect time — collection is rare, observation is hot.
+    Classic reservoir sampling: the first ``capacity`` observations are
+    kept verbatim; afterwards each new observation replaces a uniformly
+    random slot with probability ``capacity / count``, so an unbounded
+    stream runs in bounded memory while the quantiles stay
+    representative.  ``count`` and ``total`` always cover the full
+    population.  The RNG is seeded, so summaries are reproducible for a
+    fixed observation sequence.  Quantiles are computed by sorting the
+    reservoir at read time — reads are rare, observation is hot.
     """
 
     __slots__ = ("_lock", "capacity", "count", "total", "_samples", "_rng")
@@ -264,21 +273,29 @@ class _HistogramValue:
             if slot < self.capacity:
                 self._samples[slot] = value
 
-    def quantiles(self, qs=SUMMARY_QUANTILES) -> dict[float, float]:
+    def summary(
+        self, qs=SUMMARY_QUANTILES
+    ) -> tuple[int, float, dict[float, float]]:
+        """``(count, sum, {q: value})`` from one consistent read.
+
+        Count and sum are exact; quantiles interpolate over the
+        reservoir (``q=1.0`` is its maximum) and read 0.0 when empty.
+        """
         with self._lock:
-            data = sorted(self._samples)
+            count, total, data = self.count, self.total, list(self._samples)
         if not data:
-            return {q: 0.0 for q in qs}
+            return count, total, {q: 0.0 for q in qs}
+        data.sort()
         last = len(data) - 1
-        out = {}
+        quantiles = {}
         for q in qs:
             # Linear interpolation between closest ranks (numpy's default).
             pos = q * last
             lo = int(pos)
             hi = min(lo + 1, last)
             frac = pos - lo
-            out[q] = data[lo] * (1.0 - frac) + data[hi] * frac
-        return out
+            quantiles[q] = data[lo] * (1.0 - frac) + data[hi] * frac
+        return count, total, quantiles
 
 
 class Histogram(_Metric):
@@ -311,10 +328,11 @@ class Histogram(_Metric):
         sums = []
         counts = []
         for labels, child in self._items():
-            for q, value in child.quantiles().items():
+            count, total, quantiles = child.summary()
+            for q, value in quantiles.items():
                 quantile_samples.append(({**labels, "quantile": str(q)}, value))
-            sums.append((labels, child.total))
-            counts.append((labels, child.count))
+            sums.append((labels, total))
+            counts.append((labels, count))
         return [
             MetricFamily(self.name, self.kind, self.help, tuple(quantile_samples)),
             MetricFamily(
@@ -387,9 +405,9 @@ class MetricsRegistry:
 
         Evaluated on every :meth:`collect` — surfaces that already keep
         their own accumulators export through one of these and pay
-        nothing on their hot paths.  A collector that raises is skipped
-        for that scrape (one broken surface must not take down the
-        endpoint).
+        nothing on their hot paths.  A collector that raises is logged
+        and skipped for that scrape (one broken surface must not take
+        down the endpoint).
         """
         with self._lock:
             self._collectors.append(collector)
@@ -408,7 +426,7 @@ class MetricsRegistry:
             try:
                 families.extend(collector())
             except Exception:  # noqa: BLE001 — a scrape must never die
-                continue
+                logger.exception("metrics collector %r failed", collector)
         return sorted(families, key=lambda f: f.name)
 
     def render_prometheus(self) -> str:

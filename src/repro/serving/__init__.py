@@ -52,7 +52,6 @@ from repro.serving.service import (
     LabelingService,
 )
 from repro.serving.telemetry import (
-    LatencyHistogram,
     LatencyStats,
     ServiceTelemetry,
     TelemetrySnapshot,
@@ -70,7 +69,6 @@ __all__ = [
     "LabelingRequest",
     "LabelingService",
     "LabelingSpec",
-    "LatencyHistogram",
     "LatencyStats",
     "QueueFull",
     "RequestQueue",

@@ -35,8 +35,9 @@ admitted requests is the hierarchical queue's job (install it with
 ``spec.tenant``, which also partitions the result cache per tenant.
 
 The obs routes are mounted from the same registry/tracer the service
-binds, so one port serves both traffic and scrape — like
-:class:`~repro.obs.server.MetricsServer`, they are deliberately
+publishes into, so one port serves both traffic and scrape; this is the
+only HTTP implementation of them (``serve --metrics-port`` binds a
+gateway for exactly these routes).  They are deliberately
 unauthenticated (point them at your monitoring network, not the world).
 """
 
@@ -161,8 +162,7 @@ class LabelingGateway:
         :class:`DataItem` or any iterable of items.
     registry, tracer:
         Metric registry and trace buffer backing the mounted obs routes;
-        default to the ones the service was built with (a fresh registry
-        if the service has none, so ``/metrics`` always answers).
+        default to the ones the service was built with.
     host, port:
         Bind address; ``port=0`` (default) picks an ephemeral port,
         readable as :attr:`port` after start.
@@ -202,7 +202,7 @@ class LabelingGateway:
             self.catalog = {item.item_id: item for item in catalog}
         if not self.catalog:
             raise ValueError("the gateway needs a non-empty item catalog")
-        self.registry = registry or service.registry or MetricsRegistry()
+        self.registry = registry if registry is not None else service.registry
         self.tracer = tracer if tracer is not None else service.tracer
         self.host = host
         self._requested_port = port
@@ -463,7 +463,7 @@ class LabelingGateway:
     def _obs_route(
         self, path: str, method: str, request: HttpRequest
     ) -> tuple[int, bytes | str, str] | None:
-        """The mounted observability surface (no auth, like MetricsServer)."""
+        """The mounted observability surface (no auth)."""
         if method != "GET" or path not in (
             "/",
             "/healthz",

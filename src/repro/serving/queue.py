@@ -41,10 +41,6 @@ Request deadlines are wall-clock budgets in seconds from submission, the
 same currency as the zoo's per-model costs — queue wait spends the same
 budget the scheduler spends executing models, mirroring the paper's
 deadline-constrained regime end to end.
-
-The PR-3 heap grouper survives as
-:class:`repro.serving.legacy.LegacyGroupingQueue`, the parity and
-fairness baseline (``benchmarks/bench_fair_dispatch.py``).
 """
 
 from __future__ import annotations

@@ -35,7 +35,9 @@ reported with flush reason ``regime_split``.
 
 Admission (per-key FIFO buckets, weighted-fair key selection,
 backpressure, deadline drops) lives in
-:class:`~repro.serving.queue.RequestQueue`; observability lives in
+:class:`~repro.serving.queue.RequestQueue`; every counter and latency
+summary lives in the service's
+:class:`~repro.obs.registry.MetricsRegistry`, written through
 :class:`~repro.serving.telemetry.ServiceTelemetry`.  An optional
 :class:`~repro.serving.result_cache.ResultCache` sits in front of the
 queue: repeat submissions of a ``(item, batch_key)`` already labeled are
@@ -93,6 +95,7 @@ from repro.durability.journal import Journal
 from repro.engine.backends import ExecutionBackend
 from repro.engine.config import BackendConfig
 from repro.engine.engine import LabelingEngine
+from repro.obs.bridge import bind_service
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceBuffer
 from repro.serving.queue import (
@@ -266,11 +269,12 @@ class LabelingService:
         factory here so dispatch is tenant-fair; defaults to the flat
         queue.
     registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry` the service
-        binds itself to — one pull-time collector exporting the telemetry
-        snapshot, per-regime SLO view, cache stats, and backend chunk
-        stats as Prometheus/JSON metric families at scrape time.  The
-        request path pays nothing for it.
+        The :class:`~repro.obs.registry.MetricsRegistry` the service
+        publishes into (a private one when omitted).  Its telemetry owns
+        the request, batch, latency and SLO families there and writes
+        them on the request path — one small-lock increment each; live
+        state, cache, backend, journal and recovery stats are read by
+        one pull-time collector only when the registry is scraped.
     tracer:
         Optional :class:`~repro.obs.trace.TraceBuffer`.  When set, every
         submission carries a :class:`~repro.obs.trace.RequestTrace` span
@@ -311,7 +315,6 @@ class LabelingService:
         journal: Journal | str | Path | None = None,
         journal_fsync: str = "batch",
         clock=time.monotonic,
-        telemetry: ServiceTelemetry | None = None,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -358,7 +361,9 @@ class LabelingService:
                 "queue_factory must build a RequestQueue, got "
                 f"{type(self.queue).__name__}"
             )
-        self.telemetry = telemetry or ServiceTelemetry(clock=clock)
+        self.telemetry = ServiceTelemetry(registry)
+        self.registry = self.telemetry.registry
+        self._started_at = clock()
         self.tracer = tracer
         # Like backends: a journal opened from a path is the service's to
         # close; a caller-built instance may outlive the service.
@@ -375,14 +380,7 @@ class LabelingService:
             "last_replayed": 0,
             "last_duration": 0.0,
         }
-        self.registry = registry
-        if registry is not None:
-            # Imported here, not at module top, purely for layering taste:
-            # the bridge is the one obs module that exists *for* the
-            # service, and binding is a one-time setup step.
-            from repro.obs.bridge import bind_service
-
-            bind_service(registry, self)
+        bind_service(self.registry, self)
         self._state = threading.Condition()
         self._accepting = True
         self._started = False
@@ -693,17 +691,34 @@ class LabelingService:
         worker address (``host:port``) under the cluster backend, per
         service worker thread otherwise.
         """
-        with self._state:
-            in_flight = self._in_flight
-        extra = None
-        if self._backend_counts:
-            extra = {
-                worker if isinstance(worker, str) else f"pid{worker}": count
-                for worker, count in self.engine.backend.dispatch_counts.items()
-            }
         return self.telemetry.snapshot(
-            queue_depth=self.queue.depth, in_flight=in_flight, extra_workers=extra
+            elapsed=self.uptime,
+            queue_depth=self.queue.depth,
+            in_flight=self.in_flight,
+            extra_workers=self.backend_dispatch_counts(),
         )
+
+    @property
+    def in_flight(self) -> int:
+        """Requests inside worker batches right now."""
+        with self._state:
+            return self._in_flight
+
+    @property
+    def uptime(self) -> float:
+        """Seconds since the service was built."""
+        return self._clock() - self._started_at
+
+    def backend_dispatch_counts(self) -> dict[str, int] | None:
+        """Items per worker as counted by the backend itself (``pid<n>``
+        for a process pool, ``host:port`` for a cluster), or ``None``
+        when the service counts its own worker threads."""
+        if not self._backend_counts:
+            return None
+        return {
+            worker if isinstance(worker, str) else f"pid{worker}": count
+            for worker, count in self.engine.backend.dispatch_counts.items()
+        }
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -954,7 +969,7 @@ class LabelingService:
     def _resolve(self, request: LabelingRequest, result=None, error=None) -> None:
         """Settle one request's future, its cache claim, and accounting.
 
-        Every settled request also lands in its regime's SLO accumulators
+        Every settled request also lands in its regime's SLO series
         (completions with their end-to-end latency) and retires its trace
         span — this is the single point all fates flow through.
         """

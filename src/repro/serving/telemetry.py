@@ -1,25 +1,28 @@
-"""Service telemetry: counters, latency histograms, and point-in-time snapshots.
+"""Service telemetry: a typed front over the service's registry families.
 
 The serving tier is judged by numbers — how long requests queued, how fast
-batches ran, how many requests were turned away — so the service records
-everything into one :class:`ServiceTelemetry` and exposes an immutable
-:meth:`~ServiceTelemetry.snapshot` that tests assert on and the ``serve``
-CLI / benchmarks print.
+batches ran, how many requests were turned away.  Every one of those
+numbers lives in a :class:`~repro.obs.registry.MetricsRegistry`:
+:class:`ServiceTelemetry` owns the ``repro_requests_total``,
+``repro_batches_total``, ``repro_*_items_total``, ``repro_*_seconds`` and
+``repro_slo_*`` / ``repro_tenant_*`` families there and is the only
+writer to them, so what ``/metrics`` exports and what
+:meth:`~ServiceTelemetry.snapshot` reports are the same series read two
+ways.  The snapshot is the immutable view tests assert on and the
+``serve`` CLI / benchmarks print.
 
 Latency populations are summarized by :class:`LatencyStats` (p50/p95/p99,
-mean, max) over a bounded :class:`LatencyHistogram` reservoir, so an
+mean, max) read from the registry's bounded reservoir histograms, so an
 unbounded stream of observations runs in bounded memory while the
-percentiles stay representative.
+percentiles stay representative and count and mean stay exact.
 """
 
 from __future__ import annotations
 
-import random
 import threading
-import time
 from dataclasses import dataclass, field
 
-import numpy as np
+from repro.obs.registry import MetricsRegistry
 
 #: Counter names every snapshot carries (all start at zero).
 #: ``submitted_many`` counts bulk-admission *calls* (one per
@@ -47,13 +50,12 @@ COUNTERS = (
 #: ``RequestQueue.pop_batch``).
 FLUSH_REASONS = ("size", "wait", "drain", "regime_split")
 
-#: Request fates the per-regime SLO accumulators distinguish.
+#: Request fates the per-regime SLO series distinguish.
 SLO_OUTCOMES = ("completed", "expired", "failed")
 
-# Frozen lookup sets so validation is one hash probe before the lock.
-_COUNTER_SET = frozenset(COUNTERS)
-_FLUSH_SET = frozenset(FLUSH_REASONS)
-_OUTCOME_SET = frozenset(SLO_OUTCOMES)
+#: Reservoir bound of every service latency summary: a benchmark-length
+#: run is summarised exactly, a long-lived service stays bounded.
+_RESERVOIR = 100_000
 
 
 @dataclass(frozen=True)
@@ -67,23 +69,6 @@ class LatencyStats:
     p99: float
     max: float
 
-    @staticmethod
-    def from_samples(samples, count: int | None = None) -> "LatencyStats":
-        """Summarize ``samples``; ``count`` overrides the population size
-        when the samples are a reservoir of a larger stream."""
-        arr = np.asarray(list(samples), dtype=np.float64)
-        if arr.size == 0:
-            return LatencyStats(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        p50, p95, p99 = np.percentile(arr, [50.0, 95.0, 99.0])
-        return LatencyStats(
-            count=int(arr.size) if count is None else int(count),
-            mean=float(arr.mean()),
-            p50=float(p50),
-            p95=float(p95),
-            p99=float(p99),
-            max=float(arr.max()),
-        )
-
     def format(self) -> str:
         if self.count == 0:
             return "no samples"
@@ -94,35 +79,17 @@ class LatencyStats:
         )
 
 
-class LatencyHistogram:
-    """Bounded reservoir of latency samples with percentile summaries.
-
-    Classic reservoir sampling: the first ``capacity`` observations are kept
-    verbatim; afterwards each new observation replaces a uniformly random
-    slot with probability ``capacity / count``.  ``count`` always reflects
-    the full population.  The RNG is seeded so summaries are reproducible
-    for a fixed observation sequence.
-    """
-
-    def __init__(self, capacity: int = 100_000, seed: int = 0):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.count = 0
-        self._samples: list[float] = []
-        self._rng = random.Random(seed)
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        if len(self._samples) < self.capacity:
-            self._samples.append(float(value))
-            return
-        slot = self._rng.randrange(self.count)
-        if slot < self.capacity:
-            self._samples[slot] = float(value)
-
-    def stats(self) -> LatencyStats:
-        return LatencyStats.from_samples(self._samples, count=self.count)
+def _latency_stats(series) -> LatencyStats:
+    """Summarize one registry histogram series."""
+    count, total, q = series.summary((0.5, 0.95, 0.99, 1.0))
+    return LatencyStats(
+        count=count,
+        mean=total / count if count else 0.0,
+        p50=q[0.5],
+        p95=q[0.95],
+        p99=q[0.99],
+        max=q[1.0],
+    )
 
 
 @dataclass(frozen=True)
@@ -167,33 +134,11 @@ class RegimeSLO:
         )
 
 
-class _RegimeSLOAccumulator:
-    """Mutable per-regime counters behind :class:`RegimeSLO` snapshots."""
-
-    __slots__ = ("completed", "expired", "failed", "first_result_s", "e2e")
-
-    def __init__(self, histogram_capacity: int):
-        self.completed = 0
-        self.expired = 0
-        self.failed = 0
-        self.first_result_s: float | None = None
-        self.e2e = LatencyHistogram(histogram_capacity, seed=3)
-
-    def snapshot(self) -> RegimeSLO:
-        return RegimeSLO(
-            completed=self.completed,
-            expired=self.expired,
-            failed=self.failed,
-            time_to_first_result=self.first_result_s,
-            e2e=self.e2e.stats(),
-        )
-
-
 @dataclass(frozen=True)
 class TelemetrySnapshot:
     """One immutable view of the service's health, safe to hold and compare."""
 
-    #: Wall-clock seconds since telemetry started (or was last reset).
+    #: Wall-clock seconds since the service was built.
     elapsed: float
     #: Request counters: submitted/completed/rejected/expired/failed/cancelled.
     counters: dict[str, int] = field(
@@ -237,7 +182,7 @@ class TelemetrySnapshot:
 
     @property
     def throughput(self) -> float:
-        """Completed items per wall-clock second since start/reset."""
+        """Completed items per wall-clock second since the service was built."""
         return self.counters["completed"] / self.elapsed if self.elapsed > 0 else 0.0
 
     def format(self) -> str:
@@ -293,46 +238,110 @@ class TelemetrySnapshot:
         return "\n".join(lines)
 
 
+def _slo_families(registry: MetricsRegistry, prefix: str, label: str) -> dict:
+    """The SLO outcome counters and e2e summary sliced by ``label``."""
+    return {
+        "completed": registry.counter(
+            f"{prefix}_completed_total", f"Requests completed per {label}", (label,)
+        ),
+        "expired": registry.counter(
+            f"{prefix}_expired_total",
+            f"Requests expired (admission deadline missed) per {label}",
+            (label,),
+        ),
+        "failed": registry.counter(
+            f"{prefix}_failed_total", f"Requests failed per {label}", (label,)
+        ),
+        "e2e": registry.histogram(
+            f"{prefix}_e2e_seconds",
+            f"Submit-to-completion latency per {label}",
+            (label,),
+            capacity=_RESERVOIR,
+        ),
+    }
+
+
 class ServiceTelemetry:
-    """Thread-safe accumulator behind the service's observability surface.
+    """The service's writer to — and typed reader of — its metric families.
 
     All mutation goes through :meth:`count`, :meth:`observe_queue_wait`,
-    :meth:`observe_service_time`, and :meth:`observe_flush`; reads go
-    through :meth:`snapshot`.  One lock guards everything — observation
-    cost is nanoseconds next to a model execution.
+    :meth:`observe_service_time`, :meth:`observe_flush`,
+    :meth:`observe_outcome` and :meth:`observe_dispatch`; reads go through
+    :meth:`snapshot` (or a registry scrape).  Each label child is resolved
+    once and cached, so an observation is a dict probe plus one increment
+    under that series' own small lock — nanoseconds next to a model
+    execution.  Without a ``registry`` the telemetry keeps a private one.
     """
 
-    def __init__(self, clock=time.monotonic, histogram_capacity: int = 100_000):
-        self._clock = clock
-        self._capacity = histogram_capacity
+    def __init__(self, registry: MetricsRegistry | None = None):
+        if registry is None:
+            registry = MetricsRegistry()
+        self.registry = registry
+        # Fixed-label series are created here so they export at zero.
+        requests = registry.counter(
+            "repro_requests_total", "Requests by outcome counter", ("outcome",)
+        )
+        self._counters = {name: requests.labels(outcome=name) for name in COUNTERS}
+        batches = registry.counter(
+            "repro_batches_total",
+            "Micro-batches dispatched by flush reason",
+            ("reason",),
+        )
+        self._flushes = {
+            reason: batches.labels(reason=reason) for reason in FLUSH_REASONS
+        }
+        self._batched_items = registry.counter(
+            "repro_batched_items_total", "Items dispatched across all micro-batches"
+        ).labels()
+        self._regime_items = registry.counter(
+            "repro_regime_items_total",
+            "Items dispatched per scheduling regime",
+            ("regime",),
+        )
+        self._queue_wait = registry.histogram(
+            "repro_queue_wait_seconds", "Queue wait per request", capacity=_RESERVOIR
+        ).labels()
+        self._service_time = registry.histogram(
+            "repro_service_time_seconds", "Batch service time", capacity=_RESERVOIR
+        ).labels()
+        self._tenant_queue_wait = registry.histogram(
+            "repro_tenant_queue_wait_seconds",
+            "Queue wait per request per tenant",
+            ("tenant",),
+            capacity=_RESERVOIR,
+        )
+        self._slo_families = {
+            "regime": _slo_families(registry, "repro_slo", "regime"),
+            "tenant": _slo_families(registry, "repro_tenant_slo", "tenant"),
+        }
+        # Label children seen so far, resolved once (see _cached).
         self._lock = threading.Lock()
-        self._reset_locked()
+        self._regimes: dict[str, object] = {}
+        self._workers: dict[str, object] = {}
+        self._tenant_waits: dict[str, object] = {}
+        #: (``"regime"`` | ``"tenant"``, label value) -> that slice's
+        #: completed/expired/failed/e2e children.
+        self._slo: dict[tuple[str, str], dict] = {}
+        #: Same key -> e2e latency of the slice's first completion.
+        self._first_result: dict[tuple[str, str], float] = {}
 
-    def _reset_locked(self) -> None:
-        self._started_at = self._clock()
-        self._counters = {name: 0 for name in COUNTERS}
-        self._flushes = {reason: 0 for reason in FLUSH_REASONS}
-        self._batched_items = 0
-        self._regimes: dict[str, int] = {}
-        self._workers: dict[str, int] = {}
-        self._queue_wait = LatencyHistogram(self._capacity, seed=1)
-        self._service_time = LatencyHistogram(self._capacity, seed=2)
-        self._slo: dict[str, _RegimeSLOAccumulator] = {}
-        self._tenant_queue_wait: dict[str, LatencyHistogram] = {}
-        self._tenant_slo: dict[str, _RegimeSLOAccumulator] = {}
-
-    def reset(self) -> None:
-        """Zero every counter and histogram; restarts the elapsed clock."""
-        with self._lock:
-            self._reset_locked()
+    def _cached(self, cache: dict, key, resolve):
+        """``cache[key]``, calling ``resolve()`` for it the first time only."""
+        series = cache.get(key)
+        if series is None:
+            with self._lock:
+                series = cache.get(key)
+                if series is None:
+                    series = cache[key] = resolve()
+        return series
 
     def count(self, name: str, n: int = 1) -> None:
-        if name not in _COUNTER_SET:
+        counter = self._counters.get(name)
+        if counter is None:
             raise ValueError(
-                f"unknown counter {name!r}; expected one of {sorted(_COUNTER_SET)}"
+                f"unknown counter {name!r}; expected one of {sorted(COUNTERS)}"
             )
-        with self._lock:
-            self._counters[name] += n
+        counter.inc(n)
 
     def observe_queue_wait(self, seconds: float, tenant: str | None = None) -> None:
         """Record one request's queue wait, optionally against its tenant.
@@ -341,31 +350,32 @@ class ServiceTelemetry:
         lands the sample in that tenant's own histogram — the per-tenant
         p99 the gateway's fairness guarantee is judged by.
         """
-        with self._lock:
-            self._queue_wait.observe(seconds)
-            if tenant is not None:
-                hist = self._tenant_queue_wait.get(tenant)
-                if hist is None:
-                    hist = self._tenant_queue_wait[tenant] = LatencyHistogram(
-                        self._capacity, seed=4
-                    )
-                hist.observe(seconds)
+        self._queue_wait.observe(seconds)
+        if tenant is not None:
+            self._cached(
+                self._tenant_waits,
+                tenant,
+                lambda: self._tenant_queue_wait.labels(tenant=tenant),
+            ).observe(seconds)
 
     def observe_service_time(self, seconds: float) -> None:
-        with self._lock:
-            self._service_time.observe(seconds)
+        self._service_time.observe(seconds)
 
     def observe_flush(self, size: int, reason: str, regime: str | None = None) -> None:
-        if reason not in _FLUSH_SET:
+        flushes = self._flushes.get(reason)
+        if flushes is None:
             raise ValueError(
                 f"unknown flush reason {reason!r}; "
-                f"expected one of {sorted(_FLUSH_SET)}"
+                f"expected one of {sorted(FLUSH_REASONS)}"
             )
-        with self._lock:
-            self._flushes[reason] += 1
-            self._batched_items += size
-            if regime is not None:
-                self._regimes[regime] = self._regimes.get(regime, 0) + size
+        flushes.inc()
+        self._batched_items.inc(size)
+        if regime is not None:
+            self._cached(
+                self._regimes,
+                regime,
+                lambda: self._regime_items.labels(regime=regime),
+            ).inc(size)
 
     def observe_outcome(
         self,
@@ -379,70 +389,105 @@ class ServiceTelemetry:
         ``outcome`` is one of :data:`SLO_OUTCOMES`; completions should pass
         their submit→completion latency as ``e2e_seconds`` so the per-regime
         distribution and time-to-first-result stay populated.  A ``tenant``
-        additionally lands the outcome in that tenant's own SLO
-        accumulator (same shape, keyed by tenant in the snapshot).
+        additionally lands the outcome in that tenant's own SLO series
+        (same shape, keyed by tenant in the snapshot).
         """
-        if outcome not in _OUTCOME_SET:
+        if outcome not in SLO_OUTCOMES:
             raise ValueError(
                 f"unknown SLO outcome {outcome!r}; "
-                f"expected one of {sorted(_OUTCOME_SET)}"
+                f"expected one of {sorted(SLO_OUTCOMES)}"
             )
-        with self._lock:
-            accs = [self._slo.get(regime)]
-            if accs[0] is None:
-                accs[0] = self._slo[regime] = _RegimeSLOAccumulator(self._capacity)
-            if tenant is not None:
-                tacc = self._tenant_slo.get(tenant)
-                if tacc is None:
-                    tacc = self._tenant_slo[tenant] = _RegimeSLOAccumulator(
-                        self._capacity
-                    )
-                accs.append(tacc)
-            for acc in accs:
-                setattr(acc, outcome, getattr(acc, outcome) + 1)
-                if outcome == "completed" and e2e_seconds is not None:
-                    acc.e2e.observe(e2e_seconds)
-                    if acc.first_result_s is None:
-                        acc.first_result_s = e2e_seconds
+        for key in (("regime", regime), ("tenant", tenant)):
+            label, value = key
+            if value is None:
+                continue
+            series = self._cached(
+                self._slo,
+                key,
+                lambda: {
+                    name: family.labels(**{label: value})
+                    for name, family in self._slo_families[label].items()
+                },
+            )
+            series[outcome].inc()
+            if outcome == "completed" and e2e_seconds is not None:
+                series["e2e"].observe(e2e_seconds)
+                self._first_result.setdefault(key, e2e_seconds)
 
     def observe_dispatch(self, worker: str, size: int) -> None:
-        """Record that ``worker`` (a thread or process label) ran ``size``
+        """Record that ``worker`` (a service worker thread) ran ``size``
         items — the per-worker dispatch counter behind the snapshot's
-        ``workers`` map."""
+        ``workers`` map.  The family is created on first use: a backend
+        that counts its own workers exports it instead (see
+        :mod:`repro.obs.bridge`)."""
+        self._cached(
+            self._workers,
+            worker,
+            lambda: self.registry.counter(
+                "repro_worker_items_total",
+                "Items dispatched per scheduling worker (thread or pid)",
+                ("worker",),
+            ).labels(worker=worker),
+        ).inc(size)
+
+    def slo(self, label: str, e2e: bool = True) -> dict[str, RegimeSLO]:
+        """The SLO view sliced by ``label`` (``"regime"`` or ``"tenant"``);
+        only slices that saw settled traffic appear.  ``e2e=False`` leaves
+        the latency summaries empty — the scrape-time gauges need only the
+        counts, and the scrape already sorts each reservoir once."""
         with self._lock:
-            self._workers[worker] = self._workers.get(worker, 0) + size
+            slices = [(key, s) for key, s in self._slo.items() if key[0] == label]
+        return {
+            key[1]: RegimeSLO(
+                completed=int(series["completed"].value),
+                expired=int(series["expired"].value),
+                failed=int(series["failed"].value),
+                time_to_first_result=self._first_result.get(key),
+                e2e=_latency_stats(series["e2e"]) if e2e else RegimeSLO.e2e,
+            )
+            for key, series in slices
+        }
 
     def snapshot(
         self,
+        elapsed: float = 0.0,
         queue_depth: int = 0,
         in_flight: int = 0,
         extra_workers: dict[str, int] | None = None,
     ) -> TelemetrySnapshot:
-        """Point-in-time snapshot.  ``extra_workers`` merges externally
-        tracked per-worker counters (the process backend's per-pid
-        dispatch counts) into the ``workers`` map."""
+        """Point-in-time view read from the registry families.
+
+        ``elapsed``, ``queue_depth`` and ``in_flight`` are the caller's
+        live state; ``extra_workers`` merges externally tracked
+        per-worker counters (the process backend's per-pid dispatch
+        counts) into the ``workers`` map.
+        """
         with self._lock:
+            regimes = dict(self._regimes)
             workers = dict(self._workers)
-            for worker, count in (extra_workers or {}).items():
-                workers[worker] = workers.get(worker, 0) + count
-            return TelemetrySnapshot(
-                elapsed=self._clock() - self._started_at,
-                counters=dict(self._counters),
-                flushes=dict(self._flushes),
-                batched_items=self._batched_items,
-                regimes=dict(self._regimes),
-                workers=workers,
-                queue_depth=queue_depth,
-                in_flight=in_flight,
-                queue_wait=self._queue_wait.stats(),
-                service_time=self._service_time.stats(),
-                slo={regime: acc.snapshot() for regime, acc in self._slo.items()},
-                tenant_queue_wait={
-                    tenant: hist.stats()
-                    for tenant, hist in self._tenant_queue_wait.items()
-                },
-                tenant_slo={
-                    tenant: acc.snapshot()
-                    for tenant, acc in self._tenant_slo.items()
-                },
-            )
+            tenant_waits = dict(self._tenant_waits)
+        workers = {worker: int(child.value) for worker, child in workers.items()}
+        for worker, count in (extra_workers or {}).items():
+            workers[worker] = workers.get(worker, 0) + count
+        return TelemetrySnapshot(
+            elapsed=elapsed,
+            counters={
+                name: int(child.value) for name, child in self._counters.items()
+            },
+            flushes={
+                reason: int(child.value) for reason, child in self._flushes.items()
+            },
+            batched_items=int(self._batched_items.value),
+            regimes={regime: int(child.value) for regime, child in regimes.items()},
+            workers=workers,
+            queue_depth=queue_depth,
+            in_flight=in_flight,
+            queue_wait=_latency_stats(self._queue_wait),
+            service_time=_latency_stats(self._service_time),
+            slo=self.slo("regime"),
+            tenant_queue_wait={
+                tenant: _latency_stats(child)
+                for tenant, child in tenant_waits.items()
+            },
+            tenant_slo=self.slo("tenant"),
+        )

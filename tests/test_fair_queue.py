@@ -1,4 +1,4 @@
-"""Per-key dispatch buckets: fairness, parity with the legacy grouper,
+"""Per-key dispatch buckets: fairness, single-regime FIFO dispatch order,
 timer-tick expiry, and lifecycle across buckets."""
 
 import pytest
@@ -14,7 +14,6 @@ from repro.serving import (
     RequestQueue,
     ServiceStopped,
 )
-from repro.serving.legacy import LegacyGroupingQueue
 from repro.serving.queue import priority_weight
 
 
@@ -60,56 +59,67 @@ def drain_batches(queue, max_items):
 
 
 class TestLegacyParity:
+    """Single-regime dispatch is plain FIFO — the trace the PR-3 heap
+    grouper produced, pinned as absolute expectations now that the
+    grouper itself is gone."""
+
     @pytest.mark.parametrize("batch_size", [1, 4, 7, 64])
     def test_single_regime_traces_identical(self, items, batch_size):
-        # The acceptance bar for the rewrite: on single-regime traffic the
-        # bucket queue's dispatch trace (batch membership, order, flush
-        # reasons) is indistinguishable from the PR-3 heap grouper's.
+        # With nothing to arbitrate, fairness is free: batches are
+        # consecutive FIFO slices, full ones flush on "size" and an
+        # underfull tail on "wait".
         spec = LabelingSpec(deadline=0.35)
-        traces = []
-        for queue_cls in (RequestQueue, LegacyGroupingQueue):
-            queue = queue_cls(max_depth=64)
-            for item in items:
-                queue.put(request_for(item, spec=spec, priority=spec.priority))
-            traces.append(drain_batches(queue, batch_size))
-        assert traces[0] == traces[1]
+        queue = RequestQueue(max_depth=64)
+        for item in items:
+            queue.put(request_for(item, spec=spec, priority=spec.priority))
+        ids = [item.item_id for item in items]
+        assert drain_batches(queue, batch_size) == [
+            (
+                ids[start : start + batch_size],
+                "size" if start + batch_size <= len(ids) else "wait",
+            )
+            for start in range(0, len(ids), batch_size)
+        ]
 
     def test_single_bucket_specless_parity(self, items):
-        traces = []
-        for queue_cls in (RequestQueue, LegacyGroupingQueue):
-            queue = queue_cls(max_depth=64)
-            for item in items[:10]:
-                queue.put(request_for(item))
-            traces.append(drain_batches(queue, 4))
-        assert traces[0] == traces[1]
-        # underfull tail flushes as "wait" in both implementations
-        assert [reason for _, reason in traces[0]] == ["size", "size", "wait"]
+        queue = RequestQueue(max_depth=64)
+        for item in items[:10]:
+            queue.put(request_for(item))
+        ids = [item.item_id for item in items[:10]]
+        # exact FIFO item order; the underfull tail flushes as "wait"
+        assert drain_batches(queue, 4) == [
+            (ids[0:4], "size"),
+            (ids[4:8], "size"),
+            (ids[8:10], "wait"),
+        ]
 
     def test_two_fresh_buckets_anchor_in_arrival_order(self, items):
-        # Equal pass values tie-break FIFO by head sequence — the same
-        # anchor the legacy grouper picks for equal priorities, and the
-        # first flush is regime_split in both (other-key traffic waited).
-        for queue_cls in (RequestQueue, LegacyGroupingQueue):
-            queue = queue_cls(max_depth=64)
-            a, b = LabelingSpec(), LabelingSpec(deadline=0.35)
-            for i, item in enumerate(items[:8]):
-                queue.put(request_for(item, spec=b if i % 2 else a))
-            batch, _, reason = queue.pop_batch(16, 0.0)
-            assert [r.batch_key for r in batch] == [a.batch_key] * 4
-            assert reason == "regime_split"
+        # Equal pass values tie-break FIFO by head sequence, and the
+        # first flush is regime_split (other-key traffic waited).
+        queue = RequestQueue(max_depth=64)
+        a, b = LabelingSpec(), LabelingSpec(deadline=0.35)
+        for i, item in enumerate(items[:8]):
+            queue.put(request_for(item, spec=b if i % 2 else a))
+        batch, _, reason = queue.pop_batch(16, 0.0)
+        assert [r.batch_key for r in batch] == [a.batch_key] * 4
+        assert [r.item.item_id for r in batch] == [
+            item.item_id for item in items[0:8:2]
+        ]
+        assert reason == "regime_split"
 
 
 class TestWeightedFairness:
     def test_starved_regime_keeps_flowing_under_cross_traffic(self, items):
         # Sustained saturating high-priority traffic of one regime, a
-        # trickle of low-priority traffic of another: the legacy grouper
-        # never anchors the low bucket until the high traffic stops, the
-        # bucket queue serves it within a bounded number of batches.
+        # trickle of low-priority traffic of another: a strict-priority
+        # grouper would never anchor the low bucket until the high
+        # traffic stops; the bucket queue serves it within a bounded
+        # number of batches.
         service_time = 0.01
 
-        def simulate(queue_cls):
+        def simulate():
             clock = FakeClock()
-            queue = queue_cls(max_depth=100_000, clock=clock)
+            queue = RequestQueue(max_depth=100_000, clock=clock)
             high = LabelingSpec(priority=3)
             low = LabelingSpec(deadline=50.0, priority=0)
             low_waits = []
@@ -142,18 +152,12 @@ class TestWeightedFairness:
                         low_waits.append(clock.now - request.submitted_at)
             return in_loop_low_dispatches, low_waits
 
-        fair_count, fair_waits = simulate(RequestQueue)
-        legacy_count, legacy_waits = simulate(LegacyGroupingQueue)
-        assert len(fair_waits) == len(legacy_waits) == 50
-        # legacy: zero low-priority dispatches while the pressure lasts —
-        # all 50 settle only in the post-traffic drain, with waits that
-        # grow with the length of the trace (unbounded starvation)
-        assert legacy_count == 0
-        # bucket queue: the low bucket is served throughout, with every
-        # wait bounded by a few service slots regardless of trace length
+        fair_count, fair_waits = simulate()
+        assert len(fair_waits) == 50
+        # the low bucket is served throughout, with every wait bounded
+        # by a few service slots regardless of trace length
         assert fair_count == 50
         assert max(fair_waits) < 10 * service_time
-        assert max(legacy_waits) > 10 * max(fair_waits)
 
     def test_higher_priority_bucket_served_proportionally_more(self, items):
         # Two continuously refilled buckets, priorities 2 vs 0: stride

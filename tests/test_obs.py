@@ -1,6 +1,7 @@
 """The observability layer: registry, traces, instrumentation, endpoint."""
 
 import json
+import logging
 import threading
 import urllib.error
 import urllib.request
@@ -9,8 +10,8 @@ import pytest
 
 from repro.engine import LabelingEngine
 from repro.obs import (
+    MetricFamily,
     MetricsRegistry,
-    MetricsServer,
     TraceBuffer,
     batch_observer,
     install,
@@ -20,13 +21,8 @@ from repro.obs import (
 )
 from repro.rl.agents import make_agent
 from repro.scheduling.qgreedy import AgentPredictor
-from repro.serving import (
-    LabelingService,
-    LabelingSpec,
-    LatencyHistogram,
-    LatencyStats,
-    ServiceTelemetry,
-)
+from repro.serving import LabelingService, LabelingSpec, ServiceTelemetry
+from repro.serving.gateway import LabelingGateway, TenantDirectory
 
 
 @pytest.fixture(scope="module")
@@ -104,12 +100,21 @@ class TestMetricsRegistry:
         text = registry.render_prometheus()
         assert 'esc{who="a\\"b\\\\c\\nd"} 1' in text
 
-    def test_failing_collector_is_skipped(self):
+    def test_failing_collector_is_skipped(self, caplog):
         registry = MetricsRegistry()
         registry.counter("fine", "Fine").inc()
         registry.register_collector(lambda: 1 / 0)
-        text = registry.render_prometheus()
+        registry.register_collector(
+            lambda: [MetricFamily("also_fine", "gauge", "", (({}, 2),))]
+        )
+        with caplog.at_level(logging.ERROR, logger="repro.obs.registry"):
+            text = registry.render_prometheus()
+        # the scrape survives with every other family, and says what broke
         assert "fine 1" in text
+        assert "also_fine 2" in text
+        (record,) = caplog.records
+        assert "collector" in record.getMessage()
+        assert record.exc_info[0] is ZeroDivisionError
 
     def test_json_snapshot_matches_families(self):
         registry = MetricsRegistry()
@@ -204,13 +209,25 @@ class TestInstrumentation:
         )
 
 
+DEMO_KEY = {"X-API-Key": "demo-key-tenant-0"}
+
+
+def obs_listener(engine, dataset, registry=None, tracer=None) -> LabelingGateway:
+    """The one HTTP stack that serves the obs routes: a gateway listener
+    (here over a never-started service — scrapes need no dispatcher)."""
+    service = LabelingService(engine, registry=registry, tracer=tracer)
+    return LabelingGateway(service, TenantDirectory.demo(1), dataset)
+
+
 class TestMetricsServer:
-    def test_endpoints(self):
+    """The obs routes as served by the gateway's asyncio listener."""
+
+    def test_endpoints(self, engine, dataset):
         registry = MetricsRegistry()
         registry.counter("up", "Up").inc()
         tracer = TraceBuffer()
         tracer.finish(tracer.start("item-1", "qgreedy"), "completed")
-        with MetricsServer(registry, tracer) as server:
+        with obs_listener(engine, dataset, registry, tracer) as server:
             base = server.url
             text = urllib.request.urlopen(f"{base}/metrics").read().decode()
             assert "up 1" in text
@@ -220,17 +237,23 @@ class TestMetricsServer:
             assert traces["finished"] == 1
             health = urllib.request.urlopen(f"{base}/healthz").read().decode()
             assert health.strip() == "ok"
+            # unknown paths are not obs routes: they sit behind auth
             with pytest.raises(urllib.error.HTTPError) as caught:
                 urllib.request.urlopen(f"{base}/nope")
+            assert caught.value.code == 401
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(
+                    urllib.request.Request(f"{base}/nope", headers=DEMO_KEY)
+                )
             assert caught.value.code == 404
 
-    def test_traces_404_without_tracer(self):
-        with MetricsServer(MetricsRegistry()) as server:
+    def test_traces_404_without_tracer(self, engine, dataset):
+        with obs_listener(engine, dataset) as server:
             with pytest.raises(urllib.error.HTTPError) as caught:
                 urllib.request.urlopen(f"{server.url}/traces")
             assert caught.value.code == 404
 
-    def test_concurrent_scrapes(self):
+    def test_concurrent_scrapes(self, engine, dataset):
         registry = MetricsRegistry()
         registry.counter("c", "C").inc()
         errors: list[Exception] = []
@@ -242,7 +265,7 @@ class TestMetricsServer:
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)
 
-        with MetricsServer(registry) as server:
+        with obs_listener(engine, dataset, registry) as server:
             threads = [
                 threading.Thread(target=scrape, args=(f"{server.url}/metrics",))
                 for _ in range(4)
@@ -250,7 +273,8 @@ class TestMetricsServer:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
         assert errors == []
 
 
@@ -314,14 +338,18 @@ class TestServiceIntegration:
         with service:
             for future in service.submit_many(items[:4]):
                 future.result(timeout=10)
-        names = {family.name for family in service_families(service)}
+        # owned families are in the service's private registry; the
+        # bridge adds only the pull-time ones
+        pulled = {family.name for family in service_families(service)}
+        assert {"repro_queue_depth", "repro_in_flight"} <= pulled
+        assert "repro_requests_total" not in pulled
         assert {
             "repro_requests_total",
             "repro_batches_total",
             "repro_queue_depth",
             "repro_in_flight",
             "repro_slo_completed_total",
-        } <= names
+        } <= set(service.registry.snapshot())
 
 
 class TestTelemetryValidation:
@@ -350,41 +378,59 @@ class TestTelemetryValidation:
 
 
 class TestLatencyHistogramEdges:
+    """Edges of the registry's reservoir histogram (the only one)."""
+
+    @staticmethod
+    def histogram(capacity: int):
+        return MetricsRegistry().histogram("h", capacity=capacity).labels()
+
     def test_capacity_one_keeps_exactly_one_sample(self):
-        histogram = LatencyHistogram(capacity=1, seed=0)
+        histogram = self.histogram(1)
         for value in (1.0, 2.0, 3.0, 4.0):
             histogram.observe(value)
-        stats = histogram.stats()
-        assert stats.count == 4
-        assert stats.p50 in (1.0, 2.0, 3.0, 4.0)
+        count, total, quantiles = histogram.summary()
+        assert (count, total) == (4, 10.0)
+        assert quantiles[0.5] in (1.0, 2.0, 3.0, 4.0)
 
     def test_capacity_below_one_rejected(self):
         with pytest.raises(ValueError):
-            LatencyHistogram(capacity=0)
+            MetricsRegistry().histogram("h", capacity=0)
 
     def test_post_capacity_replacement_bounds_reservoir(self):
-        histogram = LatencyHistogram(capacity=8, seed=1)
+        histogram = self.histogram(8)
         for value in range(100):
             histogram.observe(float(value))
         assert histogram.count == 100
         assert len(histogram._samples) == 8
-        assert histogram.stats().count == 100
+        assert histogram.summary()[0] == 100
 
     def test_seeded_reservoirs_reproduce(self):
-        def fill(seed: int) -> LatencyStats:
-            histogram = LatencyHistogram(capacity=4, seed=seed)
+        def fill():
+            histogram = self.histogram(4)
             for value in range(50):
                 histogram.observe(float(value))
-            return histogram.stats()
+            return histogram.summary()
 
-        assert fill(7) == fill(7)
+        assert fill() == fill()
 
-    def test_from_samples_count_override(self):
-        stats = LatencyStats.from_samples([0.1, 0.2], count=1000)
-        assert stats.count == 1000
-        assert stats.max == 0.2
-
-    def test_from_samples_empty(self):
-        stats = LatencyStats.from_samples([])
-        assert stats.count == 0
-        assert stats.p99 == 0.0
+    def test_exported_sum_is_exact_and_monotonic_past_capacity(self, monkeypatch):
+        # ``_sum`` is the running total of every observation, not
+        # reservoir_mean x count: once the reservoir overflows it must
+        # still equal the exact sum and never go down between scrapes.
+        monkeypatch.setattr("repro.serving.telemetry._RESERVOIR", 4)
+        registry = MetricsRegistry()
+        telemetry = ServiceTelemetry(registry)
+        exact = previous = 0.0
+        for i in range(200):
+            value = 0.01 if i % 10 else 3.0  # skewed: rare large values
+            telemetry.observe_queue_wait(value)
+            exact += value
+            families = registry.snapshot()
+            (sample,) = families["repro_queue_wait_seconds_sum"]["samples"]
+            assert sample["value"] >= previous
+            previous = sample["value"]
+        assert previous == pytest.approx(exact)
+        stats = telemetry.snapshot().queue_wait
+        assert stats.count == 200
+        assert stats.mean == pytest.approx(exact / 200)
+        assert len(telemetry._queue_wait._samples) == 4

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.engine import LabelingEngine
+from repro.obs import MetricsRegistry
 from repro.rl.agents import make_agent
 from repro.zoo.oracle import GroundTruth
 from repro.scheduling.qgreedy import AgentPredictor
@@ -14,7 +15,6 @@ from repro.serving import (
     LabelingRequest,
     LabelingService,
     LabelingSpec,
-    LatencyHistogram,
     QueueFull,
     RequestQueue,
     ServiceStopped,
@@ -367,30 +367,21 @@ class TestTelemetry:
         snapshot = telemetry.snapshot(extra_workers={"pid1": 2, "pid2": 5})
         assert snapshot.workers == {"pid1": 5, "pid2": 5}
 
-    def test_reset_zeroes_counters(self):
-        telemetry = ServiceTelemetry()
-        telemetry.count("completed", 3)
-        telemetry.observe_flush(3, "size")
-        telemetry.reset()
-        snapshot = telemetry.snapshot()
-        assert snapshot.counters["completed"] == 0
-        assert snapshot.batches == 0
-        assert snapshot.queue_wait.count == 0
-
     def test_histogram_reservoir_bounds_memory(self):
-        histogram = LatencyHistogram(capacity=100, seed=3)
+        histogram = MetricsRegistry().histogram("h", capacity=100).labels()
         for i in range(10_000):
             histogram.observe(i / 10_000)
-        stats = histogram.stats()
-        assert histogram.count == 10_000
+        count, _, quantiles = histogram.summary()
+        assert count == 10_000
         assert len(histogram._samples) == 100
         # reservoir percentiles track the uniform population
-        assert 0.3 < stats.p50 < 0.7
-        assert stats.p99 > 0.8
+        assert 0.3 < quantiles[0.5] < 0.7
+        assert quantiles[0.99] > 0.8
 
     def test_empty_stats(self):
-        stats = LatencyHistogram().stats()
+        stats = ServiceTelemetry().snapshot().queue_wait
         assert stats.count == 0
+        assert stats.mean == stats.p99 == stats.max == 0.0
         assert stats.format() == "no samples"
 
 
