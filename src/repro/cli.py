@@ -21,7 +21,7 @@ Subcommands mirror the adoption workflow:
   point ``--workers host:port,host:port`` at the printed addresses).
 
 ``--log-level`` turns on stdlib logging for the ``repro.*`` loggers
-(service lifecycle, worker-pool respawns, shm transport fallbacks, cache
+(service lifecycle, worker-pool respawns, cluster re-dispatches, cache
 evictions); the library itself ships only a NullHandler.
 
 Example::

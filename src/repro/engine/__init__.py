@@ -12,9 +12,7 @@ from repro.engine.backends import (
     BatchedBackend,
     ExecutionBackend,
     LabelingJob,
-    ProcessPoolBackend,
     SerialBackend,
-    ShmPayload,
     schedule_one_item,
 )
 from repro.engine.cluster import (
@@ -33,6 +31,7 @@ from repro.engine.config import (
     SerialConfig,
     make_backend,
 )
+from repro.engine.process import ProcessPoolBackend, ShmPayload
 from repro.engine.shm import RingSpec, SlotRing
 from repro.engine.snapshot import (
     WorldSnapshot,

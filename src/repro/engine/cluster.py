@@ -1,19 +1,19 @@
-"""Cluster backend: shard the scheduling world across socket workers.
+"""Cluster transport: shard the scheduling world across socket workers.
 
-:class:`ProcessPoolBackend` escapes the GIL but not the box — every
-worker is a child of one machine.  This module generalizes its
-snapshot/delta protocol over stdlib TCP sockets so scheduling work can
-leave the host:
+:class:`~repro.engine.process.ProcessPoolBackend` escapes the GIL but not
+the box — every worker is a child of one machine.  This module carries
+the same :mod:`repro.engine.sharded` chunk protocol over stdlib TCP
+sockets so scheduling work can leave the host:
 
 * :class:`ClusterWorker` — a worker process (or host) serving a
   length-prefixed frame protocol on a socket.  A dispatcher connection
   first ships a :class:`~repro.engine.snapshot.WorldSnapshot` (shipped
   **once** per worker connection), then streams chunk requests carrying
-  only the records the snapshot lacks; the worker schedules each chunk
-  with the vectorized dispatch tick and streams trace shards back.
-  Payloads reuse the :mod:`repro.engine.shm` fixed-dtype codecs — the
-  same compact layout that backs the shared-memory rings, here framed
-  over the wire — with pickle as the correctness fallback.
+  only the records the snapshot lacks; the worker runs each through
+  :func:`~repro.engine.sharded.run_chunk` and streams trace shards back.
+  Deltas and shards are the :mod:`repro.engine.shm` fixed-dtype codec
+  bytes — the same ones the shared-memory rings carry — framed over the
+  wire.
 * :class:`ClusterBackend` (registry ``"cluster"``) — the dispatcher.
   Chunks are assigned to workers by **consistent hashing** (an md5 hash
   ring with virtual nodes), so a worker's death moves only *its* chunks
@@ -29,16 +29,12 @@ leave the host:
   fleet of worker *processes* for single-host scaling, tests, and the
   CLI's ``--workers N`` form.
 
-Scheduling is deterministic per item and chunks are reassembled in input
-order, so traces are identical to :class:`SerialBackend` for every
-worker count, chunk size, and failure interleaving — the same parity
-contract every other backend honors.
-
 Wire format: each frame is ``!IBq`` (payload length, kind, request id)
 followed by the payload.  Requests are SNAPSHOT / CHUNK / REFRESH;
 replies are OK / RESULT / ERROR and echo the request id, so a dispatcher
 may pipeline many chunks down one connection and match replies as they
-arrive.
+arrive.  Snapshots, the small chunk/result headers and error replies are
+still pickled (ROADMAP direction 3); records and traces never are.
 """
 
 from __future__ import annotations
@@ -46,9 +42,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import logging
-import math
 import multiprocessing
-import os
 import pickle
 import random
 import socket
@@ -59,26 +53,10 @@ from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
 
-from repro.engine.backends import (
-    BatchedBackend,
-    ExecutionBackend,
-    LabelingJob,
-    SerialBackend,
-)
-from repro.engine.shm import (
-    decode_records,
-    decode_traces,
-    encode_records,
-    encode_traces,
-)
-from repro.engine.snapshot import (
-    WorldSnapshot,
-    capture_predictor,
-    restore_predictor,
-)
-from repro.scheduling.base import ScheduleTrace
+from repro.engine.sharded import ShardedBackend, run_chunk
+from repro.engine.snapshot import capture_predictor, restore_predictor
 from repro.scheduling.qgreedy import QValuePredictor
-from repro.zoo.oracle import GroundTruth, ItemRecord
+from repro.zoo.oracle import GroundTruth
 
 logger = logging.getLogger("repro.engine.cluster")
 
@@ -96,11 +74,11 @@ __all__ = [
 #: Frame header: payload length (u32), frame kind (u8), request id (i64).
 _HEADER = struct.Struct("!IBq")
 
-MSG_SNAPSHOT = 1  #: pickle((WorldSnapshot, vectorized)) -> OK
-MSG_CHUNK = 2  #: pickle((item_ids, spec, extras_kind, extras)) -> RESULT
+MSG_SNAPSHOT = 1  #: pickle(WorldSnapshot) -> OK
+MSG_CHUNK = 2  #: pickle((item_ids, spec, encode_records bytes)) -> RESULT
 MSG_REFRESH = 3  #: pickle(predictor payload tuple) -> OK
 REPLY_OK = 0x80
-REPLY_RESULT = 0x82
+REPLY_RESULT = 0x82  #: pickle((encode_traces bytes, seconds))
 REPLY_ERROR = 0x83  #: pickle(exception)
 
 
@@ -190,12 +168,11 @@ class HashRing:
 class _ConnectionState:
     """Per-connection world: each dispatcher ships its own snapshot."""
 
-    __slots__ = ("truth", "predictor", "vectorized")
+    __slots__ = ("truth", "predictor")
 
     def __init__(self):
         self.truth: GroundTruth | None = None
         self.predictor: QValuePredictor | None = None
-        self.vectorized = True
 
 
 class ClusterWorker:
@@ -291,9 +268,7 @@ class ClusterWorker:
         self, state: _ConnectionState, kind: int, body: bytes
     ) -> tuple[int, bytes]:
         if kind == MSG_SNAPSHOT:
-            snapshot, vectorized = pickle.loads(body)
-            state.truth, state.predictor = snapshot.restore()
-            state.vectorized = vectorized
+            state.truth, state.predictor = pickle.loads(body).restore()
             return REPLY_OK, b""
         if kind == MSG_REFRESH:
             if state.truth is None:
@@ -307,30 +282,13 @@ class ClusterWorker:
     def _run_chunk(self, state: _ConnectionState, body: bytes) -> bytes:
         if state.truth is None or state.predictor is None:
             raise RuntimeError("chunk received before a snapshot was shipped")
-        item_ids, spec, extras_kind, extras = pickle.loads(body)
-        truth = state.truth
-        if extras_kind == "codec":
-            records: list[ItemRecord] | tuple[ItemRecord, ...] = decode_records(
-                extras, truth.zoo
-            )
-        else:
-            records = extras
-        started = time.perf_counter()
-        added = truth.adopt(records)
-        try:
-            job = LabelingJob(truth=truth, item_ids=tuple(item_ids), spec=spec)
-            backend = BatchedBackend() if state.vectorized else SerialBackend()
-            traces = backend.run(job, state.predictor)
-        finally:
-            truth.release_many(added)
+        item_ids, spec, delta = pickle.loads(body)
+        shard, seconds = run_chunk(state.truth, state.predictor, item_ids, spec, delta)
         if self.delay_per_item:
-            time.sleep(self.delay_per_item * len(item_ids))
-        seconds = time.perf_counter() - started
-        try:
-            payload: tuple[str, object] = ("codec", encode_traces(traces))
-        except Exception:  # non-conforming trace subclass: pickle wins
-            payload = ("pickle", traces)
-        return pickle.dumps((*payload, seconds, os.getpid()))
+            delay = self.delay_per_item * len(item_ids)
+            time.sleep(delay)
+            seconds += delay
+        return pickle.dumps((shard, seconds))
 
 
 # -- dispatcher link ---------------------------------------------------------
@@ -518,25 +476,22 @@ def spawn_local_workers(
 # -- dispatcher backend ------------------------------------------------------
 
 
-class ClusterBackend(ExecutionBackend):
+class ClusterBackend(ShardedBackend):
     """Shard scheduling chunks over socket workers by consistent hashing.
 
-    The first :meth:`run` captures a :class:`WorldSnapshot`, connects to
-    every configured worker, and ships the snapshot once per worker;
-    later jobs against the same world reuse the live connections and
-    carry only post-snapshot records as per-chunk deltas (shm-codec
-    encoded where they conform, pickle otherwise).  Chunk->worker
-    assignment follows a :class:`HashRing`, so one worker's death moves
-    only its chunks: each failed chunk is re-dispatched to the next live
-    node on the ring and the job still returns serial-parity traces.
-    Dead workers are re-connected (and re-shipped a fresh snapshot) on
-    the next job; :meth:`refresh` hot-swaps predictor weights fleet-wide
-    without either.
-
-    Like :class:`ProcessPoolBackend`, the backend is world-affine:
-    switching worlds re-ships snapshots and is refused while other jobs
-    are in flight.  Unreachable workers at connect time are skipped with
-    a warning as long as one worker is live.
+    The protocol (snapshot once, chunk deltas, serial-parity traces,
+    world affinity) is :class:`~repro.engine.sharded.ShardedBackend`'s;
+    this class is the sockets.  The first job connects to every
+    configured worker and ships the snapshot once per connection; later
+    jobs against the same world reuse the live connections.
+    Chunk->worker assignment follows a :class:`HashRing`, so one worker's
+    death moves only its chunks: each failed chunk is re-dispatched to
+    the next live node on the ring and the job still returns
+    serial-parity traces.  Dead workers are re-connected (and re-shipped
+    a fresh snapshot) on the next job; :meth:`refresh` hot-swaps
+    predictor weights fleet-wide without either.  Unreachable workers at
+    connect time are skipped with a warning as long as one worker is
+    live.
 
     Parameters
     ----------
@@ -549,9 +504,6 @@ class ClusterBackend(ExecutionBackend):
     chunk_size:
         Items per dispatched chunk; default shards evenly across live
         workers.
-    vectorized:
-        Workers run the batched dispatch tick per chunk (default) or
-        the serial loop; traces are identical either way.
     connect_timeout:
         Seconds to wait per worker TCP connect before marking it
         unreachable.
@@ -572,15 +524,11 @@ class ClusterBackend(ExecutionBackend):
 
     name = "cluster"
 
-    #: EWMA smoothing for worker-reported per-item scheduling seconds.
-    EWMA_ALPHA = 0.3
-
     def __init__(
         self,
         workers: tuple[str, ...] | list[str] = (),
         local_workers: int | None = None,
         chunk_size: int | None = None,
-        vectorized: bool = True,
         connect_timeout: float = 10.0,
         connect_attempts: int = 3,
         connect_backoff: float = 0.2,
@@ -588,6 +536,42 @@ class ClusterBackend(ExecutionBackend):
         mp_context=None,
     ):
         workers = tuple(workers)
+        self.check_fields(
+            workers=workers,
+            local_workers=local_workers,
+            chunk_size=chunk_size,
+            connect_timeout=connect_timeout,
+            connect_attempts=connect_attempts,
+            connect_backoff=connect_backoff,
+            replicas=replicas,
+        )
+        super().__init__(chunk_size)
+        self.workers = workers
+        self.local_workers = local_workers
+        self.connect_timeout = connect_timeout
+        self.connect_attempts = connect_attempts
+        self.connect_backoff = connect_backoff
+        self.replicas = replicas
+        self.mp_context = mp_context
+        self._links: dict[str, _Link] = {}
+        self._fleet: LocalWorkerFleet | None = None
+        self._ring: HashRing | None = None
+        self._snapshot_ships: Counter = Counter()
+        self._redispatched: Counter = Counter()
+        self._refreshes = 0
+
+    @staticmethod
+    def check_fields(
+        *,
+        workers: tuple[str, ...],
+        local_workers: int | None,
+        chunk_size: int | None,
+        connect_timeout: float,
+        connect_attempts: int,
+        connect_backoff: float,
+        replicas: int,
+        **unchecked,
+    ) -> None:
         for address in workers:
             _parse_address(address)
         if local_workers is not None and local_workers < 1:
@@ -597,8 +581,7 @@ class ClusterBackend(ExecutionBackend):
                 "cluster backend needs workers: pass workers=('host:port', ...) "
                 "and/or local_workers=N"
             )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+        ShardedBackend.check_fields(chunk_size=chunk_size)
         if connect_timeout <= 0:
             raise ValueError("connect_timeout must be positive")
         if connect_attempts < 1:
@@ -607,86 +590,26 @@ class ClusterBackend(ExecutionBackend):
             raise ValueError("connect_backoff must be >= 0")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        self.workers = workers
-        self.local_workers = local_workers
-        self.chunk_size = chunk_size
-        self.vectorized = vectorized
-        self.connect_timeout = connect_timeout
-        self.connect_attempts = connect_attempts
-        self.connect_backoff = connect_backoff
-        self.replicas = replicas
-        self.mp_context = mp_context
-        self._lock = threading.Lock()
-        self._links: dict[str, _Link] = {}
-        self._fleet: LocalWorkerFleet | None = None
-        self._ring: HashRing | None = None
-        self._snapshot: WorldSnapshot | None = None
-        #: Strong refs backing the identity key so ids cannot be recycled.
-        self._world: tuple | None = None
-        self._world_key: tuple | None = None
-        self._shipped_ids: frozenset[str] = frozenset()
-        self._active = 0
-        self._dispatch: Counter = Counter()
-        self._snapshot_ships: Counter = Counter()
-        self._redispatched: Counter = Counter()
-        self._refreshes = 0
-        self._chunk_count = 0
-        self._chunk_items = 0
-        self._chunk_seconds = 0.0
-        self._ewma_item_s: float | None = None
-        self._last_chunk_size: int | None = None
-        self._transport_counts: Counter = Counter()
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         """Disconnect every worker and stop the owned local fleet."""
         with self._lock:
-            for link in self._links.values():
-                link.close()
-            self._links = {}
+            self._disconnect()
+            self._forget_world()
             self._ring = None
-            self._snapshot = None
-            self._world = None
-            self._world_key = None
-            self._shipped_ids = frozenset()
             fleet, self._fleet = self._fleet, None
         if fleet is not None:
             fleet.close()
 
-    def __enter__(self) -> "ClusterBackend":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # -- telemetry -----------------------------------------------------------
-
-    @property
-    def dispatch_counts(self) -> dict[str, int]:
-        """Items scheduled per worker address, cumulative across jobs."""
-        with self._lock:
-            return dict(self._dispatch)
-
-    @property
-    def chunk_stats(self) -> dict:
-        """Per-chunk telemetry, shaped like ProcessPoolBackend's."""
-        with self._lock:
-            return {
-                "chunks": self._chunk_count,
-                "items": self._chunk_items,
-                "seconds": self._chunk_seconds,
-                "ewma_item_s": self._ewma_item_s,
-                "last_chunk_size": self._last_chunk_size,
-                "transport": dict(self._transport_counts),
-            }
 
     @property
     def cluster_stats(self) -> dict:
         """Cluster health: per-worker liveness, ships, re-dispatches."""
         with self._lock:
-            fleet = self._fleet.addresses if self._fleet is not None else ()
-            addresses = dict.fromkeys(self.workers + tuple(fleet))
+            addresses = dict.fromkeys(self._addresses())
             for address in self._links:
                 addresses.setdefault(address)
             return {
@@ -739,7 +662,7 @@ class ClusterBackend(ExecutionBackend):
             self._refreshes += 1
             return updated
 
-    # -- internals -----------------------------------------------------------
+    # -- transport hooks -----------------------------------------------------
 
     def _addresses(self) -> tuple[str, ...]:
         fleet = self._fleet.addresses if self._fleet is not None else ()
@@ -772,106 +695,54 @@ class ClusterBackend(ExecutionBackend):
                 delay *= 2
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _ensure_cluster(
-        self, truth: GroundTruth, predictor: QValuePredictor
-    ) -> tuple[dict[str, _Link], frozenset[str], HashRing]:
-        """Live links for this world; (re)connects and ships snapshots.
+    def _connect(self) -> tuple[tuple[dict[str, _Link], HashRing], int]:
+        """Live links for the snapshot; (re)dials and ships where needed.
 
-        Mirrors ``ProcessPoolBackend._ensure_pool``: the world key is
-        object identity of zoo and predictor plus the config, switching
-        worlds while jobs are in flight raises (world-affinity), and a
-        matching world reuses every live connection.  Unlike the pool,
-        partial presence is fine — dead or unreachable workers are
+        Partial presence is fine — dead or unreachable workers are
         skipped (and retried next job) as long as one link is live.
         """
-        key = (id(truth.zoo), id(predictor), truth.config)
-        with self._lock:
-            world_changed = self._world_key != key
-            if world_changed and self._active > 0:
-                raise RuntimeError(
-                    "ClusterBackend is world-affine: cannot switch to a "
-                    "different zoo/predictor while another job is in flight; "
-                    "use one backend per world for concurrent use"
+        if self._fleet is None and self.local_workers:
+            self._fleet = spawn_local_workers(
+                self.local_workers, mp_context=self.mp_context
+            )
+        addresses = self._addresses()
+        if self._ring is None:
+            self._ring = HashRing(addresses, self.replicas)
+        snapshot_body = None
+        for address in addresses:
+            link = self._links.get(address)
+            if link is not None and not link.dead:
+                continue
+            if snapshot_body is None:
+                snapshot_body = pickle.dumps(self._snapshot)
+            try:
+                link = self._dial(address)
+                link.call(MSG_SNAPSHOT, snapshot_body)
+            except (OSError, WorkerDied) as exc:
+                logger.warning(
+                    "cluster worker %s unreachable, skipping: %s",
+                    address,
+                    exc,
                 )
-            if self._fleet is None and self.local_workers:
-                self._fleet = spawn_local_workers(
-                    self.local_workers, mp_context=self.mp_context
-                )
-            addresses = self._addresses()
-            if self._ring is None:
-                self._ring = HashRing(addresses, self.replicas)
-            if world_changed:
-                self._snapshot = WorldSnapshot.capture(truth, predictor)
-                self._world = (truth.zoo, predictor)
-                self._world_key = key
-                self._shipped_ids = self._snapshot.item_ids
-                for link in self._links.values():
-                    link.close()
-                self._links = {}
-            snapshot_body = None
-            for address in addresses:
-                link = self._links.get(address)
-                if link is not None and not link.dead:
-                    continue
-                if snapshot_body is None:
-                    snapshot_body = pickle.dumps(
-                        (self._snapshot, self.vectorized)
-                    )
-                try:
-                    link = self._dial(address)
-                    link.call(MSG_SNAPSHOT, snapshot_body)
-                except (OSError, WorkerDied) as exc:
-                    logger.warning(
-                        "cluster worker %s unreachable, skipping: %s",
-                        address,
-                        exc,
-                    )
-                    self._links.pop(address, None)
-                    continue
-                self._links[address] = link
-                self._snapshot_ships[address] += 1
-            live = {a: ln for a, ln in self._links.items() if not ln.dead}
-            if not live:
-                raise RuntimeError(
-                    f"no live cluster workers reachable among {addresses}"
-                )
-            self._active += 1
-            return live, self._shipped_ids, self._ring
+                self._links.pop(address, None)
+                continue
+            self._links[address] = link
+            self._snapshot_ships[address] += 1
+        live = {a: ln for a, ln in self._links.items() if not ln.dead}
+        if not live:
+            raise RuntimeError(f"no live cluster workers reachable among {addresses}")
+        return (live, self._ring), len(live)
 
-    def _chunks(self, item_ids: tuple[str, ...], n_live: int):
-        size = self.chunk_size
-        if size is None:
-            size = max(1, math.ceil(len(item_ids) / max(n_live, 1)))
-        with self._lock:
-            self._last_chunk_size = size
-        return [
-            item_ids[start : start + size]
-            for start in range(0, len(item_ids), size)
-        ]
-
-    def _chunk_body(
-        self, job: LabelingJob, chunk: tuple[str, ...], shipped: frozenset[str]
-    ) -> bytes:
-        extras = tuple(
-            job.truth.record(item_id)
-            for item_id in chunk
-            if item_id not in shipped
-        )
-        extras_kind, payload = "pickle", extras
-        if extras:
-            encoded = encode_records(list(extras))
-            if encoded is not None:
-                extras_kind, payload = "codec", encoded
-            with self._lock:
-                self._transport_counts[f"delta_{extras_kind}"] += 1
-        return pickle.dumps((chunk, job.spec, extras_kind, payload))
+    def _disconnect(self) -> None:
+        for link in self._links.values():
+            link.close()
+        self._links = {}
 
     def _dispatch_chunk(
         self,
         links: dict[str, _Link],
         ring: HashRing,
-        index: int,
-        chunk: tuple[str, ...],
+        key: str,
         body: bytes,
         redispatch_from: str | None = None,
     ) -> tuple[str, Future]:
@@ -890,87 +761,45 @@ class ClusterBackend(ExecutionBackend):
                 raise RuntimeError(
                     "all cluster workers died mid-job; re-run to reconnect"
                 )
-            address = ring.lookup(f"{chunk[0]}#{index}", exclude=dead)
+            address = ring.lookup(key, exclude=dead)
             try:
                 return address, links[address].request(MSG_CHUNK, body)
             except WorkerDied:
                 logger.warning(
-                    "cluster worker %s died at dispatch; re-routing chunk %d",
+                    "cluster worker %s died at dispatch; re-routing chunk %s",
                     address,
-                    index,
+                    key,
                 )
                 with self._lock:
                     self._redispatched[address] += 1
 
-    def _decode_result(
-        self, body: bytes, chunk: tuple[str, ...], truth: GroundTruth
-    ) -> tuple[list[ScheduleTrace], float]:
-        kind, payload, seconds, _pid = pickle.loads(body)
-        with self._lock:
-            self._transport_counts[f"result_{kind}"] += 1
-        if kind == "codec":
-            return decode_traces(payload, list(chunk), truth.zoo.names), seconds
-        return payload, seconds
-
-    def _observe_chunk(self, items: int, seconds: float) -> None:
-        self._chunk_count += 1
-        self._chunk_items += items
-        self._chunk_seconds += seconds
-        per_item = seconds / max(items, 1)
-        if self._ewma_item_s is None:
-            self._ewma_item_s = per_item
-        else:
-            self._ewma_item_s += self.EWMA_ALPHA * (per_item - self._ewma_item_s)
-
-    def run(
-        self, job: LabelingJob, predictor: QValuePredictor
-    ) -> list[ScheduleTrace]:
-        if len(job.item_ids) <= 1:
-            # Not worth a network round-trip; counted under "local" so
-            # per-worker telemetry still accounts for every item.
-            with self._lock:
-                self._dispatch["local"] += len(job.item_ids)
-            return SerialBackend().run(job, predictor)
-        links, shipped, ring = self._ensure_cluster(job.truth, predictor)
-        try:
-            chunks = self._chunks(job.item_ids, len(links))
-            bodies = [self._chunk_body(job, chunk, shipped) for chunk in chunks]
-            pending: list[tuple[str, Future]] = [
-                self._dispatch_chunk(links, ring, index, chunk, body)
-                for index, (chunk, body) in enumerate(zip(chunks, bodies))
-            ]
-            traces: list[ScheduleTrace] = []
-            for index, chunk in enumerate(chunks):
-                while True:
-                    address, future = pending[index]
-                    try:
-                        _kind, body = future.result()
-                        break
-                    except WorkerDied:
-                        # Only this worker's chunks move: re-dispatch to
-                        # the next live ring node and keep waiting.
-                        logger.warning(
-                            "cluster worker %s died mid-chunk; "
-                            "re-dispatching chunk %d",
-                            address,
-                            index,
-                        )
-                        pending[index] = self._dispatch_chunk(
-                            links,
-                            ring,
-                            index,
-                            chunk,
-                            bodies[index],
-                            redispatch_from=address,
-                        )
-                chunk_traces, seconds = self._decode_result(
-                    body, chunk, job.truth
-                )
-                with self._lock:
-                    self._dispatch[address] += len(chunk_traces)
-                    self._observe_chunk(len(chunk), seconds)
-                traces.extend(chunk_traces)
-            return traces
-        finally:
-            with self._lock:
-                self._active -= 1
+    def _exchange(self, session, shards, spec, deliver) -> None:
+        links, ring = session
+        #: (ring key, frame body, owner address, reply future) per chunk;
+        #: the body is kept so a dead worker's chunk can be sent again.
+        sent: list[tuple[str, bytes, str, Future]] = []
+        for index, (chunk, delta) in enumerate(shards):
+            if delta:
+                self._carried("delta", "frame")
+            key = f"{chunk[0]}#{index}"
+            body = pickle.dumps((chunk, spec, delta))
+            sent.append((key, body, *self._dispatch_chunk(links, ring, key, body)))
+        for index, (key, body, address, future) in enumerate(sent):
+            while True:
+                try:
+                    _kind, reply = future.result()
+                    break
+                except WorkerDied:
+                    # Only this worker's chunks move: re-dispatch to the
+                    # next live ring node and keep waiting.
+                    logger.warning(
+                        "cluster worker %s died mid-chunk; re-dispatching chunk %s",
+                        address,
+                        key,
+                    )
+                    address, future = self._dispatch_chunk(
+                        links, ring, key, body, redispatch_from=address
+                    )
+            shard, seconds = pickle.loads(reply)
+            self._carried("result", "frame")
+            deliver(index, address, shard, seconds)

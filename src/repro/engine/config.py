@@ -3,9 +3,10 @@
 One frozen config dataclass per backend is the only way to parameterize
 one:
 
-* every field is validated eagerly in ``__post_init__``, so a bad
-  worker count or a malformed ``host:port`` fails at *config* time, not
-  first-job time;
+* every field is validated eagerly in ``__post_init__`` — by the backend
+  class's own ``check_fields``, the same gate its constructor calls — so
+  a bad worker count or a malformed ``host:port`` fails at *config* time,
+  not first-job time;
 * :data:`BACKEND_REGISTRY` maps each registry name to its
   ``(backend class, config class)`` pair, so tooling can introspect
   what a backend accepts without constructing one;
@@ -23,13 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
-from repro.engine.backends import (
-    BatchedBackend,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
-from repro.engine.cluster import ClusterBackend, _parse_address
+from repro.engine.backends import BatchedBackend, ExecutionBackend, SerialBackend
+from repro.engine.cluster import ClusterBackend
+from repro.engine.process import ProcessPoolBackend
 
 __all__ = [
     "BACKEND_REGISTRY",
@@ -51,10 +48,15 @@ class BackendConfig:
     #: The backend class :meth:`build` constructs.
     backend_cls: ClassVar[type[ExecutionBackend]]
 
+    def __post_init__(self):
+        self.backend_cls.check_fields(**self._kwargs())
+
+    def _kwargs(self) -> dict:
+        return {field.name: getattr(self, field.name) for field in fields(self)}
+
     def build(self) -> ExecutionBackend:
         """Construct the configured backend instance."""
-        kwargs = {field.name: getattr(self, field.name) for field in fields(self)}
-        return self.backend_cls(**kwargs)
+        return self.backend_cls(**self._kwargs())
 
     @staticmethod
     def resolve(name: str) -> "BackendConfig":
@@ -94,27 +96,8 @@ class ProcessConfig(BackendConfig):
     max_workers: int | None = None
     chunk_size: int | None = None
     mp_context: object = None
-    vectorized: bool = True
-    transport: str = "shm"
-    target_chunk_s: float | None = None
     ring_slots: int | None = None
     slot_bytes: int = 1 << 20
-
-    def __post_init__(self):
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.transport not in ("shm", "pickle"):
-            raise ValueError(
-                f"transport must be 'shm' or 'pickle', got {self.transport!r}"
-            )
-        if self.target_chunk_s is not None and self.target_chunk_s <= 0:
-            raise ValueError("target_chunk_s must be positive")
-        if self.ring_slots is not None and self.ring_slots < 1:
-            raise ValueError("ring_slots must be >= 1")
-        if self.slot_bytes < 1:
-            raise ValueError("slot_bytes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -131,7 +114,6 @@ class ClusterConfig(BackendConfig):
     workers: tuple[str, ...] = ()
     local_workers: int | None = None
     chunk_size: int | None = None
-    vectorized: bool = True
     connect_timeout: float = 10.0
     connect_attempts: int = 3
     connect_backoff: float = 0.2
@@ -140,25 +122,7 @@ class ClusterConfig(BackendConfig):
 
     def __post_init__(self):
         object.__setattr__(self, "workers", tuple(self.workers))
-        for address in self.workers:
-            _parse_address(address)
-        if self.local_workers is not None and self.local_workers < 1:
-            raise ValueError("local_workers must be >= 1")
-        if not self.workers and not self.local_workers:
-            raise ValueError(
-                "cluster backend needs workers: pass workers=('host:port', ...) "
-                "and/or local_workers=N"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.connect_timeout <= 0:
-            raise ValueError("connect_timeout must be positive")
-        if self.connect_attempts < 1:
-            raise ValueError("connect_attempts must be >= 1")
-        if self.connect_backoff < 0:
-            raise ValueError("connect_backoff must be >= 0")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
+        super().__post_init__()
 
 
 #: Name -> (backend class, config class), for config/CLI construction.

@@ -1,43 +1,46 @@
-"""Zero-copy shared-memory transport for multi-process scheduling.
+"""Shared-memory rings and the fixed-dtype codecs every transport carries.
 
-The :class:`~repro.engine.backends.ProcessPoolBackend` ships two payload
-kinds between the parent and its workers: *chunk deltas* (the
+The :mod:`repro.engine.sharded` protocol ships two payload kinds between
+a dispatcher and its workers: *chunk deltas* (the
 :class:`~repro.zoo.oracle.ItemRecord` shards recorded after the worker's
 world snapshot) going down, and *trace shards*
 (:class:`~repro.scheduling.base.ScheduleTrace` lists) coming back.  Both
-are numeric at heart — id/conf arrays, per-execution rows — yet the
-pickle path copies them twice per hop (serialize + deserialize) and once
-more through the pipe.  This module keeps those payloads in
-:mod:`multiprocessing.shared_memory` instead:
+are numeric at heart — id/conf arrays, per-execution rows — so they
+travel in compact fixed-dtype layouts, never as pickled objects:
 
-* :class:`SlotRing` — one shared block divided into fixed-size slots
-  with a byte of state each.  The parent creates a *delta* ring it
+* :func:`encode_records` / :func:`decode_records` — the *scheduling
+  surface* of an :class:`ItemRecord`: its valuable offsets/ids/confs
+  columns, written with ``tobytes`` on the arrays the record already
+  holds.  Decoding builds numpy views directly into the buffer — no
+  per-array copies — with stub item content; aggregates (solo values,
+  best confidences, total value) are derived from the columns on first
+  read.  Workers only schedule against the record cache, they never
+  execute models on shipped items.
+* :func:`encode_traces` / :func:`decode_traces` — per-trace headers plus
+  one structured row per execution.
+* :class:`SlotRing` — the process pool's carrier: one
+  :mod:`multiprocessing.shared_memory` block divided into fixed-size
+  slots with a byte of state each.  The parent creates a *delta* ring it
   writes and workers read, and a *result* ring workers write and the
   parent reads.  Only a tiny ``(slot, length)`` descriptor crosses the
   pipe; the payload itself is written once and read in place.
-* :func:`encode_records` / :func:`decode_records` — a compact
-  fixed-dtype layout for the *scheduling surface* of an
-  :class:`ItemRecord`: its valuable offsets/ids/confs columns, written
-  with ``tobytes`` on the arrays the record already holds.  Decoding
-  builds numpy views directly into the shared block — no per-array
-  copies — with stub item content; aggregates (solo values, best
-  confidences, total value) are derived from the columns on first read.
-  Workers only schedule against the record cache, they never execute
-  models on shipped items.
-* :func:`encode_traces` / :func:`decode_traces` — per-trace headers plus
-  one structured row per execution.
 
-Fallback contract: :func:`encode_records` returns ``None`` whenever a
-record is not a plain :class:`ItemRecord` (custom zoos may subclass it
-with extra state the layout cannot carry), and the backend falls back to
-pickle for that chunk — likewise when a payload outgrows its slot or the
-ring is momentarily full.  Correctness never depends on the fast path.
+Carrier contract: there is one encoding and no second serialization to
+fall back to.  :func:`encode_records` refuses, with ``TypeError``, a
+record that is not a plain :class:`ItemRecord` (a custom zoo may subclass
+it with state the layout cannot carry) or a shard of inconsistent shape.
+What varies is only how the encoded bytes travel — a ring slot, inline
+through the executor pipe when a payload outgrows its slot or the ring
+is momentarily full, a TCP frame on the cluster — and the decoders
+bounds-check everything they are handed, because on the cluster those
+bytes come off a socket.
 
 Lifetime contract: arrays produced by :func:`decode_records` alias the
-shared block, so they are valid only while the producing slot is held.
-The backend holds each delta slot until the chunk's future completes and
-workers copy nothing — adopted records live exactly as long as the chunk
-that shipped them (the worker releases them afterwards).
+buffer they were decoded from, so on the ring they are valid only while
+the producing slot is held.  The backend holds each delta slot until the
+chunk's future completes and workers copy nothing — adopted records live
+exactly as long as the chunk that shipped them (the worker releases them
+afterwards).
 """
 
 from __future__ import annotations
@@ -162,9 +165,12 @@ class SlotRing:
     def acquire(self) -> int | None:
         """Claim the next free slot, or ``None`` when the ring is full.
 
-        Callers must hold the ring's external acquirer lock.
+        Callers must hold the ring's external acquirer lock.  A closed
+        ring reads as full (the teardown race :meth:`release` tolerates).
         """
         buf = self._shm.buf
+        if buf is None:
+            return None
         start = self._hint() % self.slots
         for step in range(self.slots):
             slot = (start + step) % self.slots
@@ -259,11 +265,12 @@ _ITEM_HEAD = struct.Struct("<QQ")
 
 
 def encode_records(records: list[ItemRecord]) -> bytes | None:
-    """Pack records' scheduling surface; ``None`` when they don't conform.
+    """Pack records' scheduling surface (``None`` for an empty shard).
 
-    Non-conforming means any record is not a plain :class:`ItemRecord`
-    (a custom zoo may subclass it with state this layout cannot carry)
-    or the shard is inconsistent in shape; callers fall back to pickle.
+    Raises ``TypeError`` when any record is not a plain
+    :class:`ItemRecord` (a custom zoo may subclass it with state this
+    layout cannot carry) or the shard is inconsistent in shape: there is
+    no other encoding to fall back to.
     """
     if not records:
         return None
@@ -271,12 +278,16 @@ def encode_records(records: list[ItemRecord]) -> bytes | None:
     n_labels = records[0].n_labels
     parts: list[bytes] = [_SHARD_HEAD.pack(len(records), n_models, n_labels)]
     for record in records:
-        if (
-            type(record) is not ItemRecord
-            or record.n_models != n_models
-            or record.n_labels != n_labels
-        ):
-            return None
+        if type(record) is not ItemRecord:
+            raise TypeError(
+                f"cannot encode {type(record).__name__}: only plain ItemRecord "
+                "has a wire layout"
+            )
+        if record.n_models != n_models or record.n_labels != n_labels:
+            raise TypeError(
+                f"record {record.item.item_id!r} is {record.n_models} models x "
+                f"{record.n_labels} labels in a shard of {n_models} x {n_labels}"
+            )
         id_bytes = record.item.item_id.encode("utf-8")
         pad = -len(id_bytes) % 8
         offsets, ids, confs = record.valuable_columns
@@ -395,24 +406,53 @@ def encode_traces(traces: list[ScheduleTrace]) -> bytes:
 def decode_traces(
     buf, item_ids: list[str], model_names: tuple[str, ...]
 ) -> list[ScheduleTrace]:
-    """Rebuild traces, pairing them positionally with ``item_ids``."""
+    """Rebuild traces, pairing them positionally with ``item_ids``.
+
+    Like :func:`decode_records`, trusts nothing it is handed: the header,
+    every execution count, the row block and every model index are
+    checked against the buffer and the zoo first, so a truncated or
+    corrupted shard raises ``ValueError`` naming the offending field
+    instead of decoding to a wrong trace.
+    """
+    size = len(buf)
+    if size < 8:
+        raise ValueError(f"trace shard of {size} bytes has no header")
     (n,) = struct.unpack_from("<Q", buf, 0)
     if n != len(item_ids):
         raise ValueError(
             f"shard holds {n} traces but {len(item_ids)} item ids were given"
         )
     offset = 8
+    if offset + n * TRACE_HEAD_DTYPE.itemsize > size:
+        raise ValueError(f"trace shard of {size} bytes is too short for {n} headers")
     heads = np.frombuffer(buf, dtype=TRACE_HEAD_DTYPE, count=n, offset=offset)
     offset += heads.nbytes
-    total_rows = int(heads["n_exec"].sum())
+    n_exec = heads["n_exec"]
+    room = (size - offset) // EXEC_DTYPE.itemsize
+    if n and (n_exec.min() < 0 or n_exec.max() > room):
+        raise ValueError(
+            f"trace shard declares n_exec in [{n_exec.min()}, {n_exec.max()}] "
+            f"with room for {room} execution rows"
+        )
+    total_rows = int(n_exec.sum())
+    if total_rows > room:
+        raise ValueError(
+            f"trace shard declares {total_rows} execution rows with room for {room}"
+        )
     rows = np.frombuffer(buf, dtype=EXEC_DTYPE, count=total_rows, offset=offset)
+    models = rows["model"]
+    if total_rows and (models.min() < 0 or models.max() >= len(model_names)):
+        raise ValueError(
+            f"trace shard names model in [{models.min()}, {models.max()}] but "
+            f"the zoo has {len(model_names)} models"
+        )
     traces: list[ScheduleTrace] = []
     cursor = 0
     for i, item_id in enumerate(item_ids):
         trace = ScheduleTrace(
             item_id=item_id, total_value=float(heads["total"][i])
         )
-        for _ in range(int(heads["n_exec"][i])):
+        for _ in range(int(n_exec[i])):
             row = rows[cursor]
             cursor += 1
             model_index = int(row["model"])

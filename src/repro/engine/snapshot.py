@@ -14,8 +14,7 @@ spec — into worker processes.  Shipping it naively (re-pickling the full
 * **recorded item shards** — the parent's :class:`ItemRecord` values at
   capture time, adopted into each worker's own
   :class:`~repro.zoo.oracle.GroundTruth` (items recorded *after* capture
-  travel as small per-chunk deltas, see
-  :class:`~repro.engine.backends.ProcessPoolBackend`);
+  travel as small per-chunk deltas, see :mod:`repro.engine.sharded`);
 * **the predictor** — an :class:`~repro.scheduling.qgreedy.AgentPredictor`
   is reduced to ``(algo, dims, state_dict)`` and rebuilt with
   :func:`~repro.rl.agents.make_agent` + ``load_state_dict``; an

@@ -151,12 +151,6 @@ def service_families(service) -> list[MetricFamily]:
                 (({}, stats["seconds"]),),
             ),
             MetricFamily(
-                "repro_backend_ewma_item_seconds",
-                "gauge",
-                "EWMA per-item scheduling seconds driving chunk sizing",
-                (({}, stats["ewma_item_s"] or 0.0),),
-            ),
-            MetricFamily(
                 "repro_backend_last_chunk_size",
                 "gauge",
                 "Chunk size the most recent job sharded with",
@@ -165,7 +159,7 @@ def service_families(service) -> list[MetricFamily]:
             MetricFamily(
                 "repro_backend_transport_total",
                 "counter",
-                "Chunk payloads by transport path (shm fast path vs pickle)",
+                "Chunk payloads by direction and carrier (shm slot, inline, frame)",
                 tuple(
                     ({"path": path}, count)
                     for path, count in stats["transport"].items()

@@ -220,9 +220,9 @@ class LabelingService:
         config — on that backend instead of mutating the caller's engine.
         With ``backend="process"`` the scheduling phase runs in worker
         *processes* (escaping the GIL) — each worker runs the vectorized
-        dispatch tick over its chunk and payloads travel through
-        shared-memory rings instead of pickle — while the queue, result
-        cache, and shared-truth refcounting stay in this parent process.
+        dispatch tick over its chunk and the encoded payloads travel
+        through shared-memory rings — while the queue, result cache, and
+        shared-truth refcounting stay in this parent process.
         With ``backend=ClusterConfig(workers=..., ...)`` scheduling is
         sharded over socket workers that may live on other hosts.  A
         backend the service constructed itself (from a name or config)

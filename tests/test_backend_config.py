@@ -57,8 +57,8 @@ class TestValidation:
         [
             ({"max_workers": 0}, "max_workers"),
             ({"chunk_size": 0}, "chunk_size"),
-            ({"transport": "carrier-pigeon"}, "transport"),
-            ({"target_chunk_s": 0.0}, "target_chunk_s"),
+            ({"max_workers": -2}, "max_workers"),
+            ({"chunk_size": -1}, "chunk_size"),
             ({"ring_slots": 0}, "ring_slots"),
             ({"slot_bytes": 0}, "slot_bytes"),
         ],
@@ -86,6 +86,52 @@ class TestValidation:
     def test_cluster_normalizes_workers_to_tuple(self):
         config = ClusterConfig(workers=["a:1", "b:2"])
         assert config.workers == ("a:1", "b:2")
+
+    def test_config_and_constructor_share_one_gate(self):
+        # Both entry points fail eagerly, with the same message, because
+        # both call the backend class's check_fields.
+        for config_cls, kwargs in (
+            (ProcessConfig, {"slot_bytes": 0}),
+            (ClusterConfig, {"local_workers": 2, "connect_backoff": -1.0}),
+        ):
+            with pytest.raises(ValueError) as from_config:
+                config_cls(**kwargs)
+            with pytest.raises(ValueError) as from_constructor:
+                config_cls.backend_cls(**kwargs)
+            assert str(from_config.value) == str(from_constructor.value)
+
+
+class TestRemovedSpellings:
+    """Options no caller selected are gone, not deprecated."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ProcessConfig(transport="pickle"),
+            lambda: ProcessConfig(target_chunk_s=0.01),
+            lambda: ProcessPoolBackend(vectorized=False),
+            lambda: ClusterConfig(local_workers=2, vectorized=False),
+        ],
+        ids=[
+            "ProcessConfig-transport",
+            "ProcessConfig-target_chunk_s",
+            "ProcessPoolBackend-vectorized",
+            "ClusterConfig-vectorized",
+        ],
+    )
+    def test_removed_backend_option_is_a_type_error(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            build()
+
+    def test_config_fields_are_exactly_the_constructor_surface(self):
+        assert [f.name for f in dataclasses.fields(ProcessConfig)] == [
+            "max_workers",
+            "chunk_size",
+            "mp_context",
+            "ring_slots",
+            "slot_bytes",
+        ]
+        assert "vectorized" not in {f.name for f in dataclasses.fields(ClusterConfig)}
 
 
 class TestResolution:

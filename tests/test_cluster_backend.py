@@ -11,7 +11,6 @@ import multiprocessing
 import os
 import threading
 
-import numpy as np
 import pytest
 
 from repro.engine import (
@@ -23,14 +22,9 @@ from repro.engine import (
     spawn_local_workers,
 )
 from repro.engine.cluster import HashRing, _parse_address
-from repro.scheduling.qgreedy import (
-    AgentPredictor,
-    OraclePredictor,
-    QValuePredictor,
-)
+from repro.scheduling.qgreedy import AgentPredictor
 from repro.serving import LabelingService
-from repro.spec import LabelingSpec
-from repro.zoo.oracle import GroundTruth
+from sharded_contract import ShardedContract, assert_parity
 
 
 @pytest.fixture(scope="module")
@@ -61,36 +55,6 @@ def mp_ctx():
     """The ``REPRO_MP_CONTEXT`` multiprocessing context override, if any."""
     method = os.environ.get("REPRO_MP_CONTEXT")
     return multiprocessing.get_context(method) if method else None
-
-
-def assert_parity(got, ref):
-    assert len(got) == len(ref)
-    for r, g in zip(ref, got):
-        assert g.item_id == r.item_id
-        assert g.trace.executions == r.trace.executions
-        assert g.trace.total_value == r.trace.total_value
-
-
-#: All three paper regimes plus the capped q-greedy variant.
-REGIMES = (
-    LabelingSpec(),
-    LabelingSpec(max_models=4),
-    LabelingSpec(deadline=0.35),
-    LabelingSpec(deadline=0.5, memory_budget=8000.0),
-)
-
-
-class PoisonPredictor(QValuePredictor):
-    """Picklable predictor that raises on one designated item."""
-
-    def __init__(self, n_models: int, poison: str | None = None):
-        self.n_models = n_models
-        self.poison = poison
-
-    def predict(self, state):
-        if state.item_id == self.poison:
-            raise RuntimeError(f"poisoned item {state.item_id}")
-        return np.zeros(self.n_models)
 
 
 class TestHashRing:
@@ -141,99 +105,43 @@ class TestAddresses:
             ClusterBackend()
 
 
-class TestClusterParity:
+class TestClusterParity(ShardedContract):
     """Cluster traces must equal SerialBackend's for every sharding."""
 
     @pytest.mark.parametrize(
-        "n_workers,chunk_size,vectorized",
-        [(1, None, True), (3, None, True), (3, 2, True), (2, 5, False)],
-        ids=["w1", "w3", "w3-chunk2", "w2-chunk5-loop"],
+        "n_workers,chunk_size",
+        [(1, None), (3, None), (3, 1), (3, 2), (3, 3), (2, 5)],
+        ids=["w1", "w3", "w3-chunk1", "w3-chunk2", "w3-chunk3", "w2-chunk5"],
     )
     def test_trace_identical_to_serial_all_regimes(
-        self,
-        zoo,
-        world_config,
-        predictor,
-        truth,
-        items,
-        inproc_addresses,
-        n_workers,
-        chunk_size,
-        vectorized,
+        self, inproc_addresses, n_workers, chunk_size
     ):
-        serial = engine_for(zoo, predictor, world_config, "serial")
-        backend = ClusterBackend(
-            workers=inproc_addresses[:n_workers],
-            chunk_size=chunk_size,
-            vectorized=vectorized,
+        self.check_serial_parity(
+            ClusterBackend(workers=inproc_addresses[:n_workers], chunk_size=chunk_size)
         )
-        with backend:
-            cluster = engine_for(zoo, predictor, world_config, backend)
-            for regime in REGIMES:
-                ref = serial.label_batch(items, regime, truth=truth)
-                got = cluster.label_batch(items, regime, truth=truth)
-                assert_parity(got, ref)
 
-    def test_post_snapshot_records_ship_as_chunk_deltas(
-        self, zoo, world_config, predictor, truth, items, inproc_addresses
-    ):
-        # The snapshot is captured at the first job, so a later job over
-        # items the snapshot never saw must carry their records with each
-        # chunk — and still match the serial run (the world is
-        # deterministic per item id).
-        ref = engine_for(zoo, predictor, world_config, "serial").label_batch(
-            items, truth=truth
+    def test_post_snapshot_records_ship_as_chunk_deltas(self, inproc_addresses):
+        self.check_post_snapshot_records_ship_as_deltas(
+            ClusterBackend(workers=inproc_addresses[:2])
         )
-        shared = GroundTruth(zoo, [], world_config)
-        with ClusterBackend(workers=inproc_addresses[:2]) as backend:
-            engine = engine_for(zoo, predictor, world_config, backend)
-            first = engine.label_batch(items[:6], truth=shared)
-            second = engine.label_batch(items[6:], truth=shared)
-            transport = backend.chunk_stats["transport"]
-        for r, g in zip(ref, first + second):
-            assert g.trace.executions == r.trace.executions
-        deltas = transport.get("delta_codec", 0) + transport.get("delta_pickle", 0)
-        assert deltas > 0  # the post-snapshot records actually shipped
 
-    def test_oracle_predictor_crosses_the_wire(
-        self, zoo, world_config, truth, items, inproc_addresses
-    ):
-        oracle = OraclePredictor(truth)
-        ref = engine_for(zoo, oracle, world_config, "serial").label_batch(
-            items[:6], truth=truth
+    def test_oracle_predictor_crosses_the_wire(self, inproc_addresses):
+        self.check_oracle_predictor_crosses_the_boundary(
+            ClusterBackend(workers=inproc_addresses[:2])
         )
-        with ClusterBackend(workers=inproc_addresses[:2]) as backend:
-            got = engine_for(zoo, oracle, world_config, backend).label_batch(
-                items[:6], truth=truth
-            )
-        assert_parity(got, ref)
 
-    def test_single_item_takes_the_local_path(
-        self, zoo, world_config, predictor, truth, items, inproc_addresses
-    ):
-        # No connect, no snapshot ship for singleton jobs.
-        with ClusterBackend(workers=inproc_addresses) as backend:
-            engine = engine_for(zoo, predictor, world_config, backend)
-            [result] = engine.label_batch(items[:1], truth=truth)
-            assert result.item_id == items[0].item_id
-            assert backend._links == {}
-            assert backend.dispatch_counts == {"local": 1}
+    def test_single_item_takes_the_local_path(self, inproc_addresses):
+        backend = ClusterBackend(workers=inproc_addresses)
+        self.check_single_item_takes_the_local_path(backend)
+        assert backend.cluster_stats["snapshot_ships"] == 0  # never connected
 
 
-class TestClusterLifecycle:
-    def test_snapshot_ships_once_and_connections_reuse(
-        self, zoo, world_config, predictor, truth, items, inproc_addresses
-    ):
-        with ClusterBackend(workers=inproc_addresses) as backend:
-            engine = engine_for(zoo, predictor, world_config, backend)
-            engine.label_batch(items, truth=truth)
-            links_after_first = dict(backend._links)
-            engine.label_batch(items, LabelingSpec(deadline=0.4), truth=truth)
-            assert backend._links == links_after_first  # no reconnect
-            stats = backend.cluster_stats
-            assert stats["snapshot_ships"] == len(inproc_addresses)
-            assert all(w["alive"] for w in stats["workers"].values())
-            assert sum(backend.dispatch_counts.values()) == 2 * len(items)
+class TestClusterLifecycle(ShardedContract):
+    def test_snapshot_ships_once_and_connections_reuse(self, inproc_addresses):
+        backend = ClusterBackend(workers=inproc_addresses)
+        self.check_snapshot_shipped_once_and_reused(backend, lambda b: dict(b._links))
+        stats = backend.cluster_stats
+        assert stats["snapshot_ships"] == len(inproc_addresses)
 
     def test_world_switch_reships_snapshots(
         self, zoo, world_config, trained, truth, items, inproc_addresses
@@ -249,27 +157,10 @@ class TestClusterLifecycle:
             )
             assert backend.cluster_stats["snapshot_ships"] == 4  # 2 workers x 2
 
-    def test_world_switch_while_in_flight_raises(
-        self, zoo, world_config, trained, truth, items, inproc_addresses
-    ):
-        first = AgentPredictor(trained.agent, len(zoo))
-        second = AgentPredictor(trained.agent, len(zoo))
-        with ClusterBackend(workers=inproc_addresses[:2]) as backend:
-            engine_for(zoo, first, world_config, backend).label_batch(
-                items[:4], truth=truth
-            )
-            backend._active += 1  # another thread mid-run()
-            try:
-                with pytest.raises(RuntimeError, match="world-affine"):
-                    engine_for(zoo, second, world_config, backend).label_batch(
-                        items[:4], truth=truth
-                    )
-            finally:
-                backend._active -= 1
-            # same-world traffic was never blocked
-            engine_for(zoo, first, world_config, backend).label_batch(
-                items[:4], truth=truth
-            )
+    def test_world_switch_while_in_flight_raises(self, inproc_addresses):
+        self.check_world_switch_while_in_flight_raises(
+            ClusterBackend(workers=inproc_addresses[:2])
+        )
 
     def test_unreachable_worker_is_skipped_with_survivors(
         self, zoo, world_config, predictor, truth, items, inproc_addresses
@@ -358,22 +249,13 @@ class TestRefresh:
         assert_parity(got, ref)
 
 
-class TestChaos:
+class TestChaos(ShardedContract):
     """Real worker processes, real SIGKILL."""
 
-    def test_chunk_error_fails_the_job_not_the_cluster(
-        self, zoo, world_config, truth, items, inproc_addresses
-    ):
-        poison = PoisonPredictor(len(zoo), poison=items[1].item_id)
-        with ClusterBackend(
-            workers=inproc_addresses[:2], chunk_size=2
-        ) as backend:
-            engine = engine_for(zoo, poison, world_config, backend)
-            with pytest.raises(RuntimeError, match="poisoned item"):
-                engine.label_batch(items[:6], truth=truth)
-            # The cluster survived: a job avoiding the poison runs.
-            clean = engine.label_batch(items[2:6], truth=truth)
-            assert [r.item_id for r in clean] == [i.item_id for i in items[2:6]]
+    def test_chunk_error_fails_the_job_not_the_cluster(self, inproc_addresses):
+        self.check_chunk_error_fails_the_job_not_the_workers(
+            ClusterBackend(workers=inproc_addresses[:2], chunk_size=2)
+        )
 
     def test_sigkill_mid_job_redispatches_with_identical_trace(
         self, zoo, world_config, predictor, truth, items

@@ -20,15 +20,11 @@ from repro.engine import (
     make_backend,
 )
 from repro.rl.agents import make_agent
-from repro.scheduling.qgreedy import (
-    AgentPredictor,
-    OraclePredictor,
-    QValuePredictor,
-)
+from repro.scheduling.qgreedy import AgentPredictor, QValuePredictor
 from repro.serving import LabelingService
-from repro.spec import LabelingSpec
 from repro.zoo.model import ModelZoo
 from repro.zoo.oracle import GroundTruth
+from sharded_contract import ShardedContract
 
 
 @pytest.fixture(scope="module")
@@ -54,28 +50,6 @@ def process_backend(**kwargs):
     return ProcessPoolBackend(**kwargs)
 
 
-#: All three paper regimes plus the capped q-greedy variant.
-REGIMES = (
-    LabelingSpec(),
-    LabelingSpec(max_models=4),
-    LabelingSpec(deadline=0.35),
-    LabelingSpec(deadline=0.5, memory_budget=8000.0),
-)
-
-
-class PoisonPredictor(QValuePredictor):
-    """Picklable predictor that raises on one designated item."""
-
-    def __init__(self, n_models: int, poison: str | None = None):
-        self.n_models = n_models
-        self.poison = poison
-
-    def predict(self, state):
-        if state.item_id == self.poison:
-            raise RuntimeError(f"poisoned item {state.item_id}")
-        return np.zeros(self.n_models)
-
-
 class WorkerKiller(QValuePredictor):
     """Picklable predictor that hard-kills its worker on one item."""
 
@@ -89,90 +63,48 @@ class WorkerKiller(QValuePredictor):
         return np.zeros(self.n_models)
 
 
-class TestProcessParity:
+#: (workers, chunk_size, slot_bytes): every chunk size of the contract on
+#: ring slots that fit the payloads and on 64-byte ones that never do.
+SHARDINGS = [
+    pytest.param(1, None, 1 << 20, id="w1"),
+    pytest.param(2, None, 1 << 20, id="w2"),
+    pytest.param(2, 1, 1 << 20, id="w2-chunk1"),
+    pytest.param(2, 3, 1 << 20, id="w2-chunk3"),
+    pytest.param(3, 5, 1 << 20, id="w3-chunk5"),
+    pytest.param(2, None, 64, id="w2-slot64"),
+    pytest.param(2, 1, 64, id="w2-chunk1-slot64"),
+    pytest.param(2, 3, 64, id="w2-chunk3-slot64"),
+]
+
+
+class TestProcessParity(ShardedContract):
     """Process traces must equal SerialBackend's for every sharding."""
 
-    @pytest.mark.parametrize(
-        "workers,chunk_size",
-        [(1, None), (2, None), (2, 1), (3, 5)],
-        ids=["w1", "w2", "w2-chunk1", "w3-chunk5"],
-    )
+    @pytest.mark.parametrize("workers,chunk_size,slot_bytes", SHARDINGS)
     def test_trace_identical_to_serial_all_regimes(
-        self, zoo, world_config, predictor, truth, items, workers, chunk_size
+        self, workers, chunk_size, slot_bytes
     ):
-        serial = engine_for(zoo, predictor, world_config, "serial")
-        backend = process_backend(max_workers=workers, chunk_size=chunk_size)
-        with backend:
-            process = engine_for(zoo, predictor, world_config, backend)
-            for regime in REGIMES:
-                ref = serial.label_batch(items, regime, truth=truth)
-                got = process.label_batch(items, regime, truth=truth)
-                assert len(got) == len(ref) == len(items)
-                for r, g in zip(ref, got):
-                    assert g.item_id == r.item_id
-                    assert g.trace.executions == r.trace.executions
-                    assert g.trace.total_value == r.trace.total_value
-                    assert g.label_names == r.label_names
-
-    def test_ephemeral_truth_ships_chunk_deltas(
-        self, zoo, world_config, predictor, truth, items
-    ):
-        # Without a shared truth the pool is keyed on the zoo/predictor,
-        # so records unknown to the snapshot travel with each chunk and
-        # traces still match the serial run on a shared truth (the world
-        # is deterministic per item id).
-        ref = engine_for(zoo, predictor, world_config, "serial").label_batch(
-            items, truth=truth
-        )
-        with process_backend(max_workers=2) as backend:
-            engine = engine_for(zoo, predictor, world_config, backend)
-            first = engine.label_batch(items)
-            second = engine.label_batch(items)  # same pool, fresh truths
-        for r, g in zip(ref, first):
-            assert g.trace.executions == r.trace.executions
-        for r, g in zip(ref, second):
-            assert g.trace.executions == r.trace.executions
-
-    def test_oracle_predictor_crosses_the_process_boundary(
-        self, zoo, world_config, truth, items
-    ):
-        oracle = OraclePredictor(truth)
-        ref = engine_for(zoo, oracle, world_config, "serial").label_batch(
-            items[:6], truth=truth
-        )
-        with process_backend(max_workers=2) as backend:
-            got = engine_for(zoo, oracle, world_config, backend).label_batch(
-                items[:6], truth=truth
+        self.check_serial_parity(
+            process_backend(
+                max_workers=workers, chunk_size=chunk_size, slot_bytes=slot_bytes
             )
-        for r, g in zip(ref, got):
-            assert g.trace.executions == r.trace.executions
+        )
+
+    def test_ephemeral_truth_ships_chunk_deltas(self):
+        self.check_post_snapshot_records_ship_as_deltas(process_backend(max_workers=2))
+
+    def test_oracle_predictor_crosses_the_process_boundary(self):
+        self.check_oracle_predictor_crosses_the_boundary(process_backend(max_workers=2))
 
 
-class TestPoolLifecycle:
-    def test_pool_and_snapshot_reused_across_jobs(
-        self, zoo, world_config, predictor, truth, items
-    ):
+class TestPoolLifecycle(ShardedContract):
+    def test_pool_and_snapshot_reused_across_jobs(self):
         backend = process_backend(max_workers=2)
-        with backend:
-            engine = engine_for(zoo, predictor, world_config, backend)
-            engine.label_batch(items, truth=truth)
-            pool_after_first = backend._pool
-            engine.label_batch(items, LabelingSpec(deadline=0.4), truth=truth)
-            assert backend._pool is pool_after_first  # no respawn, no re-ship
-            counts = backend.dispatch_counts
-            assert sum(counts.values()) == 2 * len(items)
+        self.check_snapshot_shipped_once_and_reused(backend, lambda b: b._pool)
         assert backend._pool is None  # context exit closed the pool
 
-    def test_single_item_takes_the_serial_path(
-        self, zoo, world_config, predictor, truth, items
-    ):
-        # No pool spin-up for singleton jobs.
-        backend = process_backend(max_workers=2)
-        with backend:
-            engine = engine_for(zoo, predictor, world_config, backend)
-            [result] = engine.label_batch(items[:1], truth=truth)
-            assert result.item_id == items[0].item_id
-            assert backend._pool is None
+    def test_single_item_takes_the_serial_path(self):
+        self.check_single_item_takes_the_local_path(process_backend(max_workers=2))
 
     def test_sequential_world_switch_respawns(
         self, zoo, world_config, trained, truth, items
@@ -191,29 +123,8 @@ class TestPoolLifecycle:
             )
             assert backend._pool is not old_pool
 
-    def test_world_switch_while_in_flight_raises(
-        self, zoo, world_config, trained, truth, items
-    ):
-        # Concurrent jobs from different worlds must fail loudly instead
-        # of cancelling each other's chunks (simulated in-flight job).
-        first = AgentPredictor(trained.agent, len(zoo))
-        second = AgentPredictor(trained.agent, len(zoo))
-        with process_backend(max_workers=2) as backend:
-            engine_for(zoo, first, world_config, backend).label_batch(
-                items[:4], truth=truth
-            )
-            backend._active += 1  # another thread mid-run()
-            try:
-                with pytest.raises(RuntimeError, match="world-affine"):
-                    engine_for(zoo, second, world_config, backend).label_batch(
-                        items[:4], truth=truth
-                    )
-            finally:
-                backend._active -= 1
-            # same-world traffic was never blocked
-            engine_for(zoo, first, world_config, backend).label_batch(
-                items[:4], truth=truth
-            )
+    def test_world_switch_while_in_flight_raises(self):
+        self.check_world_switch_while_in_flight_raises(process_backend(max_workers=2))
 
     def test_caller_built_backend_survives_service_shutdown(
         self, zoo, world_config, predictor, truth, items
@@ -291,18 +202,11 @@ class TestWorldSnapshot:
             WorldSnapshot.capture(truth, Local())
 
 
-class TestCrashPropagation:
-    def test_poisoned_item_fails_the_job_not_the_pool(
-        self, zoo, world_config, truth, items
-    ):
-        poison = PoisonPredictor(len(zoo), poison=items[1].item_id)
-        with process_backend(max_workers=2, chunk_size=2) as backend:
-            engine = engine_for(zoo, poison, world_config, backend)
-            with pytest.raises(RuntimeError, match="poisoned item"):
-                engine.label_batch(items[:6], truth=truth)
-            # The pool survived: a job avoiding the poisoned item runs.
-            clean = engine.label_batch(items[2:6], truth=truth)
-            assert [r.item_id for r in clean] == [i.item_id for i in items[2:6]]
+class TestCrashPropagation(ShardedContract):
+    def test_poisoned_item_fails_the_job_not_the_pool(self):
+        self.check_chunk_error_fails_the_job_not_the_workers(
+            process_backend(max_workers=2, chunk_size=2)
+        )
 
     def test_dead_worker_breaks_the_job_then_pool_respawns(
         self, zoo, world_config, truth, items

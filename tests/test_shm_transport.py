@@ -1,13 +1,14 @@
-"""Shared-memory transport: ring mechanics, codecs, fallbacks, telemetry.
+"""Shared-memory transport: ring mechanics, codecs, carriers, telemetry.
 
-The fast path must be an *optimization only*: every test that exercises a
-fallback (tiny slots, full ring, non-conforming records, pickle-only
-mode) also asserts the traces still match the serial reference.
+The ring is a *carrier only*: every test that forces payloads off it
+(tiny slots, slots leaked by failed jobs) also asserts the same bytes
+arrive inline and the traces still match the serial reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.scheduling.deadline import CostQGreedyScheduler
 from repro.scheduling.qgreedy import AgentPredictor, OraclePredictor
 from repro.zoo.model import ModelZoo
 from repro.zoo.oracle import ItemRecord
+from sharded_contract import PoisonPredictor
 
 
 @pytest.fixture(scope="module")
@@ -224,21 +226,28 @@ class TestRecordCodec:
         assert encode_records([]) is None
 
     def test_subclassed_record_falls_back(self, truth, items):
+        # Historical name: there is nothing to fall back to any more, a
+        # record the layout cannot carry is refused at encode.
         class CustomRecord(ItemRecord):
             pass
 
         record = truth.record(items[0].item_id)
         custom = CustomRecord(**dataclasses.asdict(record))
-        assert encode_records([custom]) is None
+        with pytest.raises(TypeError, match="CustomRecord"):
+            encode_records([custom])
         # A conforming record in the same shard does not rescue it.
-        assert encode_records([record, custom]) is None
+        with pytest.raises(TypeError, match="CustomRecord"):
+            encode_records([record, custom])
 
     def test_inconsistent_shapes_fall_back(self, truth, items):
+        # Historical name, as above: a ragged shard is a TypeError.
         first = truth.record(items[0].item_id)
         fewer_models = dataclasses.replace(first, offsets=first.offsets[:-1])
-        assert encode_records([first, fewer_models]) is None
+        with pytest.raises(TypeError, match="in a shard of"):
+            encode_records([first, fewer_models])
         other_space = dataclasses.replace(first, n_labels=first.n_labels - 1)
-        assert encode_records([first, other_space]) is None
+        with pytest.raises(TypeError, match="in a shard of"):
+            encode_records([first, other_space])
 
     def test_zoo_mismatch_rejected_on_decode(self, truth, zoo, items):
         payload = encode_records([truth.record(items[0].item_id)])
@@ -284,6 +293,39 @@ class TestTraceCodec:
         [decoded] = decode_traces(encode_traces(traces), ids, truth.zoo.names)
         assert decoded.executions == []
 
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (lambda p: p[:2], "no header"),
+            (lambda p: p[:12], "headers"),
+            (lambda p: p[:-4], "n_exec"),  # last row cut short
+            (lambda p: p[:16] + np.int64(-1).tobytes() + p[24:], "n_exec"),
+            (lambda p: p[:16] + np.int64(1 << 40).tobytes() + p[24:], "n_exec"),
+            (lambda p: p[:24] + np.int32(-1).tobytes() + p[28:], "model"),
+            (lambda p: p[:24] + np.int32(99).tobytes() + p[28:], "model"),
+        ],
+        ids=[
+            "two-bytes",
+            "short-heads",
+            "short-rows",
+            "n_exec=-1",
+            "n_exec=2**40",
+            "model=-1",
+            "model=99",
+        ],
+    )
+    def test_corrupt_shard_raises_naming_the_field(self, truth, items, corrupt, match):
+        # One trace: <Q n> at 0, (total, n_exec) at 8, first row's model at
+        # 24.  These bytes come off a socket on the cluster path; a wrong
+        # trace (model -1 is the zoo's last model to Python) is worse than
+        # an error.
+        scheduler = CostQGreedyScheduler(OraclePredictor(truth))
+        ids = [items[0].item_id]
+        payload = encode_traces([scheduler.schedule(truth, ids[0], 0.4)])
+        assert decode_traces(payload, ids, truth.zoo.names)[0].executions
+        with pytest.raises(ValueError, match=match):
+            decode_traces(corrupt(payload), ids, truth.zoo.names)
+
     def test_id_count_mismatch_rejected(self, truth, items):
         scheduler = CostQGreedyScheduler(OraclePredictor(truth))
         ids = [item.item_id for item in items[:2]]
@@ -328,6 +370,8 @@ class TestBackendTransport:
     def test_tiny_slots_fall_back_to_pickle_without_breaking_parity(
         self, zoo, world_config, predictor, truth, items
     ):
+        # Historical name: nothing is pickled.  Payloads that outgrow a
+        # slot cross the executor pipe as the same encoded bytes.
         ref = engine_for(zoo, predictor, world_config, "serial").label_batch(
             items, truth=truth
         )
@@ -337,38 +381,33 @@ class TestBackendTransport:
             )
             transport = backend.chunk_stats["transport"]
         assert_same_traces(got, ref)
-        assert transport.get("delta_pickle", 0) > 0  # oversized record shard
-        assert transport.get("result_pickle", 0) > 0  # oversized trace shard
+        assert transport.get("delta_inline", 0) > 0  # oversized record shard
+        assert transport.get("result_inline", 0) > 0  # oversized trace shard
         assert transport.get("delta_shm", 0) == 0
         assert transport.get("result_shm", 0) == 0
+        assert not any(key.endswith("pickle") for key in transport)
 
-    def test_pickle_transport_mode(
-        self, zoo, world_config, predictor, truth, items
+    def test_failed_jobs_do_not_leak_result_slots(
+        self, zoo, world_config, truth, items
     ):
-        ref = engine_for(zoo, predictor, world_config, "serial").label_batch(
-            items, truth=truth
-        )
-        with ProcessPoolBackend(max_workers=2, transport="pickle") as backend:
-            got = engine_for(zoo, predictor, world_config, backend).label_batch(
-                items, truth=truth
-            )
-            assert backend._delta_ring is None  # no rings in pickle mode
-            assert backend.chunk_stats["transport"] == {}
-        assert_same_traces(got, ref)
-
-    def test_unvectorized_workers_keep_parity(
-        self, zoo, world_config, predictor, truth, items
-    ):
-        # vectorized=False is the PR-baseline measurement mode: workers
-        # run the serial per-item loop, traces must be unchanged.
-        ref = engine_for(zoo, predictor, world_config, "serial").label_batch(
-            items, truth=truth
-        )
-        with ProcessPoolBackend(max_workers=2, vectorized=False) as backend:
-            got = engine_for(zoo, predictor, world_config, backend).label_batch(
-                items, truth=truth
-            )
-        assert_same_traces(got, ref)
+        # A chunk that raises fails the job, but its sibling chunks finish
+        # anyway and park their traces in result slots nobody will read.
+        # Eight slots, three abandoned per failed job: left held, the
+        # ring is full after the third failure and every later result
+        # travels inline for the life of the pool.
+        poison = PoisonPredictor(len(zoo), poison=items[0].item_id)
+        with ProcessPoolBackend(max_workers=2, chunk_size=2) as backend:
+            engine = engine_for(zoo, poison, world_config, backend)
+            for _ in range(4):
+                with pytest.raises(RuntimeError, match="poisoned item"):
+                    engine.label_batch(items[:8], truth=truth)
+            before = Counter(backend.chunk_stats["transport"])
+            clean = engine.label_batch(items[1:9], truth=truth)
+            sent = Counter(backend.chunk_stats["transport"]) - before
+            assert len(clean) == 8
+            assert sent == {"result_shm": 4}
+            for ring in (backend._delta_ring, backend._result_ring):
+                assert not any(ring.held(slot) for slot in range(ring.slots))
 
     def test_rings_unlinked_on_close(
         self, zoo, world_config, predictor, truth, items
@@ -386,30 +425,7 @@ class TestBackendTransport:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
-    def test_adaptive_chunking_telemetry(
-        self, zoo, world_config, predictor, truth, items
-    ):
-        with ProcessPoolBackend(
-            max_workers=2, target_chunk_s=0.005
-        ) as backend:
-            engine = engine_for(zoo, predictor, world_config, backend)
-            engine.label_batch(items, truth=truth)
-            first = backend.chunk_stats
-            engine.label_batch(items, truth=truth)
-            second = backend.chunk_stats
-        assert first["chunks"] >= 2
-        assert first["items"] == len(items)
-        assert first["ewma_item_s"] is not None and first["ewma_item_s"] > 0
-        # The second job sizes its chunks from the telemetry of the first.
-        assert second["last_chunk_size"] is not None
-        assert 1 <= second["last_chunk_size"] <= len(items)
-        assert second["items"] == 2 * len(items)
-
     def test_invalid_construction(self):
-        with pytest.raises(ValueError, match="transport"):
-            ProcessPoolBackend(transport="carrier-pigeon")
-        with pytest.raises(ValueError, match="target_chunk_s"):
-            ProcessPoolBackend(target_chunk_s=0.0)
         with pytest.raises(ValueError, match="ring_slots"):
             ProcessPoolBackend(ring_slots=0)
         with pytest.raises(ValueError, match="slot_bytes"):
