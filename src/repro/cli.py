@@ -117,6 +117,81 @@ def _service_workers(args) -> int:
     return workers if workers is not None else 2
 
 
+def _predictor(args, space, zoo) -> AgentPredictor:
+    """The --algo/--hidden agent (``--agent`` loads trained weights)."""
+    agent = make_agent(
+        args.algo, obs_dim=len(space), n_actions=len(zoo) + 1, hidden_size=args.hidden
+    )
+    if args.agent is not None:
+        agent.load(args.agent)
+    return AgentPredictor(agent, len(zoo))
+
+
+def _build_service(args, **overrides):
+    """The service ``serve`` and ``gateway`` run, from their shared flags:
+    world → recorded truth → agent → engine → ``LabelingService``, with
+    ``overrides`` for the constructor arguments a command sets itself.
+    Returns ``(service, dataset)``.  The service builds the backend from
+    the flags (with ``--backend process`` scheduling runs in --workers
+    processes while queue/cache/truth bookkeeping stays here) and the
+    calling command closes it in its ``finally``.
+    """
+    from repro.serving import LabelingService
+    from repro.zoo.oracle import GroundTruth
+
+    if args.recover and args.journal is None:
+        raise SystemExit("--recover requires --journal")
+    config, space, zoo = _world(args)
+    dataset = generate_dataset(space, config, args.dataset, args.items)
+    # Record once up front (the paper's record-then-replay protocol), so
+    # the run measures serving + scheduling, never the one-off zoo
+    # execution.
+    truth = GroundTruth(zoo, dataset, config)
+    engine = LabelingEngine(zoo, _predictor(args, space, zoo), config)
+    # gateway keeps its admission WAL in a subdirectory of --journal
+    overrides.setdefault("journal", args.journal)
+    service = LabelingService(
+        engine,
+        backend=_backend(args),
+        batch_size=args.batch_size,
+        max_wait=args.max_wait,
+        workers=_service_workers(args),
+        max_depth=args.max_depth,
+        truth=truth,
+        cache_size=args.cache_size or None,
+        journal_fsync=args.journal_fsync,
+        **overrides,
+    )
+    return service, dataset
+
+
+def _recover(service) -> None:
+    """``--recover``: replay the journal's backlog and print the report."""
+    report = service.recover()
+    print(
+        f"recovery: {report.replayed} journaled request(s) "
+        f"replayed, {report.recovered} recovered, "
+        f"{report.failed} failed ({report.duration:.3f}s)"
+    )
+
+
+def _print_report(service):
+    """Telemetry, cache and journal lines; returns the snapshot printed."""
+    snapshot = service.snapshot()
+    print(snapshot.format())
+    if service.cache is not None:
+        print(f"  result cache {service.cache.stats().format()}")
+    if service.journal is not None:
+        jstats = service.journal.stats()
+        print(
+            f"  journal     {jstats.admitted} admitted, "
+            f"{sum(jstats.terminals.values())} terminals, "
+            f"{jstats.pending} pending, {jstats.fsyncs} fsyncs, "
+            f"{jstats.segments} segment(s)"
+        )
+    return snapshot
+
+
 def cmd_record(args) -> int:
     config, space, zoo = _world(args)
     dataset = generate_dataset(space, config, args.dataset, args.items)
@@ -160,14 +235,7 @@ def cmd_schedule(args) -> int:
         raise SystemExit("--resume requires --manifest")
     config, space, zoo = _world(args)
     truth = load_ground_truth(zoo, args.truth, config)
-    agent = make_agent(
-        args.algo,
-        obs_dim=len(space),
-        n_actions=len(zoo) + 1,
-        hidden_size=args.hidden,
-    )
-    agent.load(args.agent)
-    predictor = AgentPredictor(agent, len(zoo))
+    predictor = _predictor(args, space, zoo)
     _, eval_ids = _split_ids(list(truth.item_ids), args.seed)
     eval_ids = eval_ids[: args.items]
 
@@ -290,8 +358,7 @@ def cmd_serve(args) -> int:
     import threading
     import time
 
-    from repro.serving import DeadlineExpired, LabelingService, QueueFull
-    from repro.zoo.oracle import GroundTruth
+    from repro.serving import DeadlineExpired, QueueFull
 
     # Observability is opt-in: --metrics-port serves /metrics live,
     # --trace-export dumps the span ring at exit; either one turns on
@@ -303,25 +370,7 @@ def cmd_serve(args) -> int:
 
         registry = MetricsRegistry()
         tracer = TraceBuffer(capacity=args.trace_buffer)
-        install(registry)
 
-    config, space, zoo = _world(args)
-    dataset = generate_dataset(space, config, args.dataset, args.items)
-    # Pre-record once so the report measures serving + scheduling, not the
-    # one-off zoo execution (the paper's record-then-replay protocol).
-    truth = GroundTruth(zoo, dataset, config)
-    agent = make_agent(
-        args.algo, obs_dim=len(space), n_actions=len(zoo) + 1, hidden_size=args.hidden
-    )
-    if args.agent is not None:
-        agent.load(args.agent)
-    predictor = AgentPredictor(agent, len(zoo))
-    # The service runs a sibling engine on the backend built from the CLI
-    # flags; with ``--backend process`` the scheduling phase runs in
-    # --workers worker processes while the queue/cache/truth bookkeeping
-    # stays here.  The pool is built (and closed, in the finally below)
-    # by this command, not by the service.
-    engine = LabelingEngine(zoo, predictor, config)
     if args.mixed_regimes:
         # Three client populations, three scheduling regimes, one service:
         # the dispatcher groups them into homogeneous batches by batch_key.
@@ -338,22 +387,15 @@ def cmd_serve(args) -> int:
         service_spec = LabelingSpec(
             deadline=args.deadline, memory_budget=args.memory
         )
-    service = LabelingService(
-        engine,
-        backend=_backend(args),
-        batch_size=args.batch_size,
-        max_wait=args.max_wait,
-        workers=_service_workers(args),
-        max_depth=args.max_depth,
+    service, dataset = _build_service(
+        args,
         overflow=args.overflow,
         spec=service_spec,
-        truth=truth,
-        cache_size=args.cache_size or None,
         registry=registry,
         tracer=tracer,
-        journal=args.journal,
-        journal_fsync=args.journal_fsync,
     )
+    if observing:
+        install(registry)
 
     items = list(dataset)
     if args.metrics_port is not None:
@@ -417,12 +459,7 @@ def cmd_serve(args) -> int:
     try:
         with service:
             if args.recover:
-                report = service.recover()
-                print(
-                    f"recovery: {report.replayed} journaled request(s) "
-                    f"replayed, {report.recovered} recovered, "
-                    f"{report.failed} failed ({report.duration:.3f}s)"
-                )
+                _recover(service)
             threads = [
                 threading.Thread(target=client, args=(i,))
                 for i in range(args.clients)
@@ -443,18 +480,7 @@ def cmd_serve(args) -> int:
             f"[batch {args.batch_size}, max_wait {args.max_wait * 1000:.0f}ms, "
             f"{_service_workers(args)} workers, {args.backend} backend]"
         )
-        snapshot = service.snapshot()
-        print(snapshot.format())
-        if service.cache is not None:
-            print(f"  result cache {service.cache.stats().format()}")
-        if service.journal is not None:
-            jstats = service.journal.stats()
-            print(
-                f"  journal     {jstats.admitted} admitted, "
-                f"{sum(jstats.terminals.values())} terminals, "
-                f"{jstats.pending} pending, {jstats.fsyncs} fsyncs, "
-                f"{jstats.segments} segment(s)"
-            )
+        snapshot = _print_report(service)
         if tracer is not None:
             print(
                 f"  traces      {tracer.finished} finished, "
@@ -492,9 +518,8 @@ def cmd_gateway(args) -> int:
     from pathlib import Path
 
     from repro.obs import MetricsRegistry, TraceBuffer, install, uninstall
-    from repro.serving import HierarchicalRequestQueue, LabelingService
+    from repro.serving import HierarchicalRequestQueue
     from repro.serving.gateway import LabelingGateway, TenantDirectory
-    from repro.zoo.oracle import GroundTruth
 
     # Tenant roster: explicit file > environment JSON > demo roster.
     if args.tenants_file is not None:
@@ -506,6 +531,23 @@ def cmd_gateway(args) -> int:
     else:
         directory = TenantDirectory.demo(args.demo_tenants)
         show_keys = True  # demo keys are public by construction
+
+    registry = MetricsRegistry()
+    tracer = TraceBuffer(capacity=args.trace_buffer)
+    # One --journal directory holds both durability domains: the
+    # service's admission WAL and the gateway's job store.
+    journal_dir = Path(args.journal) if args.journal is not None else None
+    service, dataset = _build_service(
+        args,
+        registry=registry,
+        tracer=tracer,
+        journal=journal_dir / "service" if journal_dir else None,
+        # Tenant-fair dispatch: outer stride over tenants (weights from
+        # the roster), inner stride over batch keys within each tenant.
+        queue_factory=lambda **kw: HierarchicalRequestQueue(
+            tenant_weights=directory.weights(), **kw
+        ),
+    )
     print(f"{'tenant':<12} {'weight':>6} {'rate':>8} {'burst':>6} "
           f"{'inflight':>8}" + ("  api_key" if show_keys else ""))
     for tenant in directory:
@@ -516,50 +558,11 @@ def cmd_gateway(args) -> int:
         )
         print(row + (f"  {tenant.api_key}" if show_keys else ""))
 
-    registry = MetricsRegistry()
-    tracer = TraceBuffer(capacity=args.trace_buffer)
     install(registry)
-    config, space, zoo = _world(args)
-    dataset = generate_dataset(space, config, args.dataset, args.items)
-    # Record once up front — the gateway labels the recorded catalog
-    # (the paper's record-then-replay protocol), so steady-state load
-    # measures serving + scheduling, never zoo execution.
-    truth = GroundTruth(zoo, dataset, config)
-    agent = make_agent(
-        args.algo, obs_dim=len(space), n_actions=len(zoo) + 1, hidden_size=args.hidden
-    )
-    if args.agent is not None:
-        agent.load(args.agent)
-    predictor = AgentPredictor(agent, len(zoo))
-    engine = LabelingEngine(zoo, predictor, config)
-    # One --journal directory holds both durability domains: the
-    # service's admission WAL and the gateway's job store.
-    journal_dir = Path(args.journal) if args.journal is not None else None
-    service = LabelingService(
-        engine,
-        backend=_backend(args),
-        batch_size=args.batch_size,
-        max_wait=args.max_wait,
-        workers=_service_workers(args),
-        max_depth=args.max_depth,
-        truth=truth,
-        cache_size=args.cache_size or None,
-        registry=registry,
-        tracer=tracer,
-        journal=journal_dir / "service" if journal_dir else None,
-        journal_fsync=args.journal_fsync,
-        # Tenant-fair dispatch: outer stride over tenants (weights from
-        # the roster), inner stride over batch keys within each tenant.
-        queue_factory=lambda **kw: HierarchicalRequestQueue(
-            tenant_weights=directory.weights(), **kw
-        ),
-    )
     gateway = LabelingGateway(
         service,
         directory,
         dataset,
-        registry=registry,
-        tracer=tracer,
         host=args.host,
         port=args.port,
         journal=journal_dir / "jobs" if journal_dir else None,
@@ -600,28 +603,14 @@ def cmd_gateway(args) -> int:
 
     try:
         with service:
-            if args.recover and service.journal is not None:
-                report = service.recover()
-                print(
-                    f"recovery: {report.replayed} journaled request(s) "
-                    f"replayed, {report.recovered} recovered, "
-                    f"{report.failed} failed ({report.duration:.3f}s)"
-                )
+            if args.recover:
+                _recover(service)
             try:
                 asyncio.run(run())
             except KeyboardInterrupt:
                 pass
             service.drain(args.drain_timeout)
-        print(service.snapshot().format())
-        if service.cache is not None:
-            print(f"  result cache {service.cache.stats().format()}")
-        if service.journal is not None:
-            jstats = service.journal.stats()
-            print(
-                f"  journal     {jstats.admitted} admitted, "
-                f"{sum(jstats.terminals.values())} terminals, "
-                f"{jstats.pending} pending"
-            )
+        _print_report(service)
         return 0
     finally:
         service.engine.backend.close()
@@ -806,26 +795,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="run the micro-batching service over a generated stream"
     )
-    p.add_argument("--dataset", default="mscoco2017")
-    p.add_argument("--items", type=int, default=128)
+    _add_service_flags(
+        p,
+        cache_size=0,
+        workers="engine worker threads; with --backend process/cluster also "
+        "the number of scheduling worker processes, or a "
+        "host:port,host:port list of running cluster-worker processes "
+        "for --backend cluster",
+        cache="result-cache capacity keyed by (item, batch_key); "
+        "0 disables the cache",
+        trace_buffer="finished request-trace spans kept in the ring",
+    )
     p.add_argument("--clients", type=int, default=4)
     p.add_argument(
         "--rate", type=float, default=400.0, help="aggregate requests/sec (0 = asap)"
     )
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument(
-        "--max-wait", type=float, default=0.02, help="flush timer, seconds"
-    )
-    p.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=2,
-        help="engine worker threads; with --backend process/cluster also "
-        "the number of scheduling worker processes, or a "
-        "host:port,host:port list of running cluster-worker processes "
-        "for --backend cluster",
-    )
-    p.add_argument("--max-depth", type=int, default=1024)
     p.add_argument("--overflow", default="block", choices=("block", "reject"))
     p.add_argument(
         "--deadline", type=float, default=None, help="scheduling deadline per item"
@@ -851,25 +835,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request admission budget, seconds",
     )
     p.add_argument(
-        "--cache-size",
-        type=int,
-        default=0,
-        help="result-cache capacity keyed by (item, batch_key); "
-        "0 disables the cache",
-    )
-    p.add_argument(
         "--repeat",
         type=int,
         default=1,
         help="times each client replays its item slice (repeat rounds "
         "hit the result cache when --cache-size is set)",
     )
-    p.add_argument(
-        "--backend", default="batched", choices=sorted(BACKEND_REGISTRY)
-    )
-    p.add_argument("--agent", default=None, help="optional trained agent .npz")
-    p.add_argument("--algo", default="dueling_dqn", choices=sorted(AGENT_REGISTRY))
-    p.add_argument("--hidden", type=int, default=256)
     p.add_argument(
         "--metrics-port",
         type=int,
@@ -885,12 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run drains, so external scrapers can read the final families",
     )
     p.add_argument(
-        "--trace-buffer",
-        type=int,
-        default=512,
-        help="finished request-trace spans kept in the ring",
-    )
-    p.add_argument(
         "--trace-export",
         default=None,
         help="write the trace ring as JSON to this path at exit",
@@ -902,9 +867,13 @@ def build_parser() -> argparse.ArgumentParser:
         "gateway",
         help="run the multi-tenant HTTP gateway over a recorded catalog",
     )
-    p.add_argument("--dataset", default="mscoco2017")
-    p.add_argument(
-        "--items", type=int, default=128, help="catalog size to record and serve"
+    _add_service_flags(
+        p,
+        cache_size=1024,
+        items="catalog size to record and serve",
+        workers="worker threads / scheduling processes, or a host:port list "
+        "for --backend cluster",
+        cache="result-cache capacity (tenant-partitioned); 0 disables",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
@@ -929,31 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="size of the deterministic demo roster used when no "
         "tenant config is given (keys demo-key-tenant-N)",
     )
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument(
-        "--max-wait", type=float, default=0.02, help="flush timer, seconds"
-    )
-    p.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=2,
-        help="worker threads / scheduling processes, or a host:port list "
-        "for --backend cluster",
-    )
-    p.add_argument("--max-depth", type=int, default=1024)
-    p.add_argument(
-        "--cache-size",
-        type=int,
-        default=1024,
-        help="result-cache capacity (tenant-partitioned); 0 disables",
-    )
-    p.add_argument(
-        "--backend", default="batched", choices=sorted(BACKEND_REGISTRY)
-    )
-    p.add_argument("--agent", default=None, help="optional trained agent .npz")
-    p.add_argument("--algo", default="dueling_dqn", choices=sorted(AGENT_REGISTRY))
-    p.add_argument("--hidden", type=int, default=256)
-    p.add_argument("--trace-buffer", type=int, default=512)
     _add_durability_flags(p)
     p.set_defaults(func=cmd_gateway)
 
@@ -1002,6 +946,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_trace)
     return parser
+
+
+def _add_service_flags(
+    p: argparse.ArgumentParser,
+    *,
+    cache_size: int,
+    items: str | None = None,
+    workers: str,
+    cache: str,
+    trace_buffer: str | None = None,
+) -> None:
+    """The world/engine/service flags shared by ``serve`` and ``gateway``
+    (what :func:`_build_service` reads); the keyword arguments are the
+    command's ``--cache-size`` default and its own help wording."""
+    p.add_argument("--dataset", default="mscoco2017")
+    p.add_argument("--items", type=int, default=128, help=items)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument(
+        "--max-wait", type=float, default=0.02, help="flush timer, seconds"
+    )
+    p.add_argument("--workers", type=_workers_arg, default=2, help=workers)
+    p.add_argument("--max-depth", type=int, default=1024)
+    p.add_argument("--cache-size", type=int, default=cache_size, help=cache)
+    p.add_argument(
+        "--backend", default="batched", choices=sorted(BACKEND_REGISTRY)
+    )
+    p.add_argument("--agent", default=None, help="optional trained agent .npz")
+    p.add_argument("--algo", default="dueling_dqn", choices=sorted(AGENT_REGISTRY))
+    p.add_argument("--hidden", type=int, default=256)
+    p.add_argument("--trace-buffer", type=int, default=512, help=trace_buffer)
 
 
 def _add_durability_flags(p: argparse.ArgumentParser) -> None:

@@ -10,7 +10,7 @@ The serving stack, outside-in:
    limits and in-flight caps, enforced before the service sees a byte.
 4. :mod:`~repro.serving.gateway.app` — :class:`LabelingGateway`, the
    routed edge: label/batch/job/stream endpoints riding the service's
-   non-blocking ``submit(wait="async")`` path, with the observability
+   non-blocking ``submit_many(wait="async")`` path, with the observability
    routes mounted on the same port.
 
 Fairness *between* admitted tenants is not the gateway's job — install

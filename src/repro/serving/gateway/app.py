@@ -28,11 +28,13 @@ GET       ``/healthz``            liveness probe
 Admission is defense-in-depth, cheapest check first: API key (constant
 time, 401), token-bucket rate + in-flight quota (429 with
 ``Retry-After``), then the service's own bounded queue via the
-non-blocking ``submit(wait="async")`` path — so a full queue is an
-*immediate* 429, never a blocked event loop.  Tenant fairness between
-admitted requests is the hierarchical queue's job (install it with
-``LabelingService(queue_factory=...)``); the gateway just stamps
-``spec.tenant``, which also partitions the result cache per tenant.
+non-blocking ``submit_many(wait="async")`` path — so a full queue is an
+*immediate* 429, never a blocked event loop.  The three label routes
+share that front half (``_submit``; ``/v1/label`` is its one-item
+case).  Tenant fairness between admitted requests is the hierarchical
+queue's job (install it with ``LabelingService(queue_factory=...)``);
+the gateway just stamps ``spec.tenant``, which also partitions the
+result cache per tenant.
 
 The obs routes are mounted from the same registry/tracer the service
 publishes into, so one port serves both traffic and scrape; this is the
@@ -85,6 +87,7 @@ BACKPRESSURE_RETRY_HINT = 0.05
 _SPEC_FIELDS = ("deadline", "memory_budget", "max_models", "priority", "policy")
 _LABEL_KEYS = frozenset(("item_id", "admission_deadline", *_SPEC_FIELDS))
 _BATCH_KEYS = frozenset(("items", "mode", "admission_deadline", *_SPEC_FIELDS))
+_STREAM_KEYS = _BATCH_KEYS - {"mode"}
 
 #: Gateway record kinds in the job journal (custom-kind range).
 _KIND_JOB_CREATE = Journal.KIND_CUSTOM
@@ -603,65 +606,22 @@ class LabelingGateway:
 
     # -- handlers ------------------------------------------------------------
 
-    async def _handle_label(self, request: HttpRequest, tenant: Tenant):
-        body = request.json()
-        self._check_keys(body, _LABEL_KEYS)
-        item = self._lookup_item(body.get("item_id"))
-        spec = self._build_spec(body, tenant)
-        deadline = self._admission_deadline(body)
-        started = self._clock()
-        self._admit(tenant, 1)
-        cached = self._was_cached(item.item_id, spec)
-        try:
-            future = self.service.submit(
-                item, spec, deadline=deadline, wait="async"
-            )
-        except (QueueFull, DeadlineExpired, ServiceStopped) as exc:
-            self._release(tenant.name)
-            return self._submit_error(tenant, exc)
-        self._admitted.labels(tenant=tenant.name).inc()
-        self._track(tenant, future)
-        try:
-            result = await future
-        except (QueueFull, DeadlineExpired, ServiceStopped) as exc:
-            return self._submit_error(tenant, exc)
-        self._e2e.labels(tenant=tenant.name).observe(self._clock() - started)
-        return 200, self._encode_result(result, cached), None
-
-    def _submit_error(self, tenant: Tenant, exc: BaseException):
-        status, reason = _error_status(exc)
-        self._rejected.labels(tenant=tenant.name, reason=reason).inc()
-        extra = (
-            {"Retry-After": _retry_after_header(BACKPRESSURE_RETRY_HINT)}
-            if status == 429
-            else None
-        )
-        return status, {"error": str(exc), "reason": reason}, extra
-
-    def _submit_batch(
-        self, items: list[DataItem], spec: LabelingSpec, deadline: float | None,
-        tenant: Tenant,
-    ) -> list[asyncio.Future]:
-        """Bulk nowait submission with per-future quota release."""
-        futures = self.service.submit_many(
-            items, spec, deadline=deadline, wait="async"
-        )
-        for future in futures:
-            self._track(tenant, future)
-        # "Admitted" here means past the gateway's quota gate; per-item
-        # service-level rejections (queue full, expired) still surface on
-        # the futures and in repro_requests_total{outcome=...}.
-        self._admitted.labels(tenant=tenant.name).inc(len(futures))
-        return futures
-
-    async def _handle_batch(self, request: HttpRequest, tenant: Tenant):
-        body = request.json()
-        self._check_keys(body, _BATCH_KEYS)
-        raw_items = body.get("items")
-        if not isinstance(raw_items, list) or not raw_items:
-            raise WireError(400, "items must be a non-empty list of item ids")
-        mode = body.get("mode", "sync")
-        if mode not in ("sync", "job"):
+    def _submit(self, body: dict, tenant: Tenant, allowed: frozenset):
+        """The front half every label route shares: check keys → item ids
+        (``item_id`` on ``/v1/label``, the ``items`` list elsewhere) →
+        ``mode`` → catalog lookup → spec → admission deadline → quota →
+        cached flags → one non-blocking bulk submission whose every future
+        releases its quota slot however it settles.  Returns ``(items,
+        spec, futures, cached, started)``.
+        """
+        self._check_keys(body, allowed)
+        if "items" in allowed:
+            raw_items = body.get("items")
+            if not isinstance(raw_items, list) or not raw_items:
+                raise WireError(400, "items must be a non-empty list of item ids")
+        else:
+            raw_items = [body.get("item_id")]
+        if body.get("mode", "sync") not in ("sync", "job"):
             raise WireError(400, 'mode must be "sync" or "job"')
         items = [self._lookup_item(item_id) for item_id in raw_items]
         spec = self._build_spec(body, tenant)
@@ -669,9 +629,44 @@ class LabelingGateway:
         started = self._clock()
         self._admit(tenant, len(items))
         cached = [self._was_cached(item.item_id, spec) for item in items]
-        futures = self._submit_batch(items, spec, deadline, tenant)
+        try:
+            futures = self.service.submit_many(
+                items, spec, deadline=deadline, wait="async"
+            )
+        except ServiceStopped:
+            self._release(tenant.name, len(items))
+            raise
+        for future in futures:
+            self._track(tenant, future)
+        # "Admitted" here means past the gateway's quota gate; per-item
+        # service-level rejections (queue full, expired) still surface on
+        # the futures and in repro_requests_total{outcome=...}.
+        self._admitted.labels(tenant=tenant.name).inc(len(futures))
+        return items, spec, futures, cached, started
 
-        if mode == "job":
+    async def _handle_label(self, request: HttpRequest, tenant: Tenant):
+        try:
+            _, _, (future,), (cached,), started = self._submit(
+                request.json(), tenant, _LABEL_KEYS
+            )
+            result = await future
+        except (QueueFull, DeadlineExpired, ServiceStopped) as exc:
+            status, reason = _error_status(exc)
+            self._rejected.labels(tenant=tenant.name, reason=reason).inc()
+            extra = (
+                {"Retry-After": _retry_after_header(BACKPRESSURE_RETRY_HINT)}
+                if status == 429
+                else None
+            )
+            return status, {"error": str(exc), "reason": reason}, extra
+        self._e2e.labels(tenant=tenant.name).observe(self._clock() - started)
+        return 200, self._encode_result(result, cached), None
+
+    async def _handle_batch(self, request: HttpRequest, tenant: Tenant):
+        body = request.json()
+        items, spec, futures, cached, started = self._submit(body, tenant, _BATCH_KEYS)
+
+        if body.get("mode") == "job":
             job = self._create_job(tenant, items, futures, cached, spec)
             return (
                 202,
@@ -679,13 +674,8 @@ class LabelingGateway:
                 None,
             )
 
-        outcomes = await asyncio.gather(*futures, return_exceptions=True)
-        results = [
-            self._encode_failure(item.item_id, outcome)
-            if isinstance(outcome, BaseException)
-            else self._encode_result(outcome, was_cached)
-            for item, outcome, was_cached in zip(items, outcomes, cached)
-        ]
+        await asyncio.gather(*futures, return_exceptions=True)
+        results = self._rows([item.item_id for item in items], futures, cached)
         completed = sum(1 for r in results if r["status"] == "completed")
         self._e2e.labels(tenant=tenant.name).observe(self._clock() - started)
         return (
@@ -739,7 +729,9 @@ class LabelingGateway:
             def on_done(_f, job=job, remaining=remaining) -> None:
                 remaining[0] -= 1
                 if remaining[0] == 0:
-                    self._journal_job_done(job)
+                    self._journal_record_done(
+                        job.job_id, self._rows(job.item_ids, futures, cached)
+                    )
 
             for future in futures:
                 future.add_done_callback(on_done)
@@ -757,13 +749,14 @@ class LabelingGateway:
             except Exception:
                 logger.exception("failed to journal drop of job %s", job_id)
 
-    def _journal_job_done(self, job: _Job) -> None:
-        """Append a finished job's encoded results to the journal."""
+    def _rows(self, item_ids, futures, cached) -> list[dict]:
+        """One row per item from its future's state: the body of a sync
+        batch, a live job's poll, and a finished job's journal record."""
         rows = []
-        for item_id, future, was_cached in zip(
-            job.item_ids, job.futures, job.cached
-        ):
-            if future.cancelled():
+        for item_id, future, was_cached in zip(item_ids, futures, cached):
+            if not future.done():
+                rows.append({"item_id": item_id, "status": "pending"})
+            elif future.cancelled():
                 rows.append(
                     {"item_id": item_id, "status": "cancelled",
                      "error": "cancelled"}
@@ -772,7 +765,7 @@ class LabelingGateway:
                 rows.append(self._encode_failure(item_id, future.exception()))
             else:
                 rows.append(self._encode_result(future.result(), was_cached))
-        self._journal_record_done(job.job_id, rows)
+        return rows
 
     def _journal_record_done(self, job_id: str, rows: list[dict]) -> None:
         try:
@@ -872,22 +865,8 @@ class LabelingGateway:
             results, done = self._restored_rows(job)
             total = len(job.item_ids)
         else:
-            results = []
-            for item_id, future, was_cached in zip(
-                job.item_ids, job.futures, job.cached
-            ):
-                if not future.done():
-                    results.append({"item_id": item_id, "status": "pending"})
-                elif future.exception() is not None:
-                    results.append(
-                        self._encode_failure(item_id, future.exception())
-                    )
-                else:
-                    results.append(
-                        self._encode_result(future.result(), was_cached)
-                    )
-            done = job.done
-            total = len(job.futures)
+            results = self._rows(job.item_ids, job.futures, job.cached)
+            done, total = self._job_progress(job)
         return (
             200,
             {
@@ -904,18 +883,9 @@ class LabelingGateway:
         self, request: HttpRequest, tenant: Tenant, writer: asyncio.StreamWriter
     ) -> int:
         """Chunked NDJSON: one line per completed item, completion order."""
-        body = request.json()
-        self._check_keys(body, _BATCH_KEYS - {"mode"})
-        raw_items = body.get("items")
-        if not isinstance(raw_items, list) or not raw_items:
-            raise WireError(400, "items must be a non-empty list of item ids")
-        items = [self._lookup_item(item_id) for item_id in raw_items]
-        spec = self._build_spec(body, tenant)
-        deadline = self._admission_deadline(body)
-        started = self._clock()
-        self._admit(tenant, len(items))
-        cached = [self._was_cached(item.item_id, spec) for item in items]
-        futures = self._submit_batch(items, spec, deadline, tenant)
+        items, _, futures, cached, started = self._submit(
+            request.json(), tenant, _STREAM_KEYS
+        )
 
         async def settle(item: DataItem, future: asyncio.Future, was_cached):
             try:

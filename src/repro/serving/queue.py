@@ -276,21 +276,20 @@ class RequestQueue:
         self,
         request: LabelingRequest,
         deadline_at: float | None,
-        nowait: bool = False,
+        block: bool,
     ) -> str:
         """Admit one request under ``self._cond``; returns its fate.
 
-        The single admission sequence :meth:`put` and :meth:`put_many`
-        share: closed-check, deadline admissibility, overflow policy
-        (waiting for space until ``deadline_at`` under ``block``), push,
-        and a consumer wake-up after every successful push — so a bulk
-        producer that later blocks for space has already made its pushed
-        requests dispatchable.  ``nowait`` refuses a full queue
-        immediately even under the ``block`` policy — the non-blocking
-        admission path event-loop callers need.
+        The single admission sequence :meth:`put`, :meth:`put_many` and
+        :meth:`put_replayed` share: closed-check, deadline admissibility,
+        depth bound (with ``block``, waiting for space until
+        ``deadline_at``; without, refusing a full queue immediately),
+        push, and a consumer wake-up after every successful push — so a
+        bulk producer that later blocks for space has already made its
+        pushed requests dispatchable.
 
-        Fates: ``"admitted"``, ``"expired"``, ``"rejected"`` (depth policy
-        refused: rejecting while full, or block policy out of time),
+        Fates: ``"admitted"``, ``"expired"``, ``"rejected"`` (depth bound
+        refused: full without ``block``, or out of time with it),
         ``"stopped"``.
         """
         if self._closed or self._draining:
@@ -298,7 +297,7 @@ class RequestQueue:
         if not self._admissible(request, self._clock()):
             return "expired"
         if self._len_locked() >= self.max_depth:
-            if nowait or self.overflow == "reject":
+            if not block:
                 return "rejected"
             remaining = (
                 None if deadline_at is None else deadline_at - self._clock()
@@ -356,8 +355,9 @@ class RequestQueue:
         regardless of the overflow policy — the producer never blocks.
         """
         deadline_at = None if timeout is None else self._clock() + timeout
+        block = not nowait and self.overflow == "block"
         with self._cond:
-            fate = self._admit_locked(request, deadline_at, nowait=nowait)
+            fate = self._admit_locked(request, deadline_at, block)
         if fate == "stopped":
             raise ServiceStopped("queue is not accepting new requests")
         if fate == "expired":
@@ -385,20 +385,38 @@ class RequestQueue:
         waiting for space across the whole call; ``nowait`` rejects on a
         full queue immediately instead of waiting at all.
         """
+        deadline_at = None if timeout is None else self._clock() + timeout
+        return self._admit_many(
+            requests, deadline_at, block=not nowait and self.overflow == "block"
+        )
+
+    def put_replayed(self, requests: list[LabelingRequest]) -> BulkAdmission:
+        """Admit requests a previous life already answered "admitted".
+
+        The journal-recovery entry point: like :meth:`put_many`, but a
+        full queue always waits for space, whatever the overflow policy
+        — acknowledged work is never ``rejected`` a second time.
+        """
+        return self._admit_many(requests, None, block=True)
+
+    def _admit_many(
+        self,
+        requests: list[LabelingRequest],
+        deadline_at: float | None,
+        block: bool,
+    ) -> BulkAdmission:
         buckets: dict[str, list[LabelingRequest]] = {
             "admitted": [],
             "expired": [],
             "rejected": [],
             "stopped": [],
         }
-        deadline_at = None if timeout is None else self._clock() + timeout
         with self._cond:
             if self._closed or self._draining:
                 raise ServiceStopped("queue is not accepting new requests")
             for request in requests:
-                buckets[
-                    self._admit_locked(request, deadline_at, nowait=nowait)
-                ].append(request)
+                fate = self._admit_locked(request, deadline_at, block)
+                buckets[fate].append(request)
         return BulkAdmission(
             admitted=tuple(buckets["admitted"]),
             expired=tuple(buckets["expired"]),

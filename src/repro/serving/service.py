@@ -33,7 +33,19 @@ unconstrained, deadline, and deadline+memory clients concurrently; a
 batch whose flush timer expired while other-regime traffic waited is
 reported with flush reason ``regime_split``.
 
-Admission (per-key FIFO buckets, weighted-fair key selection,
+There is one admission path and one settle point.  :meth:`submit`,
+:meth:`submit_many` and :meth:`recover` all enter through ``_admit``
+(build request → open span → claim cache key → count pending → journal →
+enqueue → settle this call's refusals): ``submit`` is the one-item case
+that re-raises its own refusal, ``submit_many`` leaves refusals on the
+futures, ``recover`` passes the already-journaled backlog.  Every request
+counted pending leaves through ``_resolve``, which derives the terminal
+stage from the error once and writes the cache claim, the future, the
+journal terminal, the trace span, the outcome counter and the SLO series
+from it — an admission-expired request is a deadline miss whichever
+entry point carried it.
+
+Queue policy (per-key FIFO buckets, weighted-fair key selection,
 backpressure, deadline drops) lives in
 :class:`~repro.serving.queue.RequestQueue`; every counter and latency
 summary lives in the service's
@@ -69,10 +81,12 @@ service write-ahead-logs every first-flight admission *before* the
 request becomes completable and logs its terminal outcome from
 :meth:`_resolve` — so after a crash, ``admitted − terminal`` is exactly
 the acknowledged work the process still owes.  :meth:`recover` replays
-that gap through the normal submission path: with a result cache the
-replay is idempotent (duplicates coalesce onto one flight) and, because
-scheduling is deterministic over recorded truth, each re-executed
-request produces an identical result trace.  Under the journal's
+that gap through the same admission core, except that a replayed request
+is never refused a second time — it waits for queue space under either
+overflow policy.  With a result cache the replay is idempotent
+(duplicates coalesce onto one flight) and, because scheduling is
+deterministic over recorded truth, each re-executed request produces an
+identical result trace.  Under the journal's
 ``batch`` fsync policy the service flushes at micro-batch boundaries;
 ``always`` makes every acknowledged admission durable before
 ``submit()`` returns.
@@ -158,24 +172,14 @@ class _RecoveryRun:
     to checkpoint.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, expected: int) -> None:
         self._lock = threading.Lock()
-        self._expected: int | None = None
+        self._expected = expected
         self._recovered = 0
         self._failed = 0
         self._done = threading.Event()
-
-    def _maybe_finish_locked(self) -> None:
-        if (
-            self._expected is not None
-            and self._recovered + self._failed >= self._expected
-        ):
+        if not expected:
             self._done.set()
-
-    def expect(self, n: int) -> None:
-        with self._lock:
-            self._expected = n
-            self._maybe_finish_locked()
 
     def conclude(self, ok: bool) -> None:
         with self._lock:
@@ -183,7 +187,8 @@ class _RecoveryRun:
                 self._recovered += 1
             else:
                 self._failed += 1
-            self._maybe_finish_locked()
+            if self._recovered + self._failed >= self._expected:
+                self._done.set()
 
     def wait(self, timeout: float | None) -> bool:
         return self._done.wait(timeout)
@@ -208,6 +213,10 @@ def _terminal_stage(error: BaseException | None) -> str:
 
 class LabelingService:
     """Micro-batching front end over a shared :class:`LabelingEngine`.
+
+    :meth:`submit`, :meth:`submit_many` and :meth:`recover` share one
+    admission path (:meth:`_admit`) and every admitted request settles
+    through :meth:`_resolve`; see the module docstring.
 
     Parameters
     ----------
@@ -444,99 +453,15 @@ class LabelingService:
         attached.
         """
         _check_wait_mode(wait)
-        future = self._submit(
-            item, spec, deadline=deadline, timeout=timeout, nowait=wait != "block"
-        )
-        if wait == "async":
-            return asyncio.wrap_future(future)
-        return future
-
-    def _submit(
-        self,
-        item: DataItem,
-        spec: LabelingSpec | None = None,
-        *,
-        deadline: float | None = None,
-        timeout: float | None = None,
-        nowait: bool = False,
-        _journal: bool = True,
-    ) -> Future:
-        """Synchronous admission core shared by every :meth:`submit` mode.
-
-        ``_journal=False`` is the recovery path: the replayed request's
-        original admission record is already in the journal, and its
-        terminal is written by the recovery callback against that old
-        seq — re-journaling would double-count the work.
-        """
-        resolved = spec_or(spec, self.default_spec)
-        request = LabelingRequest(
-            item=item,
-            priority=resolved.priority,
+        futures, refusals = self._admit(
+            [(item, spec_or(spec, self.default_spec))],
             deadline=deadline,
-            submitted_at=self._clock(),
-            spec=resolved,
+            timeout=timeout,
+            nowait=wait != "block",
         )
-        if self.tracer is not None:
-            request.trace = self.tracer.start(item.item_id, resolved.regime)
-            request.trace.add("admitted")
-        if self.cache is not None:
-            with self._state:
-                if not self._accepting:
-                    raise ServiceStopped("service is not accepting new requests")
-            request.cache_key = resolved.cache_key(item.item_id)
-            outcome, payload = self.cache.begin(request.cache_key, request.future)
-            if outcome == "hit":
-                self.telemetry.count("cache_hit")
-                self._finish_trace(request, "cache_hit")
-                done: Future = Future()
-                done.set_result(payload)
-                return done
-            if outcome == "join":
-                self.telemetry.count("coalesced")
-                self._finish_trace(request, "coalesced")
-                return payload
-            self.telemetry.count("cache_miss")
-        with self._state:
-            if not self._accepting:
-                error = ServiceStopped("service is not accepting new requests")
-                # A claim raced with drain: release it so attached
-                # duplicates fail instead of hanging.
-                self._abort_claim(request, error)
-                raise error
-            # Count the request pending *before* it becomes poppable, so a
-            # concurrent drain never observes a dispatched-but-uncounted
-            # request (or a transiently negative pending count).
-            self._pending += 1
-        try:
-            # WAL discipline: the admission record lands before the
-            # request becomes poppable (and thus completable).  A crash
-            # after this point is recoverable; a put failure below writes
-            # the matching terminal so the record does not replay.
-            if self.journal is not None and _journal:
-                request.journal_seq = self.journal.log_admission(
-                    item, resolved, deadline
-                )
-            self.queue.put(request, timeout=timeout, nowait=nowait)
-        except BaseException as exc:
-            with self._state:
-                self._pending -= 1
-                self._state.notify_all()
-            if request.journal_seq is not None:
-                self._journal_terminal(request.journal_seq, _terminal_stage(exc))
-            if isinstance(exc, DeadlineExpired):
-                self.telemetry.count("expired")
-            elif isinstance(exc, QueueFull):
-                self.telemetry.count("rejected")
-            elif isinstance(exc, ServiceStopped):
-                # same accounting as a bulk request stopped mid-admission
-                self.telemetry.count("cancelled")
-            self._finish_trace(request, _terminal_stage(exc))
-            self._abort_claim(request, exc)
-            raise
-        self.telemetry.count("submitted")
-        if request.trace is not None:
-            request.trace.add("queued")
-        return request.future
+        if refusals:
+            raise refusals[0]
+        return asyncio.wrap_future(futures[0]) if wait == "async" else futures[0]
 
     def submit_many(
         self,
@@ -571,27 +496,47 @@ class LabelingService:
         one future, and only first-flight items are enqueued.
         """
         _check_wait_mode(wait)
-        futures = self._submit_many(
-            items, spec, deadline=deadline, timeout=timeout, nowait=wait != "block"
+        resolved = spec_or(spec, self.default_spec)
+        futures, _ = self._admit(
+            [(item, resolved) for item in items],
+            deadline=deadline,
+            timeout=timeout,
+            nowait=wait != "block",
         )
+        if futures:
+            self.telemetry.count("submitted_many")
         if wait == "async":
             return [asyncio.wrap_future(future) for future in futures]
         return futures
 
-    def _submit_many(
+    def _admit(
         self,
-        items: Iterable[DataItem],
-        spec: LabelingSpec | None = None,
+        work: list[tuple[DataItem, LabelingSpec]],
         *,
         deadline: float | None = None,
         timeout: float | None = None,
         nowait: bool = False,
-    ) -> list[Future]:
-        """Synchronous bulk-admission core shared by every ``wait`` mode."""
-        items = list(items)
-        resolved = spec_or(spec, self.default_spec)
-        if not items:
-            return []
+        replayed: bool = False,
+    ) -> tuple[list[Future], list[BaseException]]:
+        """The one admission path: ``(futures, refusals)`` for ``work``.
+
+        ``futures`` is input-ordered and complete; ``refusals`` holds the
+        errors of the first-flight requests *this call* settled as
+        expired / rejected / stopped (never the earlier failure of a
+        flight a request merely joined).  ``replayed`` marks the recovery
+        backlog: already journaled — the recovery callback writes each
+        terminal against the original seq — and already answered
+        "admitted", so it waits for queue space under either overflow
+        policy instead of being refused again.
+
+        A service that stopped accepting raises :class:`ServiceStopped`
+        before any span, cache claim or journal record exists.  Past that
+        point nothing raises per item; a failing journal or a queue that
+        closed under the call propagates only after every request of the
+        call has been settled with that error through :meth:`_resolve`.
+        """
+        if not work:
+            return [], []
         with self._state:
             if not self._accepting:
                 raise ServiceStopped("service is not accepting new requests")
@@ -599,19 +544,19 @@ class LabelingService:
         futures: list[Future] = []
         requests: list[LabelingRequest] = []
         hits = joins = 0
-        for item in items:
+        for item, spec in work:
             request = LabelingRequest(
                 item=item,
-                priority=resolved.priority,
+                priority=spec.priority,
                 deadline=deadline,
                 submitted_at=now,
-                spec=resolved,
+                spec=spec,
             )
             if self.tracer is not None:
-                request.trace = self.tracer.start(item.item_id, resolved.regime)
+                request.trace = self.tracer.start(item.item_id, spec.regime)
                 request.trace.add("admitted")
             if self.cache is not None:
-                request.cache_key = resolved.cache_key(item.item_id)
+                request.cache_key = spec.cache_key(item.item_id)
                 outcome, payload = self.cache.begin(
                     request.cache_key, request.future
                 )
@@ -633,55 +578,50 @@ class LabelingService:
             self.telemetry.count("cache_hit", hits)
         if joins:
             self.telemetry.count("coalesced", joins)
-        if self.cache is not None and requests:
-            self.telemetry.count("cache_miss", len(requests))
         if not requests:
-            self.telemetry.count("submitted_many")
-            return futures
+            return futures, []
+        if self.cache is not None:
+            self.telemetry.count("cache_miss", len(requests))
+        # Count the requests pending *before* they become poppable, so a
+        # concurrent drain never observes a dispatched-but-uncounted
+        # request (or a transiently negative pending count).  From here
+        # on every one of them leaves through _resolve.
         with self._state:
-            if not self._accepting:
-                error = ServiceStopped("service is not accepting new requests")
-                for request in requests:
-                    self._abort_claim(request, error)
-                raise error
             self._pending += len(requests)
         try:
-            if self.journal is not None:
+            # WAL discipline: the admission record lands before the
+            # request becomes poppable (and thus completable).  A crash
+            # after this point is recoverable; a refusal below writes the
+            # matching terminal so the record does not replay.
+            if self.journal is not None and not replayed:
                 for request in requests:
                     request.journal_seq = self.journal.log_admission(
-                        request.item, resolved, deadline
+                        request.item, request.spec, deadline
                     )
-            outcome = self.queue.put_many(requests, timeout=timeout, nowait=nowait)
+            if replayed:
+                fates = self.queue.put_replayed(requests)
+            else:
+                fates = self.queue.put_many(requests, timeout=timeout, nowait=nowait)
         except BaseException as exc:
-            with self._state:
-                self._pending -= len(requests)
-                self._state.notify_all()
-            stage = _terminal_stage(exc)
             for request in requests:
-                if request.journal_seq is not None:
-                    self._journal_terminal(request.journal_seq, stage)
-                self._finish_trace(request, stage)
-                self._abort_claim(request, exc)
+                self._resolve(request, error=exc)
             raise
-        self.telemetry.count("submitted", len(outcome.admitted))
-        self.telemetry.count("submitted_many")
+        self.telemetry.count("submitted", len(fates.admitted))
         if self.tracer is not None:
-            for request in outcome.admitted:
+            for request in fates.admitted:
                 request.trace.add("queued")
-        for request in outcome.expired:
-            self.telemetry.count("expired")
-            self._resolve(request, error=self.queue.expired_error(request))
-        for request in outcome.rejected:
-            self.telemetry.count("rejected")
-            self._resolve(
-                request, error=self.queue.rejected_error(timeout, nowait=nowait)
-            )
-        for request in outcome.stopped:
-            self.telemetry.count("cancelled")
-            self._resolve(
-                request, error=ServiceStopped("service stopped during admission")
-            )
-        return futures
+        refused = [(r, self.queue.expired_error(r)) for r in fates.expired]
+        refused += [
+            (r, self.queue.rejected_error(timeout, nowait=nowait))
+            for r in fates.rejected
+        ]
+        refused += [
+            (r, ServiceStopped("service stopped during admission"))
+            for r in fates.stopped
+        ]
+        for request, error in refused:
+            self._resolve(request, error=error)
+        return futures, [error for _, error in refused]
 
     def snapshot(self) -> TelemetrySnapshot:
         """Telemetry snapshot including live queue depth and in-flight count.
@@ -757,13 +697,15 @@ class LabelingService:
     ) -> RecoveryReport:
         """Replay journaled admissions that never reached a terminal.
 
-        Starts the service if needed, then resubmits every pending
-        journal entry through the normal admission path — *without*
+        Starts the service if needed, then resubmits the whole pending
+        backlog through the normal admission path in one call — *without*
         re-journaling it — and writes each entry's terminal outcome
         (against its **original** seq) when its replayed future settles.
-        Replayed requests carry no admission deadline: the original
-        client was already told "admitted", so acknowledged work is
-        completed rather than re-expired.
+        The original client was already told "admitted", so acknowledged
+        work is completed rather than refused again: replayed requests
+        carry no admission deadline and wait for queue space under either
+        overflow policy (a backlog larger than ``max_depth`` feeds
+        through as the dispatcher drains it).
 
         With a result cache the replay is idempotent: duplicate
         ``(item, batch_key)`` entries coalesce onto a single flight, and
@@ -781,38 +723,34 @@ class LabelingService:
         entries = self.journal.pending_entries()
         started = self._clock()
         self.start()
-        run = _RecoveryRun()
-        futures: list[Future] = []
-        for entry in entries:
-            span = None
-            if self.tracer is not None:
-                span = self.tracer.start(entry.item.item_id, "recovery")
-            try:
-                future = self._submit(entry.item, entry.spec, _journal=False)
-            except BaseException as exc:
-                stage = _terminal_stage(exc)
-                self._journal_terminal(entry.seq, stage)
+        run = _RecoveryRun(len(entries))
+        work = [(e.item, spec_or(e.spec, self.default_spec)) for e in entries]
+        spans = [None] * len(entries)
+        if self.tracer is not None:
+            spans = [self.tracer.start(e.item.item_id, "recovery") for e in entries]
+        try:
+            futures, _ = self._admit(work, replayed=True)
+        except BaseException as exc:
+            # Nothing was replayed (the service stopped accepting): the
+            # entries stay pending in the journal for the next recover().
+            for span in spans:
                 if span is not None:
-                    self.tracer.finish(span, stage)
-                with self._recovery_lock:
-                    self._recovery["failed"] += 1
-                run.conclude(False)
-                continue
+                    self.tracer.finish(span, _terminal_stage(exc))
+            raise
+        for entry, span, future in zip(entries, spans, futures):
             future.add_done_callback(
                 partial(self._conclude_recovery, entry.seq, span, run)
             )
-            futures.append(future)
-        run.expect(len(entries))
         if wait:
             run.wait(timeout)
             self._journal_flush()
-            recovered, failed = run.counts()
-            if entries and recovered + failed == len(entries):
-                try:
-                    self.journal.checkpoint()
-                except Exception:
-                    logger.exception("post-recovery checkpoint failed")
         recovered, failed = run.counts()
+        pending = len(entries) - recovered - failed
+        if wait and entries and not pending:
+            try:
+                self.journal.checkpoint()
+            except Exception:
+                logger.exception("post-recovery checkpoint failed")
         duration = self._clock() - started
         with self._recovery_lock:
             self._recovery["runs"] += 1
@@ -827,14 +765,14 @@ class LabelingService:
                 "y" if len(entries) == 1 else "ies",
                 recovered,
                 failed,
-                len(entries) - recovered - failed,
+                pending,
                 duration,
             )
         return RecoveryReport(
             replayed=len(entries),
             recovered=recovered,
             failed=failed,
-            pending=len(entries) - recovered - failed,
+            pending=pending,
             duration=duration,
             futures=futures,
         )
@@ -911,7 +849,6 @@ class LabelingService:
         # terminals (written by _resolve above) record that the *client*
         # observed the failure — recover() replays only crash-lost work.
         for request in leftovers:
-            self.telemetry.count("cancelled")
             self._resolve(request, error=ServiceStopped("service shut down"))
         self._journal_flush()
         if self.journal is not None and self._owns_journal:
@@ -948,30 +885,21 @@ class LabelingService:
         except Exception:
             logger.exception("journal flush failed")
 
-    def _abort_claim(self, request: LabelingRequest, error: BaseException) -> None:
-        """Fail a claimed cache key whose request never reached the queue.
-
-        Releases the single-flight claim (so the next submission retries)
-        and settles the shared future for any duplicates already attached
-        to it.  No-op for cacheless requests.
-        """
-        if self.cache is None or request.cache_key is None:
-            return
-        self.cache.settle(request.cache_key, error=error)
-        if not request.future.done():
-            request.future.set_exception(error)
-
-    def _finish_trace(self, request: LabelingRequest, stage: str, **detail) -> None:
+    def _finish_trace(self, request: LabelingRequest, stage: str) -> None:
         """Retire a request's trace span (no-op without tracing)."""
         if self.tracer is not None and request.trace is not None:
-            self.tracer.finish(request.trace, stage, **detail)
+            self.tracer.finish(request.trace, stage)
 
     def _resolve(self, request: LabelingRequest, result=None, error=None) -> None:
-        """Settle one request's future, its cache claim, and accounting.
+        """Settle one request: the single point all fates flow through.
 
-        Every settled request also lands in its regime's SLO series
-        (completions with their end-to-end latency) and retires its trace
-        span — this is the single point all fates flow through.
+        Every request that ever held a ``_pending`` count leaves here —
+        completed, failed in a batch, expired (at admission, in the queue
+        or on the reaper's sweep), rejected by the depth bound, cancelled
+        by a stop.  ``stage`` is derived from the error once and the
+        journal terminal, the trace span, the outcome counter and the
+        regime / tenant SLO series are all written from it, so they
+        cannot disagree about a request.
         """
         # Cache before future: a client that reacts to its resolved
         # future by immediately re-submitting (or probing cachedness —
@@ -986,6 +914,7 @@ class LabelingService:
         if self.journal is not None and request.journal_seq is not None:
             self._journal_terminal(request.journal_seq, stage)
         self._finish_trace(request, stage)
+        self.telemetry.count(stage)
         spec = request.spec or self.default_spec
         if stage == "completed":
             self.telemetry.observe_outcome(
@@ -1000,17 +929,15 @@ class LabelingService:
             self._pending -= 1
             self._state.notify_all()
 
-    def _expire_overdue(self) -> int:
-        """One queue sweep: settle every request past its admission deadline.
-
-        Runs on the reaper's timer so a doomed request in a bucket the
-        dispatcher is not currently serving fails promptly instead of
-        waiting for that bucket's next turn.  Returns how many settled.
+    def _settle_overdue(self, requests: list[LabelingRequest]) -> None:
+        """Settle requests the queue dropped past their admission deadline
+        — by ``pop_batch`` as the dispatcher reached them, or by the
+        reaper's ``expire_overdue`` sweep, which runs on a timer so a
+        doomed request in a bucket the dispatcher is not currently
+        serving fails promptly instead of waiting for its bucket's turn.
         """
-        removed = self.queue.expire_overdue()
         now = self._clock()
-        for request in removed:
-            self.telemetry.count("expired")
+        for request in requests:
             self._resolve(
                 request,
                 error=DeadlineExpired(
@@ -1018,11 +945,10 @@ class LabelingService:
                     f"{now - request.submitted_at:.3f}s in queue"
                 ),
             )
-        return len(removed)
 
     def _expiry_loop(self) -> None:
         while not self._reaper_stop.wait(self.expiry_interval):
-            self._expire_overdue()
+            self._settle_overdue(self.queue.expire_overdue())
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -1030,15 +956,7 @@ class LabelingService:
                 self.batch_size, self.max_wait
             )
             now = self._clock()
-            for request in expired:
-                self.telemetry.count("expired")
-                self._resolve(
-                    request,
-                    error=DeadlineExpired(
-                        f"deadline {request.deadline}s expired after "
-                        f"{now - request.submitted_at:.3f}s in queue"
-                    ),
-                )
+            self._settle_overdue(expired)
             if reason is None:
                 return
             if not batch:
@@ -1101,12 +1019,10 @@ class LabelingService:
         try:
             results = self._label_batch([request.item for request in batch], spec)
         except BaseException as exc:  # propagate to every caller, keep serving
-            self.telemetry.count("failed", len(batch))
             for request in batch:
                 self._resolve(request, error=exc)
         else:
             elapsed = self._clock() - started
-            self.telemetry.count("completed", len(batch))
             for request, result in zip(batch, results):
                 self.telemetry.observe_service_time(elapsed)
                 self._resolve(request, result=result)

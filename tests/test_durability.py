@@ -353,6 +353,24 @@ class TestServiceJournal:
         assert (report.replayed, report.recovered, report.failed) == (0, 0, 0)
         service.shutdown()
 
+    def test_backlog_larger_than_queue_is_never_re_refused(
+        self, engine, truth, items, tmp_path
+    ):
+        # Every one of these admissions was already answered "admitted";
+        # a backlog that outruns max_depth waits for the dispatcher under
+        # the reject policy too, instead of being written off as rejected.
+        orphan_admissions(tmp_path, items[:24])
+        service = service_for(
+            engine, truth, tmp_path, max_depth=4, overflow="reject", batch_size=4
+        )
+        report = service.recover(timeout=30)
+        assert (report.replayed, report.recovered, report.failed) == (24, 24, 0)
+        stats = service.journal.stats()
+        assert stats.terminals == {"completed": 24}
+        assert stats.pending == 0
+        assert service.snapshot().counters["rejected"] == 0
+        service.shutdown()
+
 
 class TestReplayIdempotency:
     def test_duplicate_admissions_coalesce_to_one_execution(

@@ -555,6 +555,29 @@ class TestBackpressure:
             service.queue.close()
 
 
+    def test_draining_service_never_leaks_quota(self, engine, truth, dataset):
+        # A service that stopped accepting refuses the whole call before
+        # it holds anything; the quota slots taken at the gate come back
+        # on every label route (the bulk routes used to keep them).
+        directory = TenantDirectory([Tenant("solo", "key-solo")])
+        service = LabelingService(engine, truth=truth)
+        service.drain()
+        gw = LabelingGateway(service, directory, dataset).start_background()
+        try:
+            ids = [item.item_id for item in dataset][:2]
+            status, _, body = call(
+                gw, "POST", "/v1/label", {"item_id": ids[0]}, key="key-solo"
+            )
+            assert (status, body["reason"]) == (503, "stopped")
+            for path in ("/v1/label/batch", "/v1/label/stream"):
+                status, _, _ = call(gw, "POST", path, {"items": ids}, key="key-solo")
+                assert status >= 500
+            assert gw.tenant_inflight() == {"solo": 0}
+        finally:
+            gw.stop_background()
+            service.shutdown()
+
+
 class TestMountedObservability:
     def test_metrics_and_traces_served_from_gateway_port(self, gateway):
         status, _, text = call(gateway, "GET", "/metrics", key=None)

@@ -21,7 +21,12 @@ from repro.obs import (
 )
 from repro.rl.agents import make_agent
 from repro.scheduling.qgreedy import AgentPredictor
-from repro.serving import LabelingService, LabelingSpec, ServiceTelemetry
+from repro.serving import (
+    DeadlineExpired,
+    LabelingService,
+    LabelingSpec,
+    ServiceTelemetry,
+)
 from repro.serving.gateway import LabelingGateway, TenantDirectory
 
 
@@ -316,18 +321,26 @@ class TestServiceIntegration:
         shortcut = [t for t in finished if t["status"] != "completed"]
         assert shortcut[0]["status"] in ("cache_hit", "coalesced")
 
-    def test_expired_requests_count_against_slo(self, engine, truth, items):
-        # submit_many settles impossible-deadline items through _resolve,
-        # so they land in the SLO accumulator as deadline misses.
+    @pytest.mark.parametrize("entry", ["submit", "submit_many"])
+    def test_expired_requests_count_against_slo(self, engine, truth, items, entry):
+        # Impossible-deadline items settle through _resolve whichever
+        # entry point carried them, so they land in the SLO accumulator
+        # as deadline misses.
         min_cost = float(engine.zoo.times.min())
         service = LabelingService(
             engine, batch_size=4, truth=truth, spec=LabelingSpec(deadline=0.5)
         )
         with service:
-            futures = service.submit_many(items[:2], deadline=min_cost / 2)
-            for future in futures:
-                with pytest.raises(Exception):
-                    future.result(timeout=10)
+            if entry == "submit":
+                for item in items[:2]:
+                    with pytest.raises(DeadlineExpired):
+                        service.submit(item, deadline=min_cost / 2)
+            else:
+                for future in service.submit_many(
+                    items[:2], deadline=min_cost / 2
+                ):
+                    with pytest.raises(DeadlineExpired):
+                        future.result(timeout=10)
         slo = service.snapshot().slo["deadline"]
         assert slo.expired == 2
         assert slo.completed == 0

@@ -173,3 +173,32 @@ class TestManifestResumeCLI:
                 "--scale", "mini", "schedule", "--truth", "x", "--agent", "y",
                 "--resume",
             ])
+
+
+class TestServingCommands:
+    """``serve`` and ``gateway`` in-process: CI otherwise reaches them only
+    with live subprocesses."""
+
+    base = ["--scale", "mini"]
+    tiny = ["--hidden", "16"]
+
+    def test_serve_with_journal_and_recover(self, tmp_path, capsys):
+        assert main(self.base + [
+            "serve", *self.tiny, "--items", "24", "--clients", "2",
+            "--rate", "0", "--journal", str(tmp_path), "--recover",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "recovery: 0 journaled request(s) replayed" in out
+        assert "24 admitted, 24 terminals, 0 pending" in out
+
+    def test_gateway_runs_for_a_duration(self, capsys):
+        assert main(self.base + [
+            "gateway", *self.tiny, "--items", "16", "--duration", "0.3",
+        ]) == 0
+        assert "gateway listening at http://127.0.0.1:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["serve", "gateway"])
+    def test_recover_requires_journal(self, command, capsys):
+        with pytest.raises(SystemExit, match="--recover requires --journal"):
+            main(self.base + [command, *self.tiny, "--recover"])
+        assert capsys.readouterr().out == ""  # refused before any work
