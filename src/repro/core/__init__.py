@@ -14,16 +14,12 @@ __all__ = [
     "ModelOutput",
     "RewardConfig",
     "reward_for_output",
-    "OutputAccumulator",
     "evaluate_subset",
-    "recall_curve",
     "LabelingState",
 ]
 
 _LAZY = {
-    "OutputAccumulator": "repro.core.evaluation",
     "evaluate_subset": "repro.core.evaluation",
-    "recall_curve": "repro.core.evaluation",
     "LabelingState": "repro.core.state",
 }
 

@@ -6,16 +6,13 @@ their resolved :class:`~repro.spec.LabelingSpec`) and returns one
 semantics — dispatch on :attr:`LabelingSpec.regime` — and must produce
 traces identical to :class:`SerialBackend`, the single-item reference:
 
-* :class:`SerialBackend` — one item at a time, exactly the pre-engine code
-  path; the parity baseline.
-* :class:`BatchedBackend` — vectorized: all in-flight items advance in
-  lock-step rounds, with **one** stacked Q-network forward pass per round
-  across the whole batch, in *every* regime — unconstrained, deadline,
-  and deadline+memory all delegate to their scheduler's
-  ``schedule_batch`` dispatch tick.  Selection per item replays the
-  serial rule (masked ``argmax`` with first-index tie-breaking), so
-  traces stay identical while network cost is amortized over the batch.
-  Caveat: the stacked ``(B, n)`` forward and the serial ``(1, n)``
+* :class:`SerialBackend` — one item at a time, one ``(1, n)`` forward per
+  step; the parity baseline.
+* :class:`BatchedBackend` — all in-flight items advance in lock-step
+  rounds with **one** stacked forward per round, in every regime.  Both
+  run the same per-item episode under the same selection (see
+  :mod:`repro.scheduling.base`), so parity is structural — with one
+  caveat: the stacked ``(B, n)`` forward and the serial ``(1, n)``
   forward may differ in the last ULP on some BLAS builds, so exact
   parity additionally assumes no two candidate Q values sit within that
   rounding distance — vanishingly rare with continuous weights, and
@@ -35,10 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.scheduling.base import (
-    ScheduleTrace,
-    run_ordering_policy,
-)
+from repro.scheduling.base import ScheduleTrace
 from repro.scheduling.deadline import CostQGreedyScheduler
 from repro.scheduling.deadline_memory import MemoryDeadlineScheduler
 from repro.scheduling.qgreedy import QGreedyPolicy, QValuePredictor
@@ -105,23 +99,25 @@ class ExecutionBackend:
         """
 
 
+def _regime(spec: LabelingSpec, predictor: QValuePredictor):
+    """The one regime table: ``(scheduler, budget arguments)`` for a spec.
+
+    Every scheduler exposes the same pair, ``schedule(truth, item_id,
+    *budgets)`` and ``schedule_batch(truth, item_ids, *budgets)``.
+    """
+    if spec.regime == "deadline_memory":
+        return MemoryDeadlineScheduler(predictor), (spec.deadline, spec.memory_budget)
+    if spec.regime == "deadline":
+        return CostQGreedyScheduler(predictor), (spec.deadline,)
+    return QGreedyPolicy(predictor), (spec.max_models,)
+
+
 def schedule_one_item(
     job: LabelingJob, predictor: QValuePredictor, item_id: str
 ) -> ScheduleTrace:
     """The per-item regime dispatch every backend must reproduce."""
-    spec = job.spec
-    regime = spec.regime
-    if regime == "deadline_memory":
-        return MemoryDeadlineScheduler(predictor).schedule(
-            job.truth, item_id, spec.deadline, spec.memory_budget
-        )
-    if regime == "deadline":
-        return CostQGreedyScheduler(predictor).schedule(
-            job.truth, item_id, spec.deadline
-        )
-    return run_ordering_policy(
-        QGreedyPolicy(predictor), job.truth, item_id, max_models=spec.max_models
-    )
+    scheduler, budgets = _regime(job.spec, predictor)
+    return scheduler.schedule(job.truth, item_id, *budgets)
 
 
 class SerialBackend(ExecutionBackend):
@@ -138,40 +134,16 @@ class SerialBackend(ExecutionBackend):
 
 
 class BatchedBackend(ExecutionBackend):
-    """Vectorized lock-step rounds with one stacked forward per round.
-
-    Every regime delegates to its scheduler's ``schedule_batch`` dispatch
-    tick: round ``k`` of the batch corresponds to step ``k`` of each
-    serial run (one selection per item per round; for deadline+memory,
-    one pivot wave plus one completion per round), so the observations
-    stacked for the round are the very states the serial loop would have
-    predicted on.  Selection is a masked argmax over the
-    ``(B, n_models)`` score matrix — identical elementwise math and
-    first-index tie-breaking as the serial subset argmax, hence
-    per-item trace parity with :class:`SerialBackend` (see the module
-    docstring for the stacked-forward ULP caveat).  Items leave the
-    batch when their serial stop condition fires (budget exhausted, all
-    models run, ``max_models`` hit).
-    """
+    """Lock-step rounds with one stacked forward per round: same episode,
+    same selection as :class:`SerialBackend` (module docstring: ULP caveat)."""
 
     name = "batched"
 
     def run(
         self, job: LabelingJob, predictor: QValuePredictor
     ) -> list[ScheduleTrace]:
-        spec = job.spec
-        regime = spec.regime
-        if regime == "deadline_memory":
-            return MemoryDeadlineScheduler(predictor).schedule_batch(
-                job.truth, job.item_ids, spec.deadline, spec.memory_budget
-            )
-        if regime == "deadline":
-            return CostQGreedyScheduler(predictor).schedule_batch(
-                job.truth, job.item_ids, spec.deadline
-            )
-        return QGreedyPolicy(predictor).schedule_batch(
-            job.truth, job.item_ids, max_models=spec.max_models
-        )
+        scheduler, budgets = _regime(job.spec, predictor)
+        return scheduler.schedule_batch(job.truth, job.item_ids, *budgets)
 
 
 # BACKEND_REGISTRY and make_backend live in repro.engine.config: the

@@ -1,6 +1,7 @@
 """Dispatch-tick instrumentation: the hooks the hot path actually calls.
 
-The vectorized ``schedule_batch`` dispatch tick is the system's hot loop
+The lock-step driver behind every ``schedule_batch``
+(:func:`repro.scheduling.base.run_lockstep`) is the system's hot loop
 — one stacked Q-forward plus a masked argmax per round — and the engine's
 ``_run_batch`` wraps every backend dispatch.  Both ask this module for an
 observer; when nothing is installed the answer is ``None`` and the hot
@@ -14,7 +15,7 @@ schedule tick records, per regime:
 
 * ``repro_sched_tick_seconds``        — per-round tick duration (summary)
 * ``repro_sched_rounds_total``        — rounds, i.e. stacked Q-forwards
-* ``repro_sched_models_executed_total`` — model executions selected
+* ``repro_sched_models_executed_total`` — model executions (= trace lengths)
 * ``repro_sched_batches_total`` / ``repro_sched_batch_items_total``
 
 and every engine dispatch records, per backend and regime:
@@ -138,13 +139,18 @@ class BatchTickObserver:
         self.executed = 0
         self.ticks: list[float] = []
 
-    def tick(self, seconds: float, executed: int) -> None:
-        """Record one lock-step round: its duration and selections made."""
+    def tick(self, seconds: float, executed: int = 0) -> None:
+        """Record one lock-step round: its duration (and, for a caller
+        that knows them per round, the executions it selected)."""
         self.rounds += 1
         self.executed += executed
         self.ticks.append(seconds)
 
-    def done(self) -> None:
+    def done(self, executed: int = 0) -> None:
+        """Flush; ``executed`` adds executions counted once at the end —
+        the lock-step driver passes the batch's total trace length, which
+        in every regime is what its rounds started (fills included)."""
+        self.executed += executed
         self._sink.observe_batch(
             self.regime, self.items, self.rounds, self.executed, self.ticks
         )

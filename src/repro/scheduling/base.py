@@ -1,20 +1,53 @@
-"""Trace containers and the ordering-policy runner.
+"""Trace containers, the ordering-policy runner and the episode drivers.
 
 An *ordering policy* adaptively picks the next model to execute given the
 current labeling state (it may read previously revealed outputs, never the
 latent content).  Running one to completion yields a :class:`ScheduleTrace`
 from which the analysis layer reads every Fig. 4/5-style metric: models
 and time needed to reach any recall threshold.
+
+The episode protocol
+--------------------
+Each engine regime (Q-greedy, Algorithm 1, Algorithm 2) states its
+algorithm **once**, as a per-item generator — an *episode* — and the two
+drivers below run it: :func:`run_episode` one item at a time (what
+``schedule()`` and ``SerialBackend`` do), :func:`run_lockstep` many items
+per stacked forward (what ``schedule_batch()`` and ``BatchedBackend`` do).
+
+* The **episode** owns everything about its item: the
+  :class:`~repro.core.state.LabelingState`, the trace, clocks and budgets,
+  the stop conditions and every execution.  Whenever it can start a model
+  it *yields* ``(state, mask)`` — ``mask`` the non-empty boolean vector of
+  models it may start now — and is *sent* ``(pick, q)`` back: the chosen
+  model index (always inside the mask) and that item's row of predicted Q
+  values (Algorithm 2's fill passes reuse it).  When nothing more can
+  start it *returns* its finished :class:`ScheduleTrace`.
+* The **driver** owns prediction and selection only: it asks the
+  predictor for Q on the yielded states and answers each with
+  :func:`best_ratio` — the first-index ``argmax`` of ``Q / cost`` over the
+  mask, ``cost`` being the regime's constant (``1``, ``times``,
+  ``times × mems``).  It never touches a budget, so an item cannot be
+  predicted for once it can start nothing, and rows cannot be misaligned
+  with items: each item's control flow is its own generator.
+
+A *round* is therefore one iteration of the loop in each driver.
 """
 
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass, field
+from time import perf_counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.state import LabelingState
+from repro.obs.instrument import batch_observer
 from repro.zoo.oracle import GroundTruth
+
+if TYPE_CHECKING:
+    from repro.scheduling.qgreedy import QValuePredictor
 
 #: Absolute tolerance for float comparisons on accumulated times/values.
 #: Finish times and cumulative values are sums of float costs, so exact
@@ -180,3 +213,75 @@ def run_ordering_policy(
         clock = execute_serially(state, trace, truth, index, clock)
         policy.observe(state, index)
     return trace
+
+
+#: One item's algorithm: yields ``(state, startable mask)``, is sent
+#: ``(pick, q row)``, returns its trace (see the module docstring).
+Episode = Generator[
+    tuple[LabelingState, np.ndarray], tuple[int, np.ndarray], ScheduleTrace
+]
+
+
+def best_ratio(q: np.ndarray, mask: np.ndarray, cost) -> np.ndarray:
+    """First-index ``argmax`` of ``q / cost`` over ``mask``, along the last axis.
+
+    The paper's one selection rule, for a single ``(n,)`` row or a stacked
+    ``(B, n)`` matrix alike; the same elementwise division either way, so
+    a row selects identically alone and in a batch.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.argmax(np.where(mask, q / cost, -np.inf), axis=-1)
+
+
+def _advance(episode: Episode, reply=None):
+    """Resume ``episode``: ``(its next request, None)`` or ``(None, trace)``."""
+    try:
+        return episode.send(reply), None
+    except StopIteration as finished:
+        return None, finished.value
+
+
+def run_episode(episode: Episode, predictor: "QValuePredictor", cost) -> ScheduleTrace:
+    """Drive one episode to its trace: one ``predict`` per step."""
+    request, trace = _advance(episode)
+    while request is not None:
+        state, mask = request
+        q = predictor.predict(state)
+        request, trace = _advance(episode, (int(best_ratio(q, mask, cost)), q))
+    return trace
+
+
+def run_lockstep(
+    episodes: list[Episode], predictor: "QValuePredictor", cost, regime: str
+) -> list[ScheduleTrace]:
+    """Drive many episodes together: one ``predict_batch`` per round.
+
+    Every round stacks the states of the episodes still waiting on a pick
+    (in item order), predicts once, selects once for all rows, and resumes
+    each episode with its own pick and Q row.  ``regime`` labels the
+    ``repro_sched_*`` series when obs instrumentation is installed; the
+    bare path pays one branch per round and no timing calls.
+    """
+    traces: list[ScheduleTrace | None] = [None] * len(episodes)
+    observer = batch_observer(regime, len(episodes))
+    waiting = []
+    for slot, episode in enumerate(episodes):
+        request, traces[slot] = _advance(episode)
+        if request is not None:
+            waiting.append((slot, *request))
+    while waiting:
+        if observer is not None:
+            tick_started = perf_counter()
+        q_batch = predictor.predict_batch([state for _, state, _ in waiting])
+        picks = best_ratio(q_batch, np.stack([mask for *_, mask in waiting]), cost)
+        resumed = []
+        for (slot, _, _), pick, q in zip(waiting, picks.tolist(), q_batch):
+            request, traces[slot] = _advance(episodes[slot], (pick, q))
+            if request is not None:
+                resumed.append((slot, *request))
+        waiting = resumed
+        if observer is not None:
+            observer.tick(perf_counter() - tick_started)
+    if observer is not None:
+        observer.done(sum(len(trace.executions) for trace in traces))
+    return traces

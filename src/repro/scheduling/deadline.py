@@ -14,18 +14,19 @@ upper bound of §V-C (fractional last model).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from time import perf_counter
 
 import numpy as np
 
-from repro.core.evaluation import marginal_gain
 from repro.core.state import LabelingState
-from repro.obs.instrument import batch_observer
 from repro.scheduling.base import (
     TOLERANCE,
+    Episode,
     ScheduleTrace,
     execute_serially,
+    run_episode,
+    run_lockstep,
 )
+from repro.scheduling.optimal import relaxed_optimal_value
 from repro.scheduling.qgreedy import QValuePredictor
 from repro.zoo.oracle import GroundTruth
 
@@ -33,11 +34,12 @@ from repro.zoo.oracle import GroundTruth
 class CostQGreedyScheduler:
     """Algorithm 1: cost-Q greedy scheduling under a deadline.
 
-    :meth:`schedule` is the serial reference (one item, one prediction
-    per step); :meth:`schedule_batch` is the vectorized dispatch tick the
-    engine backends use — one stacked prediction and one masked-argmax
-    selection per round across every in-flight item, trace-identical per
-    item.
+    One algorithm text (:meth:`_episode`), two drivers: :meth:`schedule`
+    steps it with one prediction per step — the serial reference —
+    and :meth:`schedule_batch` steps many items in lock-step with one
+    stacked prediction per round, the path the engine backends use.
+    Both select the affordable model maximizing ``Q / time`` (see
+    :mod:`repro.scheduling.base` for the episode protocol).
     """
 
     name = "cost_q_greedy"
@@ -45,28 +47,31 @@ class CostQGreedyScheduler:
     def __init__(self, predictor: QValuePredictor):
         self.predictor = predictor
 
+    def _episode(self, truth: GroundTruth, item_id: str, time_budget: float) -> Episode:
+        """Algorithm 1 for one item: execute picks among the unexecuted
+        models the remaining budget still admits, until none is left."""
+        state = LabelingState(truth, item_id)
+        trace = ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
+        times = truth.zoo.times
+        clock = 0.0
+        budget = time_budget
+        while budget > 0:
+            affordable = ~state.executed & (times <= budget + TOLERANCE)
+            if not affordable.any():
+                break
+            best, _ = yield state, affordable
+            clock = execute_serially(state, trace, truth, best, clock)
+            budget -= float(times[best])
+        return trace
+
     def schedule(
         self, truth: GroundTruth, item_id: str, time_budget: float
     ) -> ScheduleTrace:
         """Run the predict-filter-select loop until the budget is spent."""
         if time_budget < 0:
             raise ValueError("time_budget must be non-negative")
-        state = LabelingState(truth, item_id)
-        trace = ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
-        times = truth.zoo.times
-        clock = 0.0
-        budget = time_budget
-        while budget > 0 and not state.all_executed:
-            remaining = state.remaining
-            affordable = remaining[times[remaining] <= budget + TOLERANCE]
-            if len(affordable) == 0:
-                break
-            q = self.predictor.predict(state)
-            ratios = q[affordable] / times[affordable]
-            best = int(affordable[np.argmax(ratios)])
-            clock = execute_serially(state, trace, truth, best, clock)
-            budget -= float(times[best])
-        return trace
+        episode = self._episode(truth, item_id, time_budget)
+        return run_episode(episode, self.predictor, truth.zoo.times)
 
     def schedule_batch(
         self,
@@ -74,68 +79,12 @@ class CostQGreedyScheduler:
         item_ids: Sequence[str],
         time_budget: float,
     ) -> list[ScheduleTrace]:
-        """Algorithm 1 over many items in vectorized lock-step rounds.
-
-        Each round issues **one** ``predict_batch`` call for every
-        in-flight item and selects per item by masking the
-        ``(B, n_models)`` ratio matrix ``Q / time`` with the combined
-        remaining+affordability boolean mask and taking a row-wise
-        argmax.  Ratios are the same elementwise divisions the serial
-        loop computes on its affordable subset and ``argmax`` keeps
-        first-index tie-breaking, so per-item traces replay
-        :meth:`schedule` exactly (stacked-forward ULP caveat aside, see
-        :class:`~repro.engine.backends.BatchedBackend`).  An item leaves
-        the batch when its serial stop condition fires: budget spent, no
-        affordable model left, or all models executed.
-        """
+        """Algorithm 1 over many items, one stacked prediction per round;
+        per-item traces are those of :meth:`schedule`."""
         if time_budget < 0:
             raise ValueError("time_budget must be non-negative")
-        times = truth.zoo.times
-        states = [LabelingState(truth, item_id) for item_id in item_ids]
-        traces = [
-            ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
-            for item_id in item_ids
-        ]
-        clocks = [0.0] * len(states)
-        budgets = np.full(len(states), float(time_budget))
-        active = [
-            i
-            for i, s in enumerate(states)
-            if budgets[i] > 0 and not s.all_executed
-        ]
-        # None unless obs instrumentation is installed; the bare path pays
-        # one branch per round and no timing calls.
-        observer = batch_observer("deadline", len(item_ids))
-        while active:
-            if observer is not None:
-                tick_started = perf_counter()
-            q_batch = self.predictor.predict_batch([states[i] for i in active])
-            executed = np.stack([states[i].executed for i in active])
-            affordable = times[None, :] <= budgets[active, None] + TOLERANCE
-            mask = ~executed & affordable
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(mask, q_batch / times[None, :], -np.inf)
-            picks = np.argmax(ratios, axis=1)
-            selectable = mask.any(axis=1)
-            still_active = []
-            for row, i in enumerate(active):
-                if not selectable[row]:
-                    continue
-                best = int(picks[row])
-                clocks[i] = execute_serially(
-                    states[i], traces[i], truth, best, clocks[i]
-                )
-                budgets[i] -= float(times[best])
-                if budgets[i] > 0 and not states[i].all_executed:
-                    still_active.append(i)
-            active = still_active
-            if observer is not None:
-                observer.tick(
-                    perf_counter() - tick_started, int(selectable.sum())
-                )
-        if observer is not None:
-            observer.done()
-        return traces
+        episodes = [self._episode(truth, item_id, time_budget) for item_id in item_ids]
+        return run_lockstep(episodes, self.predictor, truth.zoo.times, "deadline")
 
 
 class QGreedyDeadlineScheduler:
@@ -206,33 +155,7 @@ class RelaxedOptimalDeadline:
     name = "optimal_star_deadline"
 
     def value(self, truth: GroundTruth, item_id: str, time_budget: float) -> float:
-        state = LabelingState(truth, item_id)
-        times = truth.zoo.times
-        budget = time_budget
-        value = 0.0
-        while budget > 0 and not state.all_executed:
-            remaining = state.remaining
-            gains = np.asarray(
-                [
-                    marginal_gain(truth, item_id, state.confidences, int(j))
-                    for j in remaining
-                ]
-            )
-            ratios = gains / times[remaining]
-            pick = int(np.argmax(ratios))
-            best = int(remaining[pick])
-            gain = float(gains[pick])
-            if gain <= 0:
-                break
-            cost = float(times[best])
-            if cost <= budget + 1e-9:
-                state.execute(best)
-                value += gain
-                budget -= cost
-            else:
-                value += gain * (budget / cost)
-                budget = 0.0
-        return value
+        return relaxed_optimal_value(truth, item_id, truth.zoo.times, time_budget)
 
     def recall(self, truth: GroundTruth, item_id: str, time_budget: float) -> float:
         total = truth.total_value(item_id)

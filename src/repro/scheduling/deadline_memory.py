@@ -22,14 +22,19 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
-from repro.core.evaluation import marginal_gain
 from repro.core.state import LabelingState
-from repro.obs.instrument import batch_observer
-from repro.scheduling.base import ScheduledExecution, ScheduleTrace
+from repro.scheduling.base import (
+    Episode,
+    ScheduledExecution,
+    ScheduleTrace,
+    best_ratio,
+    run_episode,
+    run_lockstep,
+)
+from repro.scheduling.optimal import relaxed_optimal_value
 from repro.scheduling.qgreedy import QValuePredictor
 from repro.zoo.oracle import GroundTruth
 
@@ -56,17 +61,13 @@ class _ParallelSim:
         self.clock = 0.0
         self.free_mem = memory_budget
         self.heap: list[_Running] = []
-        self.started: set[int] = set()
+        #: Boolean mask of the models in ``heap``.
+        self.running = np.zeros(len(truth.zoo), dtype=bool)
 
     @property
     def startable_mask(self) -> np.ndarray:
         """Boolean mask of models neither finished nor currently running."""
-        pending = ~self.state.executed
-        for running in self.heap:
-            pending[running.model_index] = False
-        for started in self.started:
-            pending[started] = False
-        return pending
+        return ~(self.state.executed | self.running)
 
     @property
     def startable(self) -> np.ndarray:
@@ -78,7 +79,7 @@ class _ParallelSim:
         if model.mem > self.free_mem + 1e-9:
             raise RuntimeError(f"model {model.name} does not fit in memory")
         self.free_mem -= model.mem
-        self.started.add(index)
+        self.running[index] = True
         heapq.heappush(
             self.heap,
             _Running(self.clock + model.time, index, start_time=self.clock),
@@ -94,7 +95,7 @@ class _ParallelSim:
         self.free_mem += model.mem
         start_time = running.start_time
         self.clock = running.finish_time
-        self.started.discard(index)
+        self.running[index] = False
         self.trace.executions.append(
             ScheduledExecution(
                 model_index=index,
@@ -107,15 +108,23 @@ class _ParallelSim:
         )
 
 
+def _areas(truth: GroundTruth) -> np.ndarray:
+    """Per-model ``time × mem`` resource area: Algorithm 2's pivot cost and
+    the unit of the relaxed optimal* budget."""
+    return truth.zoo.times * truth.zoo.mems
+
+
 class MemoryDeadlineScheduler:
     """Algorithm 2: the two-dimension cost-Q heuristic.
 
-    :meth:`schedule` is the serial reference; :meth:`schedule_batch`
-    vectorizes the greedy core across items — one stacked prediction per
-    simulation round and a masked-argmax pivot selection over the
-    ``(B, n_models)`` score matrix — while the per-item memory-packing
-    fill loop stays sequential (each fill changes that item's free
-    memory).  Traces are identical per item.
+    One algorithm text (:meth:`_episode`), two drivers: :meth:`schedule`
+    steps it with one prediction per pivot wave — the serial reference —
+    and :meth:`schedule_batch` steps many items in lock-step with one
+    stacked prediction per round, the path the engine backends use.
+    Both pick the pivot maximizing ``Q / (time × mem)``; the memory-packing
+    fill passes are the episode's own (each start consumes that item's
+    free memory) and reuse the wave's Q row (see
+    :mod:`repro.scheduling.base` for the episode protocol).
     """
 
     name = "memory_deadline"
@@ -123,73 +132,47 @@ class MemoryDeadlineScheduler:
     def __init__(self, predictor: QValuePredictor):
         self.predictor = predictor
 
-    def _fill(
-        self,
-        sim: _ParallelSim,
-        q: np.ndarray,
-        times: np.ndarray,
-        mems: np.ndarray,
-        fill_deadlines: tuple[float, float],
-    ) -> int:
-        """The memory-packing fill passes shared by both schedule paths.
-
-        Fill remaining memory: best value per unit memory among models
-        finishing within the temporary (pivot) deadline (Algorithm 2
-        line 7), then — refinement over the pseudocode — a second pass
-        bounded by the global deadline, so leftover memory is not idled
-        when only longer-than-pivot models remain.  Returns how many
-        models the passes started.
-        """
-        started = 0
-        for fill_deadline in fill_deadlines:
-            while True:
-                candidates = sim.startable
-                fill = candidates[
-                    (mems[candidates] <= sim.free_mem + 1e-9)
-                    & (sim.clock + times[candidates] <= fill_deadline + 1e-9)
-                ]
-                if len(fill) == 0:
-                    break
-                chosen = int(fill[np.argmax(q[fill] / mems[fill])])
-                sim.start(chosen)
-                started += 1
-        return started
-
-    def schedule(
+    def _episode(
         self,
         truth: GroundTruth,
         item_id: str,
         time_budget: float,
         memory_budget: float,
-    ) -> ScheduleTrace:
-        if time_budget < 0 or memory_budget < 0:
-            raise ValueError("budgets must be non-negative")
+    ) -> Episode:
+        """Algorithm 2 for one item: at t = 0 and at every completion
+        before the deadline, start a pivot wave if anything fits."""
         sim = _ParallelSim(truth, item_id, memory_budget)
         times = truth.zoo.times
         mems = truth.zoo.mems
 
-        while sim.clock < time_budget:
-            candidates = sim.startable
-            if len(candidates) == 0 and not sim.heap:
-                break
-            q = self.predictor.predict(sim.state)
+        def fits(deadline: float) -> np.ndarray:
+            """Startable models that fit free memory and finish by ``deadline``."""
+            return (
+                sim.startable_mask
+                & (mems <= sim.free_mem + 1e-9)
+                & (sim.clock + times <= deadline + 1e-9)
+            )
 
+        while sim.clock < time_budget:
             # Pivot: best value per unit (time x memory) area among models
             # that fit free memory (Algorithm 2 line 3) and can still finish
             # before the deadline.  The deadline part is our addition in the
             # spirit of Algorithm 1's line 3 — without it the last pivot
             # wave is pure waste; the random baseline deliberately keeps the
             # paper's waste (see RandomMemoryDeadlineScheduler).
-            fits = candidates[
-                (mems[candidates] <= sim.free_mem + 1e-9)
-                & (sim.clock + times[candidates] <= time_budget + 1e-9)
-            ]
-            if len(fits) > 0:
-                areas = times[fits] * mems[fits]
-                pivot = int(fits[np.argmax(q[fits] / areas)])
+            candidates = fits(time_budget)
+            if candidates.any():
+                pivot, q = yield sim.state, candidates
                 sim.start(pivot)
-                temp_deadline = sim.clock + float(times[pivot])
-                self._fill(sim, q, times, mems, (temp_deadline, time_budget))
+                # Fill remaining memory: best value per unit memory among
+                # models finishing within the temporary (pivot) deadline
+                # (Algorithm 2 line 7), then — refinement over the
+                # pseudocode — a second pass bounded by the global deadline,
+                # so leftover memory is not idled when only
+                # longer-than-pivot models remain.
+                for fill_deadline in (sim.clock + float(times[pivot]), time_budget):
+                    while (fill := fits(fill_deadline)).any():
+                        sim.start(int(best_ratio(q, fill, mems)))
             if not sim.heap:
                 break
             # Wait for one completion; its output updates the state.
@@ -201,6 +184,18 @@ class MemoryDeadlineScheduler:
             sim.finish_next()
         return sim.trace
 
+    def schedule(
+        self,
+        truth: GroundTruth,
+        item_id: str,
+        time_budget: float,
+        memory_budget: float,
+    ) -> ScheduleTrace:
+        if time_budget < 0 or memory_budget < 0:
+            raise ValueError("budgets must be non-negative")
+        episode = self._episode(truth, item_id, time_budget, memory_budget)
+        return run_episode(episode, self.predictor, _areas(truth))
+
     def schedule_batch(
         self,
         truth: GroundTruth,
@@ -208,89 +203,15 @@ class MemoryDeadlineScheduler:
         time_budget: float,
         memory_budget: float,
     ) -> list[ScheduleTrace]:
-        """Algorithm 2 over many items in vectorized lock-step rounds.
-
-        Round ``k`` of the batch is iteration ``k`` of each item's serial
-        simulation loop (each iteration starts a pivot wave and retires
-        one completion), so the stacked states predicted each round are
-        exactly the states the serial loop would have predicted on —
-        **one** ``predict_batch`` call per round instead of one
-        ``predict`` per item per round.  Pivot selection is a masked
-        argmax over the ``(B, n_models)`` matrix ``Q / (time × mem)``
-        with the combined startable/memory-fit/deadline-fit boolean
-        mask; the fill passes then replay serially per item (each start
-        consumes that item's free memory).  An item leaves the batch when
-        its serial loop would exit; its still-running models drain
-        exactly as in :meth:`schedule`.
-        """
+        """Algorithm 2 over many items, one stacked prediction per round
+        of pivot waves; per-item traces are those of :meth:`schedule`."""
         if time_budget < 0 or memory_budget < 0:
             raise ValueError("budgets must be non-negative")
-        times = truth.zoo.times
-        mems = truth.zoo.mems
-        areas = times * mems
-        sims = [_ParallelSim(truth, item_id, memory_budget) for item_id in item_ids]
-
-        def continues(sim: _ParallelSim) -> bool:
-            """The serial loop's entry condition (top-of-loop checks)."""
-            if not sim.clock < time_budget:
-                return False
-            return bool(sim.startable_mask.any()) or bool(sim.heap)
-
-        active = [i for i, sim in enumerate(sims) if continues(sim)]
-        # None unless obs instrumentation is installed; the bare path pays
-        # one branch per round and no timing calls.
-        observer = batch_observer("deadline_memory", len(item_ids))
-        while active:
-            if observer is not None:
-                tick_started = perf_counter()
-            q_batch = self.predictor.predict_batch(
-                [sims[i].state for i in active]
-            )
-            startable = np.stack([sims[i].startable_mask for i in active])
-            free = np.asarray([sims[i].free_mem for i in active])
-            clocks = np.asarray([sims[i].clock for i in active])
-            # Pivot: best value per unit (time x memory) area among models
-            # that fit free memory and can still finish before the deadline
-            # — the same filter as the serial loop, as (B, n_models) masks.
-            fits = (
-                startable
-                & (mems[None, :] <= free[:, None] + 1e-9)
-                & (clocks[:, None] + times[None, :] <= time_budget + 1e-9)
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scores = np.where(fits, q_batch / areas[None, :], -np.inf)
-            pivots = np.argmax(scores, axis=1)
-            has_pivot = fits.any(axis=1)
-            started = 0
-            still_active = []
-            for row, i in enumerate(active):
-                sim = sims[i]
-                if has_pivot[row]:
-                    pivot = int(pivots[row])
-                    sim.start(pivot)
-                    temp_deadline = sim.clock + float(times[pivot])
-                    started += 1 + self._fill(
-                        sim,
-                        q_batch[row],
-                        times,
-                        mems,
-                        (temp_deadline, time_budget),
-                    )
-                if not sim.heap:
-                    continue
-                sim.finish_next()
-                if continues(sim):
-                    still_active.append(i)
-            active = still_active
-            if observer is not None:
-                observer.tick(perf_counter() - tick_started, started)
-        if observer is not None:
-            observer.done()
-
-        for sim in sims:
-            while sim.heap:
-                sim.finish_next()
-        return [sim.trace for sim in sims]
+        episodes = [
+            self._episode(truth, item_id, time_budget, memory_budget)
+            for item_id in item_ids
+        ]
+        return run_lockstep(episodes, self.predictor, _areas(truth), "deadline_memory")
 
 
 class RandomMemoryDeadlineScheduler:
@@ -350,34 +271,9 @@ class RelaxedOptimalMemoryDeadline:
         time_budget: float,
         memory_budget: float,
     ) -> float:
-        state = LabelingState(truth, item_id)
-        times = truth.zoo.times
-        mems = truth.zoo.mems
         # Total resource area available (relaxed packing).
         area_budget = time_budget * memory_budget
-        value = 0.0
-        while area_budget > 0 and not state.all_executed:
-            remaining = state.remaining
-            gains = np.asarray(
-                [
-                    marginal_gain(truth, item_id, state.confidences, int(j))
-                    for j in remaining
-                ]
-            )
-            areas = times[remaining] * mems[remaining]
-            pick = int(np.argmax(gains / areas))
-            gain = float(gains[pick])
-            if gain <= 0:
-                break
-            area = float(areas[pick])
-            if area <= area_budget + 1e-9:
-                state.execute(int(remaining[pick]))
-                value += gain
-                area_budget -= area
-            else:
-                value += gain * (area_budget / area)
-                area_budget = 0.0
-        return value
+        return relaxed_optimal_value(truth, item_id, _areas(truth), area_budget)
 
     def recall(
         self,

@@ -4,8 +4,8 @@
   descending order of their true output value (§VI-B).  It knows each
   model's value but still pays for every execution it makes.
 * :class:`GreedyMarginalPolicy` — a stronger oracle ordering by true
-  *marginal* gain per unit time; used by the optimal* constructions of
-  §V-C (see :mod:`repro.scheduling.deadline`).
+  *marginal* gain per unit cost; :func:`relaxed_optimal_value`, the one
+  optimal* walk of §V-C, scans the same :func:`marginal_gains`.
 * :class:`ParetoPlanner` — the offline *exact* per-budget optimum: the
   best model subset fitting a time budget under the max-confidence union
   value of Eq. (1), found by branch and bound.  Unlike the relaxed
@@ -49,12 +49,51 @@ class OptimalPolicy(OrderingPolicy):
         raise RuntimeError("optimal order exhausted")  # pragma: no cover
 
 
-class GreedyMarginalPolicy(OrderingPolicy):
-    """Oracle greedy on true marginal gain divided by a cost exponent.
+def marginal_gains(
+    truth: GroundTruth, item_id: str, state: LabelingState
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(remaining model indices, true marginal gain of each)`` at ``state``."""
+    remaining = state.remaining
+    gains = np.asarray(
+        [marginal_gain(truth, item_id, state.confidences, int(j)) for j in remaining]
+    )
+    return remaining, gains
 
-    With ``cost="time"`` this is the relaxed-optimal selection rule of
-    §V-C for the deadline constraint; with ``cost="time_mem"`` the
-    deadline-memory variant.
+
+def relaxed_optimal_value(
+    truth: GroundTruth, item_id: str, costs: np.ndarray, budget: float
+) -> float:
+    """The optimal* walk of §V-C over one per-model cost vector.
+
+    Greedy on true marginal gain per unit cost; the first model the
+    remaining budget cannot fit still contributes the affordable
+    *proportion* of its gain (the relaxation), which ends the walk.
+    """
+    state = LabelingState(truth, item_id)
+    value = 0.0
+    while budget > 0 and not state.all_executed:
+        remaining, gains = marginal_gains(truth, item_id, state)
+        pick = int(np.argmax(gains / costs[remaining]))
+        gain = float(gains[pick])
+        if gain <= 0:
+            break
+        cost = float(costs[remaining[pick]])
+        if cost <= budget + 1e-9:
+            state.execute(int(remaining[pick]))
+            value += gain
+            budget -= cost
+        else:
+            value += gain * (budget / cost)
+            budget = 0.0
+    return value
+
+
+class GreedyMarginalPolicy(OrderingPolicy):
+    """Oracle greedy on true marginal gain divided by a cost.
+
+    With ``cost="time"`` this orders by the selection rule the deadline
+    optimal* walk (:func:`relaxed_optimal_value`) uses; with
+    ``cost="time_mem"`` by the deadline-memory variant's.
     """
 
     name = "greedy_marginal"
@@ -63,33 +102,20 @@ class GreedyMarginalPolicy(OrderingPolicy):
         if cost not in ("unit", "time", "time_mem"):
             raise ValueError(f"unknown cost divisor: {cost!r}")
         self._cost = cost
-        self._truth: GroundTruth | None = None
-        self._item_id = ""
 
     def reset(self, truth: GroundTruth, item_id: str) -> None:
         self._truth = truth
         self._item_id = item_id
+        zoo = truth.zoo
+        self._costs = {
+            "unit": np.ones(len(zoo)),
+            "time": zoo.times,
+            "time_mem": zoo.times * zoo.mems,
+        }[self._cost]
 
     def next_model(self, state: LabelingState) -> int:
-        truth = self._truth
-        remaining = state.remaining
-        best_index = -1
-        best_score = -np.inf
-        for index in remaining:
-            gain = marginal_gain(
-                truth, self._item_id, state.confidences, int(index)
-            )
-            model = truth.zoo[int(index)]
-            if self._cost == "time":
-                score = gain / model.time
-            elif self._cost == "time_mem":
-                score = gain / (model.time * model.mem)
-            else:
-                score = gain
-            if score > best_score:
-                best_score = score
-                best_index = int(index)
-        return best_index
+        remaining, gains = marginal_gains(self._truth, self._item_id, state)
+        return int(remaining[np.argmax(gains / self._costs[remaining])])
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,18 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
-from time import perf_counter
 
 import numpy as np
 
 from repro.core.state import LabelingState
-from repro.obs.instrument import batch_observer
 from repro.rl.agents import QAgent
 from repro.scheduling.base import (
+    Episode,
     OrderingPolicy,
     ScheduleTrace,
     execute_serially,
+    run_lockstep,
+    run_ordering_policy,
 )
 from repro.zoo.oracle import GroundTruth
 
@@ -60,12 +61,12 @@ class AgentPredictor(QValuePredictor):
         self.n_models = n_models
 
     def predict(self, state: LabelingState) -> np.ndarray:
-        q = self.agent.q_values(state.vector.astype(np.float64))
+        # The agent converts the float32 bits to float64, once.
+        q = self.agent.q_values(state.vector)
         return q[: self.n_models]
 
     def predict_batch(self, states: Sequence[LabelingState]) -> np.ndarray:
-        obs = np.stack([state.vector for state in states]).astype(np.float64)
-        q = self.agent.q_values_batch(obs)
+        q = self.agent.q_values_batch(np.stack([state.vector for state in states]))
         return q[:, : self.n_models]
 
 
@@ -165,56 +166,35 @@ class QGreedyPolicy(OrderingPolicy):
             raise RuntimeError("no models remain")  # pragma: no cover
         return int(remaining[np.argmax(q[remaining])])
 
+    def schedule(
+        self, truth: GroundTruth, item_id: str, max_models: int | None = None
+    ) -> ScheduleTrace:
+        """The serial reference: this policy under the ordering runner."""
+        return run_ordering_policy(self, truth, item_id, max_models)
+
+    def _episode(
+        self, truth: GroundTruth, item_id: str, max_models: int | None
+    ) -> Episode:
+        """One item's rollout: execute picks among the unexecuted models
+        until all have run or ``max_models`` is hit."""
+        state = LabelingState(truth, item_id)
+        trace = ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
+        clock = 0.0
+        # Every step runs one more model, so the zoo itself bounds the steps.
+        steps = len(truth.zoo)
+        for _ in range(steps if max_models is None else min(max_models, steps)):
+            index, _ = yield state, ~state.executed
+            clock = execute_serially(state, trace, truth, index, clock)
+        return trace
+
     def schedule_batch(
         self,
         truth: GroundTruth,
         item_ids: Sequence[str],
         max_models: int | None = None,
     ) -> list[ScheduleTrace]:
-        """Vectorized lock-step rollout of many items: one dispatch tick
-        issues **one** :meth:`~QValuePredictor.predict_batch` call across
-        all in-flight items and selects per item with a masked argmax
-        over the ``(B, n_models)`` score matrix.
-
-        Round ``k`` of the batch corresponds to step ``k`` of each serial
-        run, and masking executed models to ``-inf`` before a row-wise
-        ``argmax`` replays :meth:`next_model`'s selection exactly —
-        including first-index tie-breaking — so traces are identical to
-        :func:`~repro.scheduling.base.run_ordering_policy` per item
-        (modulo the stacked-forward ULP caveat documented on
-        :class:`~repro.engine.backends.BatchedBackend`).
-        """
-        states = [LabelingState(truth, item_id) for item_id in item_ids]
-        traces = [
-            ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
-            for item_id in item_ids
-        ]
-        clocks = [0.0] * len(states)
-        limit = max_models if max_models is not None else len(truth.zoo)
-        active = [i for i, s in enumerate(states) if not s.all_executed]
-        rounds = 0
-        # None unless obs instrumentation is installed; the bare path pays
-        # one branch per round and no timing calls.
-        observer = batch_observer("qgreedy", len(item_ids))
-        while active and rounds < limit:
-            if observer is not None:
-                tick_started = perf_counter()
-            selected = len(active)
-            q_batch = self.predictor.predict_batch([states[i] for i in active])
-            executed = np.stack([states[i].executed for i in active])
-            picks = np.argmax(np.where(executed, -np.inf, q_batch), axis=1)
-            still_active = []
-            for row, i in enumerate(active):
-                index = int(picks[row])
-                clocks[i] = execute_serially(
-                    states[i], traces[i], truth, index, clocks[i]
-                )
-                if not states[i].all_executed:
-                    still_active.append(i)
-            active = still_active
-            rounds += 1
-            if observer is not None:
-                observer.tick(perf_counter() - tick_started, selected)
-        if observer is not None:
-            observer.done()
-        return traces
+        """Lock-step rollout of many items, one stacked prediction per
+        round; per-item traces are those of :meth:`schedule` (modulo the
+        stacked-forward ULP caveat in :mod:`repro.engine.backends`)."""
+        episodes = [self._episode(truth, item_id, max_models) for item_id in item_ids]
+        return run_lockstep(episodes, self.predictor, 1.0, "qgreedy")

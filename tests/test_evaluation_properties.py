@@ -2,14 +2,14 @@
 
 The paper states f is non-negative, non-decreasing, and submodular.  We
 verify all three on real ground-truth records with hypothesis-driven
-subset/item selection, plus the incremental accumulator's consistency.
+subset/item selection, plus the labeling state's consistency with it.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.evaluation import OutputAccumulator, evaluate_subset, marginal_gain
+from repro.core.evaluation import evaluate_subset, marginal_gain
 from repro.core.state import LabelingState
 
 N_MODELS = 10  # mini zoo size
@@ -70,39 +70,6 @@ class TestLemma1:
         forward = evaluate_subset(truth, item_id, sorted(subset))
         backward = evaluate_subset(truth, item_id, sorted(subset, reverse=True))
         assert forward == pytest.approx(backward)
-
-
-class TestAccumulatorConsistency:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        order=st.permutations(list(range(N_MODELS))),
-        prefix=st.integers(0, N_MODELS),
-        item=item_indices,
-    )
-    def test_incremental_matches_batch(self, truth, ids, order, prefix, item):
-        item_id = ids[item]
-        acc = OutputAccumulator(truth, item_id)
-        for j in order[:prefix]:
-            acc.add(j)
-        assert acc.value == pytest.approx(
-            evaluate_subset(truth, item_id, order[:prefix])
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(subset=model_subsets, extra=model_ids, item=item_indices)
-    def test_gain_of_matches_marginal(self, truth, ids, subset, extra, item):
-        item_id = ids[item]
-        acc = OutputAccumulator(truth, item_id)
-        for j in subset:
-            acc.add(j)
-        expected = evaluate_subset(truth, item_id, set(subset) | {extra}) - acc.value
-        assert acc.gain_of(extra) == pytest.approx(expected, abs=1e-9)
-
-    def test_duplicate_add_is_noop(self, truth, ids):
-        acc = OutputAccumulator(truth, ids[0])
-        first = acc.add(0)
-        assert acc.add(0) == 0.0
-        assert acc.value == pytest.approx(first)
 
 
 class TestStateConsistency:

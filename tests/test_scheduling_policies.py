@@ -74,12 +74,6 @@ class TestCostToRecall:
         assert trace.recall_by(0.0) == pytest.approx(0.0) or trace.total_value == 0
         assert trace.recall_by(trace.makespan) == pytest.approx(trace.recall)
 
-    def test_mismatched_lengths_rejected(self):
-        from repro.core.evaluation import recall_curve
-
-        with pytest.raises(ValueError):
-            recall_curve([1.0], [0.1, 0.2], 1.0, [0.5])
-
     def test_exact_boundary_hit(self):
         """Regression: a recall threshold met *exactly* at a finish time.
 
