@@ -16,7 +16,7 @@ execution):
    ``--assert-speedup`` gates the widest/1-worker ratio.
 
 3. **Chaos** — a worker is SIGKILLed mid-job; the job must still finish
-   with serial-parity traces via re-dispatch along the hash ring, and
+   with serial-parity traces via re-dispatch to the next live link, and
    ``cluster_stats`` must show at least one re-dispatched chunk.
 
 Run standalone (the CI smoke path uploads the JSON as the
@@ -195,9 +195,8 @@ def run(
     world = build_world(scale, n_items)
     references = regime_references(world)
 
-    # Many small chunks per job: with one chunk per worker the hash
-    # ring's assignment is lumpy (a worker may own two of four chunks
-    # and serialize their delays); ~24 chunks lets the ring balance.
+    # Many small chunks per job (~24): chunks go round-robin over live
+    # links, so every worker gets an equal share of the delay to overlap.
     chunk_size = max(1, n_items // 24)
     sweeps = []
     for index, n_workers in enumerate(worker_counts):

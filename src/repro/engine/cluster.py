@@ -15,11 +15,12 @@ sockets so scheduling work can leave the host:
   bytes — the same ones the shared-memory rings carry — framed over the
   wire.
 * :class:`ClusterBackend` (registry ``"cluster"``) — the dispatcher.
-  Chunks are assigned to workers by **consistent hashing** (an md5 hash
-  ring with virtual nodes), so a worker's death moves only *its* chunks
-  to the survivors: in-flight chunks on a dead socket are re-dispatched
-  and the job completes with a byte-identical trace (the
-  ``BrokenProcessPool`` respawn logic, generalized to partial failure).
+  Chunks are placed **round-robin over live links** (chunk ``i`` to link
+  ``i mod n``): no worker keeps per-key state, so placement only decides
+  balance.  A worker's death moves only *its* chunks, each to the next
+  live link: in-flight chunks on a dead socket are re-dispatched and the
+  job completes with a byte-identical trace (the ``BrokenProcessPool``
+  respawn logic, generalized to partial failure).
   A dead worker that comes back is re-connected on the next job and
   receives a fresh snapshot.  ``refresh(predictor)`` hot-swaps agent
   weights fleet-wide with one small control frame per worker — no
@@ -39,8 +40,6 @@ still pickled (ROADMAP direction 3); records and traces never are.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import logging
 import multiprocessing
 import pickle
@@ -63,7 +62,6 @@ logger = logging.getLogger("repro.engine.cluster")
 __all__ = [
     "ClusterBackend",
     "ClusterWorker",
-    "HashRing",
     "LocalWorkerFleet",
     "WorkerDied",
     "spawn_local_workers",
@@ -120,46 +118,6 @@ class WorkerDied(ConnectionError):
         detail = f": {reason}" if reason else ""
         super().__init__(f"cluster worker {address} died{detail}")
         self.address = address
-
-
-# -- consistent hashing ------------------------------------------------------
-
-
-class HashRing:
-    """Consistent hash ring with virtual nodes.
-
-    Each node is placed at ``replicas`` md5-derived points on a ring;
-    a key maps to the first node clockwise from its own hash.  Removing
-    a node (via ``exclude``) reassigns only the keys that mapped to it —
-    every other key keeps its worker, which is what keeps re-dispatch
-    traffic proportional to the failure, not the job.
-    """
-
-    def __init__(self, nodes: tuple[str, ...], replicas: int = 32):
-        if not nodes:
-            raise ValueError("HashRing needs at least one node")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        points = []
-        for node in nodes:
-            for i in range(replicas):
-                digest = hashlib.md5(f"{node}#{i}".encode()).digest()
-                points.append((int.from_bytes(digest[:8], "big"), node))
-        points.sort()
-        self._points = points
-        self._hashes = [point for point, _ in points]
-        self.nodes = tuple(dict.fromkeys(nodes))
-
-    def lookup(self, key: str, exclude: frozenset[str] | set[str] = frozenset()):
-        """The live node owning ``key``; walks past excluded nodes."""
-        digest = hashlib.md5(str(key).encode()).digest()
-        start = bisect.bisect(self._hashes, int.from_bytes(digest[:8], "big"))
-        n = len(self._points)
-        for step in range(n):
-            _, node = self._points[(start + step) % n]
-            if node not in exclude:
-                return node
-        raise RuntimeError("no live cluster workers left on the hash ring")
 
 
 # -- worker ------------------------------------------------------------------
@@ -477,21 +435,22 @@ def spawn_local_workers(
 
 
 class ClusterBackend(ShardedBackend):
-    """Shard scheduling chunks over socket workers by consistent hashing.
+    """Shard scheduling chunks over socket workers, round-robin.
 
     The protocol (snapshot once, chunk deltas, serial-parity traces,
     world affinity) is :class:`~repro.engine.sharded.ShardedBackend`'s;
     this class is the sockets.  The first job connects to every
     configured worker and ships the snapshot once per connection; later
     jobs against the same world reuse the live connections.
-    Chunk->worker assignment follows a :class:`HashRing`, so one worker's
+    Chunk ``i`` of a job goes to live link ``i mod n`` (configured
+    addresses first, then the local fleet's), so the default plan of one
+    even shard per worker gives each worker exactly one.  One worker's
     death moves only its chunks: each failed chunk is re-dispatched to
-    the next live node on the ring and the job still returns
-    serial-parity traces.  Dead workers are re-connected (and re-shipped
-    a fresh snapshot) on the next job; :meth:`refresh` hot-swaps
-    predictor weights fleet-wide without either.  Unreachable workers at
-    connect time are skipped with a warning as long as one worker is
-    live.
+    the next live link and the job still returns serial-parity traces.
+    Dead workers are re-connected (and re-shipped a fresh snapshot) on
+    the next job; :meth:`refresh` hot-swaps predictor weights fleet-wide
+    without either.  Unreachable workers at connect time are skipped
+    with a warning as long as one worker is live.
 
     Parameters
     ----------
@@ -511,13 +470,11 @@ class ClusterBackend(ShardedBackend):
         Dial attempts per worker per job before skipping it; transient
         refusals (a worker restarting, a race with fleet spawn) are
         retried with jittered exponential backoff instead of silently
-        shrinking the ring for a whole job.
+        shrinking the fleet for a whole job.
     connect_backoff:
         Base seconds between dial attempts; each retry doubles it and
         applies +-50% jitter so a fleet reconnecting en masse does not
         hammer a recovering worker in lockstep.
-    replicas:
-        Virtual nodes per worker on the hash ring.
     mp_context:
         :mod:`multiprocessing` context for ``local_workers``.
     """
@@ -532,7 +489,6 @@ class ClusterBackend(ShardedBackend):
         connect_timeout: float = 10.0,
         connect_attempts: int = 3,
         connect_backoff: float = 0.2,
-        replicas: int = 32,
         mp_context=None,
     ):
         workers = tuple(workers)
@@ -543,7 +499,6 @@ class ClusterBackend(ShardedBackend):
             connect_timeout=connect_timeout,
             connect_attempts=connect_attempts,
             connect_backoff=connect_backoff,
-            replicas=replicas,
         )
         super().__init__(chunk_size)
         self.workers = workers
@@ -551,11 +506,9 @@ class ClusterBackend(ShardedBackend):
         self.connect_timeout = connect_timeout
         self.connect_attempts = connect_attempts
         self.connect_backoff = connect_backoff
-        self.replicas = replicas
         self.mp_context = mp_context
         self._links: dict[str, _Link] = {}
         self._fleet: LocalWorkerFleet | None = None
-        self._ring: HashRing | None = None
         self._snapshot_ships: Counter = Counter()
         self._redispatched: Counter = Counter()
         self._refreshes = 0
@@ -569,7 +522,6 @@ class ClusterBackend(ShardedBackend):
         connect_timeout: float,
         connect_attempts: int,
         connect_backoff: float,
-        replicas: int,
         **unchecked,
     ) -> None:
         for address in workers:
@@ -588,8 +540,6 @@ class ClusterBackend(ShardedBackend):
             raise ValueError("connect_attempts must be >= 1")
         if connect_backoff < 0:
             raise ValueError("connect_backoff must be >= 0")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -598,7 +548,6 @@ class ClusterBackend(ShardedBackend):
         with self._lock:
             self._disconnect()
             self._forget_world()
-            self._ring = None
             fleet, self._fleet = self._fleet, None
         if fleet is not None:
             fleet.close()
@@ -695,8 +644,9 @@ class ClusterBackend(ShardedBackend):
                 delay *= 2
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _connect(self) -> tuple[tuple[dict[str, _Link], HashRing], int]:
-        """Live links for the snapshot; (re)dials and ships where needed.
+    def _connect(self) -> tuple[tuple[_Link, ...], int]:
+        """Live links for the snapshot, in address order; (re)dials and
+        ships where needed.
 
         Partial presence is fine — dead or unreachable workers are
         skipped (and retried next job) as long as one link is live.
@@ -706,8 +656,6 @@ class ClusterBackend(ShardedBackend):
                 self.local_workers, mp_context=self.mp_context
             )
         addresses = self._addresses()
-        if self._ring is None:
-            self._ring = HashRing(addresses, self.replicas)
         snapshot_body = None
         for address in addresses:
             link = self._links.get(address)
@@ -728,10 +676,14 @@ class ClusterBackend(ShardedBackend):
                 continue
             self._links[address] = link
             self._snapshot_ships[address] += 1
-        live = {a: ln for a, ln in self._links.items() if not ln.dead}
+        live = tuple(
+            link
+            for link in map(self._links.get, addresses)
+            if link is not None and not link.dead
+        )
         if not live:
             raise RuntimeError(f"no live cluster workers reachable among {addresses}")
-        return (live, self._ring), len(live)
+        return live, len(live)
 
     def _disconnect(self) -> None:
         for link in self._links.values():
@@ -739,67 +691,52 @@ class ClusterBackend(ShardedBackend):
         self._links = {}
 
     def _dispatch_chunk(
-        self,
-        links: dict[str, _Link],
-        ring: HashRing,
-        key: str,
-        body: bytes,
-        redispatch_from: str | None = None,
-    ) -> tuple[str, Future]:
-        """Send one chunk to its ring owner, walking past dead workers."""
-        if redispatch_from is not None:
-            with self._lock:
-                self._redispatched[redispatch_from] += 1
-        while True:
-            # Exclude both dead links and ring nodes that never connected.
-            dead = {
-                node
-                for node in ring.nodes
-                if node not in links or links[node].dead
-            }
-            if len(dead) == len(ring.nodes):
-                raise RuntimeError(
-                    "all cluster workers died mid-job; re-run to reconnect"
-                )
-            address = ring.lookup(key, exclude=dead)
+        self, links: tuple[_Link, ...], slot: int, body: bytes
+    ) -> tuple[int, Future]:
+        """Send one chunk to ``links[slot mod n]`` or the next live link."""
+        for step in range(len(links)):
+            owner = (slot + step) % len(links)
+            link = links[owner]
+            if link.dead:
+                continue
             try:
-                return address, links[address].request(MSG_CHUNK, body)
+                return owner, link.request(MSG_CHUNK, body)
             except WorkerDied:
                 logger.warning(
-                    "cluster worker %s died at dispatch; re-routing chunk %s",
-                    address,
-                    key,
+                    "cluster worker %s died at dispatch; re-routing its chunk",
+                    link.address,
                 )
                 with self._lock:
-                    self._redispatched[address] += 1
+                    self._redispatched[link.address] += 1
+        raise RuntimeError("all cluster workers died mid-job; re-run to reconnect")
 
     def _exchange(self, session, shards, spec, deliver) -> None:
-        links, ring = session
-        #: (ring key, frame body, owner address, reply future) per chunk;
-        #: the body is kept so a dead worker's chunk can be sent again.
-        sent: list[tuple[str, bytes, str, Future]] = []
+        links = session
+        #: (frame body, owner slot, reply future) per chunk; the body is
+        #: kept so a dead worker's chunk can be sent again.
+        sent: list[tuple[bytes, int, Future]] = []
         for index, (chunk, delta) in enumerate(shards):
             if delta:
                 self._carried("delta", "frame")
-            key = f"{chunk[0]}#{index}"
             body = pickle.dumps((chunk, spec, delta))
-            sent.append((key, body, *self._dispatch_chunk(links, ring, key, body)))
-        for index, (key, body, address, future) in enumerate(sent):
+            sent.append((body, *self._dispatch_chunk(links, index, body)))
+        for index, (body, owner, future) in enumerate(sent):
             while True:
                 try:
                     _kind, reply = future.result()
                     break
                 except WorkerDied:
                     # Only this worker's chunks move: re-dispatch to the
-                    # next live ring node and keep waiting.
+                    # next live link and keep waiting.
+                    address = links[owner].address
                     logger.warning(
-                        "cluster worker %s died mid-chunk; re-dispatching chunk %s",
+                        "cluster worker %s died mid-chunk; re-dispatching chunk %d",
                         address,
-                        key,
+                        index,
                     )
-                    address, future = self._dispatch_chunk(
-                        links, ring, key, body, redispatch_from=address
-                    )
+                    with self._lock:
+                        self._redispatched[address] += 1
+                    owner, future = self._dispatch_chunk(links, owner + 1, body)
             shard, seconds = pickle.loads(reply)
             self._carried("result", "frame")
-            deliver(index, address, shard, seconds)
+            deliver(index, links[owner].address, shard, seconds)

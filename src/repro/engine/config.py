@@ -117,7 +117,6 @@ class ClusterConfig(BackendConfig):
     connect_timeout: float = 10.0
     connect_attempts: int = 3
     connect_backoff: float = 0.2
-    replicas: int = 32
     mp_context: object = None
 
     def __post_init__(self):

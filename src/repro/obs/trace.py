@@ -103,20 +103,6 @@ class RequestTrace:
             ],
         }
 
-    def format(self) -> str:
-        """One human line: id, item, regime, status, and the timeline."""
-        timeline = "  ".join(
-            f"{stage}"
-            + (f"({detail['reason']})" if "reason" in detail else "")
-            + f"+{offset * 1000:.1f}ms"
-            for stage, offset, detail in self.events
-        )
-        return (
-            f"#{self.trace_id} {self.item_id} regime={self.regime} "
-            f"status={self.status or 'live'} "
-            f"{self.duration * 1000:.1f}ms  {timeline}"
-        )
-
 
 class TraceBuffer:
     """Bounded ring of finished request traces.

@@ -5,7 +5,8 @@ This subsystem is the layer between the batched
 logical clients submit single items and get futures back, while a
 dispatcher coalesces requests into the large batches the engine's stacked
 Q-network forwards need — flushing on ``batch_size`` reached or
-``max_wait`` elapsed, whichever first.  Admission is priority-ordered
+``max_wait`` elapsed, whichever first — and hands each batch only to a
+free worker, so a backlog stays queued.  Admission is priority-ordered
 with bounded-depth backpressure and deadline-based drops; everything is
 observable through telemetry snapshots.
 

@@ -5,16 +5,11 @@ one :class:`~repro.engine.engine.LabelingEngine`.  Clients :meth:`submit`
 single items and get back futures; a dispatcher thread coalesces queued
 requests into micro-batches — flushing when ``batch_size`` is reached or
 ``max_wait`` has elapsed since the batch started forming, whichever comes
-first — and hands each batch to a pool of worker threads that run the
-engine's batched scheduling path.  That turns per-item request traffic
-into the large stacked-forward batches the engine needs for throughput,
-while ``max_wait`` caps how long any request waits for batch-mates.
-Because micro-batches are regime-homogeneous and every regime's
-scheduler exposes a vectorized ``schedule_batch`` dispatch tick, each
-``pop_batch`` → engine admission evaluates candidate Q values for the
-whole micro-batch in **one** matrix call per tick — unconstrained,
-deadline, and deadline+memory alike (see
-:class:`~repro.engine.backends.BatchedBackend`).
+first — and hands each batch **only to a free worker thread**, which runs
+the engine's batched path (one stacked Q forward per tick, see
+:class:`~repro.engine.backends.BatchedBackend`).  While every worker is
+busy the dispatcher holds at most one formed batch; the backlog stays
+queued, under its depth bound, admission deadlines and fair dispatch.
 Event-loop clients pass ``wait="async"`` to :meth:`~LabelingService.submit`
 / :meth:`~LabelingService.submit_many` — the same futures wrapped with
 :func:`asyncio.wrap_future` after non-blocking admission — and
@@ -402,6 +397,8 @@ class LabelingService:
         self._reaper: threading.Thread | None = None
         self._reaper_stop = threading.Event()
         self._pool: ThreadPoolExecutor | None = None
+        #: Free workers; the dispatcher hands a batch off only holding one.
+        self._slots = threading.Semaphore(workers)
         # Shared-truth bookkeeping: recording is serialized, and records
         # stay alive while any in-flight batch references them.
         self._truth_lock = threading.Lock()
@@ -976,6 +973,7 @@ class LabelingService:
                 for request in batch:
                     if request.trace is not None:
                         request.trace.add("batched", reason=reason, size=size)
+            self._slots.acquire()
             with self._state:
                 self._in_flight += len(batch)
             self._pool.submit(self._process_batch, batch)
@@ -1010,13 +1008,13 @@ class LabelingService:
         started = self._clock()
         spec = batch[0].spec or self.default_spec
         worker = threading.current_thread().name
-        if not self._backend_counts:
-            self.telemetry.observe_dispatch(worker, len(batch))
-        if self.tracer is not None:
-            for request in batch:
-                if request.trace is not None:
-                    request.trace.add("scheduled", worker=worker)
         try:
+            if not self._backend_counts:
+                self.telemetry.observe_dispatch(worker, len(batch))
+            if self.tracer is not None:
+                for request in batch:
+                    if request.trace is not None:
+                        request.trace.add("scheduled", worker=worker)
             results = self._label_batch([request.item for request in batch], spec)
         except BaseException as exc:  # propagate to every caller, keep serving
             for request in batch:
@@ -1033,3 +1031,4 @@ class LabelingService:
             with self._state:
                 self._in_flight -= len(batch)
                 self._state.notify_all()
+            self._slots.release()

@@ -8,7 +8,7 @@ here once and each transport's test module binds it to its backend:
 ``tests/test_process_backend.py`` (executor + shm rings) and
 ``tests/test_cluster_backend.py`` (TCP frames).  Those modules keep their
 historical test names and add only what is transport: ring teardown,
-pool respawn, re-dispatch, rejoin, dialing, refresh, the hash ring.
+pool respawn, re-dispatch, rejoin, dialing, refresh, placement.
 
 Every ``check_*`` takes a constructed, not yet entered, backend and
 closes it.

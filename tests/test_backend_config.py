@@ -76,7 +76,6 @@ class TestValidation:
             ({"local_workers": 0}, "local_workers"),
             ({"local_workers": 2, "chunk_size": 0}, "chunk_size"),
             ({"local_workers": 2, "connect_timeout": 0.0}, "connect_timeout"),
-            ({"local_workers": 2, "replicas": 0}, "replicas"),
         ],
     )
     def test_cluster(self, kwargs, match):
@@ -111,12 +110,16 @@ class TestRemovedSpellings:
             lambda: ProcessConfig(target_chunk_s=0.01),
             lambda: ProcessPoolBackend(vectorized=False),
             lambda: ClusterConfig(local_workers=2, vectorized=False),
+            lambda: ClusterConfig(replicas=32),
+            lambda: ClusterBackend(workers=("host:1",), replicas=32),
         ],
         ids=[
             "ProcessConfig-transport",
             "ProcessConfig-target_chunk_s",
             "ProcessPoolBackend-vectorized",
             "ClusterConfig-vectorized",
+            "ClusterConfig-replicas",
+            "ClusterBackend-replicas",
         ],
     )
     def test_removed_backend_option_is_a_type_error(self, build):
@@ -132,6 +135,18 @@ class TestRemovedSpellings:
             "slot_bytes",
         ]
         assert "vectorized" not in {f.name for f in dataclasses.fields(ClusterConfig)}
+
+    def test_cluster_config_has_no_placement_knob(self):
+        # Placement is round-robin over live links; nothing to tune.
+        assert [f.name for f in dataclasses.fields(ClusterConfig)] == [
+            "workers",
+            "local_workers",
+            "chunk_size",
+            "connect_timeout",
+            "connect_attempts",
+            "connect_backoff",
+            "mp_context",
+        ]
 
 
 class TestResolution:

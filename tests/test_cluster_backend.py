@@ -1,4 +1,4 @@
-"""ClusterBackend: hash ring, parity, lifecycle, chaos, refresh, serving.
+"""ClusterBackend: placement, parity, lifecycle, chaos, refresh, serving.
 
 In-process workers (``serve_background``) keep the parity and lifecycle
 tests fast; the chaos tests use real worker *processes* via
@@ -21,7 +21,7 @@ from repro.engine import (
     WorkerDied,
     spawn_local_workers,
 )
-from repro.engine.cluster import HashRing, _parse_address
+from repro.engine.cluster import _parse_address
 from repro.scheduling.qgreedy import AgentPredictor
 from repro.serving import LabelingService
 from sharded_contract import ShardedContract, assert_parity
@@ -57,36 +57,39 @@ def mp_ctx():
     return multiprocessing.get_context(method) if method else None
 
 
-class TestHashRing:
-    def test_lookup_is_deterministic_and_total(self):
-        ring = HashRing(("a:1", "b:2", "c:3"))
-        keys = [f"item-{i}" for i in range(200)]
-        first = {key: ring.lookup(key) for key in keys}
-        assert set(first.values()) == {"a:1", "b:2", "c:3"}  # all nodes used
-        assert first == {key: ring.lookup(key) for key in keys}
+def job_deltas(backend, engine, jobs, truth):
+    """Per-job ``dispatch_counts`` deltas, one dict per job run."""
+    deltas = []
+    for job in jobs:
+        before = backend.dispatch_counts
+        engine.label_batch(job, truth=truth)
+        after = backend.dispatch_counts
+        deltas.append({w: after[w] - before.get(w, 0) for w in after})
+    return deltas
 
-    def test_exclusion_moves_only_the_excluded_nodes_keys(self):
-        ring = HashRing(("a:1", "b:2", "c:3"))
-        keys = [f"item-{i}" for i in range(200)]
-        before = {key: ring.lookup(key) for key in keys}
-        after = {key: ring.lookup(key, exclude={"b:2"}) for key in keys}
-        for key in keys:
-            if before[key] != "b:2":
-                assert after[key] == before[key]  # survivors keep their keys
-            else:
-                assert after[key] != "b:2"
 
-    def test_all_excluded_raises(self):
-        ring = HashRing(("a:1",))
-        with pytest.raises(RuntimeError, match="no live cluster workers"):
-            ring.lookup("key", exclude={"a:1"})
+class TestPlacement:
+    """Chunk ``i`` goes to live link ``i mod n``: every job is balanced."""
 
-    def test_validation_and_dedupe(self):
-        with pytest.raises(ValueError, match="at least one node"):
-            HashRing(())
-        with pytest.raises(ValueError, match="replicas"):
-            HashRing(("a:1",), replicas=0)
-        assert HashRing(("a:1", "b:2", "a:1")).nodes == ("a:1", "b:2")
+    def test_two_chunk_jobs_split_one_chunk_per_worker(
+        self, zoo, world_config, predictor, truth, items, inproc_addresses
+    ):
+        # Eight distinct 2-item jobs, each planned as two 1-item chunks.
+        addresses = inproc_addresses[:2]
+        with ClusterBackend(workers=addresses) as backend:
+            engine = engine_for(zoo, predictor, world_config, backend)
+            jobs = [items[j : j + 2] for j in range(8)]
+            for delta in job_deltas(backend, engine, jobs, truth):
+                assert delta == {address: 1 for address in addresses}
+
+    def test_chunk_counts_differ_by_at_most_one(
+        self, zoo, world_config, predictor, truth, items, inproc_addresses
+    ):
+        with ClusterBackend(workers=inproc_addresses, chunk_size=1) as backend:
+            engine = engine_for(zoo, predictor, world_config, backend)
+            for delta in job_deltas(backend, engine, [items, items[5:]], truth):
+                counts = [delta.get(a, 0) for a in inproc_addresses]
+                assert max(counts) - min(counts) <= 1, counts
 
 
 class TestAddresses:

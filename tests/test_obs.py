@@ -8,6 +8,7 @@ import urllib.request
 
 import pytest
 
+from repro.cli import main
 from repro.engine import LabelingEngine
 from repro.obs import (
     MetricFamily,
@@ -164,6 +165,41 @@ class TestTraceBuffer:
         payload = json.loads(buffer.to_json())
         assert payload["finished"] == 1
         assert payload["traces"][0]["status"] == "expired"
+
+
+class TestTraceCommand:
+    """``repro.cli trace`` renders the exported span schema."""
+
+    @pytest.fixture()
+    def export(self, tmp_path):
+        buffer = TraceBuffer(capacity=4)
+        for item_id in ("item-1", "item-2"):
+            trace = buffer.start(item_id, "deadline")
+            trace.add("batched", reason="size", size=2)
+            buffer.finish(trace, "completed")
+        path = tmp_path / "traces.json"
+        path.write_text(buffer.to_json())
+        return str(path)
+
+    def test_file_tail_prints_the_newest_span_then_a_summary(self, export, capsys):
+        assert main(["trace", "--file", export, "--limit", "1"]) == 0
+        line, summary = capsys.readouterr().out.splitlines()
+        assert line.startswith("#2 item-2 regime=deadline status=completed ")
+        assert "batched(size)+" in line and "completed+" in line
+        assert summary == "2 finished trace(s), 0 dropped from a ring of 4"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--url", "http://127.0.0.1:9", "--file", "traces.json"],
+            ["--file", "traces.json", "--follow"],
+        ],
+        ids=["no-source", "both-sources", "follow-without-url"],
+    )
+    def test_argument_errors_exit_2(self, argv, capsys):
+        assert main(["trace", *argv]) == 2
+        assert capsys.readouterr().err
 
 
 class TestInstrumentation:
