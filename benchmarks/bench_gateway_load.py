@@ -11,10 +11,10 @@ Two phases answer the PR's acceptance questions:
 1. **baseline** — only the cold tenants run, at a sustainable rate.
    Their per-tenant p50/p95/p99 is the isolation reference.
 2. **contended** — the same cold workload, plus a hot tenant saturating
-   the service with full-speed batch submissions.  Under the
-   hierarchical queue the cold tenants' p99 must stay within
-   ``--assert-fairness`` (default 4x) of their baseline; under a flat
-   queue it degrades with the hot tenant's backlog instead.
+   the service with full-speed batch submissions.  The queue's tenant
+   stride keeps the cold tenants' p99 within ``--assert-fairness``
+   (default 4x) of their baseline; without it the p99 would degrade
+   with the hot tenant's backlog instead.
 
 Also verified on the same live gateway: cross-tenant result-cache
 isolation (tenant B's first request for an item tenant A just labeled

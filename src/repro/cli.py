@@ -518,7 +518,7 @@ def cmd_gateway(args) -> int:
     from pathlib import Path
 
     from repro.obs import MetricsRegistry, TraceBuffer, install, uninstall
-    from repro.serving import HierarchicalRequestQueue
+    from repro.serving import RequestQueue
     from repro.serving.gateway import LabelingGateway, TenantDirectory
 
     # Tenant roster: explicit file > environment JSON > demo roster.
@@ -542,9 +542,9 @@ def cmd_gateway(args) -> int:
         registry=registry,
         tracer=tracer,
         journal=journal_dir / "service" if journal_dir else None,
-        # Tenant-fair dispatch: outer stride over tenants (weights from
-        # the roster), inner stride over batch keys within each tenant.
-        queue_factory=lambda **kw: HierarchicalRequestQueue(
+        # Tenant-fair dispatch: the queue's tenant stride takes its
+        # weights from the roster.
+        queue_factory=lambda **kw: RequestQueue(
             tenant_weights=directory.weights(), **kw
         ),
     )

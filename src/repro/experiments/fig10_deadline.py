@@ -118,8 +118,8 @@ def run(
     measured["improvement_at_0.5s_high"] = max(improvements_05)
     measured["min_ratio"] = min(ratios.values())
     summary = (
-        f"Algorithm 1 vs random @0.5s: +{min(improvements_05):.1%} to "
-        f"+{max(improvements_05):.1%} recall (paper +188.7% to +309.5%); "
+        f"Algorithm 1 vs random @0.5s: {min(improvements_05):+.1%} to "
+        f"{max(improvements_05):+.1%} recall (paper +188.7% to +309.5%); "
         f"min performance ratio {min(ratios.values()):.3f} vs 1-1/e="
         f"{1 - 1 / np.e:.3f}"
     )

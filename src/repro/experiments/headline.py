@@ -64,7 +64,7 @@ def run(ctx: ExperimentContext, n_items: int | None = None) -> ExperimentReport:
         (
             "value vs random @0.5s budget",
             "+132% to +310%",
-            f"+{min(improvements):.0%} to +{max(improvements):.0%}",
+            f"{min(improvements):+.0%} to {max(improvements):+.0%}",
         ),
     ]
     table = format_table(

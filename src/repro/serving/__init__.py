@@ -12,11 +12,12 @@ observable through telemetry snapshots.
 
 Every request carries a :class:`~repro.spec.LabelingSpec` (or inherits
 the service default), and requests are queued into one FIFO bucket per
-:attr:`LabelingSpec.batch_key` so each micro-batch is homogeneous — one
+``(tenant, batch_key)`` so each micro-batch is homogeneous — one
 service hosts unconstrained, deadline, and deadline+memory traffic at
-once.  Buckets are served by weighted round-robin (stride scheduling:
-higher-priority buckets proportionally more often, every backlogged
-bucket within bounded rounds), so no regime starves under cross-traffic.
+once.  Tenants, then buckets within a tenant, are served by weighted
+round-robin (stride scheduling: heavier tenants and higher-priority
+buckets proportionally more often, every backlogged one within bounded
+rounds), so no tenant or regime starves under cross-traffic.
 An optional :class:`ResultCache` in front of the queue answers repeat
 submissions of hot ``(item, batch_key)`` pairs without scheduling and
 coalesces concurrent duplicates onto one in-flight future.
@@ -42,7 +43,6 @@ from repro.serving.queue import (
     ServiceStopped,
     ServingError,
 )
-from repro.serving.hierarchy import HierarchicalRequestQueue
 from repro.serving.result_cache import CacheStats, ResultCache
 from repro.spec import LabelingSpec
 from repro.serving.service import (
@@ -58,6 +58,10 @@ from repro.serving.telemetry import (
     TelemetrySnapshot,
 )
 
+#: Former name of the tenant-fair queue, now :class:`RequestQueue` itself;
+#: kept only for ``benchmarks/perf/perfledger/probes.py``.
+HierarchicalRequestQueue = RequestQueue
+
 __all__ = [
     "BulkAdmission",
     "CacheStats",
@@ -66,7 +70,6 @@ __all__ = [
     "DEFAULT_MAX_WAIT",
     "DEFAULT_WORKERS",
     "DeadlineExpired",
-    "HierarchicalRequestQueue",
     "LabelingRequest",
     "LabelingService",
     "LabelingSpec",

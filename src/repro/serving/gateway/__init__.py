@@ -13,11 +13,12 @@ The serving stack, outside-in:
    non-blocking ``submit_many(wait="async")`` path, with the observability
    routes mounted on the same port.
 
-Fairness *between* admitted tenants is not the gateway's job — install
-a :class:`~repro.serving.hierarchy.HierarchicalRequestQueue` on the
-service (``queue_factory=...``) and the gateway's ``spec.tenant`` stamp
-drives the outer stride.  Run one with ``python -m repro.cli gateway
---demo-tenants`` and load it with ``benchmarks/bench_gateway_load.py``.
+Fairness *between* admitted tenants is not the gateway's job — the
+service's :class:`~repro.serving.queue.RequestQueue` always runs a
+tenant stride (give it the roster's weights via ``queue_factory=...``)
+and the gateway's ``spec.tenant`` stamp drives it.  Run one with
+``python -m repro.cli gateway --demo-tenants`` and load it with
+``benchmarks/bench_gateway_load.py``.
 """
 
 from repro.serving.gateway.app import LabelingGateway

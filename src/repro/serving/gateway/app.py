@@ -31,8 +31,8 @@ time, 401), token-bucket rate + in-flight quota (429 with
 non-blocking ``submit_many(wait="async")`` path — so a full queue is an
 *immediate* 429, never a blocked event loop.  The three label routes
 share that front half (``_submit``; ``/v1/label`` is its one-item
-case).  Tenant fairness between admitted requests is the hierarchical
-queue's job (install it with ``LabelingService(queue_factory=...)``);
+case).  Tenant fairness between admitted requests is the queue's job
+(pass the roster's weights with ``LabelingService(queue_factory=...)``);
 the gateway just stamps ``spec.tenant``, which also partitions the
 result cache per tenant.
 
@@ -156,8 +156,8 @@ class LabelingGateway:
     service:
         The (started) :class:`LabelingService` to submit into.  Build it
         with ``queue_factory=lambda **kw:
-        HierarchicalRequestQueue(tenant_weights=directory.weights(),
-        **kw)`` for tenant-fair dispatch.
+        RequestQueue(tenant_weights=directory.weights(), **kw)`` so the
+        queue's tenant stride honours the roster's weights.
     directory:
         The :class:`TenantDirectory` of enrolled tenants.
     catalog:

@@ -1,8 +1,8 @@
 """Tenant identity for the gateway: API keys, weights, quota limits.
 
 A :class:`Tenant` is one paying (or free) caller of the labeling
-gateway: a name, a bearer API key, an outer-stride fairness weight (fed
-to :class:`~repro.serving.hierarchy.HierarchicalRequestQueue`), and the
+gateway: a name, a bearer API key, a tenant-stride fairness weight (fed
+to :class:`~repro.serving.queue.RequestQueue`), and the
 quota knobs :mod:`repro.serving.gateway.quota` enforces.  The
 :class:`TenantDirectory` holds all of them and answers the only
 security-relevant question — *which tenant presented this key?* — in
@@ -82,9 +82,9 @@ class Tenant:
             raise ValueError("tenant name must be non-empty")
         if not self.api_key:
             raise ValueError(f"tenant {self.name!r} needs a non-empty api_key")
-        if self.weight <= 0:
-            raise ValueError(f"tenant {self.name!r} weight must be positive")
-        if self.rate <= 0:
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"tenant {self.name!r} weight must be positive and finite")
+        if not self.rate > 0:  # NaN fails too; inf means unlimited
             raise ValueError(f"tenant {self.name!r} rate must be positive")
         if self.burst < 1:
             raise ValueError(f"tenant {self.name!r} burst must be >= 1")
@@ -149,7 +149,7 @@ class TenantDirectory:
         return len(self._by_name)
 
     def weights(self) -> dict[str, float]:
-        """``tenant_weights`` mapping for the hierarchical queue."""
+        """``tenant_weights`` mapping for :class:`~repro.serving.queue.RequestQueue`."""
         return {t.name: t.weight for t in self._by_name.values()}
 
     # -- construction --------------------------------------------------------

@@ -1,27 +1,32 @@
-"""Per-key FIFO dispatch buckets with weighted-fair key selection.
+"""Per-key FIFO dispatch buckets under two-level (tenant, key) stride fairness.
 
 The queue is the admission layer of the serving tier.  It holds
 :class:`LabelingRequest` records between ``submit()`` and dispatch, and
 enforces the policies the dispatch loop should never have to think about:
 
 * **Per-key buckets** — requests land in one FIFO ``deque`` per
-  :attr:`~repro.spec.LabelingSpec.batch_key` (same regime / deadline class
-  / memory budget).  Admission appends to a deque and batch formation pops
-  from one, so both are O(1)-amortized per request — no cross-key heap
-  scans under the queue lock (the PR-3 grouper re-walked every
-  different-key entry per arrival, O(depth)).
-* **Weighted fairness** — :meth:`pop_batch` picks the bucket to serve by
-  stride scheduling: every bucket carries a virtual-time ``pass`` value,
-  the lowest pass wins, and serving ``n`` items advances the winner's pass
-  by ``n / weight`` where the weight grows with the batch's highest
-  priority.  High-priority buckets are served proportionally more often,
-  but a backlogged low-priority bucket's pass stays put while everyone
-  else's advances, so it is always selected within a bounded number of
-  batches — sustained high-priority cross-traffic can no longer starve a
-  regime (the PR-3 grouper anchored strictly by priority and could).
-  Within one bucket requests pop strictly FIFO; a request's priority
-  raises its whole bucket's service rate instead of reordering its
-  neighbours.
+  ``(tenant, batch_key)`` — the spec's owner and its regime / deadline
+  class / memory budget.  Admission appends to a deque and batch
+  formation pops from one, so both are O(1)-amortized per request — no
+  cross-key scans under the queue lock.
+* **Tenant fairness** — :meth:`pop_batch` first picks the tenant by
+  stride scheduling: every tenant with queued work carries a virtual-time
+  ``pass`` value, the lowest pass wins, and serving ``n`` items advances
+  the winner's pass by ``n / tenant_weight``.  A backlogged tenant's pass
+  stands still while served tenants' advance, so every tenant is selected
+  within a bounded number of batches however hard another one pushes.
+  Untagged traffic (``tenant=None``) is one tenant like any other, so on
+  single-tenant traffic this level always picks the one group.
+* **Weighted fairness** — within that tenant the same stride rule picks
+  the bucket: the lowest bucket pass wins, and serving ``n`` items
+  advances it by ``n / weight`` where the weight grows with the batch's
+  highest priority.  High-priority buckets are
+  served proportionally more often, but a backlogged low-priority bucket's
+  pass stays put while everyone else's advances, so it is always selected
+  within a bounded number of batches — sustained high-priority
+  cross-traffic cannot starve a regime.  Within one bucket requests pop
+  strictly FIFO; a request's priority raises its whole bucket's service
+  rate instead of reordering its neighbours.
 * **Backpressure** — depth is bounded by ``max_depth``.  When full, the
   ``overflow`` policy either rejects immediately (:class:`QueueFull`) or
   blocks the producer until space frees up (with an optional timeout).
@@ -33,9 +38,9 @@ enforces the policies the dispatch loop should never have to think about:
   currently serving settles its doomed requests promptly — via
   :meth:`expire_overdue`, which the service calls on a timer tick.
 * **Homogeneous grouping** — every batch :meth:`pop_batch` forms contains
-  only requests from one bucket, i.e. one ``batch_key``.  A flush whose
-  timer expired while other-key traffic waited is reported as
-  ``"regime_split"`` so operators can see grouping at work.
+  only requests from one bucket, i.e. one tenant and one ``batch_key``.
+  A flush whose timer expired while other-bucket traffic waited is
+  reported as ``"regime_split"`` so operators can see grouping at work.
 
 Request deadlines are wall-clock budgets in seconds from submission, the
 same currency as the zoo's per-model costs — queue wait spends the same
@@ -148,16 +153,42 @@ class BulkAdmission:
     stopped: tuple[LabelingRequest, ...]
 
 
+class _TenantGroup:
+    """One tenant's buckets plus its outer-stride bookkeeping."""
+
+    __slots__ = ("weight", "pass_value", "vtime", "depth", "buckets")
+
+    def __init__(self, weight: float, pass_value: float):
+        #: Outer stride weight: serving ``n`` items costs ``n / weight``.
+        self.weight = weight
+        #: Outer stride pass; the lowest-pass tenant is served next.
+        self.pass_value = pass_value
+        #: Inner virtual time (pass of this tenant's last-served bucket);
+        #: newly ready buckets join at this point, never earlier, so an
+        #: idle bucket cannot bank credit against active ones.
+        self.vtime = 0.0
+        #: Requests queued across this tenant's buckets.
+        self.depth = 0
+        #: batch_key -> bucket, holding exactly the keys with queued (or
+        #: batch-forming) traffic of this tenant.
+        self.buckets: dict = {}
+
+    def head_seq(self) -> int:
+        """Earliest queued submission sequence across the buckets."""
+        return min(b.items[0][0] for b in self.buckets.values() if b.items)
+
+
 class _Bucket:
-    """One batch_key's FIFO backlog plus its fair-share bookkeeping."""
+    """One (tenant, batch_key) FIFO backlog plus its fair-share bookkeeping."""
 
-    __slots__ = ("key", "items", "pass_value", "deadlined", "pinned")
+    __slots__ = ("group", "items", "pass_value", "deadlined", "pinned")
 
-    def __init__(self, key, pass_value: float):
-        self.key = key
+    def __init__(self, group: _TenantGroup, pass_value: float):
+        #: The owning tenant's group.
+        self.group = group
         #: FIFO backlog of ``(seq, request)`` pairs.
         self.items: deque[tuple[int, LabelingRequest]] = deque()
-        #: Stride-scheduling virtual time; lowest pass is served next.
+        #: Inner stride virtual time; lowest pass is served next.
         self.pass_value = pass_value
         #: Queued requests carrying an admission deadline.
         self.deadlined = 0
@@ -167,17 +198,19 @@ class _Bucket:
 
     def push(self, seq: int, request: LabelingRequest) -> None:
         self.items.append((seq, request))
+        self.group.depth += 1
         if request.deadline is not None:
             self.deadlined += 1
 
     def forget(self, request: LabelingRequest) -> None:
         """Bookkeeping for one request removed from ``items``."""
+        self.group.depth -= 1
         if request.deadline is not None:
             self.deadlined -= 1
 
 
 class RequestQueue:
-    """Bounded, deadline-checking buffer of per-key FIFO dispatch buckets.
+    """Bounded, deadline-checking, tenant-fair buffer of FIFO buckets.
 
     Parameters
     ----------
@@ -191,6 +224,13 @@ class RequestQueue:
         bar a request's remaining deadline must clear.
     clock:
         Monotonic time source; injectable for deterministic tests.
+    tenant_weights:
+        Optional mapping of tenant name to a positive, finite service
+        weight (a weight-4 tenant is served 4x the batch share of a
+        weight-1 one under contention).
+    default_tenant_weight:
+        Weight of tenants absent from ``tenant_weights``, including the
+        ``None`` tenant of untagged requests.
     """
 
     def __init__(
@@ -199,6 +239,8 @@ class RequestQueue:
         overflow: str = "block",
         min_cost: float = 0.0,
         clock=time.monotonic,
+        tenant_weights: dict[str, float] | None = None,
+        default_tenant_weight: float = 1.0,
     ):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
@@ -209,6 +251,14 @@ class RequestQueue:
             )
         if min_cost < 0:
             raise ValueError("min_cost must be non-negative")
+        self._tenant_weights = dict(tenant_weights or {})
+        for name, weight in [
+            ("default_tenant_weight", default_tenant_weight),
+            *((f"tenant weight for {t!r}", w) for t, w in self._tenant_weights.items()),
+        ]:
+            if not (math.isfinite(weight) and weight > 0):
+                raise ValueError(f"{name} must be positive and finite, got {weight}")
+        self._default_tenant_weight = float(default_tenant_weight)
         self.max_depth = max_depth
         self.overflow = overflow
         self.min_cost = float(min_cost)
@@ -217,16 +267,16 @@ class RequestQueue:
         self._cond = threading.Condition()
         self._closed = False
         self._draining = False
-        #: batch_key -> bucket, holding exactly the keys with queued (or
-        #: batch-forming) traffic: emptied buckets are pruned after every
-        #: pop/expiry sweep, so a long-lived queue seeing unbounded
-        #: distinct keys (every float deadline is its own key) stays
-        #: bounded by concurrent traffic, not by history.
-        self._buckets: dict = {}
+        #: tenant -> group, holding exactly the tenants and keys with queued
+        #: (or batch-forming) traffic: emptied buckets and groups are
+        #: pruned after every pop/expiry sweep, so a long-lived queue
+        #: seeing unbounded distinct keys (every float deadline is its own
+        #: key) stays bounded by concurrent traffic, not by history.
+        self._groups: dict = {}
         self._depth = 0
-        #: Global stride-scheduling virtual time (pass of the last-served
-        #: bucket); newly ready buckets join at this point, never earlier,
-        #: so an idle bucket cannot bank credit against active ones.
+        #: Outer stride virtual time (pass of the last-served tenant);
+        #: newly ready tenants join at this point, never earlier, so an
+        #: idle tenant cannot bank credit against active ones.
         self._vtime = 0.0
 
     # -- state ---------------------------------------------------------------
@@ -235,39 +285,36 @@ class RequestQueue:
     def depth(self) -> int:
         """Requests currently buffered (across all buckets)."""
         with self._cond:
-            return self._len_locked()
+            return self._depth
 
     def __len__(self) -> int:
         return self.depth
-
-    def _len_locked(self) -> int:
-        return self._depth
 
     def _admissible(self, request: LabelingRequest, now: float) -> bool:
         return request.remaining(now) >= self.min_cost - _DEADLINE_EPS
 
     # -- producer side -------------------------------------------------------
 
-    def _bucket_key(self, request: LabelingRequest):
-        """The bucket a request queues into (hook for subclasses).
-
-        The flat queue buckets purely by ``batch_key``;
-        :class:`~repro.serving.hierarchy.HierarchicalRequestQueue`
-        overrides this to ``(tenant, batch_key)`` so batches stay
-        single-tenant.
-        """
-        return request.batch_key
-
     def _store_locked(self, request: LabelingRequest) -> None:
-        """Append one admitted request to its bucket, O(1)."""
-        key = self._bucket_key(request)
-        bucket = self._buckets.get(key)
+        """Append one admitted request to its tenant's bucket, O(1).
+
+        A tenant or bucket that is ready again after an idle stretch
+        re-enters its round at the current virtual time of its level
+        (keeping any outstanding debt).
+        """
+        group = self._groups.get(request.tenant)
+        if group is None:
+            weight = self._tenant_weights.get(
+                request.tenant, self._default_tenant_weight
+            )
+            group = self._groups[request.tenant] = _TenantGroup(weight, self._vtime)
+        elif not group.depth:
+            group.pass_value = max(group.pass_value, self._vtime)
+        bucket = group.buckets.get(request.batch_key)
         if bucket is None:
-            bucket = self._buckets[key] = _Bucket(key, self._vtime)
+            bucket = group.buckets[request.batch_key] = _Bucket(group, group.vtime)
         elif not bucket.items:
-            # Ready again after an idle stretch: re-enter the round at the
-            # current virtual time (keep any outstanding debt).
-            bucket.pass_value = max(bucket.pass_value, self._vtime)
+            bucket.pass_value = max(bucket.pass_value, group.vtime)
         bucket.push(self._seq, request)
         self._seq += 1
         self._depth += 1
@@ -296,14 +343,14 @@ class RequestQueue:
             return "stopped"
         if not self._admissible(request, self._clock()):
             return "expired"
-        if self._len_locked() >= self.max_depth:
+        if self._depth >= self.max_depth:
             if not block:
                 return "rejected"
             remaining = (
                 None if deadline_at is None else deadline_at - self._clock()
             )
             if not self._cond.wait_for(
-                lambda: self._len_locked() < self.max_depth
+                lambda: self._depth < self.max_depth
                 or self._closed
                 or self._draining,
                 remaining,
@@ -427,60 +474,69 @@ class RequestQueue:
     # -- consumer side -------------------------------------------------------
 
     def _select_locked(self) -> "_Bucket | None":
-        """The non-empty bucket stride scheduling serves next.
+        """The bucket two-level stride scheduling serves next.
 
-        Lowest pass value wins; ties break FIFO by the head request's
-        submission sequence, so freshly ready buckets are anchored in
-        arrival order.  Scans one entry per *distinct key* (a handful of
-        regimes), not per queued request.
+        The outer pass picks the tenant, the inner pass the bucket within
+        it.  Both rank by ``(pass_value, earliest head sequence)``: lowest
+        pass wins, ties break FIFO by arrival, so freshly ready entries
+        are anchored in arrival order.  Scans one entry per live tenant
+        and per distinct key of the winner, not per queued request.
         """
-        best = None
-        best_rank = None
-        for bucket in self._buckets.values():
-            if not bucket.items:
-                continue
-            rank = (bucket.pass_value, bucket.items[0][0])
-            if best is None or rank < best_rank:
-                best, best_rank = bucket, rank
-        return best
-
-    def _charge_locked(self, bucket: "_Bucket", batch: list[LabelingRequest]):
-        """Advance virtual time for one dispatched batch.
-
-        The bucket pays ``n / weight`` where the weight comes from the
-        batch's highest priority — serving a high-priority batch is cheap,
-        so its bucket comes up again sooner, while every other bucket's
-        pass stands still (that standing-still is the aging guarantee).
-        """
-        weight = priority_weight(max(r.priority for r in batch))
-        self._vtime = max(self._vtime, bucket.pass_value)
-        bucket.pass_value = self._vtime + len(batch) / weight
-
-    def _other_pending_locked(self, bucket: "_Bucket") -> bool:
-        return any(
-            other.items for other in self._buckets.values() if other is not bucket
+        group = min(
+            (group for group in self._groups.values() if group.depth),
+            key=lambda group: (group.pass_value, group.head_seq()),
+            default=None,
+        )
+        if group is None:
+            return None
+        return min(
+            (bucket for bucket in group.buckets.values() if bucket.items),
+            key=lambda bucket: (bucket.pass_value, bucket.items[0][0]),
         )
 
+    def _charge_locked(self, bucket: "_Bucket", batch: list[LabelingRequest]):
+        """Advance both strides for one dispatched batch.
+
+        The bucket pays ``n / weight`` against its tenant's virtual time,
+        where the weight comes from the batch's highest priority — serving
+        a high-priority batch is cheap, so its bucket comes up again
+        sooner.  The tenant pays ``n / tenant_weight`` against the outer
+        virtual time.  Every other tenant's and bucket's pass stands
+        still — that standing-still is the aging guarantee.
+        """
+        group = bucket.group
+        group.vtime = max(group.vtime, bucket.pass_value)
+        weight = priority_weight(max(r.priority for r in batch))
+        bucket.pass_value = group.vtime + len(batch) / weight
+        self._vtime = max(self._vtime, group.pass_value)
+        group.pass_value = self._vtime + len(batch) / group.weight
+
     def _prune_locked(self) -> None:
-        """Drop emptied buckets so ``_buckets`` tracks only live traffic.
+        """Drop emptied buckets and groups so they track only live traffic.
 
         Every distinct key ever seen would otherwise pin a bucket forever
         (a float deadline is its own key, so long-lived services see
         unbounded key cardinality) and every per-batch key scan would pay
-        for it.  A pruned key that returns re-enters at the current
-        virtual time — exactly where a retained *credit-free* bucket
-        would re-enter — so the only thing forgotten is the residual debt
-        of a key whose backlog fully drained, worth at most one extra
-        batch on its next burst.  Buckets a consumer is still anchored on
-        are kept (their deque must stay live for same-key arrivals).
+        for it.  A pruned key or tenant that returns re-enters at the
+        current virtual time — exactly where a retained *credit-free*
+        entry would re-enter — so the only thing forgotten is the
+        residual debt of one whose backlog fully drained, worth at most
+        one extra batch per burst.  (An entry that drains and refills
+        before every pop is therefore never charged ahead of the virtual
+        time, and the starvation bound holds per stretch it stays
+        queued.)  Buckets a consumer is still anchored on are kept (their
+        deque must stay live for same-key arrivals).
         """
-        stale = [
-            key
-            for key, bucket in self._buckets.items()
-            if not bucket.items and not bucket.pinned
-        ]
-        for key in stale:
-            del self._buckets[key]
+        for tenant, group in list(self._groups.items()):
+            stale = [
+                key
+                for key, bucket in group.buckets.items()
+                if not bucket.items and not bucket.pinned
+            ]
+            for key in stale:
+                del group.buckets[key]
+            if not group.buckets:
+                del self._groups[tenant]
 
     def pop_batch(
         self, max_items: int, max_wait: float
@@ -548,9 +604,7 @@ class RequestQueue:
                             self._charge_locked(anchor, batch)
                         return batch, expired, "drain"
                     if batch:
-                        saw_other = (
-                            saw_other or self._other_pending_locked(anchor)
-                        )
+                        saw_other = saw_other or self._depth > len(anchor.items)
                     remaining = flush_at - self._clock()
                     if remaining <= 0:
                         if batch:
@@ -583,7 +637,7 @@ class RequestQueue:
         removed: list[LabelingRequest] = []
         with self._cond:
             when = self._clock() if now is None else now
-            for bucket in self._buckets.values():
+            for bucket in self._buckets_locked():
                 if not bucket.deadlined:
                     continue
                 kept: deque[tuple[int, LabelingRequest]] = deque()
@@ -599,6 +653,9 @@ class RequestQueue:
                 self._prune_locked()
                 self._cond.notify_all()  # space freed for blocked producers
         return removed
+
+    def _buckets_locked(self) -> list[_Bucket]:
+        return [b for group in self._groups.values() for b in group.buckets.values()]
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -617,11 +674,16 @@ class RequestQueue:
         """
         with self._cond:
             self._closed = True
-            entries = [
-                entry for bucket in self._buckets.values() for entry in bucket.items
-            ]
+            entries = [entry for b in self._buckets_locked() for entry in b.items]
             leftovers = [request for _, request in sorted(entries)]
-            self._buckets.clear()
+            self._groups.clear()
             self._depth = 0
             self._cond.notify_all()
             return leftovers
+
+    # -- introspection -------------------------------------------------------
+
+    def tenant_depths(self) -> dict[str | None, int]:
+        """Queued requests per tenant right now (live tenants only)."""
+        with self._cond:
+            return {t: g.depth for t, g in self._groups.items() if g.depth}

@@ -268,10 +268,9 @@ class LabelingService:
         Optional callable building the admission queue; receives the
         keyword arguments :class:`RequestQueue` takes (``max_depth``,
         ``overflow``, ``min_cost``, ``clock``) and returns a
-        :class:`RequestQueue` (or subclass).  The gateway passes a
-        :class:`~repro.serving.hierarchy.HierarchicalRequestQueue`
-        factory here so dispatch is tenant-fair; defaults to the flat
-        queue.
+        :class:`RequestQueue` (or subclass).  The gateway passes one
+        that adds its roster's ``tenant_weights``; defaults to
+        :class:`RequestQueue` with every tenant weighted alike.
     registry:
         The :class:`~repro.obs.registry.MetricsRegistry` the service
         publishes into (a private one when omitted).  Its telemetry owns

@@ -84,7 +84,7 @@ class LabelingSpec:
         authenticated API key).  Like ``priority`` it never changes
         scheduling semantics, so it is excluded from :attr:`batch_key` —
         but it *is* part of :meth:`cache_key`, so one tenant's cached
-        labels are never served to another, and the hierarchical queue
+        labels are never served to another, and the request queue
         buckets by ``tenant → batch_key`` for cross-tenant fairness.
     """
 

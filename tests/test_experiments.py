@@ -79,6 +79,13 @@ class TestExperiments:
         assert m["mscoco2017_improvement_at_0.5s"] > 0.0
         assert 0.0 < m["min_ratio"] <= 1.0
 
+    def test_fig10_summary_signs_a_negative_improvement(self, ctx, monkeypatch):
+        monkeypatch.setattr(fig10_deadline, "improvement", lambda base, ours: -0.404)
+        report = fig10_deadline.run(
+            ctx, datasets=("mscoco2017",), deadlines=(0.5,), n_items=3
+        )
+        assert "@0.5s: -40.4% to -40.4% recall" in report.text
+
     def test_fig11_shape(self, ctx):
         report = fig11_memory.run(
             ctx,

@@ -1,7 +1,13 @@
-"""Per-key dispatch buckets: fairness, single-regime FIFO dispatch order,
-timer-tick expiry, and lifecycle across buckets."""
+"""Per-(tenant, key) dispatch buckets: the dispatch trace against an
+independent stride model, fairness between tenants and between keys,
+single-regime FIFO dispatch order, timer-tick expiry, and lifecycle."""
+
+import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import LabelingEngine
 from repro.rl.agents import make_agent
@@ -11,10 +17,13 @@ from repro.serving import (
     LabelingRequest,
     LabelingService,
     LabelingSpec,
+    QueueFull,
     RequestQueue,
     ServiceStopped,
 )
 from repro.serving.queue import priority_weight
+
+from stride_model import StrideModel
 
 
 class FakeClock:
@@ -316,7 +325,7 @@ class TestBucketLifecycle:
             batch, _, _ = queue.pop_batch(4, 0.0)
             assert len(batch) == 1
         assert queue.depth == 0
-        assert len(queue._buckets) == 0  # nothing queued, nothing tracked
+        assert queue._groups == {}  # nothing queued, nothing tracked
 
     def test_expiry_sweep_prunes_drained_buckets(self, items):
         clock = FakeClock()
@@ -326,7 +335,7 @@ class TestBucketLifecycle:
             queue.put(request_for(items[0], spec=spec, deadline=0.2))
         clock.advance(1.0)
         assert len(queue.expire_overdue()) == 20
-        assert len(queue._buckets) == 0
+        assert queue._groups == {}
 
     def test_all_expired_bucket_falls_through_to_live_bucket(self, items):
         # When the fair pick's every request expired while queued, the
@@ -347,3 +356,281 @@ class TestBucketLifecycle:
         assert batch == [live]
         assert expired == doomed
         assert reason in ("wait", "regime_split")
+
+
+def tenant_request(item, tenant=None, **spec_kwargs):
+    spec = LabelingSpec(tenant=tenant, **spec_kwargs)
+    return LabelingRequest(item=item, spec=spec, priority=spec.priority)
+
+
+#: Three specs with distinct batch keys; arrivals name one by index.
+MODEL_SPECS = (
+    LabelingSpec(),
+    LabelingSpec(deadline=0.35),
+    LabelingSpec(deadline=0.35, memory_budget=8000.0),
+)
+MODEL_PRIORITIES = (0, 1, 2)
+
+
+def assert_bounded_waits(events, max_items, weight_of):
+    """Stride's starvation bound, checked on a dispatch trace alone.
+
+    While a tenant waits (queued and unserved since it arrived or was last
+    served), another tenant ``u`` gets at most ``max_items * w_u / w_t + 1``
+    batches per stretch it stays queued; while a key waits, each other key
+    of its tenant gets at most ``max_items * 4 + 1`` of that tenant's
+    batches (priorities 0..2 put the priority weights within 4x).
+    """
+    queued, stays = Counter(), Counter()
+    tenant_waits, key_waits = {}, {}
+    key_bound = math.floor(max_items * 4 + 1e-9) + 1
+    for event in events:
+        if event[0] == "put":
+            _, tenant, key = event
+            for name, waits in ((tenant, tenant_waits), ((tenant, key), key_waits)):
+                if not queued[name]:
+                    stays[name] += 1
+                    waits[name] = Counter()
+                queued[name] += 1
+            continue
+        _, tenant, key, n = event
+        for waiter, waits in tenant_waits.items():
+            if waiter != tenant and queued[waiter]:
+                waits[tenant, stays[tenant]] += 1
+                share = max_items * weight_of(tenant) / weight_of(waiter)
+                assert waits[tenant, stays[tenant]] <= math.floor(share + 1e-9) + 1
+        for waiter, waits in key_waits.items():
+            if waiter[0] == tenant and waiter != (tenant, key) and queued[waiter]:
+                waits[key, stays[tenant, key]] += 1
+                assert waits[key, stays[tenant, key]] <= key_bound
+        tenant_waits[tenant] = Counter()
+        key_waits[tenant, key] = Counter()
+        queued[tenant] -= n
+        queued[tenant, key] -= n
+
+
+class TestStrideModel:
+    """The queue's dispatch trace equals ``tests/stride_model.py``'s."""
+
+    def test_bound_check_catches_a_starved_tenant(self):
+        # t waits while u, queued the whole time, takes three unit batches;
+        # equal weights allow u at most max_items + 1 = 2 of them.
+        events = [("put", "t", 0)] * 3 + [("put", "u", 0)] * 3
+        with pytest.raises(AssertionError):
+            assert_bounded_waits(events + [("pop", "u", 0, 1)] * 3, 1, lambda t: 1.0)
+        assert_bounded_waits(events + [("pop", "u", 0, 1)] * 2, 1, lambda t: 1.0)
+
+    @pytest.mark.parametrize(
+        "tenants", [(None,), (None, "a", "b", "c")], ids=["untagged", "tenants"]
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_dispatch_matches_stride_model(self, items, tenants, data):
+        named = [t for t in tenants if t is not None]
+        weights = data.draw(
+            st.fixed_dictionaries(
+                {t: st.sampled_from([0.5, 1.0, 2.0, 3.0]) for t in named}
+            )
+        )
+        default = data.draw(st.sampled_from([1.0, 2.5]))
+        max_items = data.draw(st.integers(1, 6))
+        put = st.tuples(
+            st.just("put"),
+            st.sampled_from(tenants),
+            st.integers(0, len(MODEL_SPECS) - 1),
+            st.sampled_from(MODEL_PRIORITIES),
+        )
+        # Bursts of arrivals, each followed by a few pops, so buckets of
+        # several tenants and keys are queued at once.
+        rounds = data.draw(
+            st.lists(
+                st.tuples(st.lists(put, max_size=12), st.integers(0, 4)),
+                max_size=8,
+            )
+        )
+        ops = [op for puts, pops in rounds for op in puts + [("pop",)] * pops]
+
+        queue = RequestQueue(
+            max_depth=1024,
+            clock=lambda: 0.0,
+            tenant_weights=weights,
+            default_tenant_weight=default,
+        )
+        model = StrideModel(weights, default)
+        idents: dict[int, int] = {}
+        events = []
+        for op in ops + [("pop",)] * len(ops):
+            if op[0] == "put":
+                _, tenant, key, priority = op
+                request = LabelingRequest(
+                    item=items[len(idents) % len(items)],
+                    spec=MODEL_SPECS[key].with_(tenant=tenant),
+                    priority=priority,
+                )
+                idents[id(request)] = len(idents)
+                queue.put(request)
+                model.put(idents[id(request)], tenant, key, priority)
+                events.append(("put", tenant, key))
+                continue
+            expected = model.pop(max_items)
+            if expected is None:
+                assert queue.depth == 0
+                continue
+            tenant, key, members, reason = expected
+            batch, expired, got_reason = queue.pop_batch(max_items, 0.0)
+            assert expired == []
+            assert [idents[id(r)] for r in batch] == members
+            assert got_reason == reason
+            events.append(("pop", tenant, key, len(members)))
+        assert queue.depth == 0 and queue._groups == {}
+        assert_bounded_waits(
+            events, max_items, lambda t: weights.get(t, default)
+        )
+
+
+class TestTenantFairness:
+    def test_cold_tenant_served_within_bounded_batches(self, items):
+        # Starvation bound: a hot tenant pre-loads a deep backlog, then a
+        # cold tenant's single request arrives.  Equal weights mean the
+        # cold tenant must be picked within two batches (the in-progress
+        # charge plus one), no matter how deep the hot backlog is.
+        queue = RequestQueue(max_depth=256)
+        for _ in range(8):
+            for item in items[:20]:
+                queue.put(tenant_request(item, tenant="hot"))
+        queue.put(tenant_request(items[20], tenant="cold"))
+        served_at = None
+        for index in range(10):
+            batch, _, _ = queue.pop_batch(8, 0.0)
+            if any(r.tenant == "cold" for r in batch):
+                served_at = index
+                break
+        assert served_at is not None and served_at <= 1
+
+    def test_untagged_backlog_lacks_the_tenant_bound(self, items):
+        # Untagged traffic is one tenant, so a late arrival into the one
+        # shared FIFO bucket waits behind the entire backlog; tagging the
+        # two callers apart serves the late arrival's bucket second.
+        def load(queue, tag_tenant):
+            for _ in range(8):
+                for item in items[:20]:
+                    queue.put(
+                        tenant_request(item, tenant="hot" if tag_tenant else None)
+                    )
+            queue.put(
+                tenant_request(items[20], tenant="cold" if tag_tenant else None)
+            )
+
+        def batches_until(queue, item_id):
+            for index in range(100):
+                batch, _, _ = queue.pop_batch(8, 0.0)
+                if any(r.item.item_id == item_id for r in batch):
+                    return index
+            return 100
+
+        untagged = RequestQueue(max_depth=256)
+        load(untagged, tag_tenant=False)
+        tagged = RequestQueue(max_depth=256)
+        load(tagged, tag_tenant=True)
+        target = items[20].item_id
+        assert batches_until(tagged, target) <= 1
+        # same spec => same bucket: the backlog is served first
+        assert batches_until(untagged, target) == (8 * 20) // 8
+
+    def test_weighted_tenant_gets_proportional_share(self, items):
+        # weight 3 vs 1 with both backlogged: of the first 8 batches, the
+        # heavy tenant owns ~3/4 (stride guarantees exact proportions
+        # over a full cycle, +-1 batch at the boundary).
+        queue = RequestQueue(
+            max_depth=512, tenant_weights={"paid": 3.0, "free": 1.0}
+        )
+        for _ in range(10):
+            for item in items[:12]:
+                queue.put(tenant_request(item, tenant="paid"))
+                queue.put(tenant_request(item, tenant="free"))
+        served = {"paid": 0, "free": 0}
+        for _ in range(8):
+            batch, _, _ = queue.pop_batch(6, 0.0)
+            served[batch[0].tenant] += 1
+        assert served["paid"] == 6
+        assert served["free"] == 2
+
+    def test_batches_are_never_cross_tenant(self, items):
+        # Same spec, different tenants: every batch stays single-tenant
+        # so charges attribute cleanly.
+        queue = RequestQueue(max_depth=128)
+        for i, item in enumerate(items):
+            queue.put(tenant_request(item, tenant=f"t{i % 3}"))
+        while queue.depth:
+            batch, _, _ = queue.pop_batch(8, 0.0)
+            assert len({r.tenant for r in batch}) == 1
+
+    def test_idle_tenant_cannot_bank_credit(self, items):
+        # A tenant that goes idle re-enters at the current outer virtual
+        # time: its absence must not convert into a burst that starves
+        # the tenant that kept the service busy.
+        queue = RequestQueue(max_depth=512)
+        queue.put(tenant_request(items[0], tenant="idler"))
+        batch, _, _ = queue.pop_batch(4, 0.0)
+        assert batch[0].tenant == "idler"
+        # busy tenant works alone for a long stretch
+        for _ in range(10):
+            for item in items[:8]:
+                queue.put(tenant_request(item, tenant="busy"))
+        for _ in range(5):
+            queue.pop_batch(8, 0.0)
+        # idler returns with a backlog: service must alternate, not
+        # hand the idler an uninterrupted catch-up run
+        for _ in range(4):
+            for item in items[:8]:
+                queue.put(tenant_request(item, tenant="idler"))
+        first_eight = [queue.pop_batch(8, 0.0)[0][0].tenant for _ in range(8)]
+        assert set(first_eight) == {"idler", "busy"}
+
+    def test_weight_validation(self):
+        with pytest.raises(ValueError):
+            RequestQueue(tenant_weights={"bad": 0.0})
+        with pytest.raises(ValueError):
+            RequestQueue(default_tenant_weight=-1.0)
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_non_finite_weight_is_rejected(self, weight):
+        # An inf or NaN weight makes every charge 0 or NaN, and the
+        # weighted tenant would then win every pick.
+        with pytest.raises(ValueError, match="finite"):
+            RequestQueue(tenant_weights={"hot": weight})
+        with pytest.raises(ValueError, match="finite"):
+            RequestQueue(default_tenant_weight=weight)
+
+
+class TestTenantLifecycle:
+    def test_tenant_depths_and_group_pruning(self, items):
+        queue = RequestQueue(max_depth=64)
+        for item in items[:6]:
+            queue.put(tenant_request(item, tenant="a"))
+        for item in items[6:10]:
+            queue.put(tenant_request(item, tenant="b"))
+        assert queue.tenant_depths() == {"a": 6, "b": 4}
+        while queue.depth:
+            queue.pop_batch(8, 0.0)
+        assert queue.tenant_depths() == {}
+        assert queue._groups == {}
+
+    def test_close_returns_fifo_and_clears_groups(self, items):
+        queue = RequestQueue(max_depth=64)
+        for i, item in enumerate(items[:9]):
+            queue.put(tenant_request(item, tenant=f"t{i % 3}"))
+        leftovers = queue.close()
+        assert [r.item.item_id for r in leftovers] == [
+            item.item_id for item in items[:9]
+        ]
+        assert queue._groups == {}
+
+    def test_nowait_put_rejects_full_queue_despite_block_policy(self, items):
+        queue = RequestQueue(max_depth=2, overflow="block")
+        queue.put(tenant_request(items[0], tenant="a"))
+        queue.put(tenant_request(items[1], tenant="a"))
+        with pytest.raises(QueueFull, match="nowait"):
+            queue.put(tenant_request(items[2], tenant="b"), nowait=True)
+        assert queue.depth == 2
+        assert queue.tenant_depths() == {"a": 2}

@@ -2,7 +2,7 @@
 
 Unit layers (tenants, token buckets) are tested directly; the HTTP
 surface is tested against a *live* background gateway over a real
-service with the hierarchical queue — requests go through the full
+service with a tenant-weighted queue — requests go through the full
 wire -> auth -> quota -> nowait-submit -> dispatch path.
 """
 
@@ -17,7 +17,7 @@ from repro.engine import LabelingEngine
 from repro.obs import MetricsRegistry, TraceBuffer
 from repro.rl.agents import make_agent
 from repro.scheduling.qgreedy import AgentPredictor
-from repro.serving import HierarchicalRequestQueue, LabelingService, LabelingSpec
+from repro.serving import LabelingService, LabelingSpec, RequestQueue
 from repro.serving.gateway import (
     LabelingGateway,
     Tenant,
@@ -71,6 +71,19 @@ class TestTenantDirectory:
             Tenant("a", "k", burst=0)
         with pytest.raises(ValueError):
             Tenant("a", "k", max_inflight=0)
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_non_finite_weight_is_rejected(self, weight):
+        # json.loads accepts NaN and Infinity, so a tenants file can carry
+        # them; either weight would let one tenant monopolise dispatch.
+        config = '{"tenants": [{"name": "hot", "api_key": "k", "weight": %s}]}'
+        with pytest.raises(ValueError, match="finite"):
+            TenantDirectory.from_json(json.loads(config % weight))
+
+    def test_nan_rate_is_rejected_and_inf_rate_is_unlimited(self):
+        with pytest.raises(ValueError, match="rate"):
+            Tenant("a", "k", rate=float("nan"))
+        assert Tenant("a", "k", rate=float("inf")).rate == float("inf")
 
     def test_from_json_file_and_env(self, tmp_path, monkeypatch):
         config = {
@@ -199,7 +212,7 @@ def gateway(engine, truth, dataset):
         cache_size=256,
         registry=registry,
         tracer=TraceBuffer(128),
-        queue_factory=lambda **kw: HierarchicalRequestQueue(
+        queue_factory=lambda **kw: RequestQueue(
             tenant_weights=DIRECTORY.weights(), **kw
         ),
     )

@@ -18,7 +18,6 @@ from repro.rl.agents import make_agent
 from repro.scheduling.qgreedy import AgentPredictor
 from repro.serving import (
     DeadlineExpired,
-    HierarchicalRequestQueue,
     LabelingService,
     LabelingSpec,
     QueueFull,
@@ -125,17 +124,12 @@ def test_priority_batch_overtakes_a_queued_backlog(engine, items):
 
 
 def test_cold_tenant_overtakes_a_hot_backlog(engine, items):
-    service, log = slow_service(
-        engine,
-        0.02,
-        workers=2,
-        batch_size=4,
-        queue_factory=HierarchicalRequestQueue,
-    )
+    # The default queue is tenant-fair: no queue_factory needed.
+    service, log = slow_service(engine, 0.02, workers=2, batch_size=4)
     with service:
         hot = service.submit_many(items[:100], LabelingSpec(tenant="hot"))
         time.sleep(0.01)  # the dispatcher reaches its overloaded steady state
-        cold =service.submit(items[100], LabelingSpec(tenant="cold"))
+        cold = service.submit(items[100], LabelingSpec(tenant="cold"))
         for future in hot + [cold]:
             future.result(timeout=10)
     tenants = [spec.tenant for spec, _ in log]

@@ -153,9 +153,9 @@ class TestBatchKey:
         assert hash(spec.batch_key) == hash(spec.with_(priority=5).batch_key)
 
     def test_tenant_is_not_part_of_the_key(self):
-        # tenancy is a fairness concern (the hierarchical queue's outer
+        # tenancy is a fairness concern (the request queue's tenant
         # level), not a scheduling constraint: two tenants with the same
-        # constraints share a regime bucket
+        # constraints share a batch key
         assert (
             LabelingSpec(deadline=0.5, tenant="a").batch_key
             == LabelingSpec(deadline=0.5, tenant="b").batch_key
