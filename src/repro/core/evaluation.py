@@ -26,9 +26,9 @@ def evaluate_subset(
     rec = truth.record(item_id)
     best = np.zeros(rec.n_labels, dtype=np.float64)
     for j in set(int(i) for i in model_indices):
-        ids = rec.valuable_ids[j]
+        ids, confs = rec.valuable_pairs[j]
         if len(ids):
-            np.maximum.at(best, ids, rec.valuable_confs[j])
+            np.maximum.at(best, ids, confs)
     return float(best.sum())
 
 

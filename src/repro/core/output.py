@@ -5,8 +5,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class LabelOutput:
@@ -46,13 +44,6 @@ class ModelOutput:
     def valuable(self, threshold: float) -> tuple[LabelOutput, ...]:
         """Labels whose confidence is at least ``threshold``."""
         return tuple(l for l in self.labels if l.confidence >= threshold)
-
-    def valuable_arrays(self, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, confidences) of valuable labels as numpy arrays."""
-        picked = self.valuable(threshold)
-        ids = np.asarray([l.label_id for l in picked], dtype=np.int64)
-        confs = np.asarray([l.confidence for l in picked], dtype=np.float64)
-        return ids, confs
 
     @property
     def is_empty(self) -> bool:

@@ -68,27 +68,3 @@ class SceneContent:
     @property
     def has_person(self) -> bool:
         return bool(self.persons)
-
-    @property
-    def n_visible_faces(self) -> int:
-        return sum(1 for p in self.persons if p.face_visible)
-
-    @property
-    def max_person_prominence(self) -> float:
-        if not self.persons:
-            return 0.0
-        return max(p.prominence for p in self.persons)
-
-    def describe(self, label_space=None) -> str:
-        """Human-readable one-line summary (used by example scripts)."""
-        parts = [f"scene#{self.scene}({self.scene_strength:.2f})"]
-        if self.objects:
-            parts.append(f"{len(self.objects)} objects")
-        if self.persons:
-            faces = self.n_visible_faces
-            parts.append(f"{len(self.persons)} persons ({faces} faces)")
-        if self.action is not None:
-            parts.append(f"action#{self.action}({self.action_strength:.2f})")
-        if self.dog_breed is not None:
-            parts.append(f"dog#{self.dog_breed}({self.dog_strength:.2f})")
-        return ", ".join(parts)

@@ -83,6 +83,7 @@ def run(
     measured: dict[str, float] = {}
     improvements_05 = []
     ratios = {}
+    ratio_series = {}
     for dataset in datasets:
         curves = sweep_dataset(ctx, dataset, deadlines, n_items)
         sections.append(
@@ -93,18 +94,19 @@ def run(
                 title=f"Fig. 10 ({dataset}): value recall vs deadline",
             )
         )
-        ratio = performance_ratio(curves["cost_q_greedy"], curves["optimal_star"])
+        ours, star = curves["cost_q_greedy"], curves["optimal_star"]
+        ratio = performance_ratio(ours, star)
         ratios[dataset] = ratio
         measured[f"{dataset}_ratio"] = ratio
+        ratio_series[dataset] = [
+            performance_ratio([o], [s]) for o, s in zip(ours, star)
+        ]
         # improvement vs random at the deadline closest to 0.5 s
         i05 = int(np.argmin(np.abs(np.asarray(deadlines) - 0.5)))
         imp = improvement(curves["random"][i05], curves["cost_q_greedy"][i05])
         improvements_05.append(imp)
         measured[f"{dataset}_improvement_at_0.5s"] = imp
 
-    ratio_series = {
-        dataset: np.full(len(deadlines), ratios[dataset]) for dataset in datasets
-    }
     ratio_series["1-1/e"] = np.full(len(deadlines), 1 - 1 / np.e)
     sections.append(
         format_series(

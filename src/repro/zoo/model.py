@@ -15,18 +15,22 @@ real model zoos matter to the scheduler and are reproduced here:
 Determinism: emission is a pure function of (model name, item id, world
 seed); executing the same model twice on the same item returns the same
 output, mirroring the paper's record-then-replay evaluation protocol.
+Each ``(model, item)`` cell draws from numpy's PCG64 stream seeded with
+the seed sequence ``[model salt, item key]``, a whole batch of which
+:func:`seed_table` hashes at once.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
+from itertools import permutations
 
 import numpy as np
 
 from repro.core.output import ModelOutput, named_labels
 from repro.data.datasets import DataItem
-from repro.data.semantics import SceneContent
 from repro.labels import LabelSpace
 from repro.vocab import (
     TASK_ACTION,
@@ -46,6 +50,77 @@ from repro.zoo.costs import ModelSpec
 def item_key(item_id: str) -> int:
     """The per-item half of every (model, item) seed."""
     return zlib.crc32(item_id.encode())
+
+
+# numpy's seed-sequence hash: its multiplier walks never depend on the data.
+_MIX_CONSTS = [np.uint32(0x43B0D7E5 * 0x931E8875**k % 2**32) for k in range(17)]
+_OUT_CONSTS = [np.uint32(0x8B51F9DD * 0x58F38DED**k % 2**32) for k in range(9)]
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+_PCG_STATE = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+
+
+def _hashmix(value: np.ndarray, k: int) -> np.ndarray:
+    value = (value ^ _MIX_CONSTS[k]) * _MIX_CONSTS[k + 1]
+    return value ^ (value >> 16)
+
+
+def seed_table(salts: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``uint64[len(keys), len(salts), 4]`` PCG64 seed words of every cell.
+
+    Row ``[i, j]`` is numpy's ``generate_state(4, uint64)`` of the seed
+    sequence ``[salts[j], keys[i]]`` (both ``uint32``), computed with
+    wrapping ``uint32`` array ops: two entropy words in a four-word pool.
+    """
+    zero = np.zeros((1, 1), dtype=np.uint32)
+    pool = [salts[None, :], keys[:, None], zero, zero]
+    pool = [_hashmix(word, k) for k, word in enumerate(pool)]
+    for k, (src, dst) in enumerate(permutations(range(4), 2), start=4):
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], k)
+        pool[dst] = mixed ^ (mixed >> 16)
+    out = [(pool[i % 4] ^ _OUT_CONSTS[i]) * _OUT_CONSTS[i + 1] for i in range(8)]
+    words = np.stack([word ^ (word >> 16) for word in out], axis=-1)
+    return words.astype("<u4", copy=False).view("<u8")
+
+
+def pcg64_state(words: Sequence[int]) -> dict:
+    """PCG64 ``state`` seeded with one :func:`seed_table` cell.
+
+    PCG64's own seeding step in Python ints, on the words numpy would
+    hand it when building a generator from that cell's seed sequence.
+    """
+    state_hi, state_lo, seq_hi, seq_lo = words
+    inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
+    state = ((((state_hi << 64) | state_lo) + inc) * _PCG_MULT + inc) & _MASK128
+    return {**_PCG_STATE, "state": {"state": state, "inc": inc}}
+
+
+def emit_batch(
+    models: Sequence[SimulatedModel], salts: np.ndarray, items: Iterable[DataItem]
+) -> Iterator[tuple[DataItem, list[int], list[int], list[float]]]:
+    """Every model's emissions on each item: ``(item, offsets, ids, confs)``.
+
+    Model ``j`` (seed salt ``salts[j]``) owns ``ids[offsets[j]:offsets[j + 1]]``
+    and the matching ``confs``.  Each lens gets a callable that moves this
+    call's own generator onto its cell's stream: the service records from
+    several threads at once.
+    """
+    items = list(items)
+    keys = np.array([item_key(item.item_id) for item in items], dtype=np.uint32)
+    bitgen = np.random.PCG64(0)
+    generator = np.random.Generator(bitgen)
+
+    def stream(words: list[int]) -> np.random.Generator:
+        bitgen.state = pcg64_state(words)
+        return generator
+
+    for item, row in zip(items, seed_table(salts, keys)):
+        content = item.content
+        ids, confs, offsets = [], [], [0]
+        for model, words in zip(models, row.tolist()):
+            _LENSES[model.task](model, content, partial(stream, words), ids, confs)
+            offsets.append(len(ids))
+        yield item, offsets, ids, confs
 
 
 class SimulatedModel:
@@ -84,23 +159,10 @@ class SimulatedModel:
     # -- execution ---------------------------------------------------------
 
     def execute(self, item: DataItem) -> ModelOutput:
-        """Run the model on ``item`` and return its (deterministic) output."""
-        ids: list[int] = []
-        confs: list[float] = []
-        self.emit_into(item.content, item_key(item.item_id), ids, confs)
+        """The model's (deterministic) output on ``item``: a one-cell batch."""
+        salts = np.array([self._seed_salt], dtype=np.uint32)
+        [(_, _, ids, confs)] = emit_batch((self,), salts, [item])
         return self.render(item.item_id, ids, confs)
-
-    def emit_into(
-        self, content: SceneContent, key: int, ids: list[int], confs: list[float]
-    ) -> None:
-        """Append this model's emissions on one item to ``ids``/``confs``.
-
-        The recording core: ``ids`` receives global label ids and
-        ``confs`` their confidences, in emission order.  ``key`` is
-        :func:`item_key` of the item's id — computed once per item by
-        batch callers, not once per model.
-        """
-        _LENSES[self.task](self, content, key, ids, confs)
 
     def render(
         self, item_id: str, ids: Iterable[int], confs: Iterable[float]
@@ -108,10 +170,6 @@ class SimulatedModel:
         """Named :class:`ModelOutput` for emissions of this model."""
         labels = named_labels(self._space.name_of, ids, confs)
         return ModelOutput(model=self.name, item_id=item_id, labels=labels)
-
-    def _rng(self, key: int) -> np.random.Generator:
-        """The (model, item) random stream; lenses build it only to draw."""
-        return np.random.default_rng(np.random.SeedSequence([self._seed_salt, key]))
 
     def _confidence(
         self, rng: np.random.Generator, strength: float, noise: float = 0.07
@@ -142,10 +200,23 @@ class SimulatedModel:
         n_points = int(round(min(max(frac, 0.0), 1.0) * n_candidates))
         return rng.choice(n_candidates, size=n_points, replace=False)
 
-    # -- per-task emission lenses -------------------------------------------
+    def _junk_guess(self, rng, p, low, high, ids, confs, truth=()) -> None:
+        """With probability ``p``, a random label at confidence ``U(low, high)``.
 
-    def _emit_objects(self, content, key, ids, confs) -> None:
-        rng = self._rng(key)
+        A guess that hits one of the ``truth`` labels is dropped.
+        """
+        if rng.random() < p:
+            guess = int(rng.integers(self.n_labels))
+            if guess not in truth:
+                ids.append(self._id_base + guess)
+                confs.append(float(rng.uniform(low, high)))
+
+    # -- per-task emission lenses -------------------------------------------
+    # ``stream()`` returns the generator positioned on this (model, item)
+    # cell's stream; a lens calls it only when it is about to draw.
+
+    def _emit_objects(self, content, stream, ids, confs) -> None:
+        rng = stream()
         random = rng.random
         objects = content.objects
         for obj, strength in objects.items():
@@ -154,49 +225,41 @@ class SimulatedModel:
                 ids.append(self._id_base + obj)
                 confs.append(self._confidence(rng, strength))
         # Rare false positive: a random category at junk confidence.
-        if random() < 0.08:
-            fp = int(rng.integers(self.n_labels))
-            if fp not in objects:
-                ids.append(self._id_base + fp)
-                confs.append(float(rng.uniform(0.08, 0.42)))
+        self._junk_guess(rng, 0.08, 0.08, 0.42, ids, confs, objects)
 
-    def _emit_place(self, content, key, ids, confs) -> None:
-        rng = self._rng(key)
+    def _emit_place(self, content, stream, ids, confs) -> None:
+        rng = stream()
         ids.append(self._id_base + content.scene)
         confs.append(self._confidence(rng, content.scene_strength))
         # Classifiers emit a runner-up guess at low confidence.
-        if rng.random() < 0.5:
-            runner_up = int(rng.integers(self.n_labels))
-            if runner_up != content.scene:
-                ids.append(self._id_base + runner_up)
-                confs.append(float(rng.uniform(0.05, 0.35)))
+        self._junk_guess(rng, 0.5, 0.05, 0.35, ids, confs, (content.scene,))
 
-    def _emit_face(self, content, key, ids, confs) -> None:
+    def _emit_face(self, content, stream, ids, confs) -> None:
         strengths = [p.face_strength for p in content.persons if p.face_visible]
         if strengths:
             ids.append(self._id_base)
-            confs.append(self._confidence(self._rng(key), max(strengths)))
+            confs.append(self._confidence(stream(), max(strengths)))
         elif content.persons:
-            rng = self._rng(key)
+            rng = stream()
             if rng.random() < 0.15:
                 # Occluded face: junk-confidence detection.
                 ids.append(self._id_base)
                 confs.append(float(rng.uniform(0.08, 0.4)))
 
-    def _emit_face_landmarks(self, content, key, ids, confs) -> None:
+    def _emit_face_landmarks(self, content, stream, ids, confs) -> None:
         strengths = [p.face_strength for p in content.persons if p.face_visible]
         if not strengths:
             return
-        rng = self._rng(key)
+        rng = stream()
         strength = max(strengths)
         picked = self._localized_points(rng, strength, self.n_labels)
         ids.extend((self._id_base + picked).tolist())
         confs.extend(self._confidences(rng, strength, len(picked)))
 
-    def _emit_pose(self, content, key, ids, confs) -> None:
+    def _emit_pose(self, content, stream, ids, confs) -> None:
         if not content.persons:
             return
-        rng = self._rng(key)
+        rng = stream()
         random = rng.random
         p_detect = self.quality * 0.9
         out: dict[int, float] = {}
@@ -209,33 +272,26 @@ class SimulatedModel:
         ids.extend(self._id_base + kp for kp in out)
         confs.extend(out.values())
 
-    def _emit_emotion(self, content, key, ids, confs) -> None:
+    def _emit_emotion(self, content, stream, ids, confs) -> None:
         faces = [
             p for p in content.persons if p.face_visible and p.emotion is not None
         ]
         if not faces:
             return
-        rng = self._rng(key)
+        rng = stream()
         best = max(faces, key=lambda p: p.face_strength)
         ids.append(self._id_base + best.emotion)
         confs.append(self._confidence(rng, best.face_strength))
-        if rng.random() < 0.3:
-            other = int(rng.integers(self.n_labels))
-            if other != best.emotion:
-                ids.append(self._id_base + other)
-                confs.append(float(rng.uniform(0.05, 0.3)))
+        self._junk_guess(rng, 0.3, 0.05, 0.3, ids, confs, (best.emotion,))
 
-    def _emit_gender(self, content, key, ids, confs) -> None:
+    def _emit_gender(self, content, stream, ids, confs) -> None:
         visible = [p for p in content.persons if p.face_visible]
         if not visible:
             # Gender nets need a face crop; bodies alone give junk output.
             if content.persons:
-                rng = self._rng(key)
-                if rng.random() < 0.3:
-                    ids.append(self._id_base + int(rng.integers(self.n_labels)))
-                    confs.append(float(rng.uniform(0.1, 0.45)))
+                self._junk_guess(stream(), 0.3, 0.1, 0.45, ids, confs)
             return
-        rng = self._rng(key)
+        rng = stream()
         out: dict[int, float] = {}
         for person in visible:
             conf = self._confidence(rng, person.face_strength)
@@ -244,24 +300,17 @@ class SimulatedModel:
         ids.extend(self._id_base + gender for gender in out)
         confs.extend(out.values())
 
-    def _emit_action(self, content, key, ids, confs) -> None:
+    def _emit_action(self, content, stream, ids, confs) -> None:
         if content.action is not None:
-            rng = self._rng(key)
+            rng = stream()
             ids.append(self._id_base + content.action)
             confs.append(self._confidence(rng, content.action_strength))
-            if rng.random() < 0.4:
-                other = int(rng.integers(self.n_labels))
-                if other != content.action:
-                    ids.append(self._id_base + other)
-                    confs.append(float(rng.uniform(0.05, 0.35)))
+            self._junk_guess(rng, 0.4, 0.05, 0.35, ids, confs, (content.action,))
         elif content.persons:
-            rng = self._rng(key)
-            if rng.random() < 0.5:
-                # People but no recognizable action: low-confidence guess.
-                ids.append(self._id_base + int(rng.integers(self.n_labels)))
-                confs.append(float(rng.uniform(0.05, 0.4)))
+            # People but no recognizable action: low-confidence guess.
+            self._junk_guess(stream(), 0.5, 0.05, 0.4, ids, confs)
 
-    def _emit_hand_landmarks(self, content, key, ids, confs) -> None:
+    def _emit_hand_landmarks(self, content, stream, ids, confs) -> None:
         handed = [
             p
             for p in content.persons
@@ -269,7 +318,7 @@ class SimulatedModel:
         ]
         if not handed:
             return
-        rng = self._rng(key)
+        rng = stream()
         best = max(handed, key=lambda p: p.prominence)
         per_hand = self.n_labels // 2
         for hand in range(min(best.hands_visible, 2)):
@@ -277,20 +326,15 @@ class SimulatedModel:
             ids.extend((self._id_base + hand * per_hand + picked).tolist())
             confs.extend(self._confidences(rng, best.prominence, len(picked)))
 
-    def _emit_dog(self, content, key, ids, confs) -> None:
-        rng = self._rng(key)
+    def _emit_dog(self, content, stream, ids, confs) -> None:
+        rng = stream()
         if content.dog_breed is not None:
             ids.append(self._id_base + content.dog_breed)
             confs.append(self._confidence(rng, content.dog_strength))
-            if rng.random() < 0.3:
-                other = int(rng.integers(self.n_labels))
-                if other != content.dog_breed:
-                    ids.append(self._id_base + other)
-                    confs.append(float(rng.uniform(0.05, 0.35)))
-        elif rng.random() < 0.1:
+            self._junk_guess(rng, 0.3, 0.05, 0.35, ids, confs, (content.dog_breed,))
+        else:
             # Breed classifiers hallucinate on furry non-dogs occasionally.
-            ids.append(self._id_base + int(rng.integers(self.n_labels)))
-            confs.append(float(rng.uniform(0.05, 0.35)))
+            self._junk_guess(rng, 0.1, 0.05, 0.35, ids, confs)
 
 
 #: Task -> emission lens, resolved once at import (not per execution).
@@ -322,8 +366,9 @@ class ModelZoo:
         self._index = {name: j for j, name in enumerate(self._names)}
         self._times = np.asarray([m.time for m in self._models], dtype=np.float64)
         self._mems = np.asarray([m.mem for m in self._models], dtype=np.float64)
-        self._times.flags.writeable = False
-        self._mems.flags.writeable = False
+        self._salts = np.asarray([m._seed_salt for m in self._models], dtype=np.uint32)
+        for array in (self._times, self._mems, self._salts):
+            array.flags.writeable = False
 
     def __reduce__(self):
         # Rebuild through __init__: unpickling alone drops the read-only flags.
@@ -367,6 +412,11 @@ class ModelZoo:
     def mems(self) -> np.ndarray:
         """Per-model memory costs (MB), aligned with zoo order (read-only)."""
         return self._mems
+
+    @property
+    def salts(self) -> np.ndarray:
+        """Per-model seed salts (``uint32``), aligned with zoo order (read-only)."""
+        return self._salts
 
     @property
     def total_time(self) -> float:

@@ -2,8 +2,9 @@
 
 The paper's protocol executes every model on every item once and then
 schedules against the record (§II, §VI-A).  :func:`record_items` is that
-execution: it walks a batch of items once, lets each zoo member append
-its emissions to two flat lists, and freezes them into an
+execution: it walks a batch of items once (seeded in one pass by
+:func:`~repro.zoo.model.emit_batch`), lets each zoo member append its
+emissions to two flat lists, and freezes them into an
 :class:`ItemRecord` — three columns and a mask per item instead of one
 ``ModelOutput``/``LabelOutput`` object graph per ``(model, item)``.
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro.core.output import LabelOutput
 from repro.data.datasets import DataItem
-from repro.zoo.model import ModelZoo, item_key
+from repro.zoo.model import ModelZoo, emit_batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,16 +103,6 @@ class ItemRecord:
         return tuple((ids[a:b], confs[a:b]) for a, b in pairwise(offsets.tolist()))
 
     @cached_property
-    def valuable_ids(self) -> tuple[np.ndarray, ...]:
-        """Per-model valuable label ids, aligned with zoo order."""
-        return tuple(ids for ids, _ in self.valuable_pairs)
-
-    @cached_property
-    def valuable_confs(self) -> tuple[np.ndarray, ...]:
-        """Per-model valuable confidences, aligned with zoo order."""
-        return tuple(confs for _, confs in self.valuable_pairs)
-
-    @cached_property
     def valuable_labels(self) -> dict[int, tuple[LabelOutput, ...]]:
         """Named valuable labels per model index.
 
@@ -124,7 +115,7 @@ class ItemRecord:
     def solo_values(self) -> np.ndarray:
         """Solo value of each model: sum of its valuable confidences."""
         solo = np.zeros(self.n_models, dtype=np.float64)
-        for j, confs in enumerate(self.valuable_confs):
+        for j, (_, confs) in enumerate(self.valuable_pairs):
             if len(confs):
                 solo[j] = confs.sum()
         solo.flags.writeable = False
@@ -158,19 +149,8 @@ def record_items(
     zoo: ModelZoo, items: Iterable[DataItem], threshold: float
 ) -> list[ItemRecord]:
     """Execute the whole zoo on every item once; one record per item."""
-    models = zoo.models
     n_labels = len(zoo.space)
-    records: list[ItemRecord] = []
-    for item in items:
-        content = item.content
-        key = item_key(item.item_id)
-        ids: list[int] = []
-        confs: list[float] = []
-        offsets = [0]
-        for model in models:
-            model.emit_into(content, key, ids, confs)
-            offsets.append(len(ids))
-        records.append(
-            ItemRecord.from_emissions(item, offsets, ids, confs, threshold, n_labels)
-        )
-    return records
+    return [
+        ItemRecord.from_emissions(item, offsets, ids, confs, threshold, n_labels)
+        for item, offsets, ids, confs in emit_batch(zoo.models, zoo.salts, items)
+    ]

@@ -5,6 +5,7 @@ and satisfy the qualitative shape it reproduces.  These are the slowest
 tests in the suite (they train agents on the mini world).
 """
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -78,6 +79,27 @@ class TestExperiments:
         m = report.measured
         assert m["mscoco2017_improvement_at_0.5s"] > 0.0
         assert 0.0 < m["min_ratio"] <= 1.0
+
+    def test_fig10d_prints_the_ratio_of_each_deadline(self, monkeypatch):
+        curves = {
+            "cost_q_greedy": np.array([0.21, 0.5, 0.9]),
+            "q_greedy": np.array([0.2, 0.4, 0.8]),
+            "random": np.array([0.1, 0.25, 0.6]),
+            "optimal_star": np.array([0.5, 0.625, 0.9]),
+        }
+        monkeypatch.setattr(fig10_deadline, "sweep_dataset", lambda *a, **k: curves)
+        report = fig10_deadline.run(
+            None, datasets=("mscoco2017",), deadlines=(0.25, 0.5, 1.0)
+        )
+        table = report.text.split("Fig. 10(d)")[1].splitlines()
+        rows = [line.split() for line in table[3:6]]
+        assert [row[:2] for row in rows] == [
+            ["0.25", "0.420"],
+            ["0.5", "0.800"],
+            ["1", "1.000"],
+        ]
+        assert report.measured["mscoco2017_ratio"] == pytest.approx(2.22 / 3)
+        assert report.measured["min_ratio"] == report.measured["mscoco2017_ratio"]
 
     def test_fig10_summary_signs_a_negative_improvement(self, ctx, monkeypatch):
         monkeypatch.setattr(fig10_deadline, "improvement", lambda base, ours: -0.404)

@@ -44,12 +44,14 @@ def assert_matches_execution(truth: GroundTruth, item) -> None:
     for j, model in enumerate(truth.zoo):
         output = model.execute(item)
         assert truth.output(item.item_id, j) == output
-        ids, confs = output.valuable_arrays(truth.threshold)
+        picked = output.valuable(truth.threshold)
+        ids = np.asarray([label.label_id for label in picked], dtype=np.int64)
+        confs = np.asarray([label.confidence for label in picked], dtype=np.float64)
         got_ids, got_confs = truth.valuable(item.item_id, j)
         assert got_ids.tolist() == ids.tolist()
         assert got_confs.tolist() == confs.tolist()
-        assert record.valuable_ids[j] is got_ids
-        assert record.valuable_confs[j] is got_confs
+        assert record.valuable_pairs[j][0] is got_ids
+        assert record.valuable_pairs[j][1] is got_confs
         assert truth.valuable_labels(item.item_id, j) == output.valuable(
             truth.threshold
         )

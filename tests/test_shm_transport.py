@@ -153,10 +153,9 @@ class TestRecordCodec:
             np.testing.assert_array_equal(
                 got.best_confidence, want.best_confidence
             )
-            for w_ids, g_ids in zip(want.valuable_ids, got.valuable_ids):
-                np.testing.assert_array_equal(g_ids, w_ids)
-            for w_confs, g_confs in zip(want.valuable_confs, got.valuable_confs):
-                np.testing.assert_array_equal(g_confs, w_confs)
+            for w_pair, g_pair in zip(want.valuable_pairs, got.valuable_pairs):
+                np.testing.assert_array_equal(g_pair[0], w_pair[0])
+                np.testing.assert_array_equal(g_pair[1], w_pair[1])
             # What travels is the scheduling surface: the valuable
             # emissions, and nothing standing in for the rest.
             assert got.valuable.all()

@@ -164,11 +164,11 @@ class TestModelOutput:
         for item in dataset[:20]:
             for model in zoo:
                 output = model.execute(item)
-                for label in output.valuable(threshold):
-                    assert label.confidence >= threshold
-                ids, confs = output.valuable_arrays(threshold)
-                assert len(ids) == len(output.valuable(threshold))
-                assert (confs >= threshold).all()
+                picked = output.valuable(threshold)
+                assert all(label.confidence >= threshold for label in picked)
+                assert picked == tuple(
+                    label for label in output.labels if label.confidence >= threshold
+                )
 
     def test_str_rendering(self, zoo, dataset):
         output = zoo[0].execute(dataset[0])
