@@ -565,7 +565,7 @@ def cmd_gateway(args) -> int:
         dataset,
         host=args.host,
         port=args.port,
-        journal=journal_dir / "jobs" if journal_dir else None,
+        job_dir=journal_dir / "jobs" if journal_dir else None,
     )
 
     async def run() -> None:
@@ -983,8 +983,8 @@ def _add_durability_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--journal",
         default=None,
-        help="write-ahead journal directory; admitted requests (and, for "
-        "gateway, async jobs) survive a crash and replay on --recover",
+        help="write-ahead journal directory; admitted requests survive a "
+        "crash and replay on --recover (gateway jobs resume on start)",
     )
     p.add_argument(
         "--journal-fsync",

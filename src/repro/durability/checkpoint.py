@@ -4,10 +4,10 @@ Three durability primitives that bound how much work a crash can cost:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_json` — write-to-temp
   then :func:`os.replace` in the *same* directory, with an fsync of the
-  temp file before the rename.  A crash at any instant leaves either the
-  old file or the new file on disk, never a torn hybrid.  Every
-  durability-layer writer (checkpoints, manifests) and
-  :func:`repro.persistence.save_ground_truth` go through this.
+  temp file before the rename and of the directory after it.  A crash at
+  any instant leaves either the old file or the new file on disk, never
+  a torn hybrid.  Every durability-layer writer (checkpoints, manifests)
+  and :func:`repro.persistence.save_ground_truth` go through this.
 * :class:`CheckpointStore` — the journal's completion watermark.  A
   checkpoint snapshots ``(seq, pending payloads)`` at one instant; replay
   then starts from the snapshot and scans only records *after* ``seq``,
@@ -36,9 +36,19 @@ __all__ = [
     "RunManifest",
     "atomic_write_bytes",
     "atomic_write_json",
+    "fsync_directory",
 ]
 
 _MANIFEST_VERSION = 1
+
+
+def fsync_directory(path: str | Path) -> None:
+    """fsync a directory so a rename, new entry or unlink in it is durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -46,11 +56,12 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
     The bytes land in a temp file in the target directory (same
     filesystem, so the final :func:`os.replace` is atomic), are fsynced,
-    and only then renamed over the destination.
+    and only then renamed over the destination; the directory is fsynced
+    last, so the rename itself survives power loss.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent or "."
+        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
     )
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -64,6 +75,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+    fsync_directory(path.parent)
 
 
 def atomic_write_json(path: str | Path, obj) -> None:
@@ -127,15 +139,18 @@ class CheckpointStore:
 
 
 class RunManifest:
-    """Resumable record of one long batch labeling run.
+    """Resumable record of one batch of items and which of them are done.
 
     The manifest is a single JSON file: the run's parameters (whatever
-    the caller passes as ``params`` — the CLI stores truth/agent paths
-    and budgets), the ordered item list, and a ``completed`` map of
-    item id -> result summary.  :meth:`mark_done` buffers completions
-    and flushes atomically every ``flush_every`` items (and at
-    :meth:`save`), so a killed run loses at most ``flush_every - 1``
-    results — and never the file itself.
+    the caller passes as ``params``), the ordered item list, and a
+    ``completed`` map of item id -> result summary.  Two callers:
+    ``repro.cli schedule --manifest`` stores truth/agent paths and
+    budgets and marks items as they land; the gateway's job store
+    (:mod:`repro.serving.gateway.jobs`) stores one async job's spec and
+    writes every row at once when the job's last item settles.
+    :meth:`mark_done` buffers completions and flushes atomically every
+    ``flush_every`` items (and at :meth:`save`), so a killed run loses
+    at most ``flush_every - 1`` results — and never the file itself.
     """
 
     def __init__(

@@ -45,9 +45,7 @@ On-disk format (stdlib only, no dependencies):
 Payloads are opaque bytes at this layer.  The admission/terminal helpers
 (:meth:`log_admission` / :meth:`log_terminal`) pickle ``(item, spec,
 deadline)`` tuples — journal and service share a codebase by
-construction, and the frames are CRC-guarded.  Callers may also append
-**custom** record kinds (``kind >= Journal.KIND_CUSTOM``); the gateway's
-persistent job store rides on this.
+construction, and the frames are CRC-guarded.
 """
 
 from __future__ import annotations
@@ -121,8 +119,6 @@ class JournalStats:
     admitted: int
     #: Terminal records appended by this process, by status.
     terminals: dict
-    #: Custom-kind records appended by this process.
-    custom: int
     #: Bytes appended by this process.
     bytes_written: int
     #: fsync calls issued.
@@ -163,10 +159,9 @@ class Journal:
         ``0``/``None`` leaves checkpointing fully manual.
     """
 
-    #: Record kinds.  Callers' custom kinds must be >= KIND_CUSTOM.
+    #: Record kinds.
     KIND_ADMIT = 1
     KIND_TERMINAL = 2
-    KIND_CUSTOM = 16
 
     def __init__(
         self,
@@ -193,7 +188,6 @@ class Journal:
         self._store = CheckpointStore(self.directory)
         self._admitted = 0
         self._terminals: dict[str, int] = {}
-        self._custom = 0
         self._bytes = 0
         self._fsyncs = 0
         self._checkpoints = 0
@@ -204,8 +198,6 @@ class Journal:
         self._closed = False
         #: seq -> raw admission payload, admissions lacking a terminal.
         self._pending: dict[int, bytes] = {}
-        #: Custom-kind records found at open, for callers to replay.
-        self._replayed_custom: list[tuple[int, int, bytes]] = []
         self._replayed = 0
         self._replay()
 
@@ -300,8 +292,6 @@ class Journal:
                 elif kind == self.KIND_TERMINAL:
                     (admit_seq,) = _ADMIT_REF.unpack_from(payload, 0)
                     self._pending.pop(admit_seq, None)
-                elif kind >= self.KIND_CUSTOM:
-                    self._replayed_custom.append((seq, kind, payload))
             self._segment_max[path] = seg_max
         self._next_seq = max_seq + 1
         paths = self._segment_paths()
@@ -358,18 +348,6 @@ class Journal:
         self._segment_size = 0
         self._segment_max[self._segment_path] = self._next_seq - 1
         logger.info("rotated journal to %s", self._segment_path.name)
-
-    def append(self, kind: int, payload: bytes) -> int:
-        """Append one custom record (``kind >= KIND_CUSTOM``); returns seq."""
-        if kind < self.KIND_CUSTOM:
-            raise ValueError(
-                f"custom records must use kind >= {self.KIND_CUSTOM} "
-                f"(kinds below are reserved for admissions/terminals)"
-            )
-        with self._lock:
-            seq = self._append_locked(kind, payload)
-            self._custom += 1
-            return seq
 
     def log_admission(self, item, spec, deadline: float | None = None) -> int:
         """Journal one admitted ``(item, spec)`` pair; returns its seq.
@@ -499,16 +477,6 @@ class Journal:
             )
         return entries
 
-    def replayed_custom(self, kind: int | None = None):
-        """Custom records found when the journal was opened.
-
-        Returns ``(seq, kind, payload)`` tuples in journal order,
-        optionally filtered to one kind.
-        """
-        if kind is None:
-            return list(self._replayed_custom)
-        return [rec for rec in self._replayed_custom if rec[1] == kind]
-
     @property
     def pending_count(self) -> int:
         with self._lock:
@@ -519,7 +487,6 @@ class Journal:
             return JournalStats(
                 admitted=self._admitted,
                 terminals=dict(self._terminals),
-                custom=self._custom,
                 bytes_written=self._bytes,
                 fsyncs=self._fsyncs,
                 pending=len(self._pending),

@@ -99,7 +99,7 @@ def run(
     summary_lines = [
         f"Algorithm 2 vs random @0.8s: "
         + ", ".join(
-            f"{gb:.0f}GB +{measured[f'improvement_{gb:.0f}gb_at_0.8s']:.1%}"
+            f"{gb:.0f}GB {measured[f'improvement_{gb:.0f}gb_at_0.8s']:+.1%}"
             for gb in (m / 1000 for m in memory_budgets)
         )
         + " (paper: 8GB +106.9%, 12GB +52.8%, 16GB +19.5%)",

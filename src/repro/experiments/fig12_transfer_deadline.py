@@ -90,7 +90,7 @@ def run(
             measured[f"{name}_improvement_{tag}_at_1s"] = imp
 
     summary = "transferred agents vs random @1.0s deadline: " + ", ".join(
-        f"{k}=+{v:.1%}" for k, v in measured.items()
+        f"{k}={v:+.1%}" for k, v in measured.items()
     )
     return ExperimentReport(
         experiment="fig12",

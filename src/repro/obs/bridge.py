@@ -177,7 +177,6 @@ def service_families(service) -> list[MetricFamily]:
                 (
                     ({"kind": "admit"}, jstats.admitted),
                     ({"kind": "terminal"}, sum(jstats.terminals.values())),
-                    ({"kind": "custom"}, jstats.custom),
                 ),
             ),
             MetricFamily(

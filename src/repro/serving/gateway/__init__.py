@@ -8,7 +8,9 @@ The serving stack, outside-in:
    (constant-time lookup), and the config file format.
 3. :mod:`~repro.serving.gateway.quota` — per-tenant token-bucket rate
    limits and in-flight caps, enforced before the service sees a byte.
-4. :mod:`~repro.serving.gateway.app` — :class:`LabelingGateway`, the
+4. :mod:`~repro.serving.gateway.jobs` — the async job table, one run
+   manifest per job on disk, resumed through the service on restart.
+5. :mod:`~repro.serving.gateway.app` — :class:`LabelingGateway`, the
    routed edge: label/batch/job/stream endpoints riding the service's
    non-blocking ``submit_many(wait="async")`` path, with the observability
    routes mounted on the same port.

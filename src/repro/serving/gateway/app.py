@@ -47,22 +47,18 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import logging
-import pickle
 import sys
 import threading
 import time
-import uuid
-from collections import OrderedDict
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.data.datasets import DataItem
-from repro.durability.journal import Journal
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceBuffer
 from repro.serving.gateway.auth import Tenant, TenantDirectory
+from repro.serving.gateway.jobs import Job, JobStore
 from repro.serving.gateway.quota import TenantQuota
 from repro.serving.gateway.wire import (
     ChunkedWriter,
@@ -88,53 +84,6 @@ _SPEC_FIELDS = ("deadline", "memory_budget", "max_models", "priority", "policy")
 _LABEL_KEYS = frozenset(("item_id", "admission_deadline", *_SPEC_FIELDS))
 _BATCH_KEYS = frozenset(("items", "mode", "admission_deadline", *_SPEC_FIELDS))
 _STREAM_KEYS = _BATCH_KEYS - {"mode"}
-
-#: Gateway record kinds in the job journal (custom-kind range).
-_KIND_JOB_CREATE = Journal.KIND_CUSTOM
-_KIND_JOB_DONE = Journal.KIND_CUSTOM + 1
-_KIND_JOB_DROP = Journal.KIND_CUSTOM + 2
-
-
-class _Job:
-    """One accepted async batch: futures plus poll bookkeeping."""
-
-    __slots__ = (
-        "job_id", "tenant", "item_ids", "futures", "cached", "created", "spec"
-    )
-
-    def __init__(self, job_id, tenant, item_ids, futures, cached, created, spec):
-        self.job_id = job_id
-        self.tenant = tenant
-        self.item_ids = item_ids
-        self.futures = futures
-        self.cached = cached
-        self.created = created
-        self.spec = spec
-
-    @property
-    def done(self) -> int:
-        return sum(1 for f in self.futures if f.done())
-
-
-class _RestoredJob:
-    """A job reloaded from the journal after a restart.
-
-    Its futures died with the old process.  A job whose completion record
-    made it to the journal serves its stored ``results`` verbatim; an
-    unfinished one is polled by probing the service's result cache per
-    item — ``service.recover()`` replays the lost work through that
-    cache, so restored jobs finish as recovery completes.
-    """
-
-    __slots__ = ("job_id", "tenant", "item_ids", "spec", "results", "created")
-
-    def __init__(self, job_id, tenant, item_ids, spec, results, created):
-        self.job_id = job_id
-        self.tenant = tenant
-        self.item_ids = item_ids
-        self.spec = spec
-        self.results = results
-        self.created = created
 
 
 def _error_status(exc: BaseException) -> tuple[int, str]:
@@ -172,15 +121,11 @@ class LabelingGateway:
     max_jobs_per_tenant:
         Retained async jobs per tenant; creating one past the cap evicts
         the oldest *finished* job, or answers 429 if all are running.
-    journal:
-        Optional job journal (a
-        :class:`~repro.durability.journal.Journal` or a directory path)
-        — **separate** from the service's admission journal.  Job
-        creations, completions, and evictions are appended as custom
-        records, and a restarted gateway pointed at the same directory
-        restores its job table: ``GET /v1/jobs/<id>`` keeps answering
-        across restarts, with unfinished jobs completing as
-        ``service.recover()`` replays their items.
+    job_dir:
+        Optional job-store directory, separate from the service's journal
+        (:mod:`~repro.serving.gateway.jobs`).  A gateway started on it
+        again keeps answering ``GET /v1/jobs/<id>``, and resubmits the
+        unfinished jobs' items before it accepts connections.
     """
 
     def __init__(
@@ -194,7 +139,7 @@ class LabelingGateway:
         host: str = "127.0.0.1",
         port: int = 0,
         max_jobs_per_tenant: int = 64,
-        journal: Journal | str | Path | None = None,
+        job_dir: str | Path | None = None,
         clock=time.monotonic,
     ):
         self.service = service
@@ -210,17 +155,9 @@ class LabelingGateway:
         self.host = host
         self._requested_port = port
         self.port: int | None = None
-        self.max_jobs_per_tenant = max_jobs_per_tenant
         self._clock = clock
         self._quotas = {t.name: TenantQuota(t, clock) for t in directory}
-        self._jobs: OrderedDict[str, _Job | _RestoredJob] = OrderedDict()
-        self._job_counts: dict[str, int] = {}
-        self._owns_journal = isinstance(journal, (str, Path))
-        if self._owns_journal:
-            journal = Journal(journal)
-        self._journal: Journal | None = journal
-        if self._journal is not None:
-            self._restore_jobs()
+        self._jobs = JobStore(job_dir, max_jobs_per_tenant)
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -254,9 +191,21 @@ class LabelingGateway:
     # -- lifecycle -----------------------------------------------------------
 
     async def start_async(self) -> "LabelingGateway":
-        """Bind and start accepting on the running event loop."""
+        """Resume restored unfinished jobs, then bind and start accepting
+        on the running event loop."""
         if self._server is not None:
             raise RuntimeError("gateway already started")
+        for job in self._jobs.restore(self.catalog, self._quotas):
+            # Outside the tenant's quota, and wait="block" off the loop:
+            # acknowledged work waits for queue space (as recover()'s
+            # backlog does) instead of taking an immediate QueueFull.
+            items = [self.catalog[item_id] for item_id in job.item_ids]
+            job.cached = [self._was_cached(i, job.spec) for i in job.item_ids]
+            futures = await asyncio.to_thread(
+                self.service.submit_many, items, job.spec, wait="block"
+            )
+            job.futures = [asyncio.wrap_future(future) for future in futures]
+            self._watch(job)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port
         )
@@ -269,11 +218,6 @@ class LabelingGateway:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._journal is not None:
-            with contextlib.suppress(Exception):
-                self._journal.flush()
-                if self._owns_journal:
-                    self._journal.close()
 
     async def serve_forever(self) -> None:
         """``start_async`` first; blocks until the server is closed."""
@@ -667,7 +611,15 @@ class LabelingGateway:
         items, spec, futures, cached, started = self._submit(body, tenant, _BATCH_KEYS)
 
         if body.get("mode") == "job":
-            job = self._create_job(tenant, items, futures, cached, spec)
+            job = self._jobs.create(
+                spec, [item.item_id for item in items], futures, cached
+            )
+            if job is None:
+                for future in futures:
+                    future.cancel()
+                self._rejected.labels(tenant=tenant.name, reason="jobs").inc()
+                raise _QuotaExceeded("jobs", 1.0)
+            self._watch(job)
             return (
                 202,
                 {"job_id": job.job_id, "total": len(items), "status": "running"},
@@ -684,82 +636,16 @@ class LabelingGateway:
             None,
         )
 
-    def _create_job(self, tenant, items, futures, cached, spec) -> _Job:
-        count = self._job_counts.get(tenant.name, 0)
-        if count >= self.max_jobs_per_tenant:
-            evicted = None
-            for job_id, job in self._jobs.items():
-                done, total = self._job_progress(job)
-                if job.tenant == tenant.name and done == total:
-                    evicted = job_id
-                    break
-            if evicted is None:
-                for future in futures:
-                    future.cancel()
-                self._rejected.labels(tenant=tenant.name, reason="jobs").inc()
-                raise _QuotaExceeded("jobs", 1.0)
-            self._drop_job(evicted)
-            count -= 1
-        job = _Job(
-            job_id=uuid.uuid4().hex[:16],
-            tenant=tenant.name,
-            item_ids=[item.item_id for item in items],
-            futures=futures,
-            cached=cached,
-            created=self._clock(),
-            spec=spec,
-        )
-        self._jobs[job.job_id] = job
-        self._job_counts[tenant.name] = count + 1
-        if self._journal is not None:
-            try:
-                self._journal.append(
-                    _KIND_JOB_CREATE,
-                    pickle.dumps(
-                        (job.job_id, job.tenant, job.item_ids, spec), 4
-                    ),
-                )
-                self._journal.flush()
-            except Exception:
-                logger.exception("failed to journal job %s", job.job_id)
-            # One callback per future; the last one to land writes the
-            # job's completion record so results outlive the process.
-            remaining = [len(futures)]
-
-            def on_done(_f, job=job, remaining=remaining) -> None:
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    self._journal_record_done(
-                        job.job_id, self._rows(job.item_ids, futures, cached)
-                    )
-
-            for future in futures:
-                future.add_done_callback(on_done)
-        return job
-
-    # -- durable job store ---------------------------------------------------
-
-    def _drop_job(self, job_id: str) -> None:
-        """Evict one job, recording the drop so restore skips it."""
-        del self._jobs[job_id]
-        if self._journal is not None:
-            try:
-                self._journal.append(_KIND_JOB_DROP, job_id.encode("ascii"))
-                self._journal.flush()
-            except Exception:
-                logger.exception("failed to journal drop of job %s", job_id)
-
     def _rows(self, item_ids, futures, cached) -> list[dict]:
         """One row per item from its future's state: the body of a sync
-        batch, a live job's poll, and a finished job's journal record."""
+        batch, a running job's poll, and a finished job's stored rows."""
         rows = []
         for item_id, future, was_cached in zip(item_ids, futures, cached):
             if not future.done():
                 rows.append({"item_id": item_id, "status": "pending"})
             elif future.cancelled():
                 rows.append(
-                    {"item_id": item_id, "status": "cancelled",
-                     "error": "cancelled"}
+                    {"item_id": item_id, "status": "cancelled", "error": "cancelled"}
                 )
             elif future.exception() is not None:
                 rows.append(self._encode_failure(item_id, future.exception()))
@@ -767,88 +653,14 @@ class LabelingGateway:
                 rows.append(self._encode_result(future.result(), was_cached))
         return rows
 
-    def _journal_record_done(self, job_id: str, rows: list[dict]) -> None:
-        try:
-            self._journal.append(
-                _KIND_JOB_DONE,
-                json.dumps({"job_id": job_id, "results": rows}).encode("utf-8"),
+    def _watch(self, job: Job) -> None:
+        """Store the job's rows once its last item settles."""
+        settled = asyncio.gather(*job.futures, return_exceptions=True)
+        settled.add_done_callback(
+            lambda _: self._jobs.finish(
+                job, self._rows(job.item_ids, job.futures, job.cached)
             )
-            self._journal.flush()
-        except Exception:
-            logger.exception("failed to journal completion of job %s", job_id)
-
-    def _restore_jobs(self) -> None:
-        """Rebuild the job table from the journal's custom records."""
-        creates: dict[str, tuple] = {}
-        finished: dict[str, list[dict]] = {}
-        dropped: set[str] = set()
-        for _seq, kind, payload in self._journal.replayed_custom():
-            if kind == _KIND_JOB_CREATE:
-                job_id, tenant, item_ids, spec = pickle.loads(payload)
-                creates[job_id] = (tenant, item_ids, spec)
-            elif kind == _KIND_JOB_DONE:
-                record = json.loads(payload.decode("utf-8"))
-                finished[record["job_id"]] = record["results"]
-            elif kind == _KIND_JOB_DROP:
-                dropped.add(payload.decode("ascii"))
-        restored = 0
-        for job_id, (tenant, item_ids, spec) in creates.items():
-            if job_id in dropped:
-                continue
-            self._jobs[job_id] = _RestoredJob(
-                job_id=job_id,
-                tenant=tenant,
-                item_ids=item_ids,
-                spec=spec,
-                results=finished.get(job_id),
-                created=self._clock(),
-            )
-            self._job_counts[tenant] = self._job_counts.get(tenant, 0) + 1
-            restored += 1
-        if restored:
-            logger.info(
-                "restored %d job(s) from the gateway journal", restored
-            )
-
-    def _probe_cache(self, item_id: str, spec):
-        """A restored item's result, if recovery has (re)produced it."""
-        cache = self.service.cache
-        if cache is None or spec is None:
-            return None
-        return cache.peek(spec.cache_key(item_id))
-
-    def _restored_rows(self, job: _RestoredJob) -> tuple[list[dict], int]:
-        """Poll rows for a restored job (stored results or cache probes)."""
-        if job.results is not None:
-            return list(job.results), len(job.results)
-        rows = []
-        done = 0
-        for item_id in job.item_ids:
-            result = self._probe_cache(item_id, job.spec)
-            if result is None:
-                rows.append({"item_id": item_id, "status": "pending"})
-            else:
-                done += 1
-                rows.append(self._encode_result(result, True))
-        if done == len(rows):
-            # Recovery finished the whole job: persist the assembled
-            # results so the *next* restart serves them without probing.
-            job.results = rows
-            self._journal_record_done(job.job_id, rows)
-        return rows, done
-
-    def _job_progress(self, job) -> tuple[int, int]:
-        """(done, total) for live and restored jobs alike."""
-        if isinstance(job, _RestoredJob):
-            if job.results is not None:
-                return len(job.item_ids), len(job.item_ids)
-            done = sum(
-                1
-                for item_id in job.item_ids
-                if self._probe_cache(item_id, job.spec) is not None
-            )
-            return done, len(job.item_ids)
-        return job.done, len(job.futures)
+        )
 
     async def _handle_items(self, request: HttpRequest, tenant: Tenant):
         """The labelable catalog — lets load generators discover ids."""
@@ -857,16 +669,13 @@ class LabelingGateway:
     async def _handle_job(self, request: HttpRequest, tenant: Tenant):
         job_id = request.path.rsplit("/", 1)[-1]
         job = self._jobs.get(job_id)
-        if job is None or job.tenant != tenant.name:
+        if job is None or job.spec.tenant != tenant.name:
             # Same answer for "no such job" and "not yours": ids are
             # unguessable, and existence must not leak across tenants.
             raise WireError(404, f"unknown job {job_id!r}")
-        if isinstance(job, _RestoredJob):
-            results, done = self._restored_rows(job)
-            total = len(job.item_ids)
-        else:
-            results = self._rows(job.item_ids, job.futures, job.cached)
-            done, total = self._job_progress(job)
+        total = len(job.item_ids)
+        done = total if job.results else sum(1 for f in job.futures if f.done())
+        results = job.results or self._rows(job.item_ids, job.futures, job.cached)
         return (
             200,
             {

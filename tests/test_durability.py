@@ -10,6 +10,7 @@ result cache.
 
 import json
 import os
+import stat
 import struct
 
 import pytest
@@ -134,23 +135,6 @@ class TestJournal:
         assert [e.seq for e in reopened.pending_entries()] == seqs[3:]
         reopened.close()
 
-    def test_custom_kinds_replay_and_reserved_range(self, tmp_path):
-        journal = Journal(tmp_path, fsync="none")
-        with pytest.raises(ValueError, match="custom records"):
-            journal.append(Journal.KIND_ADMIT, b"nope")
-        journal.append(Journal.KIND_CUSTOM, b"alpha")
-        journal.append(Journal.KIND_CUSTOM + 1, b"beta")
-        journal.close()
-        reopened = Journal(tmp_path, fsync="none")
-        kinds = [(kind, payload) for _, kind, payload in reopened.replayed_custom()]
-        assert kinds == [
-            (Journal.KIND_CUSTOM, b"alpha"),
-            (Journal.KIND_CUSTOM + 1, b"beta"),
-        ]
-        only_beta = reopened.replayed_custom(Journal.KIND_CUSTOM + 1)
-        assert [payload for _, _, payload in only_beta] == [b"beta"]
-        reopened.close()
-
     def test_auto_checkpoint_fires_on_terminals(self, tmp_path):
         journal = Journal(tmp_path, fsync="none", checkpoint_every=2)
         for i in range(4):
@@ -206,6 +190,26 @@ class TestAtomicWrites:
         monkeypatch.undo()
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["state.bin"]
+
+    def test_directory_is_fsynced_after_the_rename(self, tmp_path, monkeypatch):
+        # The rename only survives power loss once the directory holding
+        # the new entry is fsynced too, and only a sync after it counts.
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            events.append("fsync dir" if is_dir else "fsync file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append("rename")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        atomic_write_bytes(tmp_path / "state.bin", b"new")
+        assert events == ["fsync file", "rename", "fsync dir"]
 
 
 class TestCheckpointStore:

@@ -16,6 +16,7 @@ from repro.experiments import (
     fig09_theta,
     fig10_deadline,
     fig11_memory,
+    fig12_transfer_deadline,
     table01_models,
     table03_overhead,
 )
@@ -101,12 +102,35 @@ class TestExperiments:
         assert report.measured["mscoco2017_ratio"] == pytest.approx(2.22 / 3)
         assert report.measured["min_ratio"] == report.measured["mscoco2017_ratio"]
 
-    def test_fig10_summary_signs_a_negative_improvement(self, ctx, monkeypatch):
-        monkeypatch.setattr(fig10_deadline, "improvement", lambda base, ours: -0.404)
-        report = fig10_deadline.run(
-            ctx, datasets=("mscoco2017",), deadlines=(0.5,), n_items=3
-        )
-        assert "@0.5s: -40.4% to -40.4% recall" in report.text
+    @pytest.mark.parametrize(
+        "module, kwargs, expected",
+        [
+            pytest.param(
+                fig10_deadline,
+                {"datasets": ("mscoco2017",), "deadlines": (0.5,)},
+                "@0.5s: -40.4% to -40.4% recall",
+                id="fig10",
+            ),
+            pytest.param(
+                fig11_memory,
+                {"memory_budgets": (8000.0,), "deadlines": (0.8,)},
+                "@0.8s: 8GB -40.4% (paper",
+                id="fig11",
+            ),
+            pytest.param(
+                fig12_transfer_deadline,
+                {"deadlines": (1.0,)},
+                "agent1_improvement_dataset1_at_1s=-40.4%,",
+                id="fig12",
+            ),
+        ],
+    )
+    def test_summary_signs_a_negative_improvement(
+        self, ctx, monkeypatch, module, kwargs, expected
+    ):
+        monkeypatch.setattr(module, "improvement", lambda base, ours: -0.404)
+        report = module.run(ctx, n_items=3, **kwargs)
+        assert expected in report.text
 
     def test_fig11_shape(self, ctx):
         report = fig11_memory.run(

@@ -6,13 +6,18 @@ service with a tenant-weighted queue — requests go through the full
 wire -> auth -> quota -> nowait-submit -> dispatch path.
 """
 
+import dataclasses
 import http.client
 import json
+import logging
+import os
+import pickle
 import threading
 import time
 
 import pytest
 
+from repro.durability import RunManifest
 from repro.engine import LabelingEngine
 from repro.obs import MetricsRegistry, TraceBuffer
 from repro.rl.agents import make_agent
@@ -25,6 +30,7 @@ from repro.serving.gateway import (
     TenantQuota,
     TokenBucket,
 )
+from repro.serving.gateway.jobs import JobStore
 
 
 class FakeClock:
@@ -635,22 +641,44 @@ class TestMountedObservability:
 # -- durable job store --------------------------------------------------------
 
 
-class TestJobDurability:
-    """Batch jobs survive a gateway + service restart via the job journal."""
+def write_job(job_dir, job_id, item_ids, completed=None):
+    """A job manifest as the gateway writes it, made by hand."""
+    job_dir.mkdir(exist_ok=True)
+    manifest = RunManifest(
+        job_dir / f"{job_id}.json",
+        item_ids=item_ids,
+        params={"spec": dataclasses.asdict(LabelingSpec(tenant="alpha"))},
+        completed=completed,
+    )
+    manifest.save()
+    return manifest
 
-    def build_pair(self, engine, truth, dataset, tmp_path):
+
+class _RunsCodeWhenUnpickled:
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.marker,))
+
+
+class TestJobDurability:
+    """Batch jobs survive a gateway + service restart as run manifests."""
+
+    def build_pair(self, engine, truth, dataset, tmp_path, cache_size=256):
         service = LabelingService(
             engine,
             truth=truth,
             spec=LabelingSpec(deadline=0.35),
             batch_size=8,
             max_wait=0.005,
-            cache_size=256,
+            cache_size=cache_size,
             journal=str(tmp_path / "service"),
         )
-        service.start()
+        # The CLI's order: the service's own backlog replays first.
+        self.recovery = service.recover()
         gw = LabelingGateway(
-            service, DIRECTORY, dataset, journal=str(tmp_path / "jobs")
+            service, DIRECTORY, dataset, job_dir=tmp_path / "jobs"
         ).start_background()
         return service, gw
 
@@ -679,6 +707,7 @@ class TestJobDurability:
         finally:
             gw.stop_background()
             service.shutdown()
+        assert [p.name for p in (tmp_path / "jobs").iterdir()] == [f"{job_id}.json"]
 
         service2, gw2 = self.build_pair(engine, truth, dataset, tmp_path)
         try:
@@ -695,51 +724,121 @@ class TestJobDurability:
             gw2.stop_background()
             service2.shutdown()
 
-    def test_unfinished_job_completes_via_cache_probes(
-        self, engine, truth, dataset, item_ids, tmp_path
+    @pytest.mark.parametrize("cache_size", [256, 0], ids=["cache", "no_cache"])
+    def test_unfinished_job_completes_after_restart(
+        self, engine, truth, dataset, item_ids, tmp_path, cache_size
     ):
-        # A job that was created but never finished before the crash: the
-        # restored job answers "running", then turns "done" as recovery
-        # (here: fresh label traffic) lands its items in the result cache.
-        import pickle as _pickle
-
-        from repro.durability import Journal
-        from repro.serving import LabelingSpec
-        from repro.serving.gateway.app import _KIND_JOB_CREATE
-
-        spec = LabelingSpec(tenant="alpha")
-        journal = Journal(tmp_path / "jobs")
-        journal.append(
-            _KIND_JOB_CREATE,
-            _pickle.dumps(("feedfacecafe0001", "alpha", item_ids[:2], spec), 4),
+        # The crash came after the job was accepted but before its
+        # completion was written: its items may well have finished and
+        # left nothing for recover() to replay, and the cache is cold (or
+        # absent).  The restarted gateway resubmits the items itself, so
+        # the job finishes with no new label request.
+        ids = [item_ids[0], item_ids[1], item_ids[0]]
+        write_job(tmp_path / "jobs", "feedfacecafe0001", ids)
+        service, gw = self.build_pair(
+            engine, truth, dataset, tmp_path, cache_size=cache_size
         )
-        journal.close()
-
-        service, gw = self.build_pair(engine, truth, dataset, tmp_path)
         try:
-            status, _, body = call(gw, "GET", "/v1/jobs/feedfacecafe0001")
-            assert status == 200
-            assert body["status"] == "running"
-            assert {row["status"] for row in body["results"]} == {"pending"}
-            for item_id in item_ids[:2]:
-                status, _, _body = call(
-                    gw, "POST", "/v1/label", {"item_id": item_id}
-                )
-                assert status == 200
+            assert self.recovery.replayed == 0
             body = self.poll_job(gw, "feedfacecafe0001")
             assert body["status"] == "done"
-            assert [row["item_id"] for row in body["results"]] == item_ids[:2]
+            assert [row["item_id"] for row in body["results"]] == ids
             assert all(row["status"] == "completed" for row in body["results"])
+            assert body["results"][0]["labels"] == body["results"][2]["labels"]
+            admitted = gw.registry.snapshot()["repro_gateway_admitted_total"]
+            assert admitted["samples"] == []  # no label traffic, no quota
+            assert gw.tenant_inflight()["alpha"] == 0
         finally:
             gw.stop_background()
             service.shutdown()
 
-        # the assembled results were persisted: a second restart serves
-        # them without any cache to probe
-        service2, gw2 = self.build_pair(engine, truth, dataset, tmp_path)
+        # the rows were written: a second restart serves them as they were
+        service2, gw2 = self.build_pair(engine, truth, dataset, tmp_path, cache_size=0)
         try:
             status, _, again = call(gw2, "GET", "/v1/jobs/feedfacecafe0001")
-            assert status == 200 and again["status"] == "done"
+            assert status == 200
+            assert again["results"] == body["results"]
         finally:
             gw2.stop_background()
             service2.shutdown()
+
+    def test_evicted_jobs_leave_no_files(self, tmp_path, monkeypatch):
+        # File counts, not durability: skip the fsyncs to keep this fast.
+        monkeypatch.setattr(os, "fsync", lambda fd: None)
+        spec = LabelingSpec(tenant="alpha")
+        row = {"item_id": "x", "status": "completed"}
+        store = JobStore(tmp_path, max_per_tenant=3)
+        created = []
+        for _ in range(2000):
+            created.append(store.create(spec, ["x"], [], []))
+            store.finish(created[-1], [row])
+        live = [job.job_id for job in created[-3:]]
+        assert [store.get(job.job_id) for job in created[:-3]] == [None] * 1997
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{job_id}.json" for job_id in live
+        )
+        restarted = JobStore(tmp_path, max_per_tenant=3)
+        assert restarted.restore({"x"}, {"alpha"}) == []
+        assert [restarted.get(job_id).results for job_id in live] == [[row]] * 3
+
+    def test_hostile_job_files_are_skipped(
+        self, engine, truth, dataset, item_ids, tmp_path, caplog
+    ):
+        job_dir = tmp_path / "jobs"
+        good = write_job(job_dir, "00000000000000aa", item_ids[:2])
+        finished = write_job(
+            job_dir,
+            "00000000000000bb",
+            item_ids[2:3],
+            completed={item_ids[2]: {"item_id": item_ids[2], "status": "expired"}},
+        )
+        marker = tmp_path / "executed"
+        runs_code = pickle.dumps(_RunsCodeWhenUnpickled(marker))
+        text = good.path.read_text()
+        raw = json.loads(text)
+        spec = raw["params"]["spec"]
+
+        def variant(**changes):
+            return json.dumps({**raw, **changes})
+
+        hostile = {
+            "0000000000000001.json": runs_code,
+            "0000000000000002.json": text[:40],
+            "0000000000000003.json": variant(version=99),
+            "0000000000000004.json": variant(
+                params={"spec": {**spec, "deadline": -1.0}}
+            ),
+            "0000000000000005.json": variant(
+                params={"spec": {**spec, "colour": "red"}}
+            ),
+            "0000000000000006.json": variant(item_ids={"ids": item_ids[:2]}),
+            "0000000000000007.json": variant(item_ids=[item_ids[0], "no-such"]),
+            "0000000000000008.json": variant(
+                params={"spec": {**spec, "tenant": "mallory"}}
+            ),
+            "not-a-job.json": text,
+            "segment-00000001.wal": runs_code,
+        }
+        for name, content in hostile.items():
+            if isinstance(content, str):
+                content = content.encode()
+            (job_dir / name).write_bytes(content)
+
+        logger = "repro.serving.gateway.jobs"
+        with caplog.at_level(logging.WARNING, logger=logger):
+            service, gw = self.build_pair(engine, truth, dataset, tmp_path)
+        try:
+            warnings = [r for r in caplog.records if r.name == logger]
+            assert len(warnings) == len(hostile), [r.getMessage() for r in warnings]
+            status, _, body = call(gw, "GET", f"/v1/jobs/{finished.path.stem}")
+            assert (status, body["status"]) == (200, "done")
+            assert body["results"] == list(finished.completed.values())
+            body = self.poll_job(gw, good.path.stem)
+            assert body["status"] == "done"
+            for job_id in ("0000000000000001", "0000000000000008", "not-a-job"):
+                status, _, _ = call(gw, "GET", f"/v1/jobs/{job_id}")
+                assert status == 404
+        finally:
+            gw.stop_background()
+            service.shutdown()
+        assert not marker.exists()
