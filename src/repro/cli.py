@@ -40,6 +40,7 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import closing
 
 import numpy as np
 
@@ -293,20 +294,17 @@ def cmd_schedule(args) -> int:
     items = [truth.record(item_id).item for item_id in eval_ids]
     recalls = []
     try:
-        for result in engine.label_stream(
-            items,
-            spec,
-            truth=truth,
-            release_records=False,
-        ):
-            recalls.append(result.trace.recall_by(args.deadline))
-            if manifest is not None:
-                manifest.mark_done(
-                    result.item_id, {"recall": round(recalls[-1], 6)}
-                )
-            if args.verbose:
-                models = ", ".join(result.models_executed)
-                print(f"{result.item_id}: recall {recalls[-1]:.1%} [{models}]")
+        stream = engine.label_stream(items, spec, truth=truth, release_records=False)
+        with closing(stream):  # in-flight runs land before the backend closes
+            for result in stream:
+                recalls.append(result.trace.recall_by(args.deadline))
+                if manifest is not None:
+                    manifest.mark_done(
+                        result.item_id, {"recall": round(recalls[-1], 6)}
+                    )
+                if args.verbose:
+                    models = ", ".join(result.models_executed)
+                    print(f"{result.item_id}: recall {recalls[-1]:.1%} [{models}]")
     finally:
         if manifest is not None:
             manifest.save()

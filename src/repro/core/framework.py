@@ -165,17 +165,7 @@ class AdaptiveModelScheduler:
         batch_size: int | None = None,
         release_records: bool = True,
     ) -> Iterator[LabelingResult]:
-        """Label a stream lazily (one result per input item, input order).
-
-        Items are scheduled ``batch_size`` at a time through the engine:
-        the source iterator is consumed one chunk ahead, so the first
-        result arrives only after ``batch_size`` items (or stream end) —
-        pass ``batch_size=1`` to recover strict per-item latency on slow
-        live sources.  Ground-truth records the engine adds are released
-        once their results are yielded, so unbounded streams run in
-        bounded memory (``release_records=False`` keeps the cache
-        instead).
-        """
+        """Label a stream lazily; see :meth:`LabelingEngine.label_stream`."""
         return self.engine().label_stream(
             items,
             spec,

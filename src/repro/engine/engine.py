@@ -5,9 +5,10 @@ framework API and the per-item schedulers.  It accepts batches or streams
 of :class:`~repro.data.datasets.DataItem`, records each batch into the
 ground-truth cache in one pass (:meth:`GroundTruth.record_batch`), hands
 the batch to a pluggable :class:`~repro.engine.backends.ExecutionBackend`,
-assembles :class:`LabelingResult` records, and — on the streaming path —
-releases the records it created once their results have been yielded, so
-labeling an unbounded stream runs in bounded memory.
+assembles :class:`LabelingResult` records, and — on the streaming path,
+which records the next chunk while earlier ones schedule — releases the
+records it created once their results have been yielded, so labeling an
+unbounded stream runs in bounded memory.
 
 Scheduling constraints arrive as one :class:`~repro.spec.LabelingSpec`
 (``spec=``; ``None`` means the default, unconstrained spec), validated
@@ -20,16 +21,15 @@ opt out entirely with ``release_records=False``.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from time import perf_counter
 
 from repro.config import WorldConfig
 from repro.data.datasets import DataItem
 from repro.data.streams import batched
-from repro.engine.backends import (
-    ExecutionBackend,
-    LabelingJob,
-)
+from repro.engine.backends import ExecutionBackend, LabelingJob
 from repro.engine.config import BackendConfig, make_backend
 from repro.engine.results import LabelingResult, result_from_trace
 from repro.obs.instrument import engine_observer
@@ -40,6 +40,9 @@ from repro.zoo.oracle import GroundTruth
 
 #: Default number of in-flight items per scheduling batch.
 DEFAULT_BATCH_SIZE = 64
+
+#: ``backend.run`` calls a stream keeps in flight while it records the next.
+STREAM_DEPTH = 2
 
 
 class LabelingEngine:
@@ -99,35 +102,38 @@ class LabelingEngine:
     def _ephemeral_truth(self) -> GroundTruth:
         return GroundTruth(self.zoo, [], self.world_config)
 
-    def _run_batch(
-        self,
-        truth: GroundTruth,
-        items: Sequence[DataItem],
-        spec: LabelingSpec,
-    ) -> tuple[list[LabelingResult], list[str]]:
-        """Record + schedule + assemble one batch; returns (results, owned)."""
-        # None unless obs instrumentation is installed; bare dispatches pay
-        # one global read and one branch, no timing calls.
-        sink = engine_observer()
-        if sink is not None:
-            dispatch_started = perf_counter()
-        owned = [item.item_id for item in items if item.item_id not in truth]
+    def _record(
+        self, truth: GroundTruth, items: list, spec: LabelingSpec, holders: dict
+    ) -> tuple[LabelingJob, set[str], float]:
+        """Record a batch: ``(job, owned ids, started)``.  It owns what it adds
+        and takes over ids an earlier batch in ``holders`` (id -> owner) owns."""
+        started = perf_counter()
+        ids = tuple(item.item_id for item in items)
+        owned: set[str] = set()
+        for item_id in ids:
+            if item_id in holders:
+                holders[item_id].discard(item_id)
+            elif item_id in truth:
+                continue
+            owned.add(item_id)
+            holders[item_id] = owned
         truth.record_batch(items)
-        job = LabelingJob(
-            truth=truth,
-            item_ids=tuple(item.item_id for item in items),
-            spec=spec,
-        )
-        traces = self.backend.run(job, self.predictor)
-        results = [result_from_trace(truth, trace) for trace in traces]
+        return LabelingJob(truth=truth, item_ids=ids, spec=spec), owned, started
+
+    def _finish(
+        self, job: LabelingJob, traces: list, started: float
+    ) -> list[LabelingResult]:
+        """Assemble a scheduled batch's results and report it to obs."""
+        results = [result_from_trace(job.truth, trace) for trace in traces]
+        sink = engine_observer()  # None unless obs instrumentation is installed
         if sink is not None:
             sink.observe_engine(
                 type(self.backend).__name__,
-                spec.regime,
-                len(items),
-                perf_counter() - dispatch_started,
+                job.spec.regime,
+                len(results),
+                perf_counter() - started,
             )
-        return results, owned
+        return results
 
     # -- labeling ------------------------------------------------------------
 
@@ -149,7 +155,8 @@ class LabelingEngine:
         items = list(items)
         if truth is None:
             truth = self._ephemeral_truth()
-        results, owned = self._run_batch(truth, items, spec)
+        job, owned, started = self._record(truth, items, spec, {})
+        results = self._finish(job, self.backend.run(job, self.predictor), started)
         if release_records:
             truth.release_many(owned)
         return results
@@ -163,26 +170,20 @@ class LabelingEngine:
         batch_size: int | None = None,
         release_records: bool = True,
     ) -> Iterator[LabelingResult]:
-        """Label a stream lazily, ``batch_size`` items in flight at a time.
+        """Label a stream lazily, ``batch_size`` items per chunk.
 
-        One result is yielded per input item, in input order.  The source
-        is consumed one chunk ahead: the first result arrives after
-        ``batch_size`` items (or stream end), so latency-sensitive live
-        sources should use a small ``batch_size`` (1 = per-item).  After a
-        chunk's results have been yielded, the records the engine added for
-        that chunk are released (pass ``release_records=False`` to keep the
-        cache growing instead).
+        One result per input item, in input order.  This thread records the
+        next chunk while up to two earlier ones schedule, so the source is
+        read up to three chunks ahead; a finished chunk is yielded before the
+        source is read again, then its engine-added records are released
+        (``release_records=False`` keeps them).  A failing chunk raises after
+        every earlier one; closing early waits for the runs in flight.
         """
-        # Validate eagerly (before the first next()): a batch_size of 0 or
-        # a non-spec must be an error at call time, not once iteration
-        # starts.
+        # Validate at call time, not at the first next().
         spec = spec_or(spec)
-        if batch_size is None:
-            size = self.batch_size
-        elif batch_size < 1:
+        if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        else:
-            size = batch_size
+        size = batch_size or self.batch_size
         return self._stream(items, spec, truth, size, release_records)
 
     def _stream(
@@ -193,9 +194,39 @@ class LabelingEngine:
         size: int,
         release_records: bool,
     ) -> Iterator[LabelingResult]:
+        # Truth mutations stay on this thread; pool threads only read it.
         shared = truth if truth is not None else self._ephemeral_truth()
-        for chunk in batched(items, size):
-            results, owned = self._run_batch(shared, chunk, spec)
-            yield from results
+        pool = ThreadPoolExecutor(STREAM_DEPTH, thread_name_prefix="labeling-stream")
+        pending: deque = deque()  # (job, owned, started, future), input order
+        holders: dict[str, set[str]] = {}
+        source, chunk, failure = batched(items, size), [], None
+        try:
+            while chunk is not None:
+                try:
+                    chunk = next(source, None)
+                    if chunk is not None:
+                        job, owned, started = self._record(
+                            shared, chunk, spec, holders
+                        )
+                        future = pool.submit(self.backend.run, job, self.predictor)
+                        pending.append((job, owned, started, future))
+                except Exception as error:  # raised after the chunks before it
+                    chunk, failure = None, error
+                while pending and (
+                    not chunk or len(pending) > STREAM_DEPTH or pending[0][3].done()
+                ):
+                    job, owned, started, future = pending[0]
+                    yield from self._finish(job, future.result(), started)
+                    pending.popleft()
+                    for item_id in owned:
+                        del holders[item_id]
+                    if release_records:
+                        shared.release_many(owned)
+            if failure is not None:
+                raise failure
+        finally:
+            # Never abandon a run mid-exchange: let it land, then release.
+            wait([entry[3] for entry in pending])
             if release_records:
-                shared.release_many(owned)
+                shared.release_many(list(holders))
+            pool.shutdown()

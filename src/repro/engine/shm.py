@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import islice, starmap
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -446,25 +447,16 @@ def decode_traces(
             f"trace shard names model in [{models.min()}, {models.max()}] but "
             f"the zoo has {len(model_names)} models"
         )
-    traces: list[ScheduleTrace] = []
-    cursor = 0
-    for i, item_id in enumerate(item_ids):
-        trace = ScheduleTrace(
-            item_id=item_id, total_value=float(heads["total"][i])
+    # One .tolist() per column, then positional construction: indexing a
+    # structured scalar per row costs more than the rest of the decode.
+    indices = models.tolist()
+    names = map(model_names.__getitem__, indices)
+    times = [rows[field].tolist() for field in ("start", "finish", "marginal")]
+    labels = rows["new_labels"].tolist()
+    executions = starmap(ScheduledExecution, zip(indices, names, *times, labels))
+    return [
+        ScheduleTrace(item_id, total, list(islice(executions, count)))
+        for item_id, total, count in zip(
+            item_ids, heads["total"].tolist(), n_exec.tolist()
         )
-        for _ in range(int(n_exec[i])):
-            row = rows[cursor]
-            cursor += 1
-            model_index = int(row["model"])
-            trace.executions.append(
-                ScheduledExecution(
-                    model_index=model_index,
-                    model_name=model_names[model_index],
-                    start_time=float(row["start"]),
-                    finish_time=float(row["finish"]),
-                    marginal_value=float(row["marginal"]),
-                    new_labels=int(row["new_labels"]),
-                )
-            )
-        traces.append(trace)
-    return traces
+    ]

@@ -156,17 +156,6 @@ class ResultCache:
                     self._evictions,
                 )
 
-    def peek(self, key: tuple, default=None):
-        """The cached result for ``key``, or ``default`` — no side effects.
-
-        Unlike :meth:`begin` this neither claims the key nor counts a
-        hit/miss; it exists for read-only probes such as the gateway's
-        restored-job poller, which checks whether a recovered item's
-        result has landed without perturbing cache telemetry or recency.
-        """
-        with self._lock:
-            return self._results.get(key, default)
-
     # -- introspection -------------------------------------------------------
 
     def __contains__(self, key: tuple) -> bool:

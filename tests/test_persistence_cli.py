@@ -167,6 +167,54 @@ class TestManifestResumeCLI:
         assert main(schedule + ["--resume"]) == 0
         assert "nothing left to schedule" in capsys.readouterr().out
 
+    def test_failed_manifest_write_drains_the_stream_first(
+        self, tmp_path, monkeypatch
+    ):
+        # The backend closes only after the stream's in-flight runs landed.
+        import threading
+        import time
+
+        from repro.durability import RunManifest
+        from repro.engine import BatchedBackend
+
+        gt_path, agent_path = tmp_path / "gt.npz", tmp_path / "agent.npz"
+        base = ["--scale", "mini"]
+        main(base + [
+            "record", "--dataset", "mscoco2017", "--items", "40",
+            "--out", str(gt_path),
+        ])
+        main(base + [
+            "train", "--truth", str(gt_path), "--algo", "dqn",
+            "--episodes", "10", "--hidden", "16", "--out", str(agent_path),
+        ])
+
+        def disk_full(self, item_id, row):
+            raise OSError("disk full")
+
+        run = BatchedBackend.run
+
+        def slow_run(self, job, predictor):
+            time.sleep(0.05)
+            return run(self, job, predictor)
+
+        live_at_close = []
+
+        def close(self):
+            live_at_close.append(
+                [t for t in threading.enumerate() if t.name.startswith("labeling")]
+            )
+
+        monkeypatch.setattr(RunManifest, "mark_done", disk_full)
+        monkeypatch.setattr(BatchedBackend, "run", slow_run)
+        monkeypatch.setattr(BatchedBackend, "close", close)
+        with pytest.raises(OSError, match="disk full"):
+            main(base + [
+                "schedule", "--truth", str(gt_path), "--agent", str(agent_path),
+                "--algo", "dqn", "--hidden", "16", "--items", "8",
+                "--batch-size", "2", "--manifest", str(tmp_path / "run.json"),
+            ])
+        assert live_at_close == [[]]
+
     def test_resume_requires_manifest(self, tmp_path):
         with pytest.raises(SystemExit, match="--resume requires --manifest"):
             main([
