@@ -7,9 +7,11 @@ Two views of the write-ahead journal from
    ``bench_serving_latency`` (all items submitted as fast as possible,
    micro-batched dispatch) through four services: no journal, and a
    journal under each fsync policy (``none`` / ``batch`` / ``always``).
-   The headline gate: at ``fsync=batch`` — one fsync per micro-batch
-   flush, the policy the CLI defaults to — crash safety costs at most a
-   few percent of closed-loop throughput (``--assert-overhead 0.05``).
+   The headline number: at ``fsync=batch`` — one fsync per micro-batch
+   flush, the policy the CLI defaults to — crash safety costs a few
+   percent of closed-loop throughput.  ``--assert-overhead`` turns it into
+   an exit status, but on a 2-CPU VM identical code reads −0.3 % … +17 %,
+   so CI records the report without gating on it.
 2. **Recovery time vs backlog** — journals with N orphaned admissions
    (admitted, never settled: the crash window) are recovered through
    :meth:`LabelingService.recover`; reports wall seconds and replayed
@@ -20,7 +22,7 @@ Run standalone (the CI smoke path uses the tiny world)::
 
     PYTHONPATH=src python benchmarks/bench_durability.py --scale smoke
     PYTHONPATH=src python benchmarks/bench_durability.py \
-        --scale full --assert-overhead 0.05 --json BENCH_durability.json
+        --scale full --json BENCH_durability.json
 """
 
 from __future__ import annotations

@@ -5,15 +5,15 @@ execution):
 
 1. **Dispatch throughput** — the CI gate.  The default process backend
    (chunks sharded over worker processes, the vectorized lock-step tick
-   inside each chunk, payloads through shared-memory rings) is measured
+   inside each chunk, codec bytes through the executor pipe) is measured
    against the reference every backend must reproduce: in-process
    :class:`SerialBackend`, the per-item scheduling loop.  All three paper
    regimes — unconstrained Q-greedy, deadline (Algorithm 1),
    deadline+memory (Algorithm 2).  ``--assert-speedup`` gates the ratio
    of total serial time to total process time.  Every process run is
-   checked trace-identical to the serial one, and it must actually have
-   used the shared-memory result path (``chunk_stats`` says so) — speed
-   never buys divergence.
+   checked trace-identical to the serial one, and ``chunk_stats`` must
+   show deltas and results shipped as codec bytes with nothing pickled —
+   speed never buys divergence.
 
 2. **Worker scaling** — process pools of doubling width against the
    single-process ``batched`` backend on the unconstrained trace: the
@@ -164,6 +164,32 @@ def measure_backend(world, backend, repeats: int, reference=None) -> dict:
     return out
 
 
+def delta_probe(world, max_workers: int) -> dict[str, int]:
+    """Transport counts of two batches labeled on one fresh truth.
+
+    The timed runs use a pre-recorded world the snapshot already holds, so
+    they ship results only; here the second batch's records postdate the
+    snapshot and must travel as chunk deltas.
+    """
+    config, zoo, items, _, predictor = world
+    shared = GroundTruth(zoo, [], config)
+    half = len(items) // 2
+    with ProcessPoolBackend(max_workers=max_workers) as backend:
+        engine = LabelingEngine(zoo, predictor, config, backend=backend)
+        engine.label_batch(items[:half], truth=shared)
+        engine.label_batch(items[half:], truth=shared)
+        return backend.chunk_stats["transport"]
+
+
+def codec_only(transport: dict[str, int]) -> bool:
+    """Deltas and results were both shipped, and no payload was pickled."""
+    return (
+        any(key.startswith("delta_") for key in transport)
+        and any(key.startswith("result_") for key in transport)
+        and not any(key.endswith("pickle") for key in transport)
+    )
+
+
 def worker_sweep(max_workers: int) -> list[int]:
     """1, 2, 4, ... doubling up to (and always including) ``max_workers``."""
     sweep, width = [], 1
@@ -183,13 +209,15 @@ def run(scale: str, n_items: int, max_workers: int, repeats: int) -> dict:
     process = ProcessPoolBackend(max_workers=max_workers)
     optimized = measure_dispatch(world, process, repeats, references)
     optimized["transport"] = process.chunk_stats["transport"]
+    probed = delta_probe(world, max_workers)
     baseline = measure_dispatch(world, SerialBackend(), repeats, references)
     dispatch = {
         "workers": max_workers,
         "optimized": optimized,
         "baseline": baseline,
         "speedup": baseline["total_s"] / optimized["total_s"],
-        "shm_used": optimized["transport"].get("result_shm", 0) > 0,
+        "delta_probe_transport": probed,
+        "codec_only": codec_only(probed | optimized["transport"]),
         "parity": optimized["parity"] and baseline["parity"],
     }
 
@@ -264,7 +292,7 @@ def print_report(report: dict) -> None:
         f"{dispatch['speedup']:7.2f}x "
         f"{'ok' if dispatch['parity'] else 'FAIL':>7s}"
     )
-    print(f"shm result path used: {'yes' if dispatch['shm_used'] else 'NO'}")
+    print(f"codec-only transport: {'yes' if dispatch['codec_only'] else 'NO'}")
     print()
     print(
         f"worker scaling: scale={report['scale']} items={report['n_items']} "
@@ -323,8 +351,12 @@ def main(argv: list[str] | None = None) -> int:
     if not report["parity"]:
         print("FAIL: process traces diverged from SerialBackend")
         return 1
-    if not report["dispatch"]["shm_used"]:
-        print("FAIL: process run never used the shared-memory result path")
+    if not report["dispatch"]["codec_only"]:
+        print(
+            "FAIL: process runs did not ship both deltas and results as codec "
+            f"bytes: {report['dispatch']['optimized']['transport']} timed, "
+            f"{report['dispatch']['delta_probe_transport']} probed"
+        )
         return 1
     speedup = report["dispatch"]["speedup"]
     if args.assert_speedup is not None and speedup < args.assert_speedup:

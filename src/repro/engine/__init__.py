@@ -31,8 +31,7 @@ from repro.engine.config import (
     SerialConfig,
     make_backend,
 )
-from repro.engine.process import ProcessPoolBackend, ShmPayload
-from repro.engine.shm import RingSpec, SlotRing
+from repro.engine.process import ProcessPoolBackend
 from repro.engine.snapshot import (
     WorldSnapshot,
     capture_predictor,
@@ -59,11 +58,8 @@ __all__ = [
     "LocalWorkerFleet",
     "ProcessConfig",
     "ProcessPoolBackend",
-    "RingSpec",
     "SerialBackend",
     "SerialConfig",
-    "ShmPayload",
-    "SlotRing",
     "WorkerDied",
     "WorldSnapshot",
     "capture_predictor",

@@ -12,8 +12,8 @@ sockets so scheduling work can leave the host:
   only the records the snapshot lacks; the worker runs each through
   :func:`~repro.engine.sharded.run_chunk` and streams trace shards back.
   Deltas and shards are the :mod:`repro.engine.shm` fixed-dtype codec
-  bytes — the same ones the shared-memory rings carry — framed over the
-  wire.
+  bytes — the same ones the process pool sends through its executor
+  pipe — framed over the wire.
 * :class:`ClusterBackend` (registry ``"cluster"``) — the dispatcher.
   Chunks are placed **round-robin over live links** (chunk ``i`` to link
   ``i mod n``): no worker keeps per-key state, so placement only decides

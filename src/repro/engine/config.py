@@ -96,8 +96,6 @@ class ProcessConfig(BackendConfig):
     max_workers: int | None = None
     chunk_size: int | None = None
     mp_context: object = None
-    ring_slots: int | None = None
-    slot_bytes: int = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ nothing else of the protocol: bring workers up to the snapshot
 (``_connect``), drop their copies of it (``_disconnect``), and carry
 encoded chunks out and encoded shards back (``_exchange``).  There is one
 codec and no fallback: what crosses a process or socket boundary on the
-chunk path is always those bytes; only the *carrier* (a ring slot, the
-executor pipe, a TCP frame) differs, and ``chunk_stats["transport"]``
-counts which one each payload took.
+chunk path is always those bytes; only the *carrier* (the executor pipe,
+a TCP frame) differs, and ``chunk_stats["transport"]`` counts which one
+each payload took.
 
 Scheduling is deterministic per item, so traces are identical to
 :class:`~repro.engine.backends.SerialBackend` for every transport, worker
@@ -215,8 +215,8 @@ class ShardedBackend(ExecutionBackend):
 
         ``seconds`` sums worker-reported wall time; ``last_chunk_size`` is
         the size the most recent job sharded with; ``transport`` counts
-        payloads by direction and carrier (``delta_shm``,
-        ``result_frame``, ...).
+        payloads by direction and carrier (``delta_pipe``,
+        ``result_pipe``, ``delta_frame``, ``result_frame``).
         """
         with self._lock:
             return {

@@ -1,4 +1,4 @@
-"""Shared-memory rings and the fixed-dtype codecs every transport carries.
+"""The fixed-dtype codecs every sharded transport carries.
 
 The :mod:`repro.engine.sharded` protocol ships two payload kinds between
 a dispatcher and its workers: *chunk deltas* (the
@@ -18,37 +18,30 @@ travel in compact fixed-dtype layouts, never as pickled objects:
   execute models on shipped items.
 * :func:`encode_traces` / :func:`decode_traces` — per-trace headers plus
   one structured row per execution.
-* :class:`SlotRing` — the process pool's carrier: one
-  :mod:`multiprocessing.shared_memory` block divided into fixed-size
-  slots with a byte of state each.  The parent creates a *delta* ring it
-  writes and workers read, and a *result* ring workers write and the
-  parent reads.  Only a tiny ``(slot, length)`` descriptor crosses the
-  pipe; the payload itself is written once and read in place.
 
 Carrier contract: there is one encoding and no second serialization to
 fall back to.  :func:`encode_records` refuses, with ``TypeError``, a
 record that is not a plain :class:`ItemRecord` (a custom zoo may subclass
 it with state the layout cannot carry) or a shard of inconsistent shape.
-What varies is only how the encoded bytes travel — a ring slot, inline
-through the executor pipe when a payload outgrows its slot or the ring
-is momentarily full, a TCP frame on the cluster — and the decoders
+What varies is only how the encoded bytes travel — the executor pipe on
+the process pool, a TCP frame on the cluster — and the decoders
 bounds-check everything they are handed, because on the cluster those
 bytes come off a socket.
 
 Lifetime contract: arrays produced by :func:`decode_records` alias the
-buffer they were decoded from, so on the ring they are valid only while
-the producing slot is held.  The backend holds each delta slot until the
-chunk's future completes and workers copy nothing — adopted records live
-exactly as long as the chunk that shipped them (the worker releases them
-afterwards).
+buffer they were decoded from; workers copy nothing, so adopted records
+live exactly as long as the chunk that shipped them (the worker releases
+them afterwards).
+
+The module is named for the shared-memory rings that once carried these
+bytes; the name stays because the perf ledger's probes import the record
+codec from here, until a benchmark change moves that import.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from itertools import islice, starmap
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -70,179 +63,6 @@ EXEC_DTYPE = np.dtype(
 
 #: Per-trace header preceding its execution rows.
 TRACE_HEAD_DTYPE = np.dtype([("total", np.float64), ("n_exec", np.int64)])
-
-_FREE, _HELD = 0, 1
-
-
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block without registering it for cleanup.
-
-    Only the creating process may own (and eventually unlink) the block.
-    Python 3.13 grew ``track=False`` for exactly this; on earlier
-    interpreters the resource tracker would otherwise unlink the segment
-    when the *worker* exits (cpython#82300), so we unregister manually.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - exercised on Python < 3.13
-        # Suppress registration rather than unregistering afterwards:
-        # the whole process tree shares one tracker, so a worker's
-        # unregister would cancel the parent's (sole, legitimate)
-        # registration and later unregisters would error in the tracker.
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-class SlotRing:
-    """A ring of fixed-size payload slots inside one shared-memory block.
-
-    Layout: ``[hint u32][state u8 x slots][pad to 8][slot data ...]``.
-    Each slot is either free or held; ``acquire`` scans round-robin from
-    a rotation hint so successive payloads spread across the ring.  The
-    ring itself is not a lock — callers serialize acquirers externally
-    (the backend uses a :class:`threading.Lock` on the parent-owned ring
-    and a ``multiprocessing.Lock`` on the worker-written one).  Releasing
-    is a single byte store and needs no lock.
-    """
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        slots: int,
-        slot_bytes: int,
-        owner: bool,
-    ):
-        self._shm = shm
-        self.slots = slots
-        self.slot_bytes = slot_bytes
-        self._owner = owner
-        self._data_offset = (4 + slots + 7) & ~7
-
-    @classmethod
-    def create(cls, slots: int, slot_bytes: int) -> SlotRing:
-        if slots <= 0 or slot_bytes <= 0:
-            raise ValueError("slots and slot_bytes must be positive")
-        size = ((4 + slots + 7) & ~7) + slots * slot_bytes
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        ring = cls(shm, slots, slot_bytes, owner=True)
-        shm.buf[: 4 + slots] = bytes(4 + slots)
-        return ring
-
-    @classmethod
-    def attach(
-        cls, name: str, slots: int, slot_bytes: int, untrack: bool = True
-    ) -> SlotRing:
-        """Attach to an existing ring by name.
-
-        ``untrack`` (the default) is for *worker processes*: it keeps the
-        worker's resource tracker from unlinking the parent's segment on
-        worker exit.  Pass ``untrack=False`` when attaching a second
-        handle inside the creating process (tests do) — untracking there
-        would cancel the creator's own registration.
-        """
-        if untrack:
-            return cls(_attach_untracked(name), slots, slot_bytes, owner=False)
-        return cls(
-            shared_memory.SharedMemory(name=name), slots, slot_bytes, owner=False
-        )
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def spec(self) -> RingSpec:
-        return RingSpec(self.name, self.slots, self.slot_bytes)
-
-    # -- slot state ----------------------------------------------------------
-
-    def _hint(self) -> int:
-        return struct.unpack_from("<I", self._shm.buf, 0)[0]
-
-    def acquire(self) -> int | None:
-        """Claim the next free slot, or ``None`` when the ring is full.
-
-        Callers must hold the ring's external acquirer lock.  A closed
-        ring reads as full (the teardown race :meth:`release` tolerates).
-        """
-        buf = self._shm.buf
-        if buf is None:
-            return None
-        start = self._hint() % self.slots
-        for step in range(self.slots):
-            slot = (start + step) % self.slots
-            if buf[4 + slot] == _FREE:
-                buf[4 + slot] = _HELD
-                struct.pack_into("<I", buf, 0, (slot + 1) % self.slots)
-                return slot
-        return None
-
-    def release(self, slot: int) -> None:
-        """Free a slot (single byte store; safe cross-process, no lock).
-
-        No-op on a closed ring: a teardown racing a late release (a
-        broken pool being dropped while another thread frees its chunk's
-        slot) must not raise.
-        """
-        buf = self._shm.buf
-        if buf is not None:
-            buf[4 + slot] = _FREE
-
-    def held(self, slot: int) -> bool:
-        return self._shm.buf[4 + slot] == _HELD
-
-    # -- payload -------------------------------------------------------------
-
-    def write(self, slot: int, payload: bytes) -> int:
-        """Copy ``payload`` into a held slot; returns its length."""
-        length = len(payload)
-        if length > self.slot_bytes:
-            raise ValueError(
-                f"payload of {length} bytes exceeds slot size {self.slot_bytes}"
-            )
-        offset = self._data_offset + slot * self.slot_bytes
-        self._shm.buf[offset : offset + length] = payload
-        return length
-
-    def view(self, slot: int, length: int) -> memoryview:
-        """Zero-copy view of a slot's first ``length`` bytes."""
-        if length > self.slot_bytes:
-            raise ValueError(
-                f"requested {length} bytes from a {self.slot_bytes}-byte slot"
-            )
-        offset = self._data_offset + slot * self.slot_bytes
-        return self._shm.buf[offset : offset + length]
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - views still alive
-            pass
-
-    def unlink(self) -> None:
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-
-
-@dataclass(frozen=True)
-class RingSpec:
-    """Picklable handle a worker uses to attach to a parent's ring."""
-
-    name: str
-    slots: int
-    slot_bytes: int
-
-    def attach(self) -> SlotRing:
-        return SlotRing.attach(self.name, self.slots, self.slot_bytes)
 
 
 # -- record codec ------------------------------------------------------------
@@ -320,7 +140,7 @@ def decode_records(buf, zoo: ModelZoo) -> list[ItemRecord]:
     """Rebuild records from :func:`encode_records` bytes, zero-copy.
 
     The columns are read-only views into ``buf`` (valid only while the
-    producing slot is held — see the module docstring); every declared
+    buffer is — see the module docstring); every declared
     count is checked against the buffer before a view is taken, so a
     truncated or corrupted shard raises ``ValueError`` instead of reading
     out of bounds.  ``item`` carries no content and the columns hold the

@@ -159,7 +159,7 @@ def service_families(service) -> list[MetricFamily]:
             MetricFamily(
                 "repro_backend_transport_total",
                 "counter",
-                "Chunk payloads by direction and carrier (shm slot, inline, frame)",
+                "Chunk payloads by direction and carrier (pipe, frame)",
                 tuple(
                     ({"path": path}, count)
                     for path, count in stats["transport"].items()

@@ -163,7 +163,7 @@ class _TenantGroup:
         self.weight = weight
         #: Outer stride pass; the lowest-pass tenant is served next.
         self.pass_value = pass_value
-        #: Inner virtual time (pass of this tenant's last-served bucket);
+        #: Inner virtual time (highest pass of a served or pruned bucket);
         #: newly ready buckets join at this point, never earlier, so an
         #: idle bucket cannot bank credit against active ones.
         self.vtime = 0.0
@@ -274,7 +274,8 @@ class RequestQueue:
         #: key) stays bounded by concurrent traffic, not by history.
         self._groups: dict = {}
         self._depth = 0
-        #: Outer stride virtual time (pass of the last-served tenant);
+        #: Outer stride virtual time (highest pass of a served or pruned
+        #: tenant);
         #: newly ready tenants join at this point, never earlier, so an
         #: idle tenant cannot bank credit against active ones.
         self._vtime = 0.0
@@ -517,15 +518,13 @@ class RequestQueue:
         Every distinct key ever seen would otherwise pin a bucket forever
         (a float deadline is its own key, so long-lived services see
         unbounded key cardinality) and every per-batch key scan would pay
-        for it.  A pruned key or tenant that returns re-enters at the
-        current virtual time — exactly where a retained *credit-free*
-        entry would re-enter — so the only thing forgotten is the
-        residual debt of one whose backlog fully drained, worth at most
-        one extra batch per burst.  (An entry that drains and refills
-        before every pop is therefore never charged ahead of the virtual
-        time, and the starvation bound holds per stretch it stays
-        queued.)  Buckets a consumer is still anchored on are kept (their
-        deque must stay live for same-key arrivals).
+        for it.  A pruned entry's debt is not forgotten: its level's
+        virtual time first rises to the entry's pass, so a key or tenant
+        that returns re-enters no earlier than where it left.  Without
+        that, one that drains and refills before every pop would re-enter
+        at an unmoved virtual time, win every pick and starve a
+        backlogged peer.  Buckets a consumer is still anchored on are kept
+        (their deque must stay live for same-key arrivals).
         """
         for tenant, group in list(self._groups.items()):
             stale = [
@@ -534,8 +533,9 @@ class RequestQueue:
                 if not bucket.items and not bucket.pinned
             ]
             for key in stale:
-                del group.buckets[key]
+                group.vtime = max(group.vtime, group.buckets.pop(key).pass_value)
             if not group.buckets:
+                self._vtime = max(self._vtime, group.pass_value)
                 del self._groups[tenant]
 
     def pop_batch(

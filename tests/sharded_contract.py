@@ -5,10 +5,10 @@ parity, post-snapshot deltas, predictors crossing the boundary, the
 local shortcut, world affinity, chunk errors, snapshot reuse — is the
 same promise whichever transport carries the chunks, so it is written
 here once and each transport's test module binds it to its backend:
-``tests/test_process_backend.py`` (executor + shm rings) and
+``tests/test_process_backend.py`` (executor pipe) and
 ``tests/test_cluster_backend.py`` (TCP frames).  Those modules keep their
-historical test names and add only what is transport: ring teardown,
-pool respawn, re-dispatch, rejoin, dialing, refresh, placement.
+historical test names and add only what is transport: pool respawn,
+re-dispatch, rejoin, dialing, refresh, placement.
 
 Every ``check_*`` takes a constructed, not yet entered, backend and
 closes it.

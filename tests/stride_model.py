@@ -13,7 +13,8 @@ The rule, two stride levels of the same shape:
   ``vtime``.  An entry joins at the level's current ``vtime``; the entry
   with the lowest ``(pass, earliest queued arrival)`` is picked; charging
   ``cost`` sets ``vtime = max(vtime, pass)`` and then
-  ``pass = vtime + cost``; an entry whose backlog empties leaves.
+  ``pass = vtime + cost``; an entry whose backlog empties leaves, and
+  leaving sets ``vtime = max(vtime, pass)`` so its debt outlives it.
 * The outer level's entries are tenants (``None`` is a tenant), charged
   ``n / tenant_weight``; each tenant owns an inner level, fresh at
   ``vtime = 0`` whenever the tenant joins, whose entries are batch keys,
@@ -49,6 +50,9 @@ class _Level:
     def charge(self, name, cost: float) -> None:
         self.vtime = max(self.vtime, self.passes[name])
         self.passes[name] = self.vtime + cost
+
+    def leave(self, name) -> None:
+        self.vtime = max(self.vtime, self.passes.pop(name))
 
 
 class StrideModel:
@@ -90,9 +94,9 @@ class StrideModel:
         self.tenants.charge(tenant, n / self.weights.get(tenant, self.default_weight))
         if not fifo:
             del self.fifos[tenant, key]
-            del inner.passes[key]
+            inner.leave(key)
             if not inner.passes:
-                del self.tenants.passes[tenant]
+                self.tenants.leave(tenant)
                 del self.keys[tenant]
         if n == max_items:
             reason = "size"

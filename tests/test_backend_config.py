@@ -59,8 +59,6 @@ class TestValidation:
             ({"chunk_size": 0}, "chunk_size"),
             ({"max_workers": -2}, "max_workers"),
             ({"chunk_size": -1}, "chunk_size"),
-            ({"ring_slots": 0}, "ring_slots"),
-            ({"slot_bytes": 0}, "slot_bytes"),
         ],
     )
     def test_process(self, kwargs, match):
@@ -90,7 +88,7 @@ class TestValidation:
         # Both entry points fail eagerly, with the same message, because
         # both call the backend class's check_fields.
         for config_cls, kwargs in (
-            (ProcessConfig, {"slot_bytes": 0}),
+            (ProcessConfig, {"max_workers": 0}),
             (ClusterConfig, {"local_workers": 2, "connect_backoff": -1.0}),
         ):
             with pytest.raises(ValueError) as from_config:
@@ -108,7 +106,10 @@ class TestRemovedSpellings:
         [
             lambda: ProcessConfig(transport="pickle"),
             lambda: ProcessConfig(target_chunk_s=0.01),
+            lambda: ProcessConfig(slot_bytes=1 << 20),
+            lambda: ProcessConfig(ring_slots=8),
             lambda: ProcessPoolBackend(vectorized=False),
+            lambda: ProcessPoolBackend(ring_slots=8),
             lambda: ClusterConfig(local_workers=2, vectorized=False),
             lambda: ClusterConfig(replicas=32),
             lambda: ClusterBackend(workers=("host:1",), replicas=32),
@@ -116,7 +117,10 @@ class TestRemovedSpellings:
         ids=[
             "ProcessConfig-transport",
             "ProcessConfig-target_chunk_s",
+            "ProcessConfig-slot_bytes",
+            "ProcessConfig-ring_slots",
             "ProcessPoolBackend-vectorized",
+            "ProcessPoolBackend-ring_slots",
             "ClusterConfig-vectorized",
             "ClusterConfig-replicas",
             "ClusterBackend-replicas",
@@ -131,8 +135,6 @@ class TestRemovedSpellings:
             "max_workers",
             "chunk_size",
             "mp_context",
-            "ring_slots",
-            "slot_bytes",
         ]
         assert "vectorized" not in {f.name for f in dataclasses.fields(ClusterConfig)}
 

@@ -587,6 +587,29 @@ class TestTenantFairness:
         first_eight = [queue.pop_batch(8, 0.0)[0][0].tenant for _ in range(8)]
         assert set(first_eight) == {"idler", "busy"}
 
+    @pytest.mark.parametrize("level", ["tenant", "key"])
+    def test_trickling_entry_keeps_its_debt(self, items, level):
+        # B holds a deep backlog; A adds one request before every pop, so
+        # A's backlog drains after each of its batches and A is pruned.
+        # A pruned entry's pass must survive it: A re-enters where it
+        # left, and B is served once every 8 pops.  Were the debt
+        # forgotten, A would re-enter at an unmoved virtual time, win
+        # every pick, and B would be served once in 40.
+        if level == "tenant":
+            spec_a, spec_b = LabelingSpec(tenant="a"), LabelingSpec(tenant="b")
+        else:
+            spec_a, spec_b = LabelingSpec(), LabelingSpec(deadline=50.0)
+        queue = RequestQueue(max_depth=256)
+        for item in (items * 3)[:64]:
+            queue.put(request_for(item, spec=spec_b))
+        served_b = []
+        for index in range(40):
+            queue.put(request_for(items[0], spec=spec_a))
+            batch, _, _ = queue.pop_batch(8, 0.0)
+            if batch[0].spec == spec_b:
+                served_b.append(index)
+        assert served_b == [0, 8, 16, 24, 32]
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             RequestQueue(tenant_weights={"bad": 0.0})

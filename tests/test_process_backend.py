@@ -63,31 +63,23 @@ class WorkerKiller(QValuePredictor):
         return np.zeros(self.n_models)
 
 
-#: (workers, chunk_size, slot_bytes): every chunk size of the contract on
-#: ring slots that fit the payloads and on 64-byte ones that never do.
+#: (workers, chunk_size): every chunk size of the contract.
 SHARDINGS = [
-    pytest.param(1, None, 1 << 20, id="w1"),
-    pytest.param(2, None, 1 << 20, id="w2"),
-    pytest.param(2, 1, 1 << 20, id="w2-chunk1"),
-    pytest.param(2, 3, 1 << 20, id="w2-chunk3"),
-    pytest.param(3, 5, 1 << 20, id="w3-chunk5"),
-    pytest.param(2, None, 64, id="w2-slot64"),
-    pytest.param(2, 1, 64, id="w2-chunk1-slot64"),
-    pytest.param(2, 3, 64, id="w2-chunk3-slot64"),
+    pytest.param(1, None, id="w1"),
+    pytest.param(2, None, id="w2"),
+    pytest.param(2, 1, id="w2-chunk1"),
+    pytest.param(2, 3, id="w2-chunk3"),
+    pytest.param(3, 5, id="w3-chunk5"),
 ]
 
 
 class TestProcessParity(ShardedContract):
     """Process traces must equal SerialBackend's for every sharding."""
 
-    @pytest.mark.parametrize("workers,chunk_size,slot_bytes", SHARDINGS)
-    def test_trace_identical_to_serial_all_regimes(
-        self, workers, chunk_size, slot_bytes
-    ):
+    @pytest.mark.parametrize("workers,chunk_size", SHARDINGS)
+    def test_trace_identical_to_serial_all_regimes(self, workers, chunk_size):
         self.check_serial_parity(
-            process_backend(
-                max_workers=workers, chunk_size=chunk_size, slot_bytes=slot_bytes
-            )
+            process_backend(max_workers=workers, chunk_size=chunk_size)
         )
 
     def test_ephemeral_truth_ships_chunk_deltas(self):

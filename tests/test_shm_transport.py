@@ -1,19 +1,18 @@
-"""Shared-memory transport: ring mechanics, codecs, carriers, telemetry.
+"""The chunk codecs, and the process pool's carrier and its telemetry.
 
-The ring is a *carrier only*: every test that forces payloads off it
-(tiny slots, slots leaked by failed jobs) also asserts the same bytes
-arrive inline and the traces still match the serial reference.
+The codec tests hold for every transport; the backend test checks that
+the executor pipe carries both payload kinds and that traces still match
+the serial reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.engine import LabelingEngine, ProcessPoolBackend, SlotRing
+from repro.engine import LabelingEngine, ProcessPoolBackend
 from repro.engine.shm import (
     decode_records,
     decode_traces,
@@ -24,7 +23,6 @@ from repro.scheduling.deadline import CostQGreedyScheduler
 from repro.scheduling.qgreedy import AgentPredictor, OraclePredictor
 from repro.zoo.model import ModelZoo
 from repro.zoo.oracle import ItemRecord
-from sharded_contract import PoisonPredictor
 
 
 @pytest.fixture(scope="module")
@@ -47,93 +45,6 @@ def assert_same_traces(got, ref):
     for g, r in zip(got, ref):
         assert g.item_id == r.item_id
         assert g.trace.executions == r.trace.executions
-
-
-class TestSlotRing:
-    def test_acquire_until_full_then_release_reopens(self):
-        ring = SlotRing.create(slots=3, slot_bytes=32)
-        try:
-            taken = [ring.acquire() for _ in range(3)]
-            assert sorted(taken) == [0, 1, 2]
-            assert ring.acquire() is None  # full
-            ring.release(taken[1])
-            assert not ring.held(taken[1])
-            assert ring.acquire() == taken[1]
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_rotation_hint_spreads_slots(self):
-        # Acquire/release cycles should walk the ring, not hammer slot 0.
-        ring = SlotRing.create(slots=4, slot_bytes=32)
-        try:
-            seen = []
-            for _ in range(8):
-                slot = ring.acquire()
-                seen.append(slot)
-                ring.release(slot)
-            assert seen == [0, 1, 2, 3, 0, 1, 2, 3]
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_write_view_round_trip(self):
-        ring = SlotRing.create(slots=2, slot_bytes=64)
-        try:
-            slot = ring.acquire()
-            payload = bytes(range(48))
-            length = ring.write(slot, payload)
-            assert bytes(ring.view(slot, length)) == payload
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_oversized_payload_rejected(self):
-        ring = SlotRing.create(slots=1, slot_bytes=16)
-        try:
-            slot = ring.acquire()
-            with pytest.raises(ValueError, match="exceeds slot size"):
-                ring.write(slot, b"x" * 17)
-            with pytest.raises(ValueError, match="byte slot"):
-                ring.view(slot, 17)
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_second_handle_sees_state_and_payload(self):
-        # A same-process attachment (untrack=False, as tests must) reads
-        # what the owner wrote, and its release is visible to the owner.
-        ring = SlotRing.create(slots=2, slot_bytes=32)
-        other = None
-        try:
-            slot = ring.acquire()
-            ring.write(slot, b"hello")
-            other = SlotRing.attach(
-                ring.name, ring.slots, ring.slot_bytes, untrack=False
-            )
-            assert other.held(slot)
-            assert bytes(other.view(slot, 5)) == b"hello"
-            other.release(slot)
-            assert not ring.held(slot)
-        finally:
-            if other is not None:
-                other.close()
-            ring.close()
-            ring.unlink()
-
-    def test_release_after_close_is_noop(self):
-        # A teardown racing a late chunk release must not raise.
-        ring = SlotRing.create(slots=1, slot_bytes=8)
-        slot = ring.acquire()
-        ring.close()
-        ring.release(slot)  # closed ring: silently ignored
-        ring.unlink()
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            SlotRing.create(slots=0, slot_bytes=8)
-        with pytest.raises(ValueError):
-            SlotRing.create(slots=1, slot_bytes=0)
 
 
 class TestRecordCodec:
@@ -352,6 +263,7 @@ class TestBackendTransport:
     def test_shm_fast_path_used_for_deltas_and_results(
         self, zoo, world_config, predictor, truth, items
     ):
+        # Historical name: the executor pipe is the pool's one carrier.
         ref = engine_for(zoo, predictor, world_config, "serial").label_batch(
             items, truth=truth
         )
@@ -361,71 +273,6 @@ class TestBackendTransport:
             )
             transport = backend.chunk_stats["transport"]
         assert_same_traces(got, ref)
-        assert transport.get("delta_shm", 0) > 0
-        assert transport.get("result_shm", 0) > 0
-        assert transport.get("delta_pickle", 0) == 0
-        assert transport.get("result_pickle", 0) == 0
-
-    def test_tiny_slots_fall_back_to_pickle_without_breaking_parity(
-        self, zoo, world_config, predictor, truth, items
-    ):
-        # Historical name: nothing is pickled.  Payloads that outgrow a
-        # slot cross the executor pipe as the same encoded bytes.
-        ref = engine_for(zoo, predictor, world_config, "serial").label_batch(
-            items, truth=truth
-        )
-        with ProcessPoolBackend(max_workers=2, slot_bytes=64) as backend:
-            got = self._two_batches_with_deltas(
-                zoo, world_config, predictor, backend, items
-            )
-            transport = backend.chunk_stats["transport"]
-        assert_same_traces(got, ref)
-        assert transport.get("delta_inline", 0) > 0  # oversized record shard
-        assert transport.get("result_inline", 0) > 0  # oversized trace shard
-        assert transport.get("delta_shm", 0) == 0
-        assert transport.get("result_shm", 0) == 0
-        assert not any(key.endswith("pickle") for key in transport)
-
-    def test_failed_jobs_do_not_leak_result_slots(
-        self, zoo, world_config, truth, items
-    ):
-        # A chunk that raises fails the job, but its sibling chunks finish
-        # anyway and park their traces in result slots nobody will read.
-        # Eight slots, three abandoned per failed job: left held, the
-        # ring is full after the third failure and every later result
-        # travels inline for the life of the pool.
-        poison = PoisonPredictor(len(zoo), poison=items[0].item_id)
-        with ProcessPoolBackend(max_workers=2, chunk_size=2) as backend:
-            engine = engine_for(zoo, poison, world_config, backend)
-            for _ in range(4):
-                with pytest.raises(RuntimeError, match="poisoned item"):
-                    engine.label_batch(items[:8], truth=truth)
-            before = Counter(backend.chunk_stats["transport"])
-            clean = engine.label_batch(items[1:9], truth=truth)
-            sent = Counter(backend.chunk_stats["transport"]) - before
-            assert len(clean) == 8
-            assert sent == {"result_shm": 4}
-            for ring in (backend._delta_ring, backend._result_ring):
-                assert not any(ring.held(slot) for slot in range(ring.slots))
-
-    def test_rings_unlinked_on_close(
-        self, zoo, world_config, predictor, truth, items
-    ):
-        backend = ProcessPoolBackend(max_workers=2)
-        with backend:
-            engine_for(zoo, predictor, world_config, backend).label_batch(
-                items, truth=truth
-            )
-            names = [backend._delta_ring.name, backend._result_ring.name]
-        assert backend._delta_ring is None
-        from multiprocessing import shared_memory
-
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError, match="ring_slots"):
-            ProcessPoolBackend(ring_slots=0)
-        with pytest.raises(ValueError, match="slot_bytes"):
-            ProcessPoolBackend(slot_bytes=0)
+        assert set(transport) == {"delta_pipe", "result_pipe"}
+        assert transport["delta_pipe"] > 0
+        assert transport["result_pipe"] > 0
