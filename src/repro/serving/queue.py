@@ -498,19 +498,18 @@ class RequestQueue:
     def _charge_locked(self, bucket: "_Bucket", batch: list[LabelingRequest]):
         """Advance both strides for one dispatched batch.
 
-        The bucket pays ``n / weight`` against its tenant's virtual time,
-        where the weight comes from the batch's highest priority — serving
-        a high-priority batch is cheap, so its bucket comes up again
-        sooner.  The tenant pays ``n / tenant_weight`` against the outer
-        virtual time.  Every other tenant's and bucket's pass stands
-        still — that standing-still is the aging guarantee.
+        The bucket's pass grows by ``n / weight`` (weight from the batch's
+        highest priority), the tenant's by ``n / tenant_weight``.  Each
+        pays from its own pass, not the virtual time: a pruned entry may
+        have lifted that past a live one, which must not take over its
+        debt.  Every other pass stands still — the aging guarantee.
         """
         group = bucket.group
         group.vtime = max(group.vtime, bucket.pass_value)
         weight = priority_weight(max(r.priority for r in batch))
-        bucket.pass_value = group.vtime + len(batch) / weight
+        bucket.pass_value += len(batch) / weight
         self._vtime = max(self._vtime, group.pass_value)
-        group.pass_value = self._vtime + len(batch) / group.weight
+        group.pass_value += len(batch) / group.weight
 
     def _prune_locked(self) -> None:
         """Drop emptied buckets and groups so they track only live traffic.

@@ -13,7 +13,7 @@ The rule, two stride levels of the same shape:
   ``vtime``.  An entry joins at the level's current ``vtime``; the entry
   with the lowest ``(pass, earliest queued arrival)`` is picked; charging
   ``cost`` sets ``vtime = max(vtime, pass)`` and then
-  ``pass = vtime + cost``; an entry whose backlog empties leaves, and
+  ``pass = pass + cost``; an entry whose backlog empties leaves, and
   leaving sets ``vtime = max(vtime, pass)`` so its debt outlives it.
 * The outer level's entries are tenants (``None`` is a tenant), charged
   ``n / tenant_weight``; each tenant owns an inner level, fresh at
@@ -49,7 +49,7 @@ class _Level:
 
     def charge(self, name, cost: float) -> None:
         self.vtime = max(self.vtime, self.passes[name])
-        self.passes[name] = self.vtime + cost
+        self.passes[name] += cost
 
     def leave(self, name) -> None:
         self.vtime = max(self.vtime, self.passes.pop(name))

@@ -610,6 +610,36 @@ class TestTenantFairness:
                 served_b.append(index)
         assert served_b == [0, 8, 16, 24, 32]
 
+    @pytest.mark.parametrize("level", ["tenant", "key"])
+    def test_weighted_trickler_keeps_its_share(self, items, level):
+        # A weighs 0.5 against B's 1, so an A batch of 8 costs as much as
+        # two B batches.  A refills 8 requests whenever it drained, so it
+        # is pruned after each of its batches and lifts the virtual time
+        # past B's pass.  B must still pay from its own pass and be
+        # served twice per A batch; charged from that virtual time, B
+        # would take over A's debt and the two would alternate.
+        if level == "tenant":
+            queue = RequestQueue(max_depth=512, tenant_weights={"a": 0.5})
+            spec_a, spec_b = LabelingSpec(tenant="a"), LabelingSpec(tenant="b")
+            priority_a = 0
+        else:
+            queue = RequestQueue(max_depth=512)
+            spec_a, spec_b = LabelingSpec(), LabelingSpec(deadline=50.0)
+            priority_a = -1  # priority_weight(-1) == 0.5
+        for item in (items * 11)[:256]:
+            queue.put(request_for(item, spec=spec_b))
+        order, queued_a = "", 0
+        for _ in range(40):
+            if not queued_a:
+                for item in items[:8]:
+                    queue.put(request_for(item, spec=spec_a, priority=priority_a))
+                queued_a = 8
+            batch, _, _ = queue.pop_batch(8, 0.0)
+            if batch[0].spec == spec_a:
+                queued_a -= len(batch)
+            order += "a" if batch[0].spec == spec_a else "b"
+        assert order == "b" + "abb" * 13
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             RequestQueue(tenant_weights={"bad": 0.0})
