@@ -209,6 +209,26 @@ class _Bucket:
             self.deadlined -= 1
 
 
+def _settle_level(vtime: float, entries: dict, queued, held) -> float:
+    """Prune one stride level of ``entries`` (buckets or groups).
+
+    Drained entries (not ``queued``, not ``held``) lift the virtual time
+    to their highest pass, but never past the lowest queued pass, so a
+    newcomer never joins behind a queued entry.  A drained entry is kept,
+    empty, until the virtual time reaches its pass: a return re-enters
+    there and keeps its debt instead of winning every pick.
+    """
+    drained = [n for n, e in entries.items() if not queued(e) and not held(e)]
+    if drained:
+        owed = max(entries[name].pass_value for name in drained)
+        live = [e.pass_value for e in entries.values() if queued(e)]
+        vtime = max(vtime, min([owed, *live]))
+        for name in drained:
+            if entries[name].pass_value <= vtime:
+                del entries[name]
+    return vtime
+
+
 class RequestQueue:
     """Bounded, deadline-checking, tenant-fair buffer of FIFO buckets.
 
@@ -499,10 +519,8 @@ class RequestQueue:
         """Advance both strides for one dispatched batch.
 
         The bucket's pass grows by ``n / weight`` (weight from the batch's
-        highest priority), the tenant's by ``n / tenant_weight``.  Each
-        pays from its own pass, not the virtual time: a pruned entry may
-        have lifted that past a live one, which must not take over its
-        debt.  Every other pass stands still — the aging guarantee.
+        highest priority), the tenant's by ``n / tenant_weight``.  Every
+        other pass stands still — the aging guarantee.
         """
         group = bucket.group
         group.vtime = max(group.vtime, bucket.pass_value)
@@ -512,30 +530,22 @@ class RequestQueue:
         group.pass_value += len(batch) / group.weight
 
     def _prune_locked(self) -> None:
-        """Drop emptied buckets and groups so they track only live traffic.
+        """Drop drained buckets and groups once they owe no stride debt.
 
         Every distinct key ever seen would otherwise pin a bucket forever
         (a float deadline is its own key, so long-lived services see
         unbounded key cardinality) and every per-batch key scan would pay
-        for it.  A pruned entry's debt is not forgotten: its level's
-        virtual time first rises to the entry's pass, so a key or tenant
-        that returns re-enters no earlier than where it left.  Without
-        that, one that drains and refills before every pop would re-enter
-        at an unmoved virtual time, win every pick and starve a
-        backlogged peer.  Buckets a consumer is still anchored on are kept
-        (their deque must stay live for same-key arrivals).
+        for it.  See :func:`_settle_level` for when a drained entry may
+        go.  Buckets a consumer is still anchored on are kept (their
+        deque must stay live for same-key arrivals).
         """
-        for tenant, group in list(self._groups.items()):
-            stale = [
-                key
-                for key, bucket in group.buckets.items()
-                if not bucket.items and not bucket.pinned
-            ]
-            for key in stale:
-                group.vtime = max(group.vtime, group.buckets.pop(key).pass_value)
-            if not group.buckets:
-                self._vtime = max(self._vtime, group.pass_value)
-                del self._groups[tenant]
+        for group in self._groups.values():
+            group.vtime = _settle_level(
+                group.vtime, group.buckets, lambda b: b.items, lambda b: b.pinned
+            )
+        self._vtime = _settle_level(
+            self._vtime, self._groups, lambda g: g.depth, lambda g: g.buckets
+        )
 
     def pop_batch(
         self, max_items: int, max_wait: float

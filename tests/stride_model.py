@@ -9,12 +9,15 @@ instead of being mirrored.
 
 The rule, two stride levels of the same shape:
 
-* A *level* holds live entries, each with a ``pass``, and a virtual time
-  ``vtime``.  An entry joins at the level's current ``vtime``; the entry
-  with the lowest ``(pass, earliest queued arrival)`` is picked; charging
-  ``cost`` sets ``vtime = max(vtime, pass)`` and then
-  ``pass = pass + cost``; an entry whose backlog empties leaves, and
-  leaving sets ``vtime = max(vtime, pass)`` so its debt outlives it.
+* A *level* holds live entries, each with a ``pass``, owed entries (left
+  with a pass above ``vtime``) and a virtual time ``vtime``.  An entry
+  joins at ``vtime``, or at the pass it left with while that is owed;
+  the entry with the lowest ``(pass, earliest queued arrival)`` is
+  picked; charging ``cost`` sets ``vtime = max(vtime, pass)`` and then
+  ``pass = pass + cost``; an entry whose backlog empties leaves and is
+  owed.  After every pop each level settles: ``vtime`` rises to the
+  highest owed pass, but no higher than the lowest live pass, and owed
+  passes at or below ``vtime`` are forgotten.
 * The outer level's entries are tenants (``None`` is a tenant), charged
   ``n / tenant_weight``; each tenant owns an inner level, fresh at
   ``vtime = 0`` whenever the tenant joins, whose entries are batch keys,
@@ -26,6 +29,7 @@ The rule, two stride levels of the same shape:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 
@@ -39,10 +43,11 @@ class _Level:
     def __init__(self):
         self.vtime = 0.0
         self.passes: dict = {}
+        self.owed: dict = {}  # drained entries whose pass is above vtime
 
     def join(self, name) -> None:
         if name not in self.passes:
-            self.passes[name] = self.vtime
+            self.passes[name] = max(self.vtime, self.owed.pop(name, self.vtime))
 
     def pick(self, head):
         return min(self.passes, key=lambda name: (self.passes[name], head(name)))
@@ -52,7 +57,13 @@ class _Level:
         self.passes[name] += cost
 
     def leave(self, name) -> None:
-        self.vtime = max(self.vtime, self.passes.pop(name))
+        self.owed[name] = self.passes.pop(name)
+
+    def settle(self) -> None:
+        if self.owed:
+            floor = min(self.passes.values(), default=math.inf)
+            self.vtime = max(self.vtime, min(floor, max(self.owed.values())))
+            self.owed = {n: p for n, p in self.owed.items() if p > self.vtime}
 
 
 class StrideModel:
@@ -98,6 +109,8 @@ class StrideModel:
             if not inner.passes:
                 self.tenants.leave(tenant)
                 del self.keys[tenant]
+        for level in (*self.keys.values(), self.tenants):
+            level.settle()
         if n == max_items:
             reason = "size"
         else:
