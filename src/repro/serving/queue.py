@@ -163,14 +163,14 @@ class _TenantGroup:
         self.weight = weight
         #: Outer stride pass; the lowest-pass tenant is served next.
         self.pass_value = pass_value
-        #: Inner virtual time (highest pass of a served or pruned bucket);
-        #: newly ready buckets join at this point, never earlier, so an
-        #: idle bucket cannot bank credit against active ones.
+        #: Inner virtual time (see :func:`_settle_level`); newly ready
+        #: buckets join at this point, never earlier, so an idle bucket
+        #: cannot bank credit against active ones.
         self.vtime = 0.0
         #: Requests queued across this tenant's buckets.
         self.depth = 0
-        #: batch_key -> bucket, holding exactly the keys with queued (or
-        #: batch-forming) traffic of this tenant.
+        #: batch_key -> bucket: this tenant's keys with queued (or
+        #: batch-forming) traffic, and drained ones still owing debt.
         self.buckets: dict = {}
 
     def head_seq(self) -> int:
@@ -287,17 +287,16 @@ class RequestQueue:
         self._cond = threading.Condition()
         self._closed = False
         self._draining = False
-        #: tenant -> group, holding exactly the tenants and keys with queued
-        #: (or batch-forming) traffic: emptied buckets and groups are
-        #: pruned after every pop/expiry sweep, so a long-lived queue
-        #: seeing unbounded distinct keys (every float deadline is its own
-        #: key) stays bounded by concurrent traffic, not by history.
+        #: tenant -> group, holding the tenants and keys with queued (or
+        #: batch-forming) traffic plus drained ones still owing stride
+        #: debt: the rest are pruned after every pop/expiry sweep, so a
+        #: long-lived queue seeing unbounded distinct keys stays bounded
+        #: by recent traffic, not by history.
         self._groups: dict = {}
         self._depth = 0
-        #: Outer stride virtual time (highest pass of a served or pruned
-        #: tenant);
-        #: newly ready tenants join at this point, never earlier, so an
-        #: idle tenant cannot bank credit against active ones.
+        #: Outer stride virtual time (see :func:`_settle_level`); newly
+        #: ready tenants join at this point, never earlier, so an idle
+        #: tenant cannot bank credit against active ones.
         self._vtime = 0.0
 
     # -- state ---------------------------------------------------------------
@@ -533,11 +532,9 @@ class RequestQueue:
         """Drop drained buckets and groups once they owe no stride debt.
 
         Every distinct key ever seen would otherwise pin a bucket forever
-        (a float deadline is its own key, so long-lived services see
-        unbounded key cardinality) and every per-batch key scan would pay
-        for it.  See :func:`_settle_level` for when a drained entry may
-        go.  Buckets a consumer is still anchored on are kept (their
-        deque must stay live for same-key arrivals).
+        (a float deadline is its own key) and every per-batch key scan
+        would pay for it.  Buckets a consumer is still anchored on are
+        kept (their deque must stay live for same-key arrivals).
         """
         for group in self._groups.values():
             group.vtime = _settle_level(
