@@ -5,7 +5,8 @@ These are true pytest-benchmark timings (many rounds): recording a
 Algorithm 1 scheduling of one item, Algorithm 2 scheduling of one item, a
 full Q-greedy rollout, and the dispatch tick — a 16-item batch scheduled
 via the per-item serial loop vs the vectorized ``schedule_batch`` (one
-stacked forward + masked argmax per round).
+stacked forward per round over the rows whose observation changed, plus a
+masked argmax).
 """
 
 from conftest import shared_context

@@ -4,8 +4,8 @@ Measures labeled items/sec on the scheduling hot path (the ground truth is
 pre-recorded — recording cost is identical across backends) and reports
 each backend's speedup over per-item serial labeling.  The headline number
 is the batched backend at batch size 64 on the unconstrained Q-greedy
-path: one stacked Q-network forward per scheduling round instead of one
-forward per item per step.
+path: one stacked Q-network forward per scheduling round over the rows
+whose observation changed instead of one forward per item per step.
 
 Run standalone (the CI smoke path uses a tiny world)::
 

@@ -8,7 +8,7 @@ Two views of `repro.serving.LabelingService`:
    and engine.  The headline claim: at full scale on the unconstrained
    path, micro-batching sustains >= 3x the items/sec of per-item dispatch,
    because each flush becomes one stacked Q-network forward per round
-   instead of per item.
+   over the rows whose observation changed instead of per item.
 2. **Open-loop latency** — items submitted at fixed arrival rates across a
    grid of ``max_wait`` flush timers; reports p50/p95/p99 queue wait and
    service time per cell.  p99 queue wait stays bounded by ``max_wait``
@@ -224,7 +224,8 @@ def test_service_speedup_over_per_item_dispatch():
 
     Same service machinery on both sides — only the micro-batch size
     differs — so the ratio isolates what request coalescing buys: one
-    stacked forward per scheduling round instead of one per item.
+    stacked forward per scheduling round over the rows whose observation
+    changed instead of one per item.
     """
     per_item = closed_loop_items_per_second("full", 128, 1, 2, repeats=2)
     batched = closed_loop_items_per_second("full", 128, 64, 2, repeats=2)

@@ -12,13 +12,13 @@ Constraints travel as one :class:`~repro.spec.LabelingSpec` — pass
 ``spec=LabelingSpec(deadline=0.5)`` to any labeling call; omitting it
 means the default, unconstrained spec.
 
-The "prediction-scheduling-execution" loop lives in
-:mod:`repro.engine`: every labeling call delegates to a
-:class:`~repro.engine.LabelingEngine`, so single items, batches, and
-streams all go through the same backend machinery.  The default
-``batched`` backend runs one stacked Q-network forward per scheduling
-round across all in-flight items and produces traces identical to serial
-execution; pass another registry name (``backend="serial"``), a typed
+The "prediction-scheduling-execution" loop lives in :mod:`repro.engine`:
+every labeling call delegates to a :class:`~repro.engine.LabelingEngine`, so
+single items, batches, and streams all go through the same backend
+machinery.  The default ``batched`` backend runs one stacked Q-network
+forward per scheduling round over the in-flight items whose observation
+changed and produces traces identical to serial execution; pass another
+registry name (``backend="serial"``), a typed
 :class:`~repro.engine.config.BackendConfig`, or a constructed backend to
 change the execution strategy.
 """

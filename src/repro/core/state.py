@@ -3,8 +3,8 @@
 The state is an ``n``-dimensional binary vector (``n = |L(M)|``) whose i-th
 bit records whether label i has been output (at valuable confidence) by any
 executed model.  :class:`LabelingState` also tracks which models were
-executed and the running value of the output set — bookkeeping every
-scheduling policy needs.
+executed, the running value of the output set, and a ``revision`` that
+moves exactly when the vector does — bookkeeping every scheduling policy needs.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ class LabelingState:
     def __init__(self, truth: GroundTruth, item_id: str):
         self.truth = truth
         self.item_id = item_id
-        n_labels = len(truth.zoo.space)
-        self._bits = np.zeros(n_labels, dtype=np.float32)
-        self._conf = np.zeros(n_labels, dtype=np.float64)
+        self._bits = np.zeros(len(truth.zoo.space), dtype=np.float32)
+        self._conf = np.zeros(self._bits.shape, dtype=np.float64)
         self.executed = np.zeros(len(truth.zoo), dtype=bool)
         self.value = 0.0
-        self.elapsed_time = 0.0
+        self.revision = 0  # bumped exactly when ``vector`` gains a bit
 
     # -- views ---------------------------------------------------------------
 
@@ -46,10 +45,6 @@ class LabelingState:
         return self._conf
 
     @property
-    def n_executed(self) -> int:
-        return int(self.executed.sum())
-
-    @property
     def remaining(self) -> np.ndarray:
         """Indices of models not yet executed."""
         return np.nonzero(~self.executed)[0]
@@ -59,14 +54,9 @@ class LabelingState:
         return bool(self.executed.all())
 
     @property
-    def total_value(self) -> float:
-        """f(M, d): the best achievable value on this item."""
-        return self.truth.total_value(self.item_id)
-
-    @property
     def recall(self) -> float:
         """Recall rate of true output value accumulated so far."""
-        total = self.total_value
+        total = self.truth.total_value(self.item_id)
         return self.value / total if total > 0 else 1.0
 
     # -- transitions -----------------------------------------------------------
@@ -84,23 +74,14 @@ class LabelingState:
                 f"model index {model_index} already executed on {self.item_id}"
             )
         self.executed[model_index] = True
-        self.elapsed_time += float(self.truth.zoo[model_index].time)
         ids, confs = self.truth.valuable(self.item_id, model_index)
         if len(ids) == 0:
             return ids, confs
         gains = np.maximum(confs - self._conf[ids], 0.0)
         new_mask = gains > 0.0
         np.maximum.at(self._conf, ids, confs)
-        self._bits[ids] = 1.0
+        if not self._bits[ids].all():
+            self._bits[ids] = 1.0
+            self.revision += 1
         self.value += float(gains.sum())
         return ids[new_mask], confs[new_mask]
-
-    def copy(self) -> "LabelingState":
-        """An independent copy (used by look-ahead baselines)."""
-        clone = LabelingState(self.truth, self.item_id)
-        clone._bits = self._bits.copy()
-        clone._conf = self._conf.copy()
-        clone.executed = self.executed.copy()
-        clone.value = self.value
-        clone.elapsed_time = self.elapsed_time
-        return clone

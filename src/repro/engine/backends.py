@@ -8,15 +8,15 @@ traces identical to :class:`SerialBackend`, the single-item reference:
 
 * :class:`SerialBackend` — one item at a time, one ``(1, n)`` forward per
   step; the parity baseline.
-* :class:`BatchedBackend` — all in-flight items advance in lock-step
-  rounds with **one** stacked forward per round, in every regime.  Both
-  run the same per-item episode under the same selection (see
-  :mod:`repro.scheduling.base`), so parity is structural — with one
-  caveat: the stacked ``(B, n)`` forward and the serial ``(1, n)``
-  forward may differ in the last ULP on some BLAS builds, so exact
-  parity additionally assumes no two candidate Q values sit within that
-  rounding distance — vanishingly rare with continuous weights, and
-  enforced empirically by the parity tests on seeded worlds.
+* :class:`BatchedBackend` — all in-flight items advance in lock-step rounds
+  with **one** stacked forward per round over the rows whose observation
+  changed, in every regime.  Both run the same per-item episode under the
+  same selection (see :mod:`repro.scheduling.base`), so parity is structural
+  — with one caveat: a stacked ``(B, n)`` forward (a reused row's included)
+  and the serial ``(1, n)`` forward may differ in the last ULP on some BLAS
+  builds, so exact parity additionally assumes no two candidate Q values sit
+  within that rounding distance — vanishingly rare with continuous weights,
+  and enforced empirically by the parity tests on seeded worlds.
 
 The backends that leave the process — the process pool and the socket
 cluster — are two transports under the one chunk protocol in
@@ -134,8 +134,8 @@ class SerialBackend(ExecutionBackend):
 
 
 class BatchedBackend(ExecutionBackend):
-    """Lock-step rounds with one stacked forward per round: same episode,
-    same selection as :class:`SerialBackend` (module docstring: ULP caveat)."""
+    """Lock-step rounds, one stacked forward per round over the rows whose
+    observation changed; episodes and selection as in :class:`SerialBackend`."""
 
     name = "batched"
 

@@ -70,6 +70,8 @@ class GraphPredictor(QValuePredictor):
     network involved — a fully interpretable Algorithm 1/2 driver.
     """
 
+    observation_only = False  # evidence reads ``executed``
+
     def __init__(
         self,
         graph: ModelRelationshipGraph,

@@ -1,12 +1,12 @@
 """Dispatch-tick instrumentation: the hooks the hot path actually calls.
 
 The lock-step driver behind every ``schedule_batch``
-(:func:`repro.scheduling.base.run_lockstep`) is the system's hot loop
-— one stacked Q-forward plus a masked argmax per round — and the engine's
-``_run_batch`` wraps every backend dispatch.  Both ask this module for an
-observer; when nothing is installed the answer is ``None`` and the hot
-path pays exactly one module-global read and one branch, with **zero**
-timing calls — that near-free bare path is what lets the overhead
+(:func:`repro.scheduling.base.run_lockstep`) is the system's hot loop — per
+round, one stacked Q-forward over the rows whose observation changed and one
+masked argmax — and the engine's ``_run_batch`` wraps every backend dispatch.
+Both ask this module for an observer; when nothing is installed the answer is
+``None`` and the hot path pays exactly one module-global read and one branch,
+with **zero** timing calls — that near-free bare path is what lets the overhead
 benchmark compare instrumented against uninstrumented dispatch honestly.
 
 :func:`install` binds a :class:`TickInstrumentation` to a
@@ -14,7 +14,7 @@ benchmark compare instrumented against uninstrumented dispatch honestly.
 schedule tick records, per regime:
 
 * ``repro_sched_tick_seconds``        — per-round tick duration (summary)
-* ``repro_sched_rounds_total``        — rounds, i.e. stacked Q-forwards
+* ``repro_sched_rounds_total``        — selection rounds (forwards ≤ rounds)
 * ``repro_sched_models_executed_total`` — model executions (= trace lengths)
 * ``repro_sched_batches_total`` / ``repro_sched_batch_items_total``
 
@@ -68,7 +68,7 @@ class TickInstrumentation:
         )
         self._rounds = registry.counter(
             "repro_sched_rounds_total",
-            "Dispatch-tick rounds run (one stacked Q-forward each)",
+            "Dispatch-tick selection rounds (a Q-forward only if a row is stale)",
             labelnames=("regime",),
         )
         self._models = registry.counter(

@@ -12,7 +12,8 @@ Each engine regime (Q-greedy, Algorithm 1, Algorithm 2) states its
 algorithm **once**, as a per-item generator — an *episode* — and the two
 drivers below run it: :func:`run_episode` one item at a time (what
 ``schedule()`` and ``SerialBackend`` do), :func:`run_lockstep` many items
-per stacked forward (what ``schedule_batch()`` and ``BatchedBackend`` do).
+per round, one stacked forward over the rows whose observation changed
+(what ``schedule_batch()`` and ``BatchedBackend`` do).
 
 * The **episode** owns everything about its item: the
   :class:`~repro.core.state.LabelingState`, the trace, clocks and budgets,
@@ -254,16 +255,20 @@ def run_episode(episode: Episode, predictor: "QValuePredictor", cost) -> Schedul
 def run_lockstep(
     episodes: list[Episode], predictor: "QValuePredictor", cost, regime: str
 ) -> list[ScheduleTrace]:
-    """Drive many episodes together: one ``predict_batch`` per round.
+    """Drive many episodes together: one ``predict_batch`` per round over
+    the rows whose observation changed.
 
-    Every round stacks the states of the episodes still waiting on a pick
-    (in item order), predicts once, selects once for all rows, and resumes
-    each episode with its own pick and Q row.  ``regime`` labels the
+    Every round stacks the Q rows of the episodes still waiting on a pick
+    (in item order), selects once for all rows, and resumes each episode
+    with its own pick and Q row; an ``observation_only`` predictor's row is
+    reused until the state's ``revision`` moves.  ``regime`` labels the
     ``repro_sched_*`` series when obs instrumentation is installed; the
     bare path pays one branch per round and no timing calls.
     """
     traces: list[ScheduleTrace | None] = [None] * len(episodes)
     observer = batch_observer(regime, len(episodes))
+    # Per slot: its last forwarded Q row and the revision it read (-1: stale).
+    rows, seen = None, [-1] * len(episodes)
     waiting = []
     for slot, episode in enumerate(episodes):
         request, traces[slot] = _advance(episode)
@@ -272,7 +277,15 @@ def run_lockstep(
     while waiting:
         if observer is not None:
             tick_started = perf_counter()
-        q_batch = predictor.predict_batch([state for _, state, _ in waiting])
+        stale = [(s, st) for s, st, _ in waiting if seen[s] != st.revision]
+        if stale:
+            fresh = predictor.predict_batch([state for _, state in stale])
+            if rows is None:
+                rows = np.empty((len(episodes), fresh.shape[1]), fresh.dtype)
+            rows[[slot for slot, _ in stale]] = fresh
+            for slot, state in stale:
+                seen[slot] = state.revision if predictor.observation_only else -1
+        q_batch = rows[[slot for slot, _, _ in waiting]]
         picks = best_ratio(q_batch, np.stack([mask for *_, mask in waiting]), cost)
         resumed = []
         for (slot, _, _), pick, q in zip(waiting, picks.tolist(), q_batch):

@@ -35,6 +35,9 @@ from repro.zoo.oracle import GroundTruth
 class QValuePredictor:
     """Predicts per-model values from the labeling state."""
 
+    #: Predictions read the state only through ``vector`` (and the item).
+    observation_only = True
+
     def predict(self, state: LabelingState) -> np.ndarray:
         """Return one value per zoo model (higher = more promising)."""
         raise NotImplementedError
@@ -91,6 +94,7 @@ class OraclePredictor(QValuePredictor):
 
     #: Per-item dense matrices kept before evicting the least recently used.
     CACHE_ITEMS = 512
+    observation_only = False  # gains read ``confidences``
 
     def __init__(self, truth: GroundTruth, item_id: str | None = None):
         self.truth = truth

@@ -5,19 +5,19 @@ one :class:`~repro.engine.engine.LabelingEngine`.  Clients :meth:`submit`
 single items and get back futures; a dispatcher thread coalesces queued
 requests into micro-batches — flushing when ``batch_size`` is reached or
 ``max_wait`` has elapsed since the batch started forming, whichever comes
-first — and hands each batch **only to a free worker thread**, which runs
-the engine's batched path (one stacked Q forward per tick, see
-:class:`~repro.engine.backends.BatchedBackend`).  While every worker is
-busy the dispatcher holds at most one formed batch; the backlog stays
-queued, under its depth bound, admission deadlines and fair dispatch.
-Event-loop clients pass ``wait="async"`` to :meth:`~LabelingService.submit`
-/ :meth:`~LabelingService.submit_many` — the same futures wrapped with
-:func:`asyncio.wrap_future` after non-blocking admission — and
-``backend="process"`` moves the CPU-bound scheduling phase into worker
-processes (the GIL otherwise caps the whole worker pool near one core)
-while admission, caching, and truth refcounting stay in the parent;
-``backend=ClusterConfig(...)`` moves it onto socket workers that may
-live on other hosts.
+first — and hands each batch **only to a free worker thread**, which runs the
+engine's batched path (one stacked Q forward per tick over the rows whose
+observation changed, see :class:`~repro.engine.backends.BatchedBackend`).
+While every worker is busy the dispatcher holds at most one formed batch; the
+backlog stays queued, under its depth bound, admission deadlines and fair
+dispatch.  Event-loop clients pass ``wait="async"`` to
+:meth:`~LabelingService.submit` / :meth:`~LabelingService.submit_many` — the
+same futures wrapped with :func:`asyncio.wrap_future` after non-blocking
+admission — and ``backend="process"`` moves the CPU-bound scheduling phase
+into worker processes (the GIL otherwise caps the whole worker pool near one
+core) while admission, caching, and truth refcounting stay in the parent;
+``backend=ClusterConfig(...)`` moves it onto socket workers that may live on
+other hosts.
 
 Each request carries a :class:`~repro.spec.LabelingSpec` — its scheduling
 regime, constraints, and priority.  Requests submitted without one inherit

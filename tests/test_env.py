@@ -87,11 +87,11 @@ class TestRewards:
         env = LabelingEnv(truth, seed=0)
         obs = env.reset()
         for j in range(len(zoo)):
-            state_before = env.state.copy()
+            confs_before = env.state.confidences.copy()
             _, reward, _, _ = env.step(j)
             # recompute expected from the state delta
             ids, confs = truth.valuable(env.state.item_id, j)
-            gains = np.maximum(confs - state_before.confidences[ids], 0.0)
+            gains = np.maximum(confs - confs_before[ids], 0.0)
             new_confs = confs[gains > 0]
             assert reward == pytest.approx(reward_for_output(new_confs))
 
