@@ -294,7 +294,7 @@ def cmd_schedule(args) -> int:
     items = [truth.record(item_id).item for item_id in eval_ids]
     recalls = []
     try:
-        stream = engine.label_stream(items, spec, truth=truth, release_records=False)
+        stream = engine.label_stream(items, spec, truth=truth)
         with closing(stream):  # in-flight runs land before the backend closes
             for result in stream:
                 recalls.append(result.trace.recall_by(args.deadline))

@@ -149,12 +149,9 @@ class AdaptiveModelScheduler:
         spec: LabelingSpec | None = None,
         *,
         truth: GroundTruth | None = None,
-        release_records: bool = False,
     ) -> list[LabelingResult]:
         """Label a batch of items concurrently (input-ordered results)."""
-        return self.engine().label_batch(
-            items, spec, truth=truth, release_records=release_records
-        )
+        return self.engine().label_batch(items, spec, truth=truth)
 
     def label_stream(
         self,
@@ -163,13 +160,8 @@ class AdaptiveModelScheduler:
         *,
         truth: GroundTruth | None = None,
         batch_size: int | None = None,
-        release_records: bool = True,
     ) -> Iterator[LabelingResult]:
         """Label a stream lazily; see :meth:`LabelingEngine.label_stream`."""
         return self.engine().label_stream(
-            items,
-            spec,
-            truth=truth,
-            batch_size=batch_size,
-            release_records=release_records,
+            items, spec, truth=truth, batch_size=batch_size
         )

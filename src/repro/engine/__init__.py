@@ -3,9 +3,10 @@
 This subsystem turns the per-item prediction–scheduling–execution loop
 into a batch/stream pipeline: the :class:`LabelingEngine` records items in
 bulk, drives many items' schedules concurrently through an
-:class:`ExecutionBackend`, and releases ground-truth records once results
-are yielded.  The framework's public ``label``/``label_stream`` delegate
-here; heavy-traffic callers can use the engine directly.
+:class:`ExecutionBackend`, and lets go of the ground-truth records it
+recorded once results are built; the cache frees a record nobody holds.
+The framework's public ``label``/``label_stream`` delegate here;
+heavy-traffic callers can use the engine directly.
 """
 
 from repro.engine.backends import (

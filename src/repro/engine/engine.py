@@ -3,20 +3,20 @@
 :class:`LabelingEngine` is the throughput layer between the public
 framework API and the per-item schedulers.  It accepts batches or streams
 of :class:`~repro.data.datasets.DataItem`, records each batch into the
-ground-truth cache in one pass (:meth:`GroundTruth.record_batch`), hands
-the batch to a pluggable :class:`~repro.engine.backends.ExecutionBackend`,
-assembles :class:`LabelingResult` records, and — on the streaming path,
-which records the next chunk while earlier ones schedule — releases the
-records it created once their results have been yielded, so labeling an
-unbounded stream runs in bounded memory.
+ground-truth cache in one pass (:meth:`GroundTruth.hold`), hands the batch
+to a pluggable :class:`~repro.engine.backends.ExecutionBackend`, assembles
+:class:`LabelingResult` records, and lets go of the batch's records once
+its results are built (:meth:`GroundTruth.unhold`) — on the streaming
+path, which records the next chunk while earlier ones schedule, once they
+have been yielded — so labeling an unbounded stream runs in bounded memory.
 
 Scheduling constraints arrive as one :class:`~repro.spec.LabelingSpec`
 (``spec=``; ``None`` means the default, unconstrained spec), validated
 when it was constructed.
 
-Eviction never touches records that pre-existed in a caller-supplied
-cache: the engine only releases what it recorded itself, and callers can
-opt out entirely with ``release_records=False``.
+The cache decides what is freed: a record the engine recorded goes once
+no running job holds it, and records that pre-existed in a caller-supplied
+cache are never touched.
 """
 
 from __future__ import annotations
@@ -103,22 +103,13 @@ class LabelingEngine:
         return GroundTruth(self.zoo, [], self.world_config)
 
     def _record(
-        self, truth: GroundTruth, items: list, spec: LabelingSpec, holders: dict
-    ) -> tuple[LabelingJob, set[str], float]:
-        """Record a batch: ``(job, owned ids, started)``.  It owns what it adds
-        and takes over ids an earlier batch in ``holders`` (id -> owner) owns."""
+        self, truth: GroundTruth, items: list, spec: LabelingSpec
+    ) -> tuple[LabelingJob, list[str], float]:
+        """Record and hold a batch: ``(job, held ids, started)``."""
         started = perf_counter()
+        held = truth.hold(items)
         ids = tuple(item.item_id for item in items)
-        owned: set[str] = set()
-        for item_id in ids:
-            if item_id in holders:
-                holders[item_id].discard(item_id)
-            elif item_id in truth:
-                continue
-            owned.add(item_id)
-            holders[item_id] = owned
-        truth.record_batch(items)
-        return LabelingJob(truth=truth, item_ids=ids, spec=spec), owned, started
+        return LabelingJob(truth=truth, item_ids=ids, spec=spec), held, started
 
     def _finish(
         self, job: LabelingJob, traces: list, started: float
@@ -143,23 +134,22 @@ class LabelingEngine:
         spec: LabelingSpec | None = None,
         *,
         truth: GroundTruth | None = None,
-        release_records: bool = False,
     ) -> list[LabelingResult]:
         """Label one batch of items under one shared spec.
 
-        Results are input-ordered.  With ``release_records=True`` the
-        records this call added to ``truth`` are evicted before returning
-        (records that were already present are always kept).
+        Results are input-ordered.  The records this call added to
+        ``truth`` are freed before it returns or raises, unless a
+        concurrent job still holds them.
         """
         spec = spec_or(spec)  # a non-spec fails before the zoo runs
         items = list(items)
         if truth is None:
             truth = self._ephemeral_truth()
-        job, owned, started = self._record(truth, items, spec, {})
-        results = self._finish(job, self.backend.run(job, self.predictor), started)
-        if release_records:
-            truth.release_many(owned)
-        return results
+        job, held, started = self._record(truth, items, spec)
+        try:
+            return self._finish(job, self.backend.run(job, self.predictor), started)
+        finally:
+            truth.unhold(held)
 
     def label_stream(
         self,
@@ -168,23 +158,22 @@ class LabelingEngine:
         *,
         truth: GroundTruth | None = None,
         batch_size: int | None = None,
-        release_records: bool = True,
     ) -> Iterator[LabelingResult]:
         """Label a stream lazily, ``batch_size`` items per chunk.
 
         One result per input item, in input order.  This thread records the
         next chunk while up to two earlier ones schedule, so the source is
         read up to three chunks ahead; a finished chunk is yielded before the
-        source is read again, then its engine-added records are released
-        (``release_records=False`` keeps them).  A failing chunk raises after
-        every earlier one; closing early waits for the runs in flight.
+        source is read again, then the records it added are freed.  A failing
+        chunk raises after every earlier one; closing early waits for the
+        runs in flight.
         """
         # Validate at call time, not at the first next().
         spec = spec_or(spec)
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         size = batch_size or self.batch_size
-        return self._stream(items, spec, truth, size, release_records)
+        return self._stream(items, spec, truth, size)
 
     def _stream(
         self,
@@ -192,41 +181,33 @@ class LabelingEngine:
         spec: LabelingSpec,
         truth: GroundTruth | None,
         size: int,
-        release_records: bool,
     ) -> Iterator[LabelingResult]:
         # Truth mutations stay on this thread; pool threads only read it.
         shared = truth if truth is not None else self._ephemeral_truth()
         pool = ThreadPoolExecutor(STREAM_DEPTH, thread_name_prefix="labeling-stream")
-        pending: deque = deque()  # (job, owned, started, future), input order
-        holders: dict[str, set[str]] = {}
+        pending: deque = deque()  # (job, held, started, future), input order
         source, chunk, failure = batched(items, size), [], None
         try:
             while chunk is not None:
                 try:
                     chunk = next(source, None)
                     if chunk is not None:
-                        job, owned, started = self._record(
-                            shared, chunk, spec, holders
-                        )
+                        job, held, started = self._record(shared, chunk, spec)
                         future = pool.submit(self.backend.run, job, self.predictor)
-                        pending.append((job, owned, started, future))
+                        pending.append((job, held, started, future))
                 except Exception as error:  # raised after the chunks before it
                     chunk, failure = None, error
                 while pending and (
                     not chunk or len(pending) > STREAM_DEPTH or pending[0][3].done()
                 ):
-                    job, owned, started, future = pending[0]
+                    job, held, started, future = pending[0]
                     yield from self._finish(job, future.result(), started)
                     pending.popleft()
-                    for item_id in owned:
-                        del holders[item_id]
-                    if release_records:
-                        shared.release_many(owned)
+                    shared.unhold(held)
             if failure is not None:
                 raise failure
         finally:
-            # Never abandon a run mid-exchange: let it land, then release.
+            # Never abandon a run mid-exchange: let it land, then let go.
             wait([entry[3] for entry in pending])
-            if release_records:
-                shared.release_many(list(holders))
+            shared.unhold([item_id for entry in pending for item_id in entry[1]])
             pool.shutdown()

@@ -18,14 +18,6 @@ class Dense:
         self.db = np.zeros_like(self.b)
         self._x: np.ndarray | None = None
 
-    @property
-    def in_dim(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.W.shape[1]
-
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """Forward pass; caches the input for backward when ``train``."""
         if train:
@@ -49,11 +41,6 @@ class Dense:
 
     def grads(self) -> list[np.ndarray]:
         return [self.dW, self.db]
-
-    def copy_from(self, other: "Dense") -> None:
-        """Hard-copy parameters (target-network sync)."""
-        np.copyto(self.W, other.W)
-        np.copyto(self.b, other.b)
 
 
 class ReLU:

@@ -100,13 +100,6 @@ class MLPQNetwork(QNetwork):
     def grads(self) -> list[np.ndarray]:
         return [g for layer in self._layers for g in layer.grads()]
 
-    def clone(self) -> "MLPQNetwork":
-        twin = MLPQNetwork(
-            self.obs_dim, self.n_actions, self.hidden_size, np.random.default_rng(0)
-        )
-        twin.copy_from(self)
-        return twin
-
 
 class DuelingQNetwork(QNetwork):
     """Dueling head: shared trunk, then V (scalar) and A (per-action).
@@ -155,10 +148,3 @@ class DuelingQNetwork(QNetwork):
 
     def grads(self) -> list[np.ndarray]:
         return [g for layer in self._layers for g in layer.grads()]
-
-    def clone(self) -> "DuelingQNetwork":
-        twin = DuelingQNetwork(
-            self.obs_dim, self.n_actions, self.hidden_size, np.random.default_rng(0)
-        )
-        twin.copy_from(self)
-        return twin

@@ -120,13 +120,6 @@ class ScheduleTrace:
             return 1.0
         return self.value_by(deadline) / self.total_value
 
-    def cumulative(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(counts, finish times, cumulative values) along the trace."""
-        counts = np.arange(1, len(self.executions) + 1, dtype=np.float64)
-        times = np.asarray([e.finish_time for e in self.executions])
-        values = np.cumsum([e.marginal_value for e in self.executions])
-        return counts, times, values
-
     def cost_to_recall(self, threshold: float) -> tuple[float, float]:
         """(n models, time) needed to reach a recall threshold.
 

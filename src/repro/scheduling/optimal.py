@@ -240,12 +240,3 @@ class ParetoPlanner:
             time_used=float(times_all[[int(order[k]) for k in best_chosen]].sum()),
             nodes=nodes,
         )
-
-    def frontier(
-        self,
-        truth: GroundTruth,
-        item_id: str,
-        budgets: "np.ndarray | list[float] | tuple[float, ...]",
-    ) -> list[PlanResult]:
-        """The exact cost/recall Pareto frontier: one plan per budget."""
-        return [self.plan(truth, item_id, float(b)) for b in budgets]

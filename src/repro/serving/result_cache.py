@@ -23,8 +23,8 @@ clients asking about the same datum — pure waste for the scheduler.
   service's counters when wired through
   :class:`~repro.serving.service.LabelingService`.
 
-The cache stores *results*, never ground-truth records — the service's
-refcounted record/release lifecycle is untouched, so a cache in front of
+The cache stores *results*, never ground-truth records — the truth
+cache's own holds still decide when a record goes, so a cache in front of
 a shared :class:`~repro.zoo.oracle.GroundTruth` still leaves the truth
 cache clean after every batch.
 """

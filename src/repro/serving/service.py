@@ -15,7 +15,7 @@ dispatch.  Event-loop clients pass ``wait="async"`` to
 same futures wrapped with :func:`asyncio.wrap_future` after non-blocking
 admission — and ``backend="process"`` moves the CPU-bound scheduling phase
 into worker processes (the GIL otherwise caps the whole worker pool near one
-core) while admission, caching, and truth refcounting stay in the parent;
+core) while admission, caching, and recording stay in the parent;
 ``backend=ClusterConfig(...)`` moves it onto socket workers that may live on
 other hosts.
 
@@ -58,11 +58,11 @@ instead of waiting for their bucket's next turn.  Worker threads
 share the engine safely: scheduling is pure reads over recorded outputs
 and stateless network forwards (see ``repro.engine.backends``).  Each
 batch labels against either its own ephemeral ground-truth cache or a
-shared one; with a shared cache the service serializes recording and
-refcounts in-flight item ids, so concurrent batches never record the same
-item twice or evict a record another batch is still scheduling against,
-and service-recorded entries are released once their last batch finishes —
-a long-lived service runs in bounded memory.
+shared one; a shared cache serializes recording and holds each in-flight
+batch's records (:meth:`GroundTruth.hold`), so concurrent batches never
+record the same item twice or evict a record another batch is still
+scheduling against, and a record the service recorded is freed once its
+last batch finishes — a long-lived service runs in bounded memory.
 
 Lifecycle: ``start()`` launches the dispatcher and workers; ``drain()``
 stops admission and waits until every admitted request has resolved;
@@ -225,8 +225,8 @@ class LabelingService:
         With ``backend="process"`` the scheduling phase runs in worker
         *processes* (escaping the GIL) — each worker runs the vectorized
         dispatch tick over its chunk and the encoded payloads travel
-        through shared-memory rings — while the queue, result cache, and
-        shared-truth refcounting stay in this parent process.
+        through the executor pipe — while the queue, result cache, and
+        shared truth stay in this parent process.
         With ``backend=ClusterConfig(workers=..., ...)`` scheduling is
         sharded over socket workers that may live on other hosts.  A
         backend the service constructed itself (from a name or config)
@@ -251,9 +251,9 @@ class LabelingService:
         bound queue wait and are passed to :meth:`submit`.
     truth:
         Optional shared ground-truth cache.  Items already recorded there
-        are scheduled against the existing records; records the engine
-        adds are released after each batch.  Without it every batch uses
-        an ephemeral cache.
+        are scheduled against the existing records; a record the engine
+        adds is freed once no in-flight batch holds it.  Without it every
+        batch uses an ephemeral cache.
     cache / cache_size:
         Optional :class:`ResultCache` in front of the queue (or a
         capacity to build one from); repeat submissions of a cached
@@ -398,13 +398,6 @@ class LabelingService:
         self._pool: ThreadPoolExecutor | None = None
         #: Free workers; the dispatcher hands a batch off only holding one.
         self._slots = threading.Semaphore(workers)
-        # Shared-truth bookkeeping: recording is serialized, and records
-        # stay alive while any in-flight batch references them.
-        self._truth_lock = threading.Lock()
-        #: item_id -> number of in-flight batches containing it.
-        self._live: dict[str, int] = {}
-        #: Ids the service recorded itself (callers' records are never evicted).
-        self._service_owned: set[str] = set()
 
     # -- client API ----------------------------------------------------------
 
@@ -979,29 +972,7 @@ class LabelingService:
 
     def _label_batch(self, items: list[DataItem], spec: LabelingSpec):
         """One engine dispatch; isolated so tests can observe batch makeup."""
-        if self.truth is None:
-            return self.engine.label_batch(items, spec)
-        # Shared cache: record under the lock (GroundTruth is a plain dict
-        # with no synchronization of its own) and pin this batch's records
-        # so a concurrent batch's release cannot evict them mid-schedule.
-        with self._truth_lock:
-            for item in items:
-                if item.item_id not in self.truth:
-                    self._service_owned.add(item.item_id)
-            self.truth.record_batch(items)
-            for item in items:
-                self._live[item.item_id] = self._live.get(item.item_id, 0) + 1
-        try:
-            return self.engine.label_batch(items, spec, truth=self.truth)
-        finally:
-            with self._truth_lock:
-                for item in items:
-                    self._live[item.item_id] -= 1
-                    if self._live[item.item_id] == 0:
-                        del self._live[item.item_id]
-                        if item.item_id in self._service_owned:
-                            self._service_owned.discard(item.item_id)
-                            self.truth.release(item.item_id)
+        return self.engine.label_batch(items, spec, truth=self.truth)
 
     def _process_batch(self, batch: list[LabelingRequest]) -> None:
         started = self._clock()

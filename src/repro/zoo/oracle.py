@@ -15,10 +15,17 @@ From a record's columns it serves
 
 Scheduling policies and the RL environment query this cache instead of
 "running" models, so policy evaluation is deterministic and cheap.
+
+The cache also decides when a record the labeling engine recorded may be
+freed.  Each engine job holds its items while it runs
+(:meth:`~GroundTruth.hold`) and lets go of them after
+(:meth:`~GroundTruth.unhold`); a record is freed once no job holds it.
+Records a caller put in carry no hold and are never freed this way.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +52,9 @@ class GroundTruth:
         self.config = config or WorldConfig()
         self.threshold = self.config.valuable_confidence
         self._records: dict[str, ItemRecord] = {}
+        #: item_id -> holds of running jobs; records absent here are the caller's.
+        self._holds: dict[str, int] = {}
+        self._lock = threading.Lock()
         self.add_items(items)
 
     # -- construction --------------------------------------------------------
@@ -52,9 +62,8 @@ class GroundTruth:
     def add_items(self, items: Iterable[DataItem]) -> list[str]:
         """Execute-and-record the zoo on new items (idempotent per item).
 
-        Returns the ids of items actually recorded by this call, so callers
-        (the labeling engine in particular) can later :meth:`release` exactly
-        the records they introduced.
+        Records put in here carry no hold, so :meth:`unhold` never frees
+        them.  Returns the ids of items actually recorded by this call.
         """
         fresh: dict[str, DataItem] = {}
         for item in items:
@@ -68,8 +77,8 @@ class GroundTruth:
         """Record a batch of items and return their records, input-ordered.
 
         Existing records are reused; missing ones are executed-and-recorded
-        in one pass.  This is the engine's bulk entry point: one call per
-        scheduling batch instead of one :meth:`add_items` per item.
+        in one pass.  :meth:`hold` makes exactly one call per scheduling
+        batch, so an override sees each engine batch once.
         """
         self.add_items(items)
         return [self._records[item.item_id] for item in items]
@@ -85,8 +94,9 @@ class GroundTruth:
         additionally assume the same valuable-confidence threshold, which
         holds whenever parent and worker share a ``WorldConfig``.
 
-        Returns the ids actually adopted by this call so callers can later
-        :meth:`release_many` exactly what they introduced.
+        Adopted records carry no hold, so :meth:`unhold` never frees them.
+        Returns the ids actually adopted by this call, so a worker can
+        :meth:`release_many` exactly what it introduced.
         """
         added: list[str] = []
         for record in records:
@@ -105,28 +115,64 @@ class GroundTruth:
     def records_snapshot(self) -> tuple[ItemRecord, ...]:
         """The current records as an immutable (picklable) tuple.
 
-        Safe against concurrent record/release from other threads (the
-        serving tier snapshots a shared truth while worker threads are
-        recording): on CPython the tuple copy is atomic under the GIL,
-        and the retry covers interpreters where a concurrent resize can
-        surface mid-iteration.  Records are immutable, so any completed
-        copy is a consistent snapshot.
+        Copied under the lock :meth:`hold` and :meth:`unhold` take, so the
+        serving tier can snapshot a shared truth while its worker threads
+        record and free.  Records are immutable, so the copy is consistent.
         """
-        while True:
-            try:
-                return tuple(self._records.values())
-            except RuntimeError:
-                # dict resized during iteration; take a fresh copy
-                continue
+        with self._lock:
+            return tuple(self._records.values())
 
     # -- eviction ---------------------------------------------------------------
 
+    def hold(self, items: Sequence[DataItem]) -> list[str]:
+        """Record a job's items and hold the records it did not find.
+
+        Each occurrence of an item this truth lacks, or that another job
+        already holds, counts one hold; a caller's record is used as is.
+        Returns the held ids, which the job passes to :meth:`unhold` once it
+        no longer reads them.  If recording raises, the holds are removed.
+        """
+        with self._lock:
+            held = [
+                item.item_id
+                for item in items
+                if item.item_id in self._holds or item.item_id not in self._records
+            ]
+            for item_id in held:
+                self._holds[item_id] = self._holds.get(item_id, 0) + 1
+            try:
+                self.record_batch(items)
+            except BaseException:
+                self._drop(held)
+                raise
+        return held
+
+    def unhold(self, held: Iterable[str]) -> int:
+        """Remove a job's holds and free the records nobody holds any more.
+
+        Returns how many records were freed.
+        """
+        with self._lock:
+            return self.release_many(self._drop(held))
+
+    def _drop(self, held: Iterable[str]) -> list[str]:
+        """Remove holds (lock held); the ids nobody holds any more."""
+        free = []
+        for item_id in held:
+            count = self._holds[item_id] - 1
+            if count:
+                self._holds[item_id] = count
+            else:
+                del self._holds[item_id]
+                free.append(item_id)
+        return free
+
     def release(self, item_id: str) -> bool:
-        """Drop one item's record; returns whether it was present.
+        """Drop one item's record, held or not; returns whether it was present.
 
         Long-running streams share one cache, and without eviction it grows
-        with every item ever labeled.  The engine releases records once an
-        item's result has been yielded (opt-out via ``release_records``).
+        with every item ever labeled.  Engine jobs free what they recorded
+        through :meth:`unhold`; this is for records a caller put in.
         """
         return self._records.pop(item_id, None) is not None
 

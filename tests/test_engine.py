@@ -17,6 +17,7 @@ from repro.engine import (
 )
 from repro.scheduling.qgreedy import AgentPredictor
 from repro.zoo.oracle import GroundTruth
+from sharded_contract import PoisonPredictor
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +86,6 @@ class TestBackendParity:
                 spec,
                 truth=truth,
                 batch_size=7,
-                release_records=False,
             )
         )
         for ref, got in zip(from_batch, from_stream):
@@ -159,18 +159,6 @@ class TestRecordLifecycle:
         # everything the engine recorded was evicted after yielding
         assert len(shared) == 0
 
-    def test_stream_keeps_records_on_opt_out(
-        self, zoo, world_config, predictor, items
-    ):
-        shared = GroundTruth(zoo, [], world_config)
-        engine = engine_for(zoo, predictor, world_config, "batched")
-        list(
-            engine.label_stream(
-                items, truth=shared, batch_size=5, release_records=False
-            )
-        )
-        assert len(shared) == len(items)
-
     def test_stream_never_releases_preexisting_records(
         self, zoo, world_config, predictor, items
     ):
@@ -180,15 +168,47 @@ class TestRecordLifecycle:
         # the caller's three pre-recorded items survive; engine-added ones go
         assert set(shared.item_ids) == {item.item_id for item in items[:3]}
 
-    def test_label_batch_release_opt_in(
-        self, zoo, world_config, predictor, items
-    ):
-        shared = GroundTruth(zoo, [], world_config)
+    def test_label_batch_frees_what_it_added(self, zoo, world_config, predictor, items):
+        shared = GroundTruth(zoo, items[:3], world_config)
         engine = engine_for(zoo, predictor, world_config, "batched")
-        engine.label_batch(items[:6], truth=shared)
-        assert len(shared) == 6  # batch path keeps records by default
-        engine.label_batch(items[6:12], truth=shared, release_records=True)
-        assert len(shared) == 6  # the second batch was evicted
+        results = engine.label_batch(items[:6], truth=shared)
+        assert [r.item_id for r in results] == [i.item_id for i in items[:6]]
+        # the batch freed the three records it added; the caller's stay
+        assert set(shared.item_ids) == {item.item_id for item in items[:3]}
+
+    def test_failed_run_frees_its_records(self, zoo, world_config, predictor, items):
+        shared = GroundTruth(zoo, [], world_config)
+        batch = items[:12]
+        poisoned = engine_for(
+            zoo, PoisonPredictor(len(zoo), batch[5].item_id), world_config, "batched"
+        )
+        with pytest.raises(RuntimeError, match="poisoned item"):
+            poisoned.label_batch(batch, truth=shared)
+        assert len(shared) == 0
+        engine = engine_for(zoo, predictor, world_config, "batched")
+        results = engine.label_batch(batch, truth=shared)
+        assert [r.item_id for r in results] == [i.item_id for i in batch]
+        assert len(shared) == 0
+
+    def test_failed_recording_leaves_no_hold(self, zoo, world_config, predictor, items):
+        class FailingTruth(GroundTruth):
+            failing = True
+
+            def record_batch(self, batch):
+                if self.failing:
+                    raise RuntimeError("recording failed")
+                return super().record_batch(batch)
+
+        shared = FailingTruth(zoo, [], world_config)
+        engine = engine_for(zoo, predictor, world_config, "batched")
+        with pytest.raises(RuntimeError, match="recording failed"):
+            engine.label_batch(items[:12], truth=shared)
+        assert len(shared) == 0
+        shared.failing = False
+        results = engine.label_batch(items[:12], truth=shared)
+        assert [r.item_id for r in results] == [i.item_id for i in items[:12]]
+        # a hold left by the failed call would keep these records alive
+        assert len(shared) == 0
 
 
 class TestEngineApi:
@@ -257,7 +277,6 @@ class TestEngineApi:
                 items[:8],
                 LabelingSpec(deadline=0.4),
                 truth=truth,
-                release_records=False,
             )
         )
         assert [r.item_id for r in results] == [i.item_id for i in items[:8]]

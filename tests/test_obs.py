@@ -2,6 +2,8 @@
 
 import json
 import logging
+import multiprocessing
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -9,7 +11,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.engine import LabelingEngine
+from repro.engine import ClusterConfig, LabelingEngine, ProcessConfig
 from repro.obs import (
     MetricFamily,
     MetricsRegistry,
@@ -399,6 +401,65 @@ class TestServiceIntegration:
             "repro_in_flight",
             "repro_slo_completed_total",
         } <= set(service.registry.snapshot())
+
+
+def mp_context():
+    method = os.environ.get("REPRO_MP_CONTEXT")
+    return multiprocessing.get_context(method) if method else None
+
+
+def samples(snapshot, name):
+    return {
+        tuple(sorted(row["labels"].items())): row["value"]
+        for row in snapshot[name]["samples"]
+    }
+
+
+class TestShardedBackendFamilies:
+    """The bridge's worker, chunk, transport and cluster rows."""
+
+    def scrape(self, engine, items, backend):
+        """The registry snapshot and the backend's own stats, both read
+        before shutdown closes the backend."""
+        registry = MetricsRegistry()
+        service = LabelingService(
+            engine, backend=backend, batch_size=8, max_wait=0.005, registry=registry
+        )
+        with service:
+            for future in service.submit_many(items):
+                future.result(timeout=60)
+            service.drain()
+            backend = service.engine.backend
+            cluster = getattr(backend, "cluster_stats", None)
+            return registry.snapshot(), backend.chunk_stats, cluster
+
+    def test_process_pool_rows_match_the_backend(self, engine, items):
+        snapshot, stats, _ = self.scrape(
+            engine, items[:16], ProcessConfig(max_workers=2, mp_context=mp_context())
+        )
+        assert sum(samples(snapshot, "repro_worker_items_total").values()) == 16
+        assert stats["chunks"] > 0
+        for name, key in (
+            ("repro_backend_chunks_total", "chunks"),
+            ("repro_backend_chunk_items_total", "items"),
+            ("repro_backend_chunk_seconds_total", "seconds"),
+            ("repro_backend_last_chunk_size", "last_chunk_size"),
+        ):
+            assert samples(snapshot, name) == {(): stats[key]}
+        assert samples(snapshot, "repro_backend_transport_total") == {
+            (("path", path),): count for path, count in stats["transport"].items()
+        }
+        assert "repro_cluster_worker_alive" not in snapshot
+
+    def test_cluster_workers_report_alive(self, engine, items):
+        snapshot, _, cluster = self.scrape(
+            engine, items[:16], ClusterConfig(local_workers=2, mp_context=mp_context())
+        )
+        assert sum(samples(snapshot, "repro_worker_items_total").values()) == 16
+        assert len(cluster["workers"]) == 2
+        assert samples(snapshot, "repro_cluster_worker_alive") == {
+            (("worker", address),): 1 for address in cluster["workers"]
+        }
 
 
 class TestTelemetryValidation:

@@ -116,6 +116,16 @@ class TestEviction:
         gt.add_items(dataset[:1])
         assert gt.output(item_id, 0) == before
 
+    def test_holds_free_engine_records_only(self, zoo, dataset, world_config):
+        gt = GroundTruth(zoo, dataset[:1], world_config)
+        ids = [item.item_id for item in dataset[:4]]
+        first = gt.hold(dataset[:3])  # the caller's record is not held
+        second = gt.hold(dataset[1:4])  # 1 and 2 are held by both jobs
+        assert (first, second) == (ids[1:3], ids[1:4])
+        assert gt.unhold(first) == 0
+        assert gt.unhold(second) == 3
+        assert gt.item_ids == (ids[0],)
+
 
 class TestAggregates:
     def test_useful_fraction_in_unit_interval(self, truth):

@@ -105,11 +105,7 @@ def test_ids_repeated_across_in_flight_chunks(
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the caller and the pool threads
     try:
-        got = list(
-            engine.label_stream(
-                stream, SPEC, truth=shared, batch_size=size, release_records=True
-            )
-        )
+        got = list(engine.label_stream(stream, SPEC, truth=shared, batch_size=size))
     finally:
         sys.setswitchinterval(interval)
     assert_parity(got, reference(zoo, predictor, world_config, stream))
