@@ -208,16 +208,15 @@ def cmd_record(args) -> int:
 
 
 def cmd_train(args) -> int:
+    try:
+        train_config = TrainConfig(episodes=args.episodes, hidden_size=args.hidden)
+    except ValueError as exc:
+        raise SystemExit(f"train: {exc}") from None
     config, _, zoo = _world(args)
     truth = load_ground_truth(zoo, args.truth, config)
     item_ids = list(truth.item_ids)
     train_ids, _ = _split_ids(item_ids, args.seed)
-    result = train_agent(
-        args.algo,
-        truth,
-        train_ids,
-        config=TrainConfig(episodes=args.episodes, hidden_size=args.hidden),
-    )
+    result = train_agent(args.algo, truth, train_ids, config=train_config)
     result.agent.save(args.out)
     returns = result.smoothed_returns(20)
     tail = float(returns[-1]) if len(returns) else float("nan")

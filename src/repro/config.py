@@ -15,7 +15,9 @@ Three scales are used throughout the repository:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 
 #: Confidence threshold above which an emitted label counts as "valuable"
@@ -71,6 +73,25 @@ class TrainConfig:
     #: Whether the END action is available during training (paper: yes).
     use_end_action: bool = True
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        """Reject values that would void training or crash it mid-run."""
+        counts = ("episodes", "hidden_size", "batch_size", "replay_capacity")
+        for name in (*counts, "update_every", "target_sync_every", "warmup_steps"):
+            value, floor = getattr(self, name), 0 if name == "warmup_steps" else 1
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
+        # The agents' bootstrap needs gamma < 1; NaN fails every comparison.
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
+        if not 0.0 < self.learning_rate <= sys.float_info.max:
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
+            raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
 
     def with_(self, **kwargs) -> "TrainConfig":
         return replace(self, **kwargs)

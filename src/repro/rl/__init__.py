@@ -7,9 +7,9 @@ DuelingDQN and DeepSARSA (§IV-B).  This package provides:
 * :mod:`repro.rl.nn` — a minimal dense-network autodiff library (He init,
   ReLU, Adam, Huber loss) sufficient for Q-learning at that scale;
 * :mod:`repro.rl.replay` — a uniform ring-buffer replay memory;
-* :mod:`repro.rl.env` — the labeling MDP over recorded ground truth;
 * :mod:`repro.rl.agents` — the four agent variants behind one interface;
-* :mod:`repro.rl.training` — the training loop and serialization.
+* :mod:`repro.rl.training` — the training loop, playing the Q-greedy
+  episode (:func:`~repro.scheduling.qgreedy.qgreedy_episode`) as the MDP.
 """
 
 from repro.rl.agents import (
@@ -21,7 +21,6 @@ from repro.rl.agents import (
     QAgent,
     make_agent,
 )
-from repro.rl.env import LabelingEnv
 from repro.rl.replay import ReplayBuffer, Transition
 from repro.rl.schedule import EpsilonSchedule
 from repro.rl.training import TrainingResult, train_agent
@@ -34,7 +33,6 @@ __all__ = [
     "DuelingDQNAgent",
     "QAgent",
     "make_agent",
-    "LabelingEnv",
     "ReplayBuffer",
     "Transition",
     "EpsilonSchedule",

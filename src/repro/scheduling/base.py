@@ -32,6 +32,9 @@ per round, one stacked forward over the rows whose observation changed
   with items: each item's control flow is its own generator.
 
 A *round* is therefore one iteration of the loop in each driver.
+
+Training (:func:`repro.rl.training.train_agent`) plays the Q-greedy episode
+with the agent's epsilon-greedy actions in place of :func:`best_ratio`.
 """
 
 from __future__ import annotations
@@ -227,7 +230,7 @@ def best_ratio(q: np.ndarray, mask: np.ndarray, cost) -> np.ndarray:
         return np.argmax(np.where(mask, q / cost, -np.inf), axis=-1)
 
 
-def _advance(episode: Episode, reply=None):
+def advance(episode: Episode, reply=None):
     """Resume ``episode``: ``(its next request, None)`` or ``(None, trace)``."""
     try:
         return episode.send(reply), None
@@ -237,11 +240,11 @@ def _advance(episode: Episode, reply=None):
 
 def run_episode(episode: Episode, predictor: "QValuePredictor", cost) -> ScheduleTrace:
     """Drive one episode to its trace: one ``predict`` per step."""
-    request, trace = _advance(episode)
+    request, trace = advance(episode)
     while request is not None:
         state, mask = request
         q = predictor.predict(state)
-        request, trace = _advance(episode, (int(best_ratio(q, mask, cost)), q))
+        request, trace = advance(episode, (int(best_ratio(q, mask, cost)), q))
     return trace
 
 
@@ -264,7 +267,7 @@ def run_lockstep(
     rows, seen = None, [-1] * len(episodes)
     waiting = []
     for slot, episode in enumerate(episodes):
-        request, traces[slot] = _advance(episode)
+        request, traces[slot] = advance(episode)
         if request is not None:
             waiting.append((slot, *request))
     while waiting:
@@ -282,7 +285,7 @@ def run_lockstep(
         picks = best_ratio(q_batch, np.stack([mask for *_, mask in waiting]), cost)
         resumed = []
         for (slot, _, _), pick, q in zip(waiting, picks.tolist(), q_batch):
-            request, traces[slot] = _advance(episodes[slot], (pick, q))
+            request, traces[slot] = advance(episodes[slot], (pick, q))
             if request is not None:
                 resumed.append((slot, *request))
         waiting = resumed

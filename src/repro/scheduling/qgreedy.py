@@ -1,9 +1,13 @@
-"""Q-value greedy policy and the predictor abstraction.
+"""Q-value greedy policy, its episode, and the predictor abstraction.
 
 The *Q-value greedy policy* (§VI-B) executes, at every step, the remaining
 model with the maximal predicted Q value given the current labeling state.
 It is cost-oblivious; Algorithm 1 adds cost-awareness on top of the same
 predictions.
+
+:func:`qgreedy_episode` is also the training MDP of §IV-B:
+:func:`repro.rl.training.train_agent` plays it with the agent's actions,
+adding END and the Eq. (3) reward.
 
 :class:`QValuePredictor` is the thin interface the scheduling layer sees:
 "given the labeling state, predict a value per model".  The default
@@ -16,20 +20,24 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.state import LabelingState
-from repro.rl.agents import QAgent
 from repro.scheduling.base import (
     Episode,
     OrderingPolicy,
     ScheduleTrace,
+    best_ratio,
     execute_serially,
+    run_episode,
     run_lockstep,
-    run_ordering_policy,
 )
 from repro.zoo.oracle import GroundTruth
+
+if TYPE_CHECKING:
+    from repro.rl.agents import QAgent
 
 
 class QValuePredictor:
@@ -55,7 +63,7 @@ class QValuePredictor:
 class AgentPredictor(QValuePredictor):
     """Wraps a trained Q agent; model actions only (END is training-only)."""
 
-    def __init__(self, agent: QAgent, n_models: int):
+    def __init__(self, agent: "QAgent", n_models: int):
         if agent.n_actions < n_models:
             raise ValueError(
                 f"agent has {agent.n_actions} actions but zoo has {n_models} models"
@@ -155,6 +163,23 @@ class OraclePredictor(QValuePredictor):
         return np.maximum(stacked - confs[:, None, :], 0.0).sum(axis=2)
 
 
+def qgreedy_episode(
+    truth: GroundTruth, item_id: str, max_models: int | None = None
+) -> Episode:
+    """One item's rollout: execute picks among the unexecuted models until
+    all have run or ``max_models`` is hit.  The Q row sent with each pick
+    is not read, so training sends ``None``."""
+    state = LabelingState(truth, item_id)
+    trace = ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
+    clock = 0.0
+    # Every step runs one more model, so the zoo itself bounds the steps.
+    steps = len(truth.zoo)
+    for _ in range(steps if max_models is None else min(max_models, steps)):
+        index, _ = yield state, ~state.executed
+        clock = execute_serially(state, trace, truth, index, clock)
+    return trace
+
+
 class QGreedyPolicy(OrderingPolicy):
     """Greedy on predicted Q values, ignoring costs (§VI-B)."""
 
@@ -164,32 +189,15 @@ class QGreedyPolicy(OrderingPolicy):
         self.predictor = predictor
 
     def next_model(self, state: LabelingState) -> int:
-        q = self.predictor.predict(state)
-        remaining = state.remaining
-        if len(remaining) == 0:
-            raise RuntimeError("no models remain")  # pragma: no cover
-        return int(remaining[np.argmax(q[remaining])])
+        """The episode's pick, for :func:`run_ordering_policy` callers."""
+        return int(best_ratio(self.predictor.predict(state), ~state.executed, 1.0))
 
     def schedule(
         self, truth: GroundTruth, item_id: str, max_models: int | None = None
     ) -> ScheduleTrace:
-        """The serial reference: this policy under the ordering runner."""
-        return run_ordering_policy(self, truth, item_id, max_models)
-
-    def _episode(
-        self, truth: GroundTruth, item_id: str, max_models: int | None
-    ) -> Episode:
-        """One item's rollout: execute picks among the unexecuted models
-        until all have run or ``max_models`` is hit."""
-        state = LabelingState(truth, item_id)
-        trace = ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
-        clock = 0.0
-        # Every step runs one more model, so the zoo itself bounds the steps.
-        steps = len(truth.zoo)
-        for _ in range(steps if max_models is None else min(max_models, steps)):
-            index, _ = yield state, ~state.executed
-            clock = execute_serially(state, trace, truth, index, clock)
-        return trace
+        """The serial reference: :func:`qgreedy_episode` under ``run_episode``."""
+        episode = qgreedy_episode(truth, item_id, max_models)
+        return run_episode(episode, self.predictor, 1.0)
 
     def schedule_batch(
         self,
@@ -200,5 +208,5 @@ class QGreedyPolicy(OrderingPolicy):
         """Lock-step rollout of many items, one stacked prediction per
         round; per-item traces are those of :meth:`schedule` (modulo the
         stacked-forward ULP caveat in :mod:`repro.engine.backends`)."""
-        episodes = [self._episode(truth, item_id, max_models) for item_id in item_ids]
+        episodes = [qgreedy_episode(truth, item_id, max_models) for item_id in item_ids]
         return run_lockstep(episodes, self.predictor, 1.0, "qgreedy")

@@ -12,6 +12,10 @@ from repro.config import (
 )
 
 
+def _overrides_id(overrides: dict) -> str:
+    return ",".join(f"{key}={value}" for key, value in overrides.items())
+
+
 class TestWorldConfig:
     def test_defaults_match_paper(self):
         config = WorldConfig()
@@ -36,6 +40,54 @@ class TestTrainConfig:
     def test_default_gamma_near_myopic(self):
         """The gamma ablation motivated this default; guard it."""
         assert TrainConfig().gamma <= 0.5
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(episodes=-3),
+            dict(episodes=0),
+            dict(hidden_size=0),
+            dict(batch_size=0),
+            dict(replay_capacity=0),
+            dict(update_every=0),
+            dict(target_sync_every=0),
+            dict(warmup_steps=-1),
+            dict(gamma=-0.1),
+            dict(gamma=1.0),
+            dict(gamma=float("nan")),
+            dict(learning_rate=0.0),
+            dict(learning_rate=-1e-3),
+            dict(learning_rate=float("inf")),
+            dict(learning_rate=float("nan")),
+            dict(epsilon_start=1.5),
+            dict(epsilon_end=-0.1),
+            dict(epsilon_start=0.1, epsilon_end=0.2),
+        ],
+        ids=_overrides_id,
+    )
+    def test_rejects_values_that_void_or_crash_training(self, overrides):
+        with pytest.raises(ValueError):
+            TrainConfig(**overrides)
+        with pytest.raises(ValueError):
+            TrainConfig().with_(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(episodes=2.0), dict(batch_size=True)], ids=_overrides_id
+    )
+    def test_rejects_non_integer_counts(self, overrides):
+        with pytest.raises(TypeError, match="must be an integer"):
+            TrainConfig(**overrides)
+
+    def test_accepts_the_boundaries(self):
+        config = TrainConfig(
+            episodes=1,
+            warmup_steps=0,
+            gamma=0.0,
+            epsilon_start=0.0,
+            epsilon_end=0.0,
+            update_every=1,
+        )
+        assert config.warmup_steps == 0 and config.epsilon_start == 0.0
 
 
 class TestScales:

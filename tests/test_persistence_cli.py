@@ -76,6 +76,25 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "lift" in out
 
+    def test_train_rejects_negative_episodes_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        gt_path = tmp_path / "gt.npz"
+        agent_path = tmp_path / "agent.npz"
+        base = ["--scale", "mini"]
+        assert main(base + [
+            "record", "--dataset", "mscoco2017", "--items", "20",
+            "--out", str(gt_path),
+        ]) == 0
+        with pytest.raises(SystemExit, match="episodes must be >= 1") as exit_:
+            main(base + [
+                "train", "--truth", str(gt_path), "--episodes", "-3",
+                "--hidden", "16", "--out", str(agent_path),
+            ])
+        assert exit_.value.code not in (0, None)
+        assert not agent_path.exists()
+        assert "trained" not in capsys.readouterr().out
+
     def test_schedule_with_memory(self, tmp_path, capsys):
         gt_path = tmp_path / "gt.npz"
         agent_path = tmp_path / "agent.npz"
