@@ -231,8 +231,15 @@ def cmd_train(args) -> int:
 def cmd_schedule(args) -> int:
     from pathlib import Path
 
-    if args.resume and args.manifest is None:
-        raise SystemExit("--resume requires --manifest")
+    # Every flag is checked before the truth, agent or manifest is touched.
+    try:
+        if args.resume and args.manifest is None:
+            raise ValueError("--resume requires --manifest")
+        if args.items < 1:
+            raise ValueError("--items must be >= 1")
+        spec = LabelingSpec(deadline=args.deadline, memory_budget=args.memory)
+    except ValueError as exc:
+        raise SystemExit(f"schedule: {exc}") from None
     config, space, zoo = _world(args)
     truth = load_ground_truth(zoo, args.truth, config)
     predictor = _predictor(args, space, zoo)
@@ -288,8 +295,6 @@ def cmd_schedule(args) -> int:
         backend=_backend(args),
         batch_size=args.batch_size,
     )
-    # The CLI flags build one LabelingSpec; everything downstream shares it.
-    spec = LabelingSpec(deadline=args.deadline, memory_budget=args.memory)
     items = [truth.record(item_id).item for item_id in eval_ids]
     recalls = []
     try:
@@ -381,9 +386,7 @@ def cmd_serve(args) -> int:
         service_spec = LabelingSpec()
     else:
         client_specs = None
-        service_spec = LabelingSpec(
-            deadline=args.deadline, memory_budget=args.memory
-        )
+        service_spec = LabelingSpec(deadline=args.deadline, memory_budget=args.memory)
     service, dataset = _build_service(
         args,
         overflow=args.overflow,
@@ -519,12 +522,11 @@ def cmd_gateway(args) -> int:
     from repro.serving.gateway import LabelingGateway, TenantDirectory
 
     # Tenant roster: explicit file > environment JSON > demo roster.
+    show_keys = False
     if args.tenants_file is not None:
         directory = TenantDirectory.from_file(args.tenants_file)
-        show_keys = False
     elif os.environ.get("REPRO_GATEWAY_TENANTS"):
         directory = TenantDirectory.from_env()
-        show_keys = False
     else:
         directory = TenantDirectory.demo(args.demo_tenants)
         show_keys = True  # demo keys are public by construction
@@ -753,9 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="GPU-memory budget in MB (Algorithm 2; requires --deadline)",
     )
     p.add_argument("--items", type=int, default=50)
-    p.add_argument(
-        "--backend", default="batched", choices=sorted(BACKEND_REGISTRY)
-    )
+    p.add_argument("--backend", default="batched", choices=sorted(BACKEND_REGISTRY))
     p.add_argument(
         "--workers",
         type=_workers_arg,
@@ -873,9 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
         cache="result-cache capacity (tenant-partitioned); 0 disables",
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port", type=int, default=0, help="bind port (0 = ephemeral)"
-    )
+    p.add_argument("--port", type=int, default=0, help="bind port (0 = ephemeral)")
     p.add_argument(
         "--duration",
         type=float,
@@ -903,9 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one cluster scheduling worker for --backend cluster",
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port", type=int, default=0, help="bind port (0 = ephemeral)"
-    )
+    p.add_argument("--port", type=int, default=0, help="bind port (0 = ephemeral)")
     p.add_argument(
         "--delay-per-item",
         type=float,
@@ -966,9 +962,7 @@ def _add_service_flags(
     p.add_argument("--workers", type=_workers_arg, default=2, help=workers)
     p.add_argument("--max-depth", type=int, default=1024)
     p.add_argument("--cache-size", type=int, default=cache_size, help=cache)
-    p.add_argument(
-        "--backend", default="batched", choices=sorted(BACKEND_REGISTRY)
-    )
+    p.add_argument("--backend", default="batched", choices=sorted(BACKEND_REGISTRY))
     p.add_argument("--agent", default=None, help="optional trained agent .npz")
     p.add_argument("--algo", default="dueling_dqn", choices=sorted(AGENT_REGISTRY))
     p.add_argument("--hidden", type=int, default=256)

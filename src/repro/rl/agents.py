@@ -90,18 +90,10 @@ class QAgent:
     # -- acting ---------------------------------------------------------------
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
-        """Online-network Q values for one observation."""
-        return self.online.q_values(obs.astype(np.float64))
-
-    def q_values_batch(self, obs: np.ndarray) -> np.ndarray:
-        """Online-network Q values for a stacked (B, obs_dim) batch.
-
-        One forward pass over the whole batch — the vectorized engine
-        backends use this to amortize network cost across in-flight items.
-        """
-        if obs.ndim != 2:
-            raise ValueError(f"expected (B, obs_dim) batch, got shape {obs.shape}")
-        return self.online.forward(obs.astype(np.float64), train=False)
+        """Online-network Q values for one observation or a ``(B, obs_dim)``
+        batch (see :meth:`QNetwork.q_values`).  Acting and every predictor
+        go through here; the bootstrap targets use the dense ``forward``."""
+        return self.online.q_values(obs)
 
     def act(self, obs: np.ndarray, valid: np.ndarray, epsilon: float = 0.0) -> int:
         """Epsilon-greedy action among valid actions."""

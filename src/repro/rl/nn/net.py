@@ -15,37 +15,72 @@ from repro.rl.nn.layers import Dense, ReLU
 
 
 class QNetwork:
-    """Interface shared by the MLP and dueling networks."""
+    """One hidden ReLU layer ``fc1`` under a subclass's head (:meth:`_head`)."""
 
-    obs_dim: int
-    n_actions: int
+    _layers: tuple
+
+    def __init__(
+        self,
+        obs_dim: int,
+        n_actions: int,
+        hidden_size: int,
+        rng: np.random.Generator,
+    ):
+        self.obs_dim = obs_dim
+        self.n_actions = n_actions
+        self.hidden_size = hidden_size
+        self.fc1 = Dense(obs_dim, hidden_size, rng)
+        self.act1 = ReLU()
+
+    def _head(self, h: np.ndarray, train: bool) -> np.ndarray:
+        """Q values from the hidden activations ``h``, shape ``(B, n_actions)``."""
+        raise NotImplementedError
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        raise NotImplementedError
+        """Dense pass over a ``(B, obs_dim)`` batch; caches for backward when
+        ``train``."""
+        return self._head(self.act1.forward(self.fc1.forward(x, train), train), train)
 
     def backward(self, grad_q: np.ndarray) -> None:
         raise NotImplementedError
 
     def zero_grad(self) -> None:
-        raise NotImplementedError
+        for layer in self._layers:
+            layer.zero_grad()
 
     def params(self) -> list[np.ndarray]:
-        raise NotImplementedError
+        return [p for layer in self._layers for p in layer.params()]
 
     def grads(self) -> list[np.ndarray]:
-        raise NotImplementedError
+        return [g for layer in self._layers for g in layer.grads()]
 
     def copy_from(self, other: "QNetwork") -> None:
         """Hard parameter copy (used for target-network syncs)."""
         for mine, theirs in zip(self.params(), other.params()):
             np.copyto(mine, theirs)
 
-    # -- convenience ---------------------------------------------------------
+    # -- inference -----------------------------------------------------------
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
-        """Inference on a single observation; returns shape (n_actions,)."""
-        out = self.forward(obs[None, :], train=False)
-        return out[0]
+        """Q values for one observation, shape ``(n_actions,)``, or for a
+        ``(B, obs_dim)`` batch, shape ``(B, n_actions)``.
+
+        The first layer multiplies only the columns some row sets: a
+        labeling state is a sparse bit vector over the label space, so the
+        zero columns add nothing but time.  Equal to ``forward(x, False)``
+        up to the summation order of the dropped zeros.
+        """
+        x = np.asarray(obs)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.obs_dim:
+            raise ValueError(
+                f"expected ({self.obs_dim},) or (B, {self.obs_dim}) "
+                f"observations, got shape {x.shape}"
+            )
+        rows = x.reshape(-1, self.obs_dim)
+        active = np.flatnonzero(rows.any(axis=0))
+        h = rows[:, active].astype(np.float64) @ self.fc1.W[active] + self.fc1.b
+        q = self._head(self.act1.forward(h, False), False)
+        return q if x.ndim == 2 else q[0]
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {f"p{i}": p.copy() for i, p in enumerate(self.params())}
@@ -73,32 +108,17 @@ class MLPQNetwork(QNetwork):
         hidden_size: int,
         rng: np.random.Generator,
     ):
-        self.obs_dim = obs_dim
-        self.n_actions = n_actions
-        self.hidden_size = hidden_size
-        self.fc1 = Dense(obs_dim, hidden_size, rng)
-        self.act1 = ReLU()
+        super().__init__(obs_dim, n_actions, hidden_size, rng)
         self.fc2 = Dense(hidden_size, n_actions, rng)
         self._layers = (self.fc1, self.act1, self.fc2)
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        h = self.act1.forward(self.fc1.forward(x, train), train)
+    def _head(self, h: np.ndarray, train: bool) -> np.ndarray:
         return self.fc2.forward(h, train)
 
     def backward(self, grad_q: np.ndarray) -> None:
         grad = self.fc2.backward(grad_q)
         grad = self.act1.backward(grad)
         self.fc1.backward(grad)
-
-    def zero_grad(self) -> None:
-        for layer in self._layers:
-            layer.zero_grad()
-
-    def params(self) -> list[np.ndarray]:
-        return [p for layer in self._layers for p in layer.params()]
-
-    def grads(self) -> list[np.ndarray]:
-        return [g for layer in self._layers for g in layer.grads()]
 
 
 class DuelingQNetwork(QNetwork):
@@ -116,17 +136,12 @@ class DuelingQNetwork(QNetwork):
         hidden_size: int,
         rng: np.random.Generator,
     ):
-        self.obs_dim = obs_dim
-        self.n_actions = n_actions
-        self.hidden_size = hidden_size
-        self.fc1 = Dense(obs_dim, hidden_size, rng)
-        self.act1 = ReLU()
+        super().__init__(obs_dim, n_actions, hidden_size, rng)
         self.value_head = Dense(hidden_size, 1, rng)
         self.adv_head = Dense(hidden_size, n_actions, rng)
         self._layers = (self.fc1, self.act1, self.value_head, self.adv_head)
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        h = self.act1.forward(self.fc1.forward(x, train), train)
+    def _head(self, h: np.ndarray, train: bool) -> np.ndarray:
         value = self.value_head.forward(h, train)  # (B, 1)
         adv = self.adv_head.forward(h, train)  # (B, A)
         return value + adv - adv.mean(axis=1, keepdims=True)
@@ -138,13 +153,3 @@ class DuelingQNetwork(QNetwork):
         grad_h = grad_h + self.adv_head.backward(grad_adv)
         grad = self.act1.backward(grad_h)
         self.fc1.backward(grad)
-
-    def zero_grad(self) -> None:
-        for layer in self._layers:
-            layer.zero_grad()
-
-    def params(self) -> list[np.ndarray]:
-        return [p for layer in self._layers for p in layer.params()]
-
-    def grads(self) -> list[np.ndarray]:
-        return [g for layer in self._layers for g in layer.grads()]

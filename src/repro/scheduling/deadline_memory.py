@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,23 +29,12 @@ from repro.scheduling.base import (
     Episode,
     ScheduledExecution,
     ScheduleTrace,
-    best_ratio,
     run_episode,
     run_lockstep,
 )
 from repro.scheduling.optimal import relaxed_optimal_value
 from repro.scheduling.qgreedy import QValuePredictor
 from repro.zoo.oracle import GroundTruth
-
-
-@dataclass(order=True)
-class _Running:
-    finish_time: float
-    model_index: int
-    #: Exact start instant (kept explicitly: recomputing it as
-    #: ``finish - time`` loses float precision and breaks the invariant
-    #: that a model starting the instant another finishes reuses its memory).
-    start_time: float = 0.0
 
 
 class _ParallelSim:
@@ -60,7 +48,11 @@ class _ParallelSim:
         )
         self.clock = 0.0
         self.free_mem = memory_budget
-        self.heap: list[_Running] = []
+        #: ``(finish, model, start)`` per running model.  The start instant
+        #: is kept, not recomputed as ``finish - time``: that loses float
+        #: precision and breaks the invariant that a model starting the
+        #: instant another finishes reuses its memory.
+        self.heap: list[tuple[float, int, float]] = []
         #: Boolean mask of the models in ``heap``.
         self.running = np.zeros(len(truth.zoo), dtype=bool)
 
@@ -80,28 +72,23 @@ class _ParallelSim:
             raise RuntimeError(f"model {model.name} does not fit in memory")
         self.free_mem -= model.mem
         self.running[index] = True
-        heapq.heappush(
-            self.heap,
-            _Running(self.clock + model.time, index, start_time=self.clock),
-        )
+        heapq.heappush(self.heap, (self.clock + model.time, index, self.clock))
 
     def finish_next(self) -> None:
         """Advance the clock to the next completion and record it."""
-        running = heapq.heappop(self.heap)
-        index = running.model_index
+        finish_time, index, start_time = heapq.heappop(self.heap)
         model = self.truth.zoo[index]
         before = self.state.value
         _, new_confs = self.state.execute(index)
         self.free_mem += model.mem
-        start_time = running.start_time
-        self.clock = running.finish_time
+        self.clock = finish_time
         self.running[index] = False
         self.trace.executions.append(
             ScheduledExecution(
                 model_index=index,
                 model_name=model.name,
                 start_time=start_time,
-                finish_time=running.finish_time,
+                finish_time=finish_time,
                 marginal_value=self.state.value - before,
                 new_labels=len(new_confs),
             )
@@ -144,14 +131,7 @@ class MemoryDeadlineScheduler:
         sim = _ParallelSim(truth, item_id, memory_budget)
         times = truth.zoo.times
         mems = truth.zoo.mems
-
-        def fits(deadline: float) -> np.ndarray:
-            """Startable models that fit free memory and finish by ``deadline``."""
-            return (
-                sim.startable_mask
-                & (mems <= sim.free_mem + 1e-9)
-                & (sim.clock + times <= deadline + 1e-9)
-            )
+        time_of, mem_of = times.tolist(), mems.tolist()
 
         while sim.clock < time_budget:
             # Pivot: best value per unit (time x memory) area among models
@@ -160,7 +140,11 @@ class MemoryDeadlineScheduler:
             # spirit of Algorithm 1's line 3 — without it the last pivot
             # wave is pure waste; the random baseline deliberately keeps the
             # paper's waste (see RandomMemoryDeadlineScheduler).
-            candidates = fits(time_budget)
+            candidates = (
+                sim.startable_mask
+                & (mems <= sim.free_mem + 1e-9)
+                & (sim.clock + times <= time_budget + 1e-9)
+            )
             if candidates.any():
                 pivot, q = yield sim.state, candidates
                 sim.start(pivot)
@@ -169,10 +153,25 @@ class MemoryDeadlineScheduler:
                 # (Algorithm 2 line 7), then — refinement over the
                 # pseudocode — a second pass bounded by the global deadline,
                 # so leftover memory is not idled when only
-                # longer-than-pivot models remain.
-                for fill_deadline in (sim.clock + float(times[pivot]), time_budget):
-                    while (fill := fits(fill_deadline)).any():
-                        sim.start(int(best_ratio(q, fill, mems)))
+                # longer-than-pivot models remain.  Within a pass free
+                # memory only falls and clock and deadline hold, so a model
+                # that stops fitting never fits again: repeating the
+                # first-index argmax of ``Q / mem`` over what fits is one
+                # walk down the stable descending order.
+                order = np.argsort(-(q / mems), kind="stable").tolist()
+                startable = sim.startable_mask.tolist()
+                walk = [index for index in order if startable[index]]
+                for fill_deadline in (sim.clock + time_of[pivot], time_budget):
+                    waiting = []
+                    for index in walk:
+                        if (
+                            mem_of[index] <= sim.free_mem + 1e-9
+                            and sim.clock + time_of[index] <= fill_deadline + 1e-9
+                        ):
+                            sim.start(index)
+                        else:
+                            waiting.append(index)
+                    walk = waiting
             if not sim.heap:
                 break
             # Wait for one completion; its output updates the state.

@@ -72,12 +72,10 @@ class AgentPredictor(QValuePredictor):
         self.n_models = n_models
 
     def predict(self, state: LabelingState) -> np.ndarray:
-        # The agent converts the float32 bits to float64, once.
-        q = self.agent.q_values(state.vector)
-        return q[: self.n_models]
+        return self.agent.q_values(state.vector)[: self.n_models]
 
     def predict_batch(self, states: Sequence[LabelingState]) -> np.ndarray:
-        q = self.agent.q_values_batch(np.stack([state.vector for state in states]))
+        q = self.agent.q_values(np.stack([state.vector for state in states]))
         return q[:, : self.n_models]
 
 

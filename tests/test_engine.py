@@ -318,6 +318,8 @@ class TestPredictorBatch:
         looped = np.stack([predictor.predict(s) for s in states])
         np.testing.assert_allclose(stacked, looped, rtol=0, atol=1e-12)
 
-    def test_q_values_batch_rejects_single_obs(self, trained, space):
-        with pytest.raises(ValueError, match="batch"):
-            trained.agent.q_values_batch(np.zeros(len(space)))
+    def test_q_values_rejects_wrong_width(self, trained, space):
+        # One kernel serves single observations and batches, so the width
+        # is what it checks: a narrower row would prune to wrong Q values.
+        with pytest.raises(ValueError, match="observations"):
+            trained.agent.q_values(np.zeros((2, len(space) - 1)))

@@ -3,6 +3,8 @@ optimizer behaviour, serialization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rl.nn.layers import Dense, ReLU
 from repro.rl.nn.loss import huber_loss, mse_loss
@@ -184,6 +186,55 @@ class TestNetworks:
         net = MLPQNetwork(6, 3, 8, net_rng)
         q = net.q_values(np.zeros(6))
         assert q.shape == (3,)
+
+
+class TestQValuesKernel:
+    """``q_values`` multiplies only the first-layer columns some row sets;
+    it must agree with the dense ``forward`` at every batch size and
+    density, for the float32 bit vectors the scheduler sends and for real
+    inputs alike."""
+
+    OBS, ACTIONS, HIDDEN = 40, 7, 16
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cls=st.sampled_from([MLPQNetwork, DuelingQNetwork]),
+        batch=st.integers(1, 64),
+        density=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        kind=st.sampled_from(["bits", "real", "real32"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_forward(self, cls, batch, density, kind, seed):
+        rng = np.random.default_rng(seed)
+        net = cls(self.OBS, self.ACTIONS, self.HIDDEN, rng)
+        shape = (batch, self.OBS)
+        values = np.ones(shape) if kind == "bits" else rng.normal(0.0, 3.0, shape)
+        x = np.where(rng.random(shape) < density, values, 0.0)
+        if kind != "real":
+            x = x.astype(np.float32)
+        q = net.q_values(x)
+        assert q.shape == (batch, self.ACTIONS)
+        dense = net.forward(x.astype(np.float64), train=False)
+        np.testing.assert_allclose(q, dense, rtol=1e-12, atol=1e-12)
+        for row in range(batch):
+            single = net.q_values(x[row])
+            assert single.shape == (self.ACTIONS,)
+            np.testing.assert_array_equal(single, net.q_values(x[row : row + 1])[0])
+
+    @pytest.mark.parametrize("cls", [MLPQNetwork, DuelingQNetwork])
+    @pytest.mark.parametrize("width", [OBS - 1, OBS + 1])
+    @pytest.mark.parametrize("rows", [None, 1, 5])
+    def test_wrong_width_raises(self, cls, width, rows, net_rng):
+        net = cls(self.OBS, self.ACTIONS, self.HIDDEN, net_rng)
+        shape = (width,) if rows is None else (rows, width)
+        with pytest.raises(ValueError, match="observations"):
+            net.q_values(np.ones(shape))
+
+    def test_other_ranks_raise(self, net_rng):
+        net = MLPQNetwork(self.OBS, self.ACTIONS, self.HIDDEN, net_rng)
+        for shape in [(), (2, 3, self.OBS)]:
+            with pytest.raises(ValueError, match="observations"):
+                net.q_values(np.ones(shape))
 
 
 class TestOptimizers:

@@ -1,5 +1,10 @@
 """Persistence round-trips and the CLI workflow."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -240,6 +245,61 @@ class TestManifestResumeCLI:
                 "--scale", "mini", "schedule", "--truth", "x", "--agent", "y",
                 "--resume",
             ])
+
+
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    """A real truth archive and agent, so a bad flag is the only fault."""
+    root = tmp_path_factory.mktemp("schedule")
+    gt_path, agent_path = root / "gt.npz", root / "agent.npz"
+    base = ["--scale", "mini"]
+    main(base + [
+        "record", "--dataset", "mscoco2017", "--items", "30",
+        "--out", str(gt_path),
+    ])
+    main(base + [
+        "train", "--truth", str(gt_path), "--algo", "dqn",
+        "--episodes", "5", "--hidden", "16", "--out", str(agent_path),
+    ])
+    return gt_path, agent_path
+
+
+class TestScheduleRejectsBadFlags:
+    """A bad flag fails before the truth, agent or manifest is touched: a
+    one-line error, no traceback, and no manifest left to block the
+    corrected rerun."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--deadline", "-1"], "deadline must be non-negative"),
+            (["--memory", "-5"], "memory_budget must be non-negative"),
+            (["--items", "-3"], "--items must be >= 1"),
+            (["--items", "0"], "--items must be >= 1"),
+        ],
+    )
+    def test_exits_cleanly_without_a_manifest(
+        self, recorded_run, tmp_path, flags, message
+    ):
+        gt_path, agent_path = recorded_run
+        manifest = tmp_path / "run.json"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "--scale", "mini",
+                "schedule", "--truth", str(gt_path), "--agent", str(agent_path),
+                "--algo", "dqn", "--hidden", "16", "--manifest", str(manifest),
+                *flags,
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert done.returncode != 0
+        assert "Traceback" not in done.stderr
+        assert f"schedule: {message}" in done.stderr
+        assert not manifest.exists()
 
 
 class TestServingCommands:
