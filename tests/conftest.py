@@ -8,6 +8,8 @@ tests build the full world explicitly where cardinalities matter.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,23 @@ def trained(truth, splits, train_config) -> TrainingResult:
 def test_item_ids(splits) -> list[str]:
     _, test = splits
     return [item.item_id for item in test][:40]
+
+
+@pytest.fixture(scope="session")
+def full_world() -> SimpleNamespace:
+    """The full 30-model, 1104-label world: 80 MSCOCO items, the first 40
+    to fit on (``fit_ids``), the last 40 to schedule (``test_ids``)."""
+    config = WorldConfig(vocab_scale="full")
+    space = build_label_space("full")
+    items = generate_dataset(space, config, "mscoco2017", 80)
+    ids = [item.item_id for item in items]
+    return SimpleNamespace(
+        config=config,
+        space=space,
+        truth=GroundTruth(build_zoo(config, space), items, config),
+        fit_ids=ids[:40],
+        test_ids=ids[40:],
+    )
 
 
 @pytest.fixture()
