@@ -16,7 +16,6 @@ from repro.data.datasets import generate_dataset, train_test_split
 from repro.experiments.common import ExperimentReport
 from repro.labels import build_label_space
 from repro.rl.training import train_agent
-from repro.scheduling.base import run_ordering_policy
 from repro.scheduling.qgreedy import AgentPredictor, QGreedyPolicy
 from repro.zoo.builder import build_zoo
 from repro.zoo.oracle import GroundTruth
@@ -44,7 +43,7 @@ def _run(_ctx) -> ExperimentReport:
             config=scale.train.with_(episodes=300, gamma=gamma),
         )
         policy = QGreedyPolicy(AgentPredictor(result.agent, len(zoo)))
-        traces = [run_ordering_policy(policy, truth, i) for i in test_ids]
+        traces = [policy.schedule(truth, i) for i in test_ids]
         curve = average_cost_curves(f"gamma={gamma}", traces)
         models_08 = curve.at(0.8)[0]
         measured[f"models_at_0.8_gamma_{gamma:g}"] = models_08

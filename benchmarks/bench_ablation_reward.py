@@ -16,9 +16,8 @@ from repro.data.datasets import generate_dataset, train_test_split
 from repro.experiments.common import ExperimentReport
 from repro.labels import build_label_space
 from repro.rl.training import train_agent
-from repro.scheduling.base import run_ordering_policy
 from repro.scheduling.qgreedy import AgentPredictor, QGreedyPolicy
-from repro.scheduling.random_policy import RandomPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor
 from repro.zoo.builder import build_zoo
 from repro.zoo.oracle import GroundTruth
 
@@ -34,7 +33,8 @@ def _run(_ctx) -> ExperimentReport:
     test_ids = [i.item_id for i in test][:40]
 
     random_traces = [
-        run_ordering_policy(RandomPolicy(seed=3), truth, i) for i in test_ids
+        QGreedyPolicy(RandomOrderPredictor(seed=3)).schedule(truth, i)
+        for i in test_ids
     ]
     random_curve = average_cost_curves("random", random_traces)
 
@@ -49,7 +49,7 @@ def _run(_ctx) -> ExperimentReport:
             reward_config=RewardConfig(smoothing=smoothing),
         )
         policy = QGreedyPolicy(AgentPredictor(result.agent, len(zoo)))
-        traces = [run_ordering_policy(policy, truth, i) for i in test_ids]
+        traces = [policy.schedule(truth, i) for i in test_ids]
         curve = average_cost_curves(smoothing, traces)
         models_08 = curve.at(0.8)[0]
         measured[f"{smoothing}_models_at_0.8"] = models_08

@@ -13,7 +13,6 @@ from conftest import shared_context
 
 from repro.core.state import LabelingState
 from repro.data.streams import iid_stream
-from repro.scheduling.base import run_ordering_policy
 from repro.scheduling.deadline import CostQGreedyScheduler
 from repro.scheduling.deadline_memory import MemoryDeadlineScheduler
 from repro.scheduling.qgreedy import QGreedyPolicy
@@ -74,7 +73,7 @@ def test_algorithm2_schedule_one_item(benchmark):
 def test_qgreedy_full_rollout(benchmark):
     _, truth, item_id, predictor = _setup()
     policy = QGreedyPolicy(predictor)
-    benchmark(lambda: run_ordering_policy(policy, truth, item_id))
+    benchmark(lambda: policy.schedule(truth, item_id))
 
 
 def _batch_setup(n_items: int = 16):

@@ -2,8 +2,8 @@
 
 The paper's conclusion calls for fast construction of a model-relationship
 graph.  We build it in one counting pass over the training recordings and
-schedule with its posterior-usefulness ranking.  Expected ordering of
-policies at 0.8 recall:
+run Q-greedy on its predictor (posterior usefulness times each model's
+mean useful value).  Expected ordering of policies at 0.8 recall:
 
     optimal  <  DRL agent  <=  graph  <  rules/random
 
@@ -16,12 +16,11 @@ from conftest import run_and_print
 from repro.analysis.metrics import average_cost_curves
 from repro.analysis.tables import format_table
 from repro.experiments.common import ExperimentReport
-from repro.graph import GraphPolicy, build_relationship_graph
-from repro.scheduling.base import run_ordering_policy
-from repro.scheduling.optimal import OptimalPolicy
+from repro.graph import GraphPredictor, build_relationship_graph
+from repro.scheduling.optimal import SoloValuePredictor
 from repro.scheduling.qgreedy import QGreedyPolicy
-from repro.scheduling.random_policy import RandomPolicy
-from repro.scheduling.rules import RuleBasedPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor
+from repro.scheduling.rules import RulePredictor
 
 
 def _run(ctx) -> ExperimentReport:
@@ -29,19 +28,21 @@ def _run(ctx) -> ExperimentReport:
     truth = ctx.ensure_truth(dataset)
     train, _ = ctx.splits(dataset)
     item_ids = ctx.eval_ids(dataset)
-    graph = build_relationship_graph(truth, [i.item_id for i in train])
+    train_ids = [i.item_id for i in train]
+    graph = build_relationship_graph(truth, train_ids)
 
-    policies = {
-        "random": RandomPolicy(seed=2),
-        "rules": RuleBasedPolicy(seed=2),
-        "graph": GraphPolicy(graph),
-        "dueling_dqn": QGreedyPolicy(ctx.predictor(dataset, "dueling_dqn")),
-        "optimal": OptimalPolicy(),
+    predictors = {
+        "random": RandomOrderPredictor(seed=2),
+        "rules": RulePredictor(seed=2),
+        "graph": GraphPredictor(graph, truth, train_ids),
+        "dueling_dqn": ctx.predictor(dataset, "dueling_dqn"),
+        "optimal": SoloValuePredictor(),
     }
     rows = []
     measured = {}
-    for name, policy in policies.items():
-        traces = [run_ordering_policy(policy, truth, i) for i in item_ids]
+    for name, predictor in predictors.items():
+        policy = QGreedyPolicy(predictor)
+        traces = [policy.schedule(truth, i) for i in item_ids]
         curve = average_cost_curves(name, traces)
         models_08 = curve.at(0.8)[0]
         time_08 = curve.at(0.8)[1]

@@ -21,11 +21,9 @@ from repro.data.datasets import generate_dataset, train_test_split
 from repro.data.streams import iid_stream
 from repro.labels import build_label_space
 from repro.rl.training import train_agent
-from repro.scheduling.deadline import (
-    CostQGreedyScheduler,
-    RandomDeadlineScheduler,
-)
+from repro.scheduling.deadline import CostQGreedyScheduler, QGreedyDeadlineScheduler
 from repro.scheduling.qgreedy import AgentPredictor
+from repro.scheduling.random_policy import RandomStepPredictor
 from repro.zoo.oracle import GroundTruth
 
 DEADLINE = 0.25  # seconds per image
@@ -57,7 +55,7 @@ def main() -> None:
     truth.add_items(stream)
 
     adaptive = CostQGreedyScheduler(predictor)
-    random_sched = RandomDeadlineScheduler(seed=1)
+    random_sched = QGreedyDeadlineScheduler(RandomStepPredictor(seed=1))
 
     recalls = {"no_policy": [], "random": [], "adaptive": []}
     keywords = {"no_policy": 0, "random": 0, "adaptive": 0}

@@ -18,7 +18,6 @@ from repro.core.reward import RewardConfig
 from repro.data.datasets import generate_dataset, train_test_split
 from repro.labels import build_label_space
 from repro.rl.training import train_agent
-from repro.scheduling.base import run_ordering_policy
 from repro.scheduling.qgreedy import AgentPredictor, QGreedyPolicy
 from repro.zoo.oracle import GroundTruth
 
@@ -38,7 +37,7 @@ def train_and_measure(truth, train_ids, test_ids, zoo, reward_config, tag):
     target_index = zoo.index_of(PRIORITY_MODEL)
     positions, full_costs = [], []
     for item_id in test_ids:
-        trace = run_ordering_policy(policy, truth, item_id)
+        trace = policy.schedule(truth, item_id)
         for position, execution in enumerate(trace.executions, start=1):
             if execution.model_index == target_index:
                 positions.append(position)

@@ -23,9 +23,8 @@ from repro.experiments.common import (
     ExperimentReport,
     PREDICTION_DATASETS,
 )
-from repro.scheduling.base import run_ordering_policy
-from repro.scheduling.optimal import OptimalPolicy
-from repro.scheduling.random_policy import RandomPolicy
+from repro.scheduling.qgreedy import QGreedyPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor
 
 PAPER = {
     "no_policy_time": 5.16,
@@ -44,14 +43,13 @@ def run(ctx: ExperimentContext, n_items: int | None = None) -> ExperimentReport:
         item_ids.extend(ctx.eval_ids(dataset, per_dataset))
 
     no_policy_time = ctx.zoo.total_time
-    random_policy = RandomPolicy(seed=7)
-    optimal_policy = OptimalPolicy()
+    random_policy = QGreedyPolicy(RandomOrderPredictor(seed=7))
 
     random_costs = []
     optimal_costs = []
     for item_id in item_ids:
         # Random: execute in random order until all valuable labels are in.
-        trace = run_ordering_policy(random_policy, truth, item_id)
+        trace = random_policy.schedule(truth, item_id)
         _, time_full = trace.cost_to_recall(1.0)
         random_costs.append(time_full)
         # Optimal: execute exactly the useful models.

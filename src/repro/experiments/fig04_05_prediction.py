@@ -26,10 +26,9 @@ from repro.experiments.common import (
     ExperimentReport,
     PREDICTION_DATASETS,
 )
-from repro.scheduling.base import run_ordering_policy
-from repro.scheduling.optimal import OptimalPolicy
+from repro.scheduling.optimal import SoloValuePredictor
 from repro.scheduling.qgreedy import QGreedyPolicy
-from repro.scheduling.random_policy import RandomPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor
 
 PAPER = {
     # DuelingDQN vs random (ranges over the three datasets).
@@ -53,12 +52,15 @@ def curves_for_dataset(
     """Cost-vs-recall curves for every policy on one dataset."""
     truth = ctx.ensure_truth(dataset)
     item_ids = ctx.eval_ids(dataset, n_items)
-    policies = {"random": RandomPolicy(seed=11), "optimal": OptimalPolicy()}
+    policies = {
+        "random": QGreedyPolicy(RandomOrderPredictor(seed=11)),
+        "optimal": QGreedyPolicy(SoloValuePredictor()),
+    }
     for algo in algos:
         policies[algo] = QGreedyPolicy(ctx.predictor(dataset, algo))
     curves: dict[str, PolicyCurve] = {}
     for name, policy in policies.items():
-        traces = [run_ordering_policy(policy, truth, i) for i in item_ids]
+        traces = [policy.schedule(truth, i) for i in item_ids]
         curves[name] = average_cost_curves(name, traces)
     return curves
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 from repro.analysis.metrics import DEFAULT_RECALL_GRID, average_cost_curves, savings
 from repro.analysis.tables import format_series, format_table
 from repro.experiments.common import ExperimentContext, ExperimentReport
-from repro.scheduling.base import run_ordering_policy
-from repro.scheduling.optimal import OptimalPolicy
+from repro.scheduling.optimal import SoloValuePredictor
 from repro.scheduling.qgreedy import QGreedyPolicy
-from repro.scheduling.random_policy import RandomPolicy
-from repro.scheduling.rules import HANDCRAFTED_RULES, RuleBasedPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor
+from repro.scheduling.rules import HANDCRAFTED_RULES, RulePredictor
 
 PAPER = {
     "rules_models_saved_at_0.8": 0.226,
@@ -34,15 +33,13 @@ def run(
     truth = ctx.ensure_truth(dataset)
     item_ids = ctx.eval_ids(dataset, n_items)
     policies = {
-        "rules": RuleBasedPolicy(seed=5),
+        "rules": QGreedyPolicy(RulePredictor(seed=5)),
         "dueling_dqn": QGreedyPolicy(ctx.predictor(dataset, "dueling_dqn")),
-        "random": RandomPolicy(seed=5),
-        "optimal": OptimalPolicy(),
+        "random": QGreedyPolicy(RandomOrderPredictor(seed=5)),
+        "optimal": QGreedyPolicy(SoloValuePredictor()),
     }
     curves = {
-        name: average_cost_curves(
-            name, [run_ordering_policy(p, truth, i) for i in item_ids]
-        )
+        name: average_cost_curves(name, [p.schedule(truth, i) for i in item_ids])
         for name, p in policies.items()
     }
 

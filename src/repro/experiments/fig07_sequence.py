@@ -12,7 +12,6 @@ same chain and print the scheduled sequence with each model's output.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentContext, ExperimentReport
-from repro.scheduling.base import run_ordering_policy
 from repro.scheduling.qgreedy import QGreedyPolicy
 
 
@@ -36,7 +35,7 @@ def run(
         return (len(tasks), rec.total_value)
 
     item_id = max(item_ids, key=richness)
-    trace = run_ordering_policy(policy, truth, item_id, max_models=max_steps)
+    trace = policy.schedule(truth, item_id, max_models=max_steps)
 
     lines = [f"Item {item_id} — Q-greedy execution sequence (first {max_steps}):"]
     for step, execution in enumerate(trace.executions, start=1):

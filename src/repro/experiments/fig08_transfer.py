@@ -15,10 +15,9 @@ from repro.analysis.cdf import empirical_cdf
 from repro.analysis.metrics import savings
 from repro.analysis.tables import format_series, format_table
 from repro.experiments.common import ExperimentContext, ExperimentReport
-from repro.scheduling.base import run_ordering_policy
-from repro.scheduling.optimal import OptimalPolicy
+from repro.scheduling.optimal import SoloValuePredictor
 from repro.scheduling.qgreedy import QGreedyPolicy
-from repro.scheduling.random_policy import RandomPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor
 
 PAPER = {
     "agent1_dataset1_time": 1.94,
@@ -41,7 +40,7 @@ def time_to_full_recall(policy, truth, item_ids) -> list[float]:
     """Per-item time until all valuable labels are recalled."""
     costs = []
     for item_id in item_ids:
-        trace = run_ordering_policy(policy, truth, item_id)
+        trace = policy.schedule(truth, item_id)
         _, t = trace.cost_to_recall(1.0)
         costs.append(t)
     return costs
@@ -54,8 +53,8 @@ def run(ctx: ExperimentContext, n_items: int | None = None) -> ExperimentReport:
     agents = {
         "agent1": QGreedyPolicy(ctx.predictor(DATASET1, "dueling_dqn")),
         "agent2": QGreedyPolicy(ctx.predictor(DATASET2, "dueling_dqn")),
-        "random": RandomPolicy(seed=3),
-        "optimal": OptimalPolicy(),
+        "random": QGreedyPolicy(RandomOrderPredictor(seed=3)),
+        "optimal": QGreedyPolicy(SoloValuePredictor()),
     }
     measured: dict[str, float] = {}
     sections: list[str] = []

@@ -24,9 +24,8 @@ from repro.analysis.metrics import savings
 from repro.analysis.tables import format_table
 from repro.core.reward import RewardConfig
 from repro.experiments.common import ExperimentContext, ExperimentReport
-from repro.scheduling.base import run_ordering_policy
 from repro.scheduling.qgreedy import QGreedyPolicy
-from repro.scheduling.random_policy import RandomPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor
 from repro.vocab import TASK_FACE
 
 PAPER = {
@@ -58,10 +57,10 @@ def run(
     target_indices = {ctx.zoo.index_of(m.name) for m in target_models}
 
     random_costs = []
-    random_policy = RandomPolicy(seed=23)
+    random_policy = QGreedyPolicy(RandomOrderPredictor(seed=23))
     random_orders = []
     for item_id in item_ids:
-        trace = run_ordering_policy(random_policy, truth, item_id)
+        trace = random_policy.schedule(truth, item_id)
         _, t = trace.cost_to_recall(1.0)
         random_costs.append(t)
         for position, execution in enumerate(trace.executions, start=1):
@@ -87,7 +86,7 @@ def run(
         orders = []
         full_costs = []
         for item_id in item_ids:
-            trace = run_ordering_policy(policy, truth, item_id)
+            trace = policy.schedule(truth, item_id)
             for position, execution in enumerate(trace.executions, start=1):
                 if execution.model_index in target_indices:
                     orders.append(position)

@@ -21,9 +21,9 @@ from repro.experiments.common import (
 from repro.scheduling.deadline import (
     CostQGreedyScheduler,
     QGreedyDeadlineScheduler,
-    RandomDeadlineScheduler,
     RelaxedOptimalDeadline,
 )
+from repro.scheduling.random_policy import RandomStepPredictor
 
 PAPER = {
     "improvement_at_0.5s_low": 1.887,
@@ -48,7 +48,7 @@ def sweep_dataset(
     predictor = ctx.predictor(dataset, algo)
     cost_q = CostQGreedyScheduler(predictor)
     q_greedy = QGreedyDeadlineScheduler(predictor)
-    random_sched = RandomDeadlineScheduler(seed=31)
+    random_sched = QGreedyDeadlineScheduler(RandomStepPredictor(seed=31))
     star = RelaxedOptimalDeadline()
 
     out = {

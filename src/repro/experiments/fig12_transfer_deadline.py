@@ -16,9 +16,10 @@ from repro.analysis.tables import format_series
 from repro.experiments.common import ExperimentContext, ExperimentReport
 from repro.scheduling.deadline import (
     CostQGreedyScheduler,
-    RandomDeadlineScheduler,
+    QGreedyDeadlineScheduler,
     RelaxedOptimalDeadline,
 )
+from repro.scheduling.random_policy import RandomStepPredictor
 
 PAPER = {
     "agent1_improvement_dataset1_at_1s": 3.468,
@@ -44,7 +45,7 @@ def run(
         "agent1": CostQGreedyScheduler(ctx.predictor(DATASET1, "dueling_dqn")),
         "agent2": CostQGreedyScheduler(ctx.predictor(DATASET2, "dueling_dqn")),
     }
-    random_sched = RandomDeadlineScheduler(seed=41)
+    random_sched = QGreedyDeadlineScheduler(RandomStepPredictor(seed=41))
     star = RelaxedOptimalDeadline()
 
     sections = []

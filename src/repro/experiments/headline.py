@@ -18,9 +18,9 @@ from repro.experiments.common import (
     ExperimentReport,
     PREDICTION_DATASETS,
 )
-from repro.scheduling.base import run_ordering_policy
-from repro.scheduling.deadline import CostQGreedyScheduler, RandomDeadlineScheduler
+from repro.scheduling.deadline import CostQGreedyScheduler, QGreedyDeadlineScheduler
 from repro.scheduling.qgreedy import QGreedyPolicy
+from repro.scheduling.random_policy import RandomStepPredictor
 
 PAPER = {
     "time_saved_at_1.0": 0.531,
@@ -40,14 +40,14 @@ def run(ctx: ExperimentContext, n_items: int | None = None) -> ExperimentReport:
         item_ids = ctx.eval_ids(dataset, n_items)
         policy = QGreedyPolicy(ctx.predictor(dataset, "dueling_dqn"))
         for item_id in item_ids:
-            trace = run_ordering_policy(policy, truth, item_id)
+            trace = policy.schedule(truth, item_id)
             _, t08 = trace.cost_to_recall(0.8)
             _, t10 = trace.cost_to_recall(1.0)
             times_08.append(t08)
             times_10.append(t10)
         # value improvement vs random at 0.5 s
         scheduler = CostQGreedyScheduler(ctx.predictor(dataset, "dueling_dqn"))
-        random_sched = RandomDeadlineScheduler(seed=59)
+        random_sched = QGreedyDeadlineScheduler(RandomStepPredictor(seed=59))
         ours = np.mean(
             [scheduler.schedule(truth, i, 0.5).recall_by(0.5) for i in item_ids]
         )

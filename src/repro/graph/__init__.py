@@ -7,13 +7,13 @@
 This package constructs that graph from recorded zoo executions: nodes are
 models, and a directed edge ``i -> j`` carries the empirical lift that
 model ``i``'s valuable output gives to the probability that model ``j`` is
-also valuable.  The graph powers a transparent scheduling policy
-(:class:`~repro.graph.policy.GraphPolicy`) that sits between the
+also valuable.  The graph powers a transparent value predictor
+(:class:`~repro.graph.policy.GraphPredictor`) that sits between the
 handcrafted rules of Table II and the learned DRL agent — it is, in
 effect, the *automatically learned* version of Table II.
 """
 
 from repro.graph.relationship import ModelRelationshipGraph, build_relationship_graph
-from repro.graph.policy import GraphPolicy
+from repro.graph.policy import GraphPredictor
 
-__all__ = ["ModelRelationshipGraph", "build_relationship_graph", "GraphPolicy"]
+__all__ = ["ModelRelationshipGraph", "build_relationship_graph", "GraphPredictor"]

@@ -1,13 +1,11 @@
 """Scheduling with the model-relationship graph.
 
-:class:`GraphPolicy` is an ordering policy that ranks unexecuted models by
-their posterior usefulness given which executed models were (not) useful —
-the automatically-constructed counterpart of the Table II rule policy, and
-an interpretable middle ground between rules and the DRL agent.
-
-It also plugs into Algorithm 1/2 as a :class:`QValuePredictor`
-(:class:`GraphPredictor`), predicting ``P(useful) * expected_value`` per
-model.
+:class:`GraphPredictor` predicts ``P(useful) * expected_value`` per model,
+the posterior usefulness given which executed models were (not) useful —
+the automatically-constructed counterpart of the Table II rules, and an
+interpretable middle ground between rules and the DRL agent.  Like every
+predictor it drives Q-greedy (``QGreedyPolicy(GraphPredictor(...))``) and
+Algorithms 1 and 2.
 """
 
 from __future__ import annotations
@@ -16,58 +14,16 @@ import numpy as np
 
 from repro.core.state import LabelingState
 from repro.graph.relationship import ModelRelationshipGraph
-from repro.scheduling.base import OrderingPolicy
 from repro.scheduling.qgreedy import QValuePredictor
 from repro.zoo.oracle import GroundTruth
 
 
-class _GraphEvidence:
-    """Tracks which executed models were useful on the current item."""
-
-    def __init__(self) -> None:
-        self.useful: list[int] = []
-        self.useless: list[int] = []
-
-    def observe(self, state: LabelingState, model_index: int, gained: float) -> None:
-        if gained > 0:
-            self.useful.append(model_index)
-        else:
-            self.useless.append(model_index)
-
-
-class GraphPolicy(OrderingPolicy):
-    """Greedy on posterior usefulness from the relationship graph."""
-
-    name = "graph"
-
-    def __init__(self, graph: ModelRelationshipGraph):
-        self.graph = graph
-        self._evidence = _GraphEvidence()
-        self._last_value = 0.0
-
-    def reset(self, truth: GroundTruth, item_id: str) -> None:
-        self._evidence = _GraphEvidence()
-        self._last_value = 0.0
-
-    def next_model(self, state: LabelingState) -> int:
-        posterior = self.graph.expected_usefulness(
-            self._evidence.useful, self._evidence.useless
-        )
-        remaining = state.remaining
-        return int(remaining[np.argmax(posterior[remaining])])
-
-    def observe(self, state: LabelingState, model_index: int) -> None:
-        gained = state.value - self._last_value
-        self._evidence.observe(state, model_index, gained)
-        self._last_value = state.value
-
-
 class GraphPredictor(QValuePredictor):
-    """Graph-based value predictions for the budgeted schedulers.
+    """Graph-based value predictions for Q-greedy and the budgeted schedulers.
 
     Predicted value of model ``m`` = posterior usefulness x the model's
     average valuable-output value over the training corpus.  No neural
-    network involved — a fully interpretable Algorithm 1/2 driver.
+    network involved — a fully interpretable scheduling driver.
     """
 
     observation_only = False  # evidence reads ``executed``
@@ -94,12 +50,12 @@ class GraphPredictor(QValuePredictor):
     def predict(self, state: LabelingState) -> np.ndarray:
         # Evidence comes only from *executed* models, whose outputs are
         # revealed (replayed from the record, as everywhere else): a model
-        # counts as useful when its valuable labels are in the state.
+        # counts as useful when it output any valuable label.
         useful: list[int] = []
         useless: list[int] = []
         for j in np.nonzero(state.executed)[0]:
             ids, _ = state.truth.valuable(state.item_id, int(j))
-            if len(ids) and (state.vector[ids] > 0).all():
+            if len(ids) > 0:
                 useful.append(int(j))
             else:
                 useless.append(int(j))

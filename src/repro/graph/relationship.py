@@ -112,7 +112,7 @@ class ModelRelationshipGraph:
         A naive-Bayes-flavoured pool: the geometric mean of the conditional
         rates contributed by each piece of evidence, falling back to the
         base rate with no evidence.  Cheap, order-independent, and good
-        enough to rank models (see :class:`~repro.graph.policy.GraphPolicy`).
+        enough to rank models (see :class:`~repro.graph.policy.GraphPredictor`).
         """
         useful = list(executed_useful)
         useless = list(executed_useless)

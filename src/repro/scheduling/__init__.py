@@ -1,24 +1,25 @@
 """Scheduling policies and algorithms (Section V + baselines of Section VI).
 
-Two families:
+One selection rule, many predictors (the paper's Fig. 3):
 
-* **Ordering policies** — produce a full adaptive execution order; the
-  analysis layer then reads cost-to-recall off the trace (Figs. 4-6, 8, 9).
-* **Budgeted schedulers** — Algorithm 1 (deadline) and Algorithm 2
-  (deadline+memory), plus their random and relaxed-optimal (optimal*)
-  counterparts (Figs. 10-12).
+* **Episodes** — Q-greedy (:func:`~repro.scheduling.qgreedy.qgreedy_episode`,
+  optionally stopped by a cost-oblivious deadline), Algorithm 1 (deadline)
+  and Algorithm 2 (deadline+memory), each written once and run by the two
+  drivers of :mod:`repro.scheduling.base`.
+* **Predictors** — the trained agent, and the baselines: random order,
+  a random step, the optimal solo-value order and the Table II rules.
+  Every serial baseline is Q-greedy on its predictor; the analysis layer
+  reads cost-to-recall off the trace (Figs. 2, 4-9) or recall by a
+  deadline (Figs. 10-12).
+* **Bounds and specials** — the relaxed optimal* values of §V-C, the
+  random memory-packing baseline of Fig. 11 and the explore-exploit policy
+  for chunked streams.
 """
 
-from repro.scheduling.base import (
-    OrderingPolicy,
-    ScheduledExecution,
-    ScheduleTrace,
-    run_ordering_policy,
-)
+from repro.scheduling.base import ScheduledExecution, ScheduleTrace
 from repro.scheduling.deadline import (
     CostQGreedyScheduler,
     QGreedyDeadlineScheduler,
-    RandomDeadlineScheduler,
     RelaxedOptimalDeadline,
 )
 from repro.scheduling.deadline_memory import (
@@ -27,29 +28,27 @@ from repro.scheduling.deadline_memory import (
     RelaxedOptimalMemoryDeadline,
 )
 from repro.scheduling.explore_exploit import ExploreExploitPolicy
-from repro.scheduling.optimal import OptimalPolicy
+from repro.scheduling.optimal import SoloValuePredictor
 from repro.scheduling.qgreedy import QGreedyPolicy, QValuePredictor
-from repro.scheduling.random_policy import RandomPolicy
-from repro.scheduling.rules import HANDCRAFTED_RULES, Rule, RuleBasedPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor, RandomStepPredictor
+from repro.scheduling.rules import HANDCRAFTED_RULES, Rule, RulePredictor
 
 __all__ = [
-    "OrderingPolicy",
     "ScheduledExecution",
     "ScheduleTrace",
-    "run_ordering_policy",
     "CostQGreedyScheduler",
     "QGreedyDeadlineScheduler",
-    "RandomDeadlineScheduler",
     "RelaxedOptimalDeadline",
     "MemoryDeadlineScheduler",
     "RandomMemoryDeadlineScheduler",
     "RelaxedOptimalMemoryDeadline",
     "ExploreExploitPolicy",
-    "OptimalPolicy",
+    "SoloValuePredictor",
     "QGreedyPolicy",
     "QValuePredictor",
-    "RandomPolicy",
+    "RandomOrderPredictor",
+    "RandomStepPredictor",
     "HANDCRAFTED_RULES",
     "Rule",
-    "RuleBasedPolicy",
+    "RulePredictor",
 ]

@@ -1,10 +1,8 @@
-"""Trace containers, the ordering-policy runner and the episode drivers.
+"""Trace containers and the episode drivers.
 
-An *ordering policy* adaptively picks the next model to execute given the
-current labeling state (it may read previously revealed outputs, never the
-latent content).  Running one to completion yields a :class:`ScheduleTrace`
-from which the analysis layer reads every Fig. 4/5-style metric: models
-and time needed to reach any recall threshold.
+A :class:`ScheduleTrace` is one item's execution history; the analysis
+layer reads every Fig. 4/5-style metric off it: models and time needed to
+reach any recall threshold, recall by a deadline.
 
 The episode protocol
 --------------------
@@ -32,6 +30,11 @@ per round, one stacked forward over the rows whose observation changed
   with items: each item's control flow is its own generator.
 
 A *round* is therefore one iteration of the loop in each driver.
+
+Every serial baseline is a predictor on the Q-greedy episode: random
+order, the optimal solo-value order, the Table II rules and the
+relationship graph differ from the agent only in what ``predict``
+returns, as in the paper's framework (Fig. 3).
 
 Training (:func:`repro.rl.training.train_agent`) plays the Q-greedy episode
 with the agent's epsilon-greedy actions in place of :func:`best_ratio`.
@@ -168,48 +171,6 @@ def execute_serially(
         )
     )
     return finish
-
-
-class OrderingPolicy:
-    """Interface: pick the next model to execute given the labeling state."""
-
-    #: Display name used in tables and figures.
-    name = "ordering"
-
-    def reset(self, truth: GroundTruth, item_id: str) -> None:
-        """Called once per item before the first `next_model`."""
-
-    def next_model(self, state: LabelingState) -> int:
-        """Index of the next (unexecuted) model to run."""
-        raise NotImplementedError
-
-    def observe(self, state: LabelingState, model_index: int) -> None:
-        """Called after each execution with the updated state."""
-
-
-def run_ordering_policy(
-    policy: OrderingPolicy,
-    truth: GroundTruth,
-    item_id: str,
-    max_models: int | None = None,
-) -> ScheduleTrace:
-    """Execute a policy's full adaptive order on one item (serial timing)."""
-    state = LabelingState(truth, item_id)
-    policy.reset(truth, item_id)
-    trace = ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
-    limit = max_models if max_models is not None else len(truth.zoo)
-    clock = 0.0
-    for _ in range(limit):
-        if state.all_executed:
-            break
-        index = policy.next_model(state)
-        if state.executed[index]:
-            raise RuntimeError(
-                f"policy {policy.name} selected already-executed model {index}"
-            )
-        clock = execute_serially(state, trace, truth, index, clock)
-        policy.observe(state, index)
-    return trace
 
 
 #: One item's algorithm: yields ``(state, startable mask)``, is sent

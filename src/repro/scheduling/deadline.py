@@ -7,15 +7,14 @@ cost-profit greedy rule with the DRL prediction standing in for the unknown
 profit.
 
 This module also provides the baselines of Fig. 10: the cost-oblivious
-Q-greedy, the random-under-deadline policy, and the relaxed optimal*
-upper bound of §V-C (fractional last model).
+Q-greedy — with :class:`~repro.scheduling.random_policy.RandomStepPredictor`
+it is the random-under-deadline policy — and the relaxed optimal* upper
+bound of §V-C (fractional last model).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-import numpy as np
 
 from repro.core.state import LabelingState
 from repro.scheduling.base import (
@@ -27,7 +26,7 @@ from repro.scheduling.base import (
     run_lockstep,
 )
 from repro.scheduling.optimal import relaxed_optimal_value
-from repro.scheduling.qgreedy import QValuePredictor
+from repro.scheduling.qgreedy import QValuePredictor, qgreedy_episode
 from repro.zoo.oracle import GroundTruth
 
 
@@ -92,7 +91,10 @@ class QGreedyDeadlineScheduler:
 
     Cost-oblivious — it may start a model that cannot finish within the
     budget, in which case the execution is wasted (its value does not count
-    by the deadline), exactly the failure mode Algorithm 1 avoids.
+    by the deadline), exactly the failure mode Algorithm 1 avoids.  With a
+    :class:`~repro.scheduling.random_policy.RandomStepPredictor` it is the
+    paper's random baseline, "randomly selects model until the deadline".
+    Evaluate with ``trace.recall_by(budget)``.
     """
 
     name = "q_greedy_deadline"
@@ -103,43 +105,8 @@ class QGreedyDeadlineScheduler:
     def schedule(
         self, truth: GroundTruth, item_id: str, time_budget: float
     ) -> ScheduleTrace:
-        state = LabelingState(truth, item_id)
-        trace = ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
-        clock = 0.0
-        while clock < time_budget and not state.all_executed:
-            remaining = state.remaining
-            q = self.predictor.predict(state)
-            best = int(remaining[np.argmax(q[remaining])])
-            clock = execute_serially(state, trace, truth, best, clock)
-        return trace
-
-
-class RandomDeadlineScheduler:
-    """The paper's Fig. 10 random baseline: "randomly selects model until
-    the deadline".
-
-    Deliberately cost-oblivious: it keeps drawing random models while the
-    clock is before the deadline, so its last pick typically overshoots and
-    contributes nothing by the deadline — exactly the waste Algorithm 1's
-    affordability filter avoids.  Evaluate with ``trace.recall_by(budget)``.
-    """
-
-    name = "random_deadline"
-
-    def __init__(self, seed: int = 0):
-        self._rng = np.random.default_rng(seed)
-
-    def schedule(
-        self, truth: GroundTruth, item_id: str, time_budget: float
-    ) -> ScheduleTrace:
-        state = LabelingState(truth, item_id)
-        trace = ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
-        clock = 0.0
-        while clock < time_budget and not state.all_executed:
-            remaining = state.remaining
-            best = int(remaining[self._rng.integers(len(remaining))])
-            clock = execute_serially(state, trace, truth, best, clock)
-        return trace
+        episode = qgreedy_episode(truth, item_id, deadline=time_budget)
+        return run_episode(episode, self.predictor, 1.0)
 
 
 class RelaxedOptimalDeadline:

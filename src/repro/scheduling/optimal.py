@@ -1,11 +1,11 @@
-"""Oracle policies that read ground truth (upper-bound baselines).
+"""Oracle baselines that read ground truth (upper bounds).
 
-* :class:`OptimalPolicy` — the paper's "optimal policy": execute models in
-  descending order of their true output value (§VI-B).  It knows each
-  model's value but still pays for every execution it makes.
-* :class:`GreedyMarginalPolicy` — a stronger oracle ordering by true
-  *marginal* gain per unit cost; :func:`relaxed_optimal_value`, the one
-  optimal* walk of §V-C, scans the same :func:`marginal_gains`.
+* :class:`SoloValuePredictor` — the paper's "optimal policy" as a
+  predictor on the Q-greedy episode: execute models in descending order of
+  their true output value (§VI-B).  It knows each model's value but still
+  pays for every execution it makes.
+* :func:`relaxed_optimal_value` — the one optimal* walk of §V-C, greedy
+  on true *marginal* gain per unit cost (:func:`marginal_gains`).
 * :class:`ParetoPlanner` — the offline *exact* per-budget optimum: the
   best model subset fitting a time budget under the max-confidence union
   value of Eq. (1), found by branch and bound.  Unlike the relaxed
@@ -22,31 +22,21 @@ import numpy as np
 
 from repro.core.evaluation import marginal_gain
 from repro.core.state import LabelingState
-from repro.scheduling.base import TOLERANCE, OrderingPolicy
+from repro.scheduling.base import TOLERANCE
+from repro.scheduling.qgreedy import QValuePredictor
 from repro.zoo.oracle import GroundTruth
 
 
-class OptimalPolicy(OrderingPolicy):
-    """Descending true-solo-value order (the paper's optimal baseline)."""
+class SoloValuePredictor(QValuePredictor):
+    """Each model's true solo value on the item (the optimal baseline).
 
-    name = "optimal"
+    The row is constant per item, so Q-greedy's first-index argmax over
+    the unexecuted models executes them in descending solo value, ties by
+    index: the stable ``argsort(-solo)`` order.
+    """
 
-    def __init__(self) -> None:
-        self._order: list[int] = []
-        self._cursor = 0
-
-    def reset(self, truth: GroundTruth, item_id: str) -> None:
-        solo = truth.solo_values(item_id)
-        self._order = list(np.argsort(-solo, kind="stable"))
-        self._cursor = 0
-
-    def next_model(self, state: LabelingState) -> int:
-        while self._cursor < len(self._order):
-            index = int(self._order[self._cursor])
-            self._cursor += 1
-            if not state.executed[index]:
-                return index
-        raise RuntimeError("optimal order exhausted")  # pragma: no cover
+    def predict(self, state: LabelingState) -> np.ndarray:
+        return state.truth.solo_values(state.item_id)
 
 
 def marginal_gains(
@@ -86,36 +76,6 @@ def relaxed_optimal_value(
             value += gain * (budget / cost)
             budget = 0.0
     return value
-
-
-class GreedyMarginalPolicy(OrderingPolicy):
-    """Oracle greedy on true marginal gain divided by a cost.
-
-    With ``cost="time"`` this orders by the selection rule the deadline
-    optimal* walk (:func:`relaxed_optimal_value`) uses; with
-    ``cost="time_mem"`` by the deadline-memory variant's.
-    """
-
-    name = "greedy_marginal"
-
-    def __init__(self, cost: str = "unit"):
-        if cost not in ("unit", "time", "time_mem"):
-            raise ValueError(f"unknown cost divisor: {cost!r}")
-        self._cost = cost
-
-    def reset(self, truth: GroundTruth, item_id: str) -> None:
-        self._truth = truth
-        self._item_id = item_id
-        zoo = truth.zoo
-        self._costs = {
-            "unit": np.ones(len(zoo)),
-            "time": zoo.times,
-            "time_mem": zoo.times * zoo.mems,
-        }[self._cost]
-
-    def next_model(self, state: LabelingState) -> int:
-        remaining, gains = marginal_gains(self._truth, self._item_id, state)
-        return int(remaining[np.argmax(gains / self._costs[remaining])])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 The *Q-value greedy policy* (§VI-B) executes, at every step, the remaining
 model with the maximal predicted Q value given the current labeling state.
 It is cost-oblivious; Algorithm 1 adds cost-awareness on top of the same
-predictions.
+predictions.  Its episode, :func:`qgreedy_episode`, is also what every
+serial baseline runs: the baselines are predictors (random order, solo
+values, the Table II rules, the relationship graph), and Fig. 10's
+cost-oblivious deadline baselines are the same episode stopped by a clock.
 
 :func:`qgreedy_episode` is also the training MDP of §IV-B:
 :func:`repro.rl.training.train_agent` plays it with the agent's actions,
@@ -17,6 +20,7 @@ use an oracle predictor to isolate scheduler behaviour from agent quality.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -27,9 +31,7 @@ import numpy as np
 from repro.core.state import LabelingState
 from repro.scheduling.base import (
     Episode,
-    OrderingPolicy,
     ScheduleTrace,
-    best_ratio,
     execute_serially,
     run_episode,
     run_lockstep,
@@ -162,33 +164,38 @@ class OraclePredictor(QValuePredictor):
 
 
 def qgreedy_episode(
-    truth: GroundTruth, item_id: str, max_models: int | None = None
+    truth: GroundTruth,
+    item_id: str,
+    max_models: int | None = None,
+    deadline: float = math.inf,
 ) -> Episode:
     """One item's rollout: execute picks among the unexecuted models until
-    all have run or ``max_models`` is hit.  The Q row sent with each pick
-    is not read, so training sends ``None``."""
+    all have run, ``max_models`` is hit or the clock reaches ``deadline``.
+
+    The deadline is cost-oblivious on purpose (Fig. 10's Q-greedy and
+    random baselines): a model starts whenever the clock is before it, so
+    the last one may finish past it and add nothing by it.  The Q row sent
+    with each pick is not read, so training sends ``None``."""
     state = LabelingState(truth, item_id)
     trace = ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
     clock = 0.0
     # Every step runs one more model, so the zoo itself bounds the steps.
     steps = len(truth.zoo)
     for _ in range(steps if max_models is None else min(max_models, steps)):
+        if clock >= deadline:
+            break
         index, _ = yield state, ~state.executed
         clock = execute_serially(state, trace, truth, index, clock)
     return trace
 
 
-class QGreedyPolicy(OrderingPolicy):
+class QGreedyPolicy:
     """Greedy on predicted Q values, ignoring costs (§VI-B)."""
 
     name = "q_greedy"
 
     def __init__(self, predictor: QValuePredictor):
         self.predictor = predictor
-
-    def next_model(self, state: LabelingState) -> int:
-        """The episode's pick, for :func:`run_ordering_policy` callers."""
-        return int(best_ratio(self.predictor.predict(state), ~state.executed, 1.0))
 
     def schedule(
         self, truth: GroundTruth, item_id: str, max_models: int | None = None

@@ -2,10 +2,11 @@
 
 Each rule fires when an executed model outputs a matching label and
 multiplies the execution probability of every model of a target task by a
-fixed factor (2x to promote, 0.5x to demote).  The policy starts from
-uniform model weights, applies fired rules after every execution, and
-samples the next model proportionally to the resulting weights — the
-paper's P(Task) mechanism.
+fixed factor (2x to promote, 0.5x to demote).  :class:`RulePredictor`
+starts each item from uniform model weights, applies the rules fired by
+every execution, and samples the next model proportionally to the
+resulting weights — the paper's P(Task) mechanism — as a predictor on the
+Q-greedy episode.
 
 The ten rules below are the paper's Table II, expressed against our
 vocabulary: e.g. *Object Detection outputs "person" -> double the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.state import LabelingState
-from repro.scheduling.base import OrderingPolicy
+from repro.scheduling.qgreedy import QValuePredictor
 from repro.vocab import (
     TASK_ACTION,
     TASK_DOG,
@@ -33,7 +34,6 @@ from repro.vocab import (
     TASK_POSE,
     TASK_PLACE,
 )
-from repro.zoo.oracle import GroundTruth
 
 
 @dataclass(frozen=True)
@@ -98,50 +98,51 @@ HANDCRAFTED_RULES: tuple[Rule, ...] = (
 )
 
 
-class RuleBasedPolicy(OrderingPolicy):
-    """Probability-weighted sampling updated by handcrafted rules."""
+class RulePredictor(QValuePredictor):
+    """Probability-weighted sampling updated by handcrafted rules.
 
-    name = "rules"
+    On a new state it resets the weights and the fired rules; on every
+    call it folds in the models executed since the last call, then draws
+    one unexecuted model in proportion to its weight and returns that pick
+    as a one-hot row.  It draws from one seeded stream shared by the items
+    it schedules, in the order of one ``predict`` per step: that matches
+    the former rule-based ordering policy only under ``run_episode``.
+    """
 
-    def __init__(
-        self,
-        rules: Sequence[Rule] = HANDCRAFTED_RULES,
-        seed: int = 0,
-        valuable_threshold: float | None = None,
-    ):
+    observation_only = False  # reads ``executed`` and draws
+
+    def __init__(self, rules: Sequence[Rule] = HANDCRAFTED_RULES, seed: int = 0):
         self.rules = tuple(rules)
         self._rng = np.random.default_rng(seed)
-        self._valuable_threshold = valuable_threshold
-        self._weights: np.ndarray | None = None
-        self._truth: GroundTruth | None = None
-        self._item_id = ""
+        self._state: LabelingState | None = None
+        self._seen = np.zeros(0, dtype=bool)
         self._fired: set[int] = set()
+        #: Current per-model weights of the item being scheduled.
+        self.weights = np.ones(0)
 
-    def reset(self, truth: GroundTruth, item_id: str) -> None:
-        self._truth = truth
-        self._item_id = item_id
-        self._weights = np.ones(len(truth.zoo), dtype=np.float64)
-        self._fired = set()
-
-    def next_model(self, state: LabelingState) -> int:
+    def predict(self, state: LabelingState) -> np.ndarray:
+        if state is not self._state:
+            self._state = state
+            self._seen = np.zeros(len(state.executed), dtype=bool)
+            self._fired = set()
+            self.weights = np.ones(len(state.executed))
+        for model_index in np.flatnonzero(state.executed & ~self._seen):
+            self._fire(state, int(model_index))
+        self._seen = state.executed.copy()
         remaining = state.remaining
-        weights = self._weights[remaining]
-        probs = weights / weights.sum()
-        pick = self._rng.choice(len(remaining), p=probs)
-        return int(remaining[pick])
+        weights = self.weights[remaining]
+        pick = self._rng.choice(len(remaining), p=weights / weights.sum())
+        row = np.zeros(len(state.executed))
+        row[remaining[pick]] = 1.0
+        return row
 
-    def observe(self, state: LabelingState, model_index: int) -> None:
-        """Apply rules fired by the labels this execution revealed."""
-        truth = self._truth
-        threshold = (
-            self._valuable_threshold
-            if self._valuable_threshold is not None
-            else truth.threshold
-        )
-        output = truth.output(self._item_id, model_index)
+    def _fire(self, state: LabelingState, model_index: int) -> None:
+        """Apply the rules fired by the labels one execution revealed."""
+        truth = state.truth
+        output = truth.output(state.item_id, model_index)
         vocab = truth.zoo.space.vocabulary
         source_task = truth.zoo[model_index].task
-        for label in output.valuable(threshold):
+        for label in output.valuable(truth.threshold):
             for rule_index, rule in enumerate(self.rules):
                 if rule_index in self._fired:
                     continue  # each rule fires at most once per item
@@ -151,4 +152,4 @@ class RuleBasedPolicy(OrderingPolicy):
                     self._fired.add(rule_index)
                     for j, model in enumerate(truth.zoo):
                         if model.task == rule.target_task:
-                            self._weights[j] *= rule.factor
+                            self.weights[j] *= rule.factor

@@ -13,8 +13,8 @@ from repro.analysis.metrics import (
     savings,
 )
 from repro.analysis.tables import format_series, format_table
-from repro.scheduling.base import run_ordering_policy
-from repro.scheduling.random_policy import RandomPolicy
+from repro.scheduling.qgreedy import QGreedyPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor
 
 
 class TestMetrics:
@@ -60,7 +60,7 @@ class TestMetrics:
 class TestCurves:
     def test_average_cost_curves(self, truth, test_item_ids):
         traces = [
-            run_ordering_policy(RandomPolicy(seed=1), truth, i)
+            QGreedyPolicy(RandomOrderPredictor(seed=1)).schedule(truth, i)
             for i in test_item_ids[:10]
         ]
         curve = average_cost_curves("random", traces)

@@ -24,14 +24,13 @@ import pytest
 
 from repro.data.streams import chunked_stream
 from repro.rl.agents import make_agent
-from repro.scheduling.base import run_ordering_policy
-from repro.scheduling.deadline import QGreedyDeadlineScheduler, RandomDeadlineScheduler
+from repro.scheduling.deadline import QGreedyDeadlineScheduler
 from repro.scheduling.deadline_memory import RandomMemoryDeadlineScheduler
 from repro.scheduling.explore_exploit import ExploreExploitPolicy
-from repro.scheduling.optimal import OptimalPolicy
+from repro.scheduling.optimal import SoloValuePredictor
 from repro.scheduling.qgreedy import AgentPredictor, OraclePredictor, QGreedyPolicy
-from repro.scheduling.random_policy import RandomPolicy
-from repro.scheduling.rules import RuleBasedPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor, RandomStepPredictor
+from repro.scheduling.rules import RulePredictor
 from repro.zoo.oracle import GroundTruth
 
 DEADLINES = (0.1, 0.3, 1.0)
@@ -59,8 +58,9 @@ def digest(traces) -> str:
     return h.hexdigest()
 
 
-def _ordering(policy, w, max_models=None):
-    return [run_ordering_policy(policy, w.truth, i, max_models) for i in w.ids]
+def _ordering(predictor, w, max_models=None):
+    policy = QGreedyPolicy(predictor)
+    return [policy.schedule(w.truth, i, max_models) for i in w.ids]
 
 
 def _deadline(scheduler, w, budget):
@@ -79,14 +79,14 @@ def _explore_exploit(w):
 
 #: name -> the baseline's traces on a world.
 CASES = {
-    "random": lambda w: _ordering(RandomPolicy(seed=5), w),
-    "random_3": lambda w: _ordering(RandomPolicy(seed=5), w, 3),
-    "optimal": lambda w: _ordering(OptimalPolicy(), w),
-    "optimal_3": lambda w: _ordering(OptimalPolicy(), w, 3),
-    "rules": lambda w: _ordering(RuleBasedPolicy(seed=5), w),
-    "rules_3": lambda w: _ordering(RuleBasedPolicy(seed=5), w, 3),
-    "qgreedy_agent": lambda w: _ordering(QGreedyPolicy(w.agent), w),
-    "qgreedy_agent_3": lambda w: _ordering(QGreedyPolicy(w.agent), w, 3),
+    "random": lambda w: _ordering(RandomOrderPredictor(seed=5), w),
+    "random_3": lambda w: _ordering(RandomOrderPredictor(seed=5), w, 3),
+    "optimal": lambda w: _ordering(SoloValuePredictor(), w),
+    "optimal_3": lambda w: _ordering(SoloValuePredictor(), w, 3),
+    "rules": lambda w: _ordering(RulePredictor(seed=5), w),
+    "rules_3": lambda w: _ordering(RulePredictor(seed=5), w, 3),
+    "qgreedy_agent": lambda w: _ordering(w.agent, w),
+    "qgreedy_agent_3": lambda w: _ordering(w.agent, w, 3),
     **{
         f"qgreedy_deadline_{budget:g}": (
             lambda w, budget=budget: _deadline(
@@ -98,7 +98,7 @@ CASES = {
     **{
         f"random_deadline_{budget:g}": (
             lambda w, budget=budget: _deadline(
-                RandomDeadlineScheduler(seed=31), w, budget
+                QGreedyDeadlineScheduler(RandomStepPredictor(seed=31)), w, budget
             )
         )
         for budget in DEADLINES

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from repro.scheduling.deadline import (
     CostQGreedyScheduler,
     QGreedyDeadlineScheduler,
-    RandomDeadlineScheduler,
     RelaxedOptimalDeadline,
 )
 from repro.scheduling.qgreedy import AgentPredictor, OraclePredictor
+from repro.scheduling.random_policy import RandomStepPredictor
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ class TestAlgorithm1:
         )
         rand = np.mean(
             [
-                RandomDeadlineScheduler(seed=3)
+                QGreedyDeadlineScheduler(RandomStepPredictor(seed=3))
                 .schedule(truth, i, budget)
                 .recall_by(budget)
                 for i in test_item_ids

@@ -11,9 +11,9 @@ import pytest
 from repro.config import WorldConfig
 from repro.data.datasets import generate_dataset
 from repro.labels import build_label_space
-from repro.scheduling.base import run_ordering_policy
-from repro.scheduling.optimal import OptimalPolicy
-from repro.scheduling.random_policy import RandomPolicy
+from repro.scheduling.optimal import SoloValuePredictor
+from repro.scheduling.qgreedy import QGreedyPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor
 from repro.zoo.builder import build_zoo
 from repro.zoo.oracle import GroundTruth
 
@@ -55,12 +55,16 @@ class TestFullWorldCalibration:
         optimal_times = []
         random_times = []
         for item_id in ids:
-            t_opt = run_ordering_policy(
-                OptimalPolicy(), truth, item_id
-            ).cost_to_recall(1.0)[1]
-            t_rnd = run_ordering_policy(
-                RandomPolicy(seed=1), truth, item_id
-            ).cost_to_recall(1.0)[1]
+            t_opt = (
+                QGreedyPolicy(SoloValuePredictor())
+                .schedule(truth, item_id)
+                .cost_to_recall(1.0)[1]
+            )
+            t_rnd = (
+                QGreedyPolicy(RandomOrderPredictor(seed=1))
+                .schedule(truth, item_id)
+                .cost_to_recall(1.0)[1]
+            )
             optimal_times.append(t_opt)
             random_times.append(t_rnd)
         assert np.mean(optimal_times) < 0.6 * np.mean(random_times)

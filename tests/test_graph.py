@@ -1,15 +1,14 @@
-"""Model-relationship graph (§VIII future work): construction + policy."""
+"""Model-relationship graph (§VIII future work): construction + predictor."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from repro.analysis.metrics import average_cost_curves
-from repro.graph import GraphPolicy, build_relationship_graph
-from repro.graph.policy import GraphPredictor
-from repro.scheduling.base import run_ordering_policy
+from repro.graph import GraphPredictor, build_relationship_graph
 from repro.scheduling.deadline import CostQGreedyScheduler
-from repro.scheduling.random_policy import RandomPolicy
+from repro.scheduling.qgreedy import QGreedyPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor
 
 
 @pytest.fixture(scope="module")
@@ -100,22 +99,25 @@ class TestPosterior:
         assert posterior[emotion] <= graph.base_rate[emotion] + 1e-9
 
 
-class TestGraphPolicy:
-    def test_beats_random(self, graph, truth, test_item_ids):
-        graph_traces = [
-            run_ordering_policy(GraphPolicy(graph), truth, i)
-            for i in test_item_ids
-        ]
+@pytest.fixture(scope="module")
+def graph_qgreedy(graph, truth, splits):
+    train, _ = splits
+    return QGreedyPolicy(GraphPredictor(graph, truth, [i.item_id for i in train]))
+
+
+class TestGraphQGreedy:
+    def test_beats_random(self, graph_qgreedy, truth, test_item_ids):
+        graph_traces = [graph_qgreedy.schedule(truth, i) for i in test_item_ids]
         random_traces = [
-            run_ordering_policy(RandomPolicy(seed=21), truth, i)
+            QGreedyPolicy(RandomOrderPredictor(seed=21)).schedule(truth, i)
             for i in test_item_ids
         ]
         g = average_cost_curves("graph", graph_traces)
         r = average_cost_curves("random", random_traces)
         assert g.at(0.8)[0] < r.at(0.8)[0]
 
-    def test_full_trace_valid(self, graph, truth, test_item_ids):
-        trace = run_ordering_policy(GraphPolicy(graph), truth, test_item_ids[0])
+    def test_full_trace_valid(self, graph_qgreedy, truth, test_item_ids):
+        trace = graph_qgreedy.schedule(truth, test_item_ids[0])
         assert trace.recall == pytest.approx(1.0)
         indices = [e.model_index for e in trace.executions]
         assert len(set(indices)) == len(indices)

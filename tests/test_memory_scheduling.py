@@ -10,7 +10,7 @@ from repro.scheduling.deadline_memory import (
     RandomMemoryDeadlineScheduler,
     RelaxedOptimalMemoryDeadline,
 )
-from repro.scheduling.qgreedy import AgentPredictor
+from repro.scheduling.qgreedy import AgentPredictor, OraclePredictor
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +81,18 @@ class TestAlgorithm2:
             MemoryDeadlineScheduler(predictor).schedule(
                 truth, test_item_ids[0], -0.1, 8000.0
             )
+
+    def test_a_model_that_exactly_fits_the_deadline_starts(
+        self, truth, zoo, test_item_ids
+    ):
+        """The pivot may finish *at* the deadline: with the budget equal to
+        the fastest model's time, that model still runs."""
+        budget = float(zoo.times.min())
+        trace = MemoryDeadlineScheduler(OraclePredictor(truth)).schedule(
+            truth, test_item_ids[0], budget, float(zoo.mems.sum())
+        )
+        assert trace.n_executed >= 1
+        assert all(e.finish_time <= budget for e in trace.executions)
 
     def test_tiny_memory_runs_serially_small_models(
         self, truth, zoo, predictor, test_item_ids

@@ -1,18 +1,34 @@
-"""Ordering policies: random, optimal, Q-greedy, rules, traces."""
+"""Serial baselines as predictors on the Q-greedy episode: random, optimal,
+oracle, rules; traces and their cost-to-recall."""
 
 import numpy as np
 import pytest
+from trace_oracle import check_trace
 
-from repro.scheduling.base import run_ordering_policy
-from repro.scheduling.optimal import GreedyMarginalPolicy, OptimalPolicy
+from repro.analysis.metrics import average_cost_curves
+from repro.core.evaluation import marginal_gain
+from repro.core.state import LabelingState
+from repro.graph import GraphPredictor, build_relationship_graph
+from repro.scheduling.base import TOLERANCE, ScheduledExecution, ScheduleTrace
+from repro.scheduling.optimal import SoloValuePredictor
 from repro.scheduling.qgreedy import (
     AgentPredictor,
     OraclePredictor,
     QGreedyPolicy,
 )
-from repro.scheduling.random_policy import RandomPolicy
-from repro.scheduling.rules import HANDCRAFTED_RULES, Rule, RuleBasedPolicy
-from repro.analysis.metrics import average_cost_curves
+from repro.scheduling.random_policy import RandomOrderPredictor
+from repro.scheduling.rules import HANDCRAFTED_RULES, Rule, RulePredictor
+from repro.spec import LabelingSpec
+
+
+@pytest.fixture(scope="module")
+def worlds(truth, splits, test_item_ids, full_world):
+    """world -> (truth, ids to fit on, ids to schedule)."""
+    train, _ = splits
+    return {
+        "mini": (truth, [i.item_id for i in train], test_item_ids),
+        "full": (full_world.truth, full_world.fit_ids, full_world.test_ids),
+    }
 
 
 class TestTraceInvariants:
@@ -20,28 +36,29 @@ class TestTraceInvariants:
         params=["random", "optimal", "oracle_greedy", "rules"], scope="class"
     )
     def policy(self, request, truth):
-        return {
-            "random": RandomPolicy(seed=1),
-            "optimal": OptimalPolicy(),
-            "oracle_greedy": GreedyMarginalPolicy(cost="time"),
-            "rules": RuleBasedPolicy(seed=1),
-        }[request.param]
+        predictors = {
+            "random": RandomOrderPredictor(seed=1),
+            "optimal": SoloValuePredictor(),
+            "oracle_greedy": OraclePredictor(truth),
+            "rules": RulePredictor(seed=1),
+        }
+        return QGreedyPolicy(predictors[request.param])
 
     def test_full_trace_reaches_total_value(self, policy, truth, test_item_ids):
         for item_id in test_item_ids[:15]:
-            trace = run_ordering_policy(policy, truth, item_id)
+            trace = policy.schedule(truth, item_id)
             assert trace.n_executed == len(truth.zoo)
             assert trace.value_obtained == pytest.approx(trace.total_value)
             assert trace.recall == pytest.approx(1.0)
 
     def test_no_duplicate_executions(self, policy, truth, test_item_ids):
         for item_id in test_item_ids[:15]:
-            trace = run_ordering_policy(policy, truth, item_id)
+            trace = policy.schedule(truth, item_id)
             indices = [e.model_index for e in trace.executions]
             assert len(set(indices)) == len(indices)
 
     def test_serial_timing(self, policy, truth, test_item_ids, zoo):
-        trace = run_ordering_policy(policy, truth, test_item_ids[0])
+        trace = policy.schedule(truth, test_item_ids[0])
         clock = 0.0
         for e in trace.executions:
             assert e.start_time == pytest.approx(clock)
@@ -51,26 +68,47 @@ class TestTraceInvariants:
         assert trace.serial_time == pytest.approx(zoo.total_time)
 
     def test_max_models_cap(self, policy, truth, test_item_ids):
-        trace = run_ordering_policy(policy, truth, test_item_ids[0], max_models=3)
+        trace = policy.schedule(truth, test_item_ids[0], max_models=3)
         assert trace.n_executed == 3
+
+
+def _random_trace(truth, item_id, seed=2):
+    return QGreedyPolicy(RandomOrderPredictor(seed=seed)).schedule(truth, item_id)
+
+
+def _trace(total_value, steps):
+    """A hand-built serial trace from ``(finish, marginal value)`` steps."""
+    trace = ScheduleTrace(item_id="x", total_value=total_value)
+    for idx, (finish, value) in enumerate(steps):
+        trace.executions.append(
+            ScheduledExecution(
+                model_index=idx,
+                model_name=f"m{idx}",
+                start_time=trace.makespan,
+                finish_time=finish,
+                marginal_value=value,
+                new_labels=1,
+            )
+        )
+    return trace
 
 
 class TestCostToRecall:
     def test_zero_threshold_costs_one_model(self, truth, test_item_ids):
-        trace = run_ordering_policy(RandomPolicy(seed=2), truth, test_item_ids[0])
+        trace = _random_trace(truth, test_item_ids[0])
         n, t = trace.cost_to_recall(0.0)
         assert n == 1.0
         assert t == pytest.approx(trace.executions[0].finish_time)
 
     def test_monotone_in_threshold(self, truth, test_item_ids):
-        trace = run_ordering_policy(RandomPolicy(seed=2), truth, test_item_ids[0])
+        trace = _random_trace(truth, test_item_ids[0])
         thresholds = np.linspace(0, 1, 11)
         costs = [trace.cost_to_recall(t) for t in thresholds]
         for (n1, t1), (n2, t2) in zip(costs, costs[1:]):
             assert n2 >= n1 and t2 >= t1 - 1e-12
 
     def test_recall_by_deadline(self, truth, test_item_ids):
-        trace = run_ordering_policy(OptimalPolicy(), truth, test_item_ids[0])
+        trace = QGreedyPolicy(SoloValuePredictor()).schedule(truth, test_item_ids[0])
         assert trace.recall_by(0.0) == pytest.approx(0.0) or trace.total_value == 0
         assert trace.recall_by(trace.makespan) == pytest.approx(trace.recall)
 
@@ -82,26 +120,7 @@ class TestCostToRecall:
         counted, and the finish time ``cost_to_recall`` returns attains the
         threshold when fed back through ``recall_by``.
         """
-        from repro.scheduling.base import (
-            TOLERANCE,
-            ScheduledExecution,
-            ScheduleTrace,
-        )
-
-        trace = ScheduleTrace(item_id="x", total_value=1.0)
-        for idx, (finish, value) in enumerate(
-            [(0.25, 0.5), (0.75, 0.25), (1.0, 0.25)]
-        ):
-            trace.executions.append(
-                ScheduledExecution(
-                    model_index=idx,
-                    model_name=f"m{idx}",
-                    start_time=trace.makespan,
-                    finish_time=finish,
-                    marginal_value=value,
-                    new_labels=1,
-                )
-            )
+        trace = _trace(1.0, [(0.25, 0.5), (0.75, 0.25), (1.0, 0.25)])
         assert TOLERANCE == 1e-9
         # 0.5 + 0.25 hits threshold 0.75 exactly at the second execution
         n, t = trace.cost_to_recall(0.75)
@@ -111,24 +130,27 @@ class TestCostToRecall:
         # ...so the (models, time) cost is consistent with recall_by
         assert trace.recall_by(t) >= 0.75
 
+    def test_tolerance_absorbs_a_rounded_sum(self):
+        """Full recall is reached where the gains' float sum falls one ULP
+        short of the total: ``0.1 + 0.7`` is just below ``0.8``."""
+        assert 0.1 + 0.7 < 0.8
+        trace = _trace(0.8, [(0.1, 0.1), (0.3, 0.7), (0.6, 0.0)])
+        assert trace.cost_to_recall(1.0) == (2.0, 0.3)
+
 
 class TestOptimalPolicy:
     def test_orders_by_solo_value(self, truth, test_item_ids):
-        policy = OptimalPolicy()
+        policy = QGreedyPolicy(SoloValuePredictor())
         for item_id in test_item_ids[:10]:
-            trace = run_ordering_policy(policy, truth, item_id)
+            trace = policy.schedule(truth, item_id)
             solo = truth.solo_values(item_id)
             values = [solo[e.model_index] for e in trace.executions]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_beats_random_on_average(self, truth, test_item_ids):
-        optimal_traces = [
-            run_ordering_policy(OptimalPolicy(), truth, i) for i in test_item_ids
-        ]
-        random_traces = [
-            run_ordering_policy(RandomPolicy(seed=9), truth, i)
-            for i in test_item_ids
-        ]
+        optimal = QGreedyPolicy(SoloValuePredictor())
+        optimal_traces = [optimal.schedule(truth, i) for i in test_item_ids]
+        random_traces = [_random_trace(truth, i, seed=9) for i in test_item_ids]
         opt = average_cost_curves("optimal", optimal_traces)
         rnd = average_cost_curves("random", random_traces)
         for threshold in (0.5, 0.8, 1.0):
@@ -137,20 +159,26 @@ class TestOptimalPolicy:
 
 
 class TestOraclePredictorAndQGreedy:
-    def test_oracle_qgreedy_near_optimal(self, truth, test_item_ids):
-        """Q-greedy with a perfect predictor tracks the greedy oracle."""
-        policy = QGreedyPolicy(OraclePredictor(truth))
-        greedy = GreedyMarginalPolicy(cost="unit")
-        for item_id in test_item_ids[:10]:
-            trace_q = run_ordering_policy(policy, truth, item_id)
-            trace_g = run_ordering_policy(greedy, truth, item_id)
-            n_q, _ = trace_q.cost_to_recall(1.0)
-            n_g, _ = trace_g.cost_to_recall(1.0)
-            assert n_q == pytest.approx(n_g, abs=1.0)
+    @pytest.mark.parametrize("world", ["mini", "full"])
+    def test_oracle_predicts_true_marginal_gains(self, worlds, world):
+        """At every state along its Q-greedy traces, the oracle's dense
+        row equals the per-model ``marginal_gain`` sums."""
+        truth, _, item_ids = worlds[world]
+        oracle = OraclePredictor(truth)
+        policy = QGreedyPolicy(oracle)
+        for item_id in item_ids[:10]:
+            state = LabelingState(truth, item_id)
+            for execution in policy.schedule(truth, item_id).executions:
+                expected = [
+                    marginal_gain(truth, item_id, state.confidences, j)
+                    for j in range(len(truth.zoo))
+                ]
+                np.testing.assert_allclose(
+                    oracle.predict(state), expected, rtol=0, atol=1e-12
+                )
+                state.execute(execution.model_index)
 
     def test_agent_predictor_shape(self, trained, truth, zoo):
-        from repro.core.state import LabelingState
-
         predictor = AgentPredictor(trained.agent, len(zoo))
         state = LabelingState(truth, truth.item_ids[0])
         q = predictor.predict(state)
@@ -171,48 +199,56 @@ class TestRules:
 
     def test_promotion_rule_fires(self, truth, zoo, test_item_ids):
         """After a person is detected, pose models gain weight."""
-        policy = RuleBasedPolicy(seed=0)
         person_items = [
-            i
-            for i in test_item_ids
-            if truth.record(i).item.content.has_person
+            i for i in test_item_ids if truth.record(i).item.content.has_person
         ]
         if not person_items:
             pytest.skip("no person items in sample")
         item_id = person_items[0]
-        policy.reset(truth, item_id)
-        from repro.core.state import LabelingState
-
-        state = LabelingState(truth, item_id)
         object_index = zoo.index_of("mini_object")
         # only meaningful when the detector actually outputs "person"
         output = truth.output(item_id, object_index)
         names = [l.name for l in output.valuable(truth.threshold)]
         if "person" not in names:
             pytest.skip("detector missed the person on this item")
+        predictor = RulePredictor(seed=0)
+        state = LabelingState(truth, item_id)
+        predictor.predict(state)
         state.execute(object_index)
-        policy.observe(state, object_index)
-        pose_index = zoo.index_of("mini_pose")
-        assert policy._weights[pose_index] == pytest.approx(2.0)
+        predictor.predict(state)
+        assert predictor.weights[zoo.index_of("mini_pose")] == pytest.approx(2.0)
 
     def test_rules_fire_at_most_once(self, truth, zoo, test_item_ids):
-        policy = RuleBasedPolicy(seed=0)
-        from repro.core.state import LabelingState
-
+        predictor = RulePredictor(seed=0)
         for item_id in test_item_ids[:10]:
-            policy.reset(truth, item_id)
             state = LabelingState(truth, item_id)
             for j in range(len(zoo)):
-                state_weights_before = policy._weights.copy()
+                predictor.predict(state)
                 state.execute(j)
-                policy.observe(state, j)
-            assert (policy._weights <= 4.0 + 1e-9).all()  # 2 promos max per task
+            assert (predictor.weights <= 4.0 + 1e-9).all()  # 2 promos max per task
 
 
 class TestRandomPolicy:
     def test_different_seeds_different_orders(self, truth, test_item_ids):
-        t1 = run_ordering_policy(RandomPolicy(seed=1), truth, test_item_ids[0])
-        t2 = run_ordering_policy(RandomPolicy(seed=2), truth, test_item_ids[0])
+        t1 = _random_trace(truth, test_item_ids[0], seed=1)
+        t2 = _random_trace(truth, test_item_ids[0], seed=2)
         o1 = [e.model_index for e in t1.executions]
         o2 = [e.model_index for e in t2.executions]
         assert o1 != o2
+
+
+@pytest.mark.parametrize("max_models", [None, 3])
+@pytest.mark.parametrize("baseline", ["solo_value", "graph"])
+@pytest.mark.parametrize("world", ["mini", "full"])
+def test_baseline_traces_obey_the_qgreedy_rule(worlds, world, baseline, max_models):
+    """The trace oracle judges the deterministic baselines' traces."""
+    truth, fit_ids, item_ids = worlds[world]
+    if baseline == "graph":
+        graph = build_relationship_graph(truth, fit_ids)
+        predictor = GraphPredictor(graph, truth, fit_ids)
+    else:
+        predictor = SoloValuePredictor()
+    spec = LabelingSpec(max_models=max_models)
+    policy = QGreedyPolicy(predictor)
+    for item_id in item_ids[:15]:
+        check_trace(truth, predictor, spec, policy.schedule(truth, item_id, max_models))

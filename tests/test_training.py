@@ -5,9 +5,8 @@ import pytest
 
 from repro.core.reward import RewardConfig
 from repro.rl.training import train_agent
-from repro.scheduling.base import run_ordering_policy
 from repro.scheduling.qgreedy import AgentPredictor, QGreedyPolicy
-from repro.scheduling.random_policy import RandomPolicy
+from repro.scheduling.random_policy import RandomOrderPredictor
 from repro.analysis.metrics import average_cost_curves
 
 
@@ -34,11 +33,10 @@ class TestTrainingLoop:
         """The core claim at mini scale: agent < random in cost @0.8 recall."""
         predictor = AgentPredictor(trained.agent, len(zoo))
         agent_traces = [
-            run_ordering_policy(QGreedyPolicy(predictor), truth, i)
-            for i in test_item_ids
+            QGreedyPolicy(predictor).schedule(truth, i) for i in test_item_ids
         ]
         random_traces = [
-            run_ordering_policy(RandomPolicy(seed=5), truth, i)
+            QGreedyPolicy(RandomOrderPredictor(seed=5)).schedule(truth, i)
             for i in test_item_ids
         ]
         agent_curve = average_cost_curves("agent", agent_traces)
@@ -114,9 +112,7 @@ class TestThetaTraining:
             predictor = AgentPredictor(result.agent, len(zoo))
             positions = []
             for item_id in test_item_ids[:25]:
-                trace = run_ordering_policy(
-                    QGreedyPolicy(predictor), truth, item_id
-                )
+                trace = QGreedyPolicy(predictor).schedule(truth, item_id)
                 for pos, e in enumerate(trace.executions, start=1):
                     if e.model_index == target_index:
                         positions.append(pos)

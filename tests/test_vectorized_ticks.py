@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.engine import BatchedBackend, LabelingJob, SerialBackend
-from repro.scheduling.base import run_ordering_policy
 from repro.scheduling.deadline import CostQGreedyScheduler
 from repro.scheduling.deadline_memory import MemoryDeadlineScheduler
 from repro.scheduling.qgreedy import (
@@ -86,9 +85,7 @@ class TestQGreedyBatchParity:
             truth, items, max_models=max_models
         )
         serial = [
-            run_ordering_policy(
-                QGreedyPolicy(oracle_predictor), truth, i, max_models=max_models
-            )
+            QGreedyPolicy(oracle_predictor).schedule(truth, i, max_models=max_models)
             for i in items
         ]
         assert_traces_equal(batch, serial)
@@ -98,9 +95,7 @@ class TestQGreedyBatchParity:
             truth, items, max_models=4
         )
         serial = [
-            run_ordering_policy(
-                QGreedyPolicy(agent_predictor), truth, i, max_models=4
-            )
+            QGreedyPolicy(agent_predictor).schedule(truth, i, max_models=4)
             for i in items
         ]
         assert_traces_equal(batch, serial)
@@ -116,9 +111,7 @@ class TestQGreedyBatchParity:
     ):
         predictor = predictor_cls(len(zoo))
         batch = QGreedyPolicy(predictor).schedule_batch(truth, items)
-        serial = [
-            run_ordering_policy(QGreedyPolicy(predictor), truth, i) for i in items
-        ]
+        serial = [QGreedyPolicy(predictor).schedule(truth, i) for i in items]
         assert_traces_equal(batch, serial)
 
 
