@@ -16,7 +16,8 @@ Two views of the write-ahead journal from
    (admitted, never settled: the crash window) are recovered through
    :meth:`LabelingService.recover`; reports wall seconds and replayed
    entries/sec per backlog size.  Recovery cost scales with the backlog,
-   not with journal history — that is what checkpointed watermarks buy.
+   not with journal history — settled rows are deleted, so reopening
+   reads only the pending table.
 
 Run standalone (the CI smoke path uses the tiny world)::
 

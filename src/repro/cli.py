@@ -187,8 +187,7 @@ def _print_report(service):
         print(
             f"  journal     {jstats.admitted} admitted, "
             f"{sum(jstats.terminals.values())} terminals, "
-            f"{jstats.pending} pending, {jstats.fsyncs} fsyncs, "
-            f"{jstats.segments} segment(s)"
+            f"{jstats.pending} pending, {jstats.fsyncs} fsyncs"
         )
     return snapshot
 

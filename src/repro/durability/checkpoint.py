@@ -1,19 +1,13 @@
-"""Checkpointed watermarks, atomic file writes, and batch-run manifests.
+"""Atomic file writes and batch-run manifests.
 
-Three durability primitives that bound how much work a crash can cost:
+Two durability primitives that bound how much work a crash can cost:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_json` — write-to-temp
   then :func:`os.replace` in the *same* directory, with an fsync of the
   temp file before the rename and of the directory after it.  A crash at
   any instant leaves either the old file or the new file on disk, never
-  a torn hybrid.  Every durability-layer writer (checkpoints, manifests)
-  and :func:`repro.persistence.save_ground_truth` go through this.
-* :class:`CheckpointStore` — the journal's completion watermark.  A
-  checkpoint snapshots ``(seq, pending payloads)`` at one instant; replay
-  then starts from the snapshot and scans only records *after* ``seq``,
-  so recovery work is bounded by the gap since the last checkpoint
-  instead of the journal's lifetime, and segments whose records all
-  precede the watermark are deletable (compaction).
+  a torn hybrid.  Run manifests and
+  :func:`repro.persistence.save_ground_truth` go through this.
 * :class:`RunManifest` — the resume unit for long batch jobs.  A
   ``repro.cli schedule --manifest`` run records its world parameters and
   the full item list up front, then marks items done as results land
@@ -23,16 +17,13 @@ Three durability primitives that bound how much work a crash can cost:
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
-    "CheckpointStore",
     "RunManifest",
     "atomic_write_bytes",
     "atomic_write_json",
@@ -83,59 +74,6 @@ def atomic_write_json(path: str | Path, obj) -> None:
     atomic_write_bytes(
         path, json.dumps(obj, indent=2, sort_keys=True).encode("utf-8")
     )
-
-
-@dataclass(frozen=True)
-class _Checkpoint:
-    """One loaded watermark: the seq it covers and the pending payloads."""
-
-    #: Every journal record with ``seq <= seq`` is summarized here.
-    seq: int
-    #: seq -> raw admission payload, for admissions still unresolved at
-    #: checkpoint time.
-    pending: dict[int, bytes]
-
-
-class CheckpointStore:
-    """Atomic load/save of a journal's completion watermark.
-
-    The file is JSON — a structure an operator can inspect — with the
-    binary admission payloads base64-encoded.  Writes are atomic
-    (:func:`atomic_write_json`), so the journal always finds either the
-    previous checkpoint or the new one, never a torn file.
-    """
-
-    FILENAME = "checkpoint.json"
-
-    def __init__(self, directory: str | Path):
-        self.path = Path(directory) / self.FILENAME
-
-    def load(self) -> _Checkpoint:
-        """The stored watermark, or the empty one when none exists."""
-        try:
-            with open(self.path, "rb") as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            return _Checkpoint(seq=0, pending={})
-        return _Checkpoint(
-            seq=int(raw["seq"]),
-            pending={
-                int(seq): base64.b64decode(payload)
-                for seq, payload in raw.get("pending", {}).items()
-            },
-        )
-
-    def save(self, seq: int, pending: dict[int, bytes]) -> None:
-        atomic_write_json(
-            self.path,
-            {
-                "seq": seq,
-                "pending": {
-                    str(s): base64.b64encode(payload).decode("ascii")
-                    for s, payload in pending.items()
-                },
-            },
-        )
 
 
 class RunManifest:

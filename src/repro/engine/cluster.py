@@ -35,7 +35,7 @@ followed by the payload.  Requests are SNAPSHOT / CHUNK / REFRESH;
 replies are OK / RESULT / ERROR and echo the request id, so a dispatcher
 may pipeline many chunks down one connection and match replies as they
 arrive.  Snapshots, the small chunk/result headers and error replies are
-still pickled (ROADMAP direction 3); records and traces never are.
+still pickled (ROADMAP direction 7); records and traces never are.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ registers one collector per service for:
 * ``repro_cache_*`` and ``repro_backend_*`` when the service has a result
   cache / a chunk-counting backend
 * ``repro_journal_*`` / ``repro_recovery_*`` when the service carries a
-  write-ahead journal — records, fsyncs, pending backlog, compaction,
-  and replay outcomes of each ``recover()``
+  write-ahead journal — records, fsyncs, pending backlog, and replay
+  outcomes of each ``recover()``
 * ``repro_cluster_*`` under the cluster backend
 
 The full catalog lives in README "Observability".  This module imports
@@ -182,7 +182,7 @@ def service_families(service) -> list[MetricFamily]:
             MetricFamily(
                 "repro_journal_bytes_written_total",
                 "counter",
-                "Bytes appended to the write-ahead journal",
+                "Admission payload bytes journaled",
                 (({}, jstats.bytes_written),),
             ),
             MetricFamily(
@@ -196,30 +196,6 @@ def service_families(service) -> list[MetricFamily]:
                 "gauge",
                 "Admitted-but-unsettled journal entries (replayed on recover)",
                 (({}, jstats.pending),),
-            ),
-            MetricFamily(
-                "repro_journal_segments",
-                "gauge",
-                "Live journal segment files on disk",
-                (({}, jstats.segments),),
-            ),
-            MetricFamily(
-                "repro_journal_checkpoints_total",
-                "counter",
-                "Watermark checkpoints written",
-                (({}, jstats.checkpoints),),
-            ),
-            MetricFamily(
-                "repro_journal_segments_compacted_total",
-                "counter",
-                "Fully-settled segments deleted by compaction",
-                (({}, jstats.compacted),),
-            ),
-            MetricFamily(
-                "repro_journal_torn_tails_total",
-                "counter",
-                "Torn segment tails truncated during replay",
-                (({}, jstats.torn_tails),),
             ),
         ]
     recovery_stats = getattr(service, "recovery_stats", None)

@@ -3,7 +3,7 @@
 The lock-step driver behind every ``schedule_batch``
 (:func:`repro.scheduling.base.run_lockstep`) is the system's hot loop — per
 round, one stacked Q-forward over the rows whose observation changed and one
-masked argmax — and the engine's ``_run_batch`` wraps every backend dispatch.
+masked argmax — and ``LabelingEngine._finish`` reports every backend dispatch.
 Both ask this module for an observer; when nothing is installed the answer is
 ``None`` and the hot path pays exactly one module-global read and one branch,
 with **zero** timing calls — that near-free bare path is what lets the overhead

@@ -704,8 +704,7 @@ class LabelingService:
 
         With ``wait=True`` (default) the call blocks until every replay
         has settled *and* its terminal is journaled (or ``timeout``
-        elapses), then flushes — and, when nothing is left pending,
-        checkpoints so the replayed segments compact away.
+        elapses), then flushes.
         """
         if self.journal is None:
             raise ValueError("recover() requires a service journal")
@@ -735,11 +734,6 @@ class LabelingService:
             self._journal_flush()
         recovered, failed = run.counts()
         pending = len(entries) - recovered - failed
-        if wait and entries and not pending:
-            try:
-                self.journal.checkpoint()
-            except Exception:
-                logger.exception("post-recovery checkpoint failed")
         duration = self._clock() - started
         with self._recovery_lock:
             self._recovery["runs"] += 1

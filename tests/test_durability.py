@@ -1,22 +1,22 @@
-"""Durability: WAL journal, checkpoints, manifests, and crash recovery.
+"""Durability: WAL journal, manifests, and crash recovery.
 
-Unit layers (framing, torn tails, rotation/compaction, atomic writes,
-manifests) are tested directly against temp directories; the service
-integration tests exercise the real admission path — journal an intent,
-"crash" by never settling it, reopen, :meth:`LabelingService.recover` —
-including the replay-idempotency contract through the single-flight
-result cache.
+Unit layers (the sqlite journal's replay, torn WAL tail, CRC check and
+fsync policies, atomic writes, manifests) are tested directly against
+temp directories; the service integration tests exercise the real
+admission path — journal an intent, "crash" by never settling it,
+reopen, :meth:`LabelingService.recover` — including the
+replay-idempotency contract through the single-flight result cache.
 """
 
 import json
 import os
+import shutil
+import sqlite3
 import stat
-import struct
 
 import pytest
 
 from repro.durability import (
-    CheckpointStore,
     Journal,
     JournalCorrupt,
     RunManifest,
@@ -49,10 +49,6 @@ def items(splits):
     return test.items[:24]
 
 
-def segment_files(directory):
-    return sorted(p for p in directory.iterdir() if p.suffix == ".wal")
-
-
 # -- unit: the journal --------------------------------------------------------
 
 
@@ -69,79 +65,76 @@ class TestJournal:
         entries = reopened.pending_entries()
         assert [e.seq for e in entries] == [seqs[1], seqs[2], seqs[4]]
         assert [e.item for e in entries] == ["item-1", "item-2", "item-4"]
-        assert reopened.stats().replayed == 7
+        assert reopened.stats().replayed == 3
         # seq stays monotonic across restarts
-        assert reopened.log_admission("item-5", "spec", None) > max(seqs) + 2
+        assert reopened.log_admission("item-5", "spec", None) > max(seqs)
         reopened.close()
 
-    def test_torn_tail_is_truncated_once_and_counted(self, tmp_path):
-        with Journal(tmp_path, fsync="none") as journal:
-            for i in range(3):
-                journal.log_admission(f"item-{i}", "spec", None)
-        (segment,) = segment_files(tmp_path)
-        clean_size = segment.stat().st_size
-        # a crash mid-append: a frame header promising bytes that never landed
-        with open(segment, "ab") as fh:
-            fh.write(struct.pack("!II", 100, 0) + b"partial")
-        reopened = Journal(tmp_path, fsync="none")
-        assert reopened.stats().torn_tails == 1
-        assert reopened.pending_count == 3
-        assert segment.stat().st_size == clean_size
-        reopened.close()
-        # the truncation healed the file: a second open is clean
-        clean = Journal(tmp_path, fsync="none")
-        assert clean.stats().torn_tails == 0
-        clean.close()
+    def test_buffered_rows_span_several_statements(self, tmp_path):
+        # More appends between flushes than one INSERT or DELETE carries.
+        with Journal(tmp_path, fsync="batch") as journal:
+            seqs = [journal.log_admission(i, "spec", None) for i in range(900)]
+            for seq in seqs[::3]:  # settled while still buffered
+                journal.log_terminal(seq, "completed")
+            live = [seq for seq in seqs if seq % 3 != 1]
+            assert [e.seq for e in journal.pending_entries()] == live
+            journal.flush()
+            for seq in live[::2]:  # settled after their rows were written
+                journal.log_terminal(seq, "completed")
+            assert journal.pending_count == len(live[1::2])
+        with Journal(tmp_path, fsync="batch") as reopened:
+            entries = reopened.pending_entries()
+            assert [e.seq for e in entries] == live[1::2]
+            assert [e.item for e in entries] == [seq - 1 for seq in live[1::2]]
 
-    def test_mid_file_corruption_raises_not_truncates(self, tmp_path):
-        with Journal(tmp_path, fsync="none") as journal:
-            for i in range(3):
-                journal.log_admission(f"item-{i}", "spec", None)
-        (segment,) = segment_files(tmp_path)
-        data = bytearray(segment.read_bytes())
-        data[12] ^= 0xFF  # flip a byte inside the first frame's body
-        segment.write_bytes(bytes(data))
-        with pytest.raises(JournalCorrupt, match="not a torn tail"):
-            Journal(tmp_path, fsync="none")
-
-    def test_rotation_then_compaction_bounds_disk(self, tmp_path):
-        journal = Journal(
-            tmp_path, fsync="none", segment_bytes=256, checkpoint_every=None
-        )
-        for i in range(20):
-            seq = journal.log_admission(f"item-{i}", "padding" * 8, None)
-            journal.log_terminal(seq, "completed")
-        assert len(segment_files(tmp_path)) > 1
-        journal.checkpoint()
-        stats = journal.stats()
-        assert stats.compacted > 0
-        assert len(segment_files(tmp_path)) == 1  # only the fresh tail
-        journal.close()
-        reopened = Journal(tmp_path, fsync="none")
-        assert reopened.pending_count == 0
-        assert reopened.stats().replayed == 0  # history lives in the checkpoint
-        reopened.close()
-
-    def test_checkpoint_carries_pending_past_compaction(self, tmp_path):
-        journal = Journal(tmp_path, fsync="none", checkpoint_every=None)
+    def test_committed_admissions_survive_a_torn_wal_tail(self, tmp_path):
+        live, crashed = tmp_path / "live", tmp_path / "crashed"
+        journal = Journal(live, fsync="batch")
         seqs = [
-            journal.log_admission(f"item-{i}", "spec", None) for i in range(5)
+            journal.log_admission(f"item-{i}", "spec", None) for i in range(3)
         ]
-        for seq in seqs[:3]:
-            journal.log_terminal(seq, "completed")
-        journal.checkpoint()
+        journal.flush()
+        # The disk as a SIGKILL leaves it: the committed rows live only in
+        # the WAL, and a crash mid-commit left a partial frame after them.
+        crashed.mkdir()
+        for name in (Journal.FILENAME, f"{Journal.FILENAME}-wal"):
+            shutil.copy(live / name, crashed / name)
         journal.close()
-        reopened = Journal(tmp_path, fsync="none")
-        assert [e.seq for e in reopened.pending_entries()] == seqs[3:]
-        reopened.close()
+        with open(crashed / f"{Journal.FILENAME}-wal", "ab") as fh:
+            fh.write(bytes(range(256)) * 17)  # more than one 4 KiB frame
+        with Journal(crashed, fsync="batch") as reopened:
+            assert reopened.stats().replayed == 3
+            entries = reopened.pending_entries()
+            assert [e.seq for e in entries] == seqs
+            assert [e.item for e in entries] == ["item-0", "item-1", "item-2"]
 
-    def test_auto_checkpoint_fires_on_terminals(self, tmp_path):
-        journal = Journal(tmp_path, fsync="none", checkpoint_every=2)
-        for i in range(4):
-            seq = journal.log_admission(f"item-{i}", "spec", None)
-            journal.log_terminal(seq, "completed")
-        assert journal.stats().checkpoints == 2
-        journal.close()
+    def test_flipped_payload_byte_raises_journal_corrupt(self, tmp_path):
+        with Journal(tmp_path, fsync="none") as journal:
+            for i in range(3):
+                journal.log_admission(f"item-{i}", "spec", None)
+        with sqlite3.connect(tmp_path / Journal.FILENAME) as db:
+            (payload,) = db.execute(
+                "SELECT payload FROM pending WHERE seq = 2"
+            ).fetchone()
+            flipped = bytearray(payload)
+            flipped[len(flipped) // 2] ^= 0xFF
+            db.execute(
+                "UPDATE pending SET payload = ? WHERE seq = 2", (bytes(flipped),)
+            )
+        db.close()
+        with Journal(tmp_path, fsync="none") as reopened:
+            with pytest.raises(JournalCorrupt, match="admission 2 fails its CRC"):
+                reopened.pending_entries()
+
+    def test_segment_format_directory_is_refused(self, tmp_path):
+        (tmp_path / "segment-00000001.wal").write_bytes(b"owed admissions")
+        (tmp_path / "checkpoint.json").write_text("{}")
+        with pytest.raises(
+            JournalCorrupt, match=r"checkpoint\.json, segment-00000001\.wal"
+        ):
+            Journal(tmp_path)
+        # no empty journal was started beside the files it could not read
+        assert not (tmp_path / Journal.FILENAME).exists()
 
     def test_fsync_batch_counts_on_flush_only(self, tmp_path):
         journal = Journal(tmp_path, fsync="batch")
@@ -154,11 +147,29 @@ class TestJournal:
         assert journal.stats().fsyncs == 1
         journal.close()
 
+    def test_fsync_counts_every_append_under_always_none_under_none(
+        self, tmp_path
+    ):
+        with Journal(tmp_path / "always", fsync="always") as journal:
+            seq = journal.log_admission("item", "spec", None)
+            journal.log_admission("item2", "spec", None)
+            journal.log_terminal(seq, "completed")
+            journal.flush()  # every append already committed on its own
+            assert journal.stats().fsyncs == 3
+        with Journal(tmp_path / "none", fsync="none") as journal:
+            seq = journal.log_admission("item", "spec", None)
+            journal.flush()
+            journal.log_terminal(seq, "completed")
+            journal.flush()
+            assert journal.stats().fsyncs == 0
+        with Journal(tmp_path / "none", fsync="none") as reopened:
+            assert reopened.pending_count == 0  # the flush still committed
+            # an emptied table does not hand out a settled seq again
+            assert reopened.log_admission("item2", "spec", None) == seq + 1
+
     def test_validation_and_closed_append(self, tmp_path):
         with pytest.raises(ValueError, match="fsync"):
             Journal(tmp_path, fsync="sometimes")
-        with pytest.raises(ValueError, match="segment_bytes"):
-            Journal(tmp_path, segment_bytes=16)
         journal = Journal(tmp_path, fsync="none")
         journal.close()
         journal.close()  # idempotent
@@ -166,7 +177,7 @@ class TestJournal:
             journal.log_admission("item", "spec", None)
 
 
-# -- unit: atomic writes and the checkpoint store -----------------------------
+# -- unit: atomic writes ------------------------------------------------------
 
 
 class TestAtomicWrites:
@@ -210,20 +221,6 @@ class TestAtomicWrites:
         monkeypatch.setattr(os, "replace", replace)
         atomic_write_bytes(tmp_path / "state.bin", b"new")
         assert events == ["fsync file", "rename", "fsync dir"]
-
-
-class TestCheckpointStore:
-    def test_missing_then_roundtrip(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        empty = store.load()
-        assert (empty.seq, empty.pending) == (0, {})
-        store.save(7, {3: b"\x00payload", 5: b"other"})
-        loaded = store.load()
-        assert loaded.seq == 7
-        assert loaded.pending == {3: b"\x00payload", 5: b"other"}
-        # operator-inspectable: plain JSON on disk
-        raw = json.loads((tmp_path / CheckpointStore.FILENAME).read_text())
-        assert raw["seq"] == 7
 
 
 # -- unit: run manifests ------------------------------------------------------

@@ -15,12 +15,11 @@ contract against the journal directory the child left behind:
 import os
 import pickle
 import signal
-import struct
+import sqlite3
 import subprocess
 import sys
 import threading
 import time
-import zlib
 from pathlib import Path
 
 import pytest
@@ -93,32 +92,34 @@ for item in items:
 time.sleep(60)  # hold the backlog until the parent kills us
 """
 
-_LENGTH = struct.Struct("!II")
-_BODY_HEAD = struct.Struct("!BQ")
+def scan_wal(journal_dir: Path, acked: list[str]) -> tuple[set[str], set[str]]:
+    """(admitted ids, durably-settled ids) read straight from the journal table.
 
-
-def scan_wal(journal_dir: Path) -> tuple[set[str], set[str]]:
-    """(admitted ids, durably-settled ids) from the documented WAL format."""
-    admitted: dict[int, str] = {}
-    settled_seqs: set[int] = set()
-    for segment in sorted(journal_dir.glob("segment-*.wal")):
-        data = segment.read_bytes()
-        offset = 0
-        while offset + _LENGTH.size <= len(data):
-            length, crc = _LENGTH.unpack_from(data, offset)
-            body = data[offset + _LENGTH.size : offset + _LENGTH.size + length]
-            if len(body) < length or zlib.crc32(body) != crc:
-                break  # torn tail: everything before it already parsed
-            kind, seq = _BODY_HEAD.unpack_from(body, 0)
-            if kind == Journal.KIND_ADMIT:
-                item, _spec, _deadline = pickle.loads(body[_BODY_HEAD.size :])
-                admitted[seq] = item.item_id
-            elif kind == Journal.KIND_TERMINAL:
-                (admit_seq,) = struct.unpack_from("!Q", body, _BODY_HEAD.size)
-                settled_seqs.add(admit_seq)
-            offset += _LENGTH.size + length
-    settled = {admitted[seq] for seq in settled_seqs if seq in admitted}
-    return set(admitted.values()), settled
+    A terminal deletes its admission's row, so a settled admission leaves
+    no row; what proves it was committed is the table's ``AUTOINCREMENT``
+    counter, which each insert commits together with its row.  The child
+    submits from one thread, so the k-th ack holds seq k, and every row
+    still pending must agree with that.
+    """
+    db = sqlite3.connect(journal_dir / "journal.db")
+    try:
+        last = db.execute(
+            "SELECT seq FROM sqlite_sequence WHERE name = 'pending'"
+        ).fetchone()
+        rows = db.execute("SELECT seq, payload FROM pending").fetchall()
+    finally:
+        db.close()
+    committed = last[0] if last else 0  # no row: nothing was ever committed
+    by_seq = dict(enumerate(acked, 1))
+    pending = set()
+    for seq, payload in rows:
+        item, _spec, _deadline = pickle.loads(payload)
+        # a row past the last ack was admitted but killed before its ack
+        assert by_seq.get(seq, item.item_id) == item.item_id
+        pending.add(item.item_id)
+    admitted = {item_id for seq, item_id in by_seq.items() if seq <= committed}
+    admitted |= pending
+    return admitted, admitted - pending
 
 
 class TestSigkillRecovery:
@@ -169,11 +170,12 @@ class TestSigkillRecovery:
         reader.join(timeout=5)
         assert child.returncode == -signal.SIGKILL
         with lines_lock:
-            acked_set = set(acked)
+            acked_order = list(acked)
+        acked_set = set(acked_order)
         assert len(acked_set) >= 10
 
         # 1. zero acknowledged-admission loss: every ack is in the WAL
-        admitted, settled = scan_wal(journal_dir)
+        admitted, settled = scan_wal(journal_dir, acked_order)
         assert acked_set <= admitted
 
         # 2. restart over the same directory and recover the backlog
