@@ -7,9 +7,12 @@ constraints.
 
 Quickstart::
 
-    from repro import AdaptiveModelScheduler, LabelingSpec, WorldConfig, build_zoo
+    from repro import LabelingEngine, LabelingSpec, WorldConfig, build_zoo
     from repro.data.datasets import generate_dataset, train_test_split
     from repro.labels import build_label_space
+    from repro.rl.training import train_agent
+    from repro.scheduling.qgreedy import AgentPredictor
+    from repro.zoo import GroundTruth
 
     config = WorldConfig()
     space = build_label_space(config.vocab_scale)
@@ -17,22 +20,26 @@ Quickstart::
     dataset = generate_dataset(space, config, "mscoco2017", 500)
     train, test = train_test_split(dataset)
 
-    scheduler = AdaptiveModelScheduler(zoo, config)
-    scheduler.train(train.items, algo="dueling_dqn")
-    result = scheduler.label(test[0], LabelingSpec(deadline=0.5))
+    truth = GroundTruth(zoo, train.items, config)
+    agent = train_agent("dueling_dqn", truth, [i.item_id for i in train]).agent
+    engine = LabelingEngine(zoo, AgentPredictor(agent, len(zoo)), config)
+    result = engine.label_batch([test[0]], LabelingSpec(deadline=0.5))[0]
     print(result.label_names, result.time_used)
+
+:class:`LabelingEngine` is the one entry point for labeling (the paper's
+Fig. 3 loop); :class:`LabelingResult` is what it returns.
 """
 
 import logging as _logging
 
 from repro.config import TrainConfig, WorldConfig, get_scale
-from repro.core.framework import AdaptiveModelScheduler, LabelingResult
 from repro.spec import LabelingSpec
 from repro.engine import (
     BatchedBackend,
     ClusterBackend,
     ClusterConfig,
     LabelingEngine,
+    LabelingResult,
     ProcessConfig,
     SerialBackend,
     make_backend,
@@ -52,7 +59,6 @@ __all__ = [
     "TrainConfig",
     "WorldConfig",
     "get_scale",
-    "AdaptiveModelScheduler",
     "LabelingResult",
     "LabelingSpec",
     "LabelingEngine",

@@ -132,9 +132,9 @@ def _build_service(args, **overrides):
     """The service ``serve`` and ``gateway`` run, from their shared flags:
     world → recorded truth → agent → engine → ``LabelingService``, with
     ``overrides`` for the constructor arguments a command sets itself.
-    Returns ``(service, dataset)``.  The service builds the backend from
-    the flags (with ``--backend process`` scheduling runs in --workers
-    processes while queue/cache/truth bookkeeping stays here) and the
+    Returns ``(service, dataset)``.  The engine runs on the backend the
+    flags name (with ``--backend process`` scheduling runs in --workers
+    processes while queue/cache/truth bookkeeping stays here); the
     calling command closes it in its ``finally``.
     """
     from repro.serving import LabelingService
@@ -148,12 +148,13 @@ def _build_service(args, **overrides):
     # the run measures serving + scheduling, never the one-off zoo
     # execution.
     truth = GroundTruth(zoo, dataset, config)
-    engine = LabelingEngine(zoo, _predictor(args, space, zoo), config)
+    engine = LabelingEngine(
+        zoo, _predictor(args, space, zoo), config, backend=_backend(args)
+    )
     # gateway keeps its admission WAL in a subdirectory of --journal
     overrides.setdefault("journal", args.journal)
     service = LabelingService(
         engine,
-        backend=_backend(args),
         batch_size=args.batch_size,
         max_wait=args.max_wait,
         workers=_service_workers(args),

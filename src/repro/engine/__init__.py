@@ -5,8 +5,8 @@ into a batch/stream pipeline: the :class:`LabelingEngine` records items in
 bulk, drives many items' schedules concurrently through an
 :class:`ExecutionBackend`, and lets go of the ground-truth records it
 recorded once results are built; the cache frees a record nobody holds.
-The framework's public ``label``/``label_stream`` delegate here;
-heavy-traffic callers can use the engine directly.
+It is the one entry point for labeling: build it over a zoo and a trained
+predictor, then call ``label_batch`` or ``label_stream``.
 """
 
 from repro.engine.backends import (

@@ -1,8 +1,9 @@
 """The batched labeling engine: record, schedule, assemble, release.
 
-:class:`LabelingEngine` is the throughput layer between the public
-framework API and the per-item schedulers.  It accepts batches or streams
-of :class:`~repro.data.datasets.DataItem`, records each batch into the
+:class:`LabelingEngine` is the paper's Fig. 3 loop and the one entry
+point for labeling: it drives the per-item schedulers over a trained
+predictor.  It accepts batches or streams of
+:class:`~repro.data.datasets.DataItem`, records each batch into the
 ground-truth cache in one pass (:meth:`GroundTruth.hold`), hands the batch
 to a pluggable :class:`~repro.engine.backends.ExecutionBackend`, assembles
 :class:`LabelingResult` records, and lets go of the batch's records once
@@ -17,6 +18,9 @@ when it was constructed.
 The cache decides what is freed: a record the engine recorded goes once
 no running job holds it, and records that pre-existed in a caller-supplied
 cache are never touched.
+
+Whoever builds the engine owns its backend: a process pool or cluster
+fleet runs until ``engine.backend.close()``.
 """
 
 from __future__ import annotations
@@ -79,23 +83,6 @@ class LabelingEngine:
         self.world_config = world_config or WorldConfig()
         self.backend = make_backend(backend)
         self.batch_size = batch_size
-
-    def with_backend(
-        self, backend: str | BackendConfig | ExecutionBackend
-    ) -> "LabelingEngine":
-        """A sibling engine sharing this world but running another backend.
-
-        The zoo, predictor, and config are shared (no copying); only the
-        execution strategy changes.  Used by the serving tier's
-        ``backend=`` override and handy for A/B-ing backends in tests.
-        """
-        return LabelingEngine(
-            self.zoo,
-            self.predictor,
-            self.world_config,
-            backend=backend,
-            batch_size=self.batch_size,
-        )
 
     # -- internals -----------------------------------------------------------
 

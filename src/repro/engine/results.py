@@ -1,9 +1,9 @@
 """The labeling result record and its construction from a trace.
 
 :class:`LabelingResult` is what every labeling entry point returns per item.
-It lives in the engine layer (the framework re-exports it for backwards
-compatibility) because result construction is the last step of the engine's
-prediction–scheduling–execution loop: read the executed models' valuable
+It lives in the engine layer (the package root re-exports it) because
+result construction is the last step of the engine's prediction–
+scheduling–execution loop: read the executed models' valuable
 emissions back from the ground-truth cache and keep, per label, the
 highest-confidence one (Eq. 1's max-confidence union).
 """
@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.output import LabelOutput
+from repro.zoo.output import LabelOutput
 from repro.scheduling.base import ScheduleTrace
 from repro.zoo.oracle import GroundTruth
 
 
 @dataclass
 class LabelingResult:
-    """What the framework returns for one labeled item."""
+    """What the engine returns for one labeled item."""
 
     item_id: str
     #: All valuable labels obtained, with confidences.

@@ -46,7 +46,6 @@ from repro.serving.queue import (
 from repro.serving.result_cache import CacheStats, ResultCache
 from repro.spec import LabelingSpec
 from repro.serving.service import (
-    DEFAULT_EXPIRY_INTERVAL,
     DEFAULT_MAX_DEPTH,
     DEFAULT_MAX_WAIT,
     DEFAULT_WORKERS,
@@ -65,7 +64,6 @@ HierarchicalRequestQueue = RequestQueue
 __all__ = [
     "BulkAdmission",
     "CacheStats",
-    "DEFAULT_EXPIRY_INTERVAL",
     "DEFAULT_MAX_DEPTH",
     "DEFAULT_MAX_WAIT",
     "DEFAULT_WORKERS",

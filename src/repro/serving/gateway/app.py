@@ -79,6 +79,9 @@ logger = logging.getLogger(__name__)
 #: Retry hint when the service queue itself rejects (backpressure): the
 #: queue drains at micro-batch cadence, so suggest one batch wait.
 BACKPRESSURE_RETRY_HINT = 0.05
+#: Retained async jobs per tenant; creating one past the cap evicts the
+#: oldest *finished* job, or answers 429 if all are running.
+MAX_JOBS_PER_TENANT = 64
 
 _SPEC_FIELDS = ("deadline", "memory_budget", "max_models", "priority", "policy")
 _LABEL_KEYS = frozenset(("item_id", "admission_deadline", *_SPEC_FIELDS))
@@ -118,9 +121,6 @@ class LabelingGateway:
     host, port:
         Bind address; ``port=0`` (default) picks an ephemeral port,
         readable as :attr:`port` after start.
-    max_jobs_per_tenant:
-        Retained async jobs per tenant; creating one past the cap evicts
-        the oldest *finished* job, or answers 429 if all are running.
     job_dir:
         Optional job-store directory, separate from the service's journal
         (:mod:`~repro.serving.gateway.jobs`).  A gateway started on it
@@ -138,7 +138,6 @@ class LabelingGateway:
         tracer: TraceBuffer | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_jobs_per_tenant: int = 64,
         job_dir: str | Path | None = None,
         clock=time.monotonic,
     ):
@@ -157,7 +156,7 @@ class LabelingGateway:
         self.port: int | None = None
         self._clock = clock
         self._quotas = {t.name: TenantQuota(t, clock) for t in directory}
-        self._jobs = JobStore(job_dir, max_jobs_per_tenant)
+        self._jobs = JobStore(job_dir, MAX_JOBS_PER_TENANT)
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None

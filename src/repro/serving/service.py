@@ -13,11 +13,11 @@ backlog stays queued, under its depth bound, admission deadlines and fair
 dispatch.  Event-loop clients pass ``wait="async"`` to
 :meth:`~LabelingService.submit` / :meth:`~LabelingService.submit_many` — the
 same futures wrapped with :func:`asyncio.wrap_future` after non-blocking
-admission — and ``backend="process"`` moves the CPU-bound scheduling phase
-into worker processes (the GIL otherwise caps the whole worker pool near one
-core) while admission, caching, and recording stay in the parent;
-``backend=ClusterConfig(...)`` moves it onto socket workers that may live on
-other hosts.
+admission — and an engine built with ``backend="process"`` moves the
+CPU-bound scheduling phase into worker processes (the GIL otherwise caps the
+whole worker pool near one core) while admission, caching, and recording stay
+in the parent; ``backend=ClusterConfig(...)`` moves it onto socket workers
+that may live on other hosts.
 
 Each request carries a :class:`~repro.spec.LabelingSpec` — its scheduling
 regime, constraints, and priority.  Requests submitted without one inherit
@@ -52,7 +52,7 @@ answered from the cache without scheduling, and concurrent submissions of
 an in-flight key attach to the same future (single-flight) — the first
 submitter's admission terms (priority, admission deadline) govern the
 shared flight.  A timer thread sweeps the queue every
-``expiry_interval`` seconds so requests whose admission deadline lapses
+:data:`EXPIRY_INTERVAL` seconds so requests whose admission deadline lapses
 inside a bucket the dispatcher is busy elsewhere on settle promptly
 instead of waiting for their bucket's next turn.  Worker threads
 share the engine safely: scheduling is pure reads over recorded outputs
@@ -101,8 +101,6 @@ from pathlib import Path
 
 from repro.data.datasets import DataItem
 from repro.durability.journal import Journal
-from repro.engine.backends import ExecutionBackend
-from repro.engine.config import BackendConfig
 from repro.engine.engine import LabelingEngine
 from repro.obs.bridge import bind_service
 from repro.obs.registry import MetricsRegistry
@@ -125,8 +123,8 @@ DEFAULT_MAX_WAIT = 0.02
 DEFAULT_WORKERS = 2
 #: Default admission-queue depth bound.
 DEFAULT_MAX_DEPTH = 1024
-#: Default queue sweep period for settling expired-while-queued requests.
-DEFAULT_EXPIRY_INTERVAL = 0.05
+#: Queue sweep period for settling expired-while-queued requests.
+EXPIRY_INTERVAL = 0.05
 
 logger = logging.getLogger("repro.serving.service")
 
@@ -164,7 +162,7 @@ class _RecoveryRun:
     Terminal records are written from future callbacks on worker
     threads; waiting on this event (instead of the futures) guarantees
     the journal already holds every terminal when the waiter proceeds
-    to checkpoint.
+    to :meth:`LabelingService._journal_flush`.
     """
 
     def __init__(self, expected: int) -> None:
@@ -216,21 +214,13 @@ class LabelingService:
     Parameters
     ----------
     engine:
-        The engine every worker dispatches batches through.
-    backend:
-        Optional execution-backend override (registry name, typed
-        :class:`~repro.engine.config.BackendConfig`, or instance).
-        The service then runs a sibling engine — same zoo, predictor, and
-        config — on that backend instead of mutating the caller's engine.
-        With ``backend="process"`` the scheduling phase runs in worker
-        *processes* (escaping the GIL) — each worker runs the vectorized
-        dispatch tick over its chunk and the encoded payloads travel
-        through the executor pipe — while the queue, result cache, and
-        shared truth stay in this parent process.
-        With ``backend=ClusterConfig(workers=..., ...)`` scheduling is
-        sharded over socket workers that may live on other hosts.  A
-        backend the service constructed itself (from a name or config)
-        is closed at :meth:`shutdown`.
+        The engine every worker dispatches batches through, on the
+        engine's own backend.  With a process backend the scheduling
+        phase runs in worker *processes* (escaping the GIL) while the
+        queue, result cache, and shared truth stay in this process; with
+        a cluster backend it is sharded over socket workers that may live
+        on other hosts.  The service never closes the backend: whoever
+        built it does.
     batch_size:
         Flush a forming batch as soon as it holds this many requests.
     max_wait:
@@ -260,10 +250,6 @@ class LabelingService:
         ``(item_id, batch_key)`` skip scheduling entirely and concurrent
         duplicates coalesce onto one in-flight future.  Passing both is
         ambiguous and raises.
-    expiry_interval:
-        Period in seconds of the queue sweep that settles requests whose
-        admission deadline lapsed while queued (``None``/``0`` disables
-        the sweep; they then settle when their bucket is next served).
     queue_factory:
         Optional callable building the admission queue; receives the
         keyword arguments :class:`RequestQueue` takes (``max_depth``,
@@ -301,7 +287,6 @@ class LabelingService:
         self,
         engine: LabelingEngine,
         *,
-        backend: str | BackendConfig | ExecutionBackend | None = None,
         batch_size: int = 32,
         max_wait: float = DEFAULT_MAX_WAIT,
         workers: int = DEFAULT_WORKERS,
@@ -311,7 +296,6 @@ class LabelingService:
         truth: GroundTruth | None = None,
         cache: ResultCache | None = None,
         cache_size: int | None = None,
-        expiry_interval: float | None = DEFAULT_EXPIRY_INTERVAL,
         queue_factory=None,
         registry: MetricsRegistry | None = None,
         tracer: TraceBuffer | None = None,
@@ -329,16 +313,6 @@ class LabelingService:
             raise ValueError(
                 "pass either a cache instance or cache_size, not both"
             )
-        if expiry_interval is not None and expiry_interval < 0:
-            raise ValueError("expiry_interval must be non-negative")
-        # Close-at-shutdown applies only to backends the service itself
-        # constructed (a registry name); a caller-built instance may be
-        # shared with other services and stays the caller's to close.
-        self._owns_backend = backend is not None and not isinstance(
-            backend, ExecutionBackend
-        )
-        if backend is not None:
-            engine = engine.with_backend(backend)
         self.engine = engine
         # Per-worker dispatch: a backend that counts its own workers (the
         # process pool's per-pid counters) owns the ``workers`` telemetry
@@ -352,7 +326,6 @@ class LabelingService:
         self.cache = cache if cache is not None else (
             ResultCache(cache_size) if cache_size else None
         )
-        self.expiry_interval = expiry_interval
         self._clock = clock
         min_cost = float(engine.zoo.times.min()) if len(engine.zoo) else 0.0
         make_queue = queue_factory or RequestQueue
@@ -666,11 +639,10 @@ class LabelingService:
             target=self._dispatch_loop, name="labeling-dispatcher", daemon=True
         )
         self._dispatcher.start()
-        if self.expiry_interval:
-            self._reaper = threading.Thread(
-                target=self._expiry_loop, name="labeling-expiry", daemon=True
-            )
-            self._reaper.start()
+        self._reaper = threading.Thread(
+            target=self._expiry_loop, name="labeling-expiry", daemon=True
+        )
+        self._reaper.start()
         logger.info(
             "service started: %d worker(s), batch_size=%d, max_wait=%.3fs, "
             "backend=%s",
@@ -826,8 +798,6 @@ class LabelingService:
             self._reaper.join()
         if self._pool is not None:
             self._pool.shutdown(wait=wait)
-        if self._owns_backend:
-            self.engine.backend.close()
         # Leftovers were journaled at admission; their ServiceStopped
         # terminals (written by _resolve above) record that the *client*
         # observed the failure — recover() replays only crash-lost work.
@@ -930,7 +900,7 @@ class LabelingService:
             )
 
     def _expiry_loop(self) -> None:
-        while not self._reaper_stop.wait(self.expiry_interval):
+        while not self._reaper_stop.wait(EXPIRY_INTERVAL):
             self._settle_overdue(self.queue.expire_overdue())
 
     def _dispatch_loop(self) -> None:

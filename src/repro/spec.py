@@ -5,7 +5,7 @@ Q-greedy, Algorithm 1 (deadline), Algorithm 2 (deadline + memory).
 :class:`LabelingSpec` states a request's regime and constraints as a single
 frozen value that every layer shares:
 
-* the **framework** and **engine** take ``spec=`` on every labeling call
+* the **engine** takes ``spec=`` on every labeling call
   (``None`` means the default, unconstrained spec);
 * **backends** receive the spec inside the
   :class:`~repro.engine.backends.LabelingJob` and dispatch on

@@ -29,7 +29,7 @@ from itertools import permutations
 
 import numpy as np
 
-from repro.core.output import ModelOutput, named_labels
+from repro.zoo.output import ModelOutput, named_labels
 from repro.data.datasets import DataItem
 from repro.labels import LabelSpace
 from repro.vocab import (

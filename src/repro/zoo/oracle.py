@@ -31,7 +31,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.config import WorldConfig
-from repro.core.output import LabelOutput, ModelOutput, named_labels
+from repro.zoo.output import LabelOutput, ModelOutput, named_labels
 from repro.data.datasets import DataItem
 from repro.zoo.model import ModelZoo
 from repro.zoo.record import ItemRecord, record_items

@@ -1,4 +1,8 @@
-"""Output containers shared by the zoo, the environment, and schedulers."""
+"""What a zoo model emits for one item: labels with their confidences.
+
+The zoo produces these; ground truth, evaluation and labeling results
+read them.
+"""
 
 from __future__ import annotations
 

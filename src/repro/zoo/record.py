@@ -22,7 +22,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from repro.core.output import LabelOutput
+from repro.zoo.output import LabelOutput
 from repro.data.datasets import DataItem
 from repro.zoo.model import ModelZoo, emit_batch
 

@@ -319,33 +319,39 @@ class TestChaos(ShardedContract):
 
 
 class TestServiceCluster:
-    def test_service_end_to_end_owns_and_closes_the_fleet(
+    def test_service_end_to_end_leaves_the_fleet_to_its_owner(
         self, zoo, world_config, predictor, truth, items
     ):
         ref = engine_for(zoo, predictor, world_config, "serial").label_batch(
             items, truth=truth
         )
-        engine = engine_for(zoo, predictor, world_config, "batched")
-        service = LabelingService(
-            engine,
-            backend=ClusterConfig(local_workers=2, mp_context=mp_ctx()),
-            batch_size=4,
-            max_wait=0.005,
-            workers=2,
-            truth=truth,
+        engine = engine_for(
+            zoo,
+            predictor,
+            world_config,
+            ClusterConfig(local_workers=2, mp_context=mp_ctx()),
         )
-        assert isinstance(service.engine.backend, ClusterBackend)
-        with service:
-            results = [f.result(timeout=60) for f in service.submit_many(items)]
-            service.drain()
+        backend = engine.backend
+        assert isinstance(backend, ClusterBackend)
+        try:
+            service = LabelingService(
+                engine, batch_size=4, max_wait=0.005, workers=2, truth=truth
+            )
+            with service:
+                results = [f.result(timeout=60) for f in service.submit_many(items)]
+                service.drain()
+            # The service never closes its engine's backend: the fleet
+            # is still up after shutdown, for whoever built it to close.
+            assert backend._fleet is not None
+        finally:
+            backend.close()
         assert_parity(results, ref)
         snapshot = service.snapshot()
         assert snapshot.counters["failed"] == 0
         # Per-worker dispatch counters name the socket workers.
         assert any(":" in worker for worker in snapshot.workers)
-        # Shutdown closed the service-owned backend: links and fleet gone.
-        assert service.engine.backend._links == {}
-        assert service.engine.backend._fleet is None
+        assert backend._links == {}
+        assert backend._fleet is None
 
     def test_lazy_local_fleet_spawns_on_first_job(
         self, zoo, world_config, predictor, truth, items

@@ -308,7 +308,7 @@ class TestServiceJournal:
         stats = service.recovery_stats()
         assert stats["runs"] == 1 and stats["recovered"] == 5
         service.shutdown()
-        # the post-recovery checkpoint means a reopen owes nothing
+        # every replayed request's terminal deleted its row: a reopen owes nothing
         reopened = Journal(tmp_path)
         assert reopened.pending_count == 0
         reopened.close()

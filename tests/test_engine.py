@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.framework import AdaptiveModelScheduler
 from repro.data.streams import batched
 from repro.engine import (
     BACKEND_REGISTRY,
@@ -73,7 +72,7 @@ class TestBackendParity:
             ]
             assert got.recall == ref.recall
 
-    @pytest.mark.parametrize("backend", ["batched"])
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
     def test_stream_matches_batch(
         self, zoo, world_config, predictor, truth, items, backend
     ):
@@ -88,6 +87,7 @@ class TestBackendParity:
                 batch_size=7,
             )
         )
+        assert len(from_stream) == len(items)
         for ref, got in zip(from_batch, from_stream):
             assert got.item_id == ref.item_id
             assert got.trace.executions == ref.trace.executions
@@ -250,36 +250,6 @@ class TestEngineApi:
         for bad in (0, -3):
             with pytest.raises(ValueError, match="batch_size"):
                 engine.label_stream(items, truth=truth, batch_size=bad)
-
-    def test_framework_delegates_to_engine(
-        self, zoo, world_config, trained, truth, items
-    ):
-        per_item = AdaptiveModelScheduler(
-            zoo, world_config, agent=trained.agent, backend="serial"
-        )
-        batched_fw = AdaptiveModelScheduler(
-            zoo, world_config, agent=trained.agent, backend="batched"
-        )
-        spec = LabelingSpec(deadline=0.4)
-        singles = [per_item.label(i, spec, truth=truth) for i in items[:8]]
-        batch = batched_fw.label_batch(items[:8], spec, truth=truth)
-        for ref, got in zip(singles, batch):
-            assert got.trace.executions == ref.trace.executions
-
-    def test_framework_stream_backend_override(
-        self, zoo, world_config, trained, truth, items
-    ):
-        scheduler = AdaptiveModelScheduler(
-            zoo, world_config, agent=trained.agent, backend="serial", batch_size=4
-        )
-        results = list(
-            scheduler.label_stream(
-                items[:8],
-                LabelingSpec(deadline=0.4),
-                truth=truth,
-            )
-        )
-        assert [r.item_id for r in results] == [i.item_id for i in items[:8]]
 
 
 class TestBatchedHelper:

@@ -274,7 +274,6 @@ class TestTimerExpiry:
             batch_size=64,
             max_wait=10.0,
             workers=1,
-            expiry_interval=0.01,
         )
         with service:
             parked = service.submit(items[0], LabelingSpec())
@@ -291,10 +290,6 @@ class TestTimerExpiry:
         snapshot = service.snapshot()
         assert snapshot.counters["expired"] == 1
         assert snapshot.counters["completed"] == 1
-
-    def test_expiry_interval_validation(self, engine):
-        with pytest.raises(ValueError, match="expiry_interval"):
-            LabelingService(engine, expiry_interval=-0.5)
 
 
 class TestBucketLifecycle:

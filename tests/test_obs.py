@@ -420,18 +420,24 @@ class TestShardedBackendFamilies:
 
     def scrape(self, engine, items, backend):
         """The registry snapshot and the backend's own stats, both read
-        before shutdown closes the backend."""
+        before the backend is closed."""
+        engine = LabelingEngine(
+            engine.zoo, engine.predictor, engine.world_config, backend=backend
+        )
         registry = MetricsRegistry()
         service = LabelingService(
-            engine, backend=backend, batch_size=8, max_wait=0.005, registry=registry
+            engine, batch_size=8, max_wait=0.005, registry=registry
         )
-        with service:
-            for future in service.submit_many(items):
-                future.result(timeout=60)
-            service.drain()
-            backend = service.engine.backend
-            cluster = getattr(backend, "cluster_stats", None)
-            return registry.snapshot(), backend.chunk_stats, cluster
+        try:
+            with service:
+                for future in service.submit_many(items):
+                    future.result(timeout=60)
+                service.drain()
+                backend = engine.backend
+                cluster = getattr(backend, "cluster_stats", None)
+                return registry.snapshot(), backend.chunk_stats, cluster
+        finally:
+            engine.backend.close()
 
     def test_process_pool_rows_match_the_backend(self, engine, items):
         snapshot, stats, _ = self.scrape(

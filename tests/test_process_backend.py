@@ -121,21 +121,17 @@ class TestPoolLifecycle(ShardedContract):
     def test_caller_built_backend_survives_service_shutdown(
         self, zoo, world_config, predictor, truth, items
     ):
-        # The service closes only backends it constructed from a registry
-        # name; a caller-built instance may be shared and stays open.
-        engine = engine_for(zoo, predictor, world_config, "batched")
+        # The service never closes its engine's backend: whoever built
+        # the backend closes it, so one pool can outlive many services.
         with process_backend(max_workers=2) as backend:
-            service = LabelingService(
-                engine, backend=backend, batch_size=4, workers=2, truth=truth
-            )
+            engine = engine_for(zoo, predictor, world_config, backend)
+            service = LabelingService(engine, batch_size=4, workers=2, truth=truth)
             with service:
                 [f.result(timeout=60) for f in service.submit_many(items[:8])]
                 service.drain()
             assert backend._pool is not None  # shutdown left it alive
             # and it still runs jobs afterwards
-            results = engine_for(zoo, predictor, world_config, backend).label_batch(
-                items[:4], truth=truth
-            )
+            results = engine.label_batch(items[:4], truth=truth)
             assert len(results) == 4
 
     def test_make_backend_kwargs(self):
@@ -221,22 +217,19 @@ class TestServiceProcessBackend:
         ref = engine_for(zoo, predictor, world_config, "serial").label_batch(
             items, truth=truth
         )
-        engine = engine_for(zoo, predictor, world_config, "batched")
-        service = LabelingService(
-            engine,
-            backend="process",
-            batch_size=4,
-            max_wait=0.005,
-            workers=2,
-            truth=truth,
-            cache_size=128,
-        )
-        assert isinstance(service.engine.backend, ProcessPoolBackend)
-        assert service.engine is not engine  # caller's engine untouched
-        with service:
-            first = [f.result(timeout=60) for f in service.submit_many(items)]
-            again = [f.result(timeout=60) for f in service.submit_many(items)]
-            service.drain()
+        with process_backend(max_workers=2) as backend:
+            service = LabelingService(
+                engine_for(zoo, predictor, world_config, backend),
+                batch_size=4,
+                max_wait=0.005,
+                workers=2,
+                truth=truth,
+                cache_size=128,
+            )
+            with service:
+                first = [f.result(timeout=60) for f in service.submit_many(items)]
+                again = [f.result(timeout=60) for f in service.submit_many(items)]
+                service.drain()
         for r, g in zip(ref, first):
             assert g.item_id == r.item_id
             assert g.trace.executions == r.trace.executions
@@ -254,8 +247,6 @@ class TestServiceProcessBackend:
         assert snapshot.workers
         assert all(worker.startswith("pid") for worker in snapshot.workers)
         assert sum(snapshot.workers.values()) >= len(items)
-        # Shutdown closed the service-owned process pool.
-        assert service.engine.backend._pool is None
 
     def test_unrecorded_items_on_shared_truth(
         self, zoo, world_config, predictor, items
@@ -265,18 +256,17 @@ class TestServiceProcessBackend:
         # travel as chunk deltas, and parent-side refcounting leaves the
         # shared cache empty afterwards.
         shared = GroundTruth(zoo, [], world_config)
-        engine = engine_for(zoo, predictor, world_config, "batched")
-        service = LabelingService(
-            engine,
-            backend="process",
-            batch_size=3,
-            max_wait=0.005,
-            workers=2,
-            truth=shared,
-        )
-        with service:
-            results = [f.result(timeout=60) for f in service.submit_many(items)]
-            service.drain()
+        with process_backend(max_workers=2) as backend:
+            service = LabelingService(
+                engine_for(zoo, predictor, world_config, backend),
+                batch_size=3,
+                max_wait=0.005,
+                workers=2,
+                truth=shared,
+            )
+            with service:
+                results = [f.result(timeout=60) for f in service.submit_many(items)]
+                service.drain()
         assert [r.item_id for r in results] == [i.item_id for i in items]
         assert service.snapshot().counters["failed"] == 0
         assert len(shared) == 0

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import AdaptiveModelScheduler, LabelingEngine, LabelingSpec
+from repro import LabelingEngine, LabelingSpec
 from repro.engine import make_backend
 from repro.scheduling.qgreedy import AgentPredictor
 from repro.serving import LabelingService
+from repro.serving.gateway import LabelingGateway
 from repro.spec import REGIMES
 from repro.zoo.oracle import GroundTruth
 
@@ -181,14 +182,13 @@ class TestTenant:
         ) == LabelingSpec(deadline=0.5, tenant="a").cache_key("item-1")
 
 
+@pytest.fixture(scope="module")
+def engine(zoo, world_config, trained):
+    return LabelingEngine(zoo, AgentPredictor(trained.agent, len(zoo)), world_config)
+
+
 class TestResolve:
     """What a labeling call makes of its ``spec=`` argument."""
-
-    @pytest.fixture(scope="class")
-    def engine(self, zoo, world_config, trained):
-        return LabelingEngine(
-            zoo, AgentPredictor(trained.agent, len(zoo)), world_config
-        )
 
     def test_no_arguments_is_unconstrained(self, engine, splits, truth):
         _, test = splits
@@ -238,50 +238,29 @@ class TestResolve:
 class TestFrameworkSpecParity:
     """spec= is the one spelling, end to end."""
 
-    @pytest.fixture(scope="class")
-    def scheduler(self, zoo, world_config, trained):
-        return AdaptiveModelScheduler(zoo, world_config, agent=trained.agent)
-
-    def test_label_conflict_raises(self, scheduler, splits, truth):
-        _, test = splits
-        with pytest.raises(TypeError, match="deadline"):
-            scheduler.label(
-                test[0], LabelingSpec(deadline=0.4), deadline=0.4, truth=truth
-            )
-
-    def test_label_stream_conflict_raises_eagerly(self, scheduler, splits, truth):
+    def test_label_stream_conflict_raises_eagerly(self, engine, splits, truth):
         _, test = splits
         # no iteration: the conflict must surface at call time
         with pytest.raises(TypeError, match="deadline"):
-            scheduler.label_stream(
+            engine.label_stream(
                 test[:5], LabelingSpec(deadline=0.4), deadline=0.4, truth=truth
             )
-
-    def test_invalid_constraints_raise_before_scheduling(self, scheduler, splits):
-        _, test = splits
-        with pytest.raises(ValueError, match="max_models"):
-            scheduler.label(test[0], LabelingSpec(max_models=0))
-        with pytest.raises(ValueError, match="non-negative"):
-            scheduler.label_batch(test.items[:2], LabelingSpec(deadline=-0.5))
 
 
 #: entry point -> call it with its positional payload plus a removed kwarg
 _CALLS = {
-    "scheduler.label": lambda w, kw: w.scheduler.label(w.items[0], **kw),
-    "scheduler.label_batch": lambda w, kw: w.scheduler.label_batch(w.items, **kw),
-    "scheduler.label_stream": lambda w, kw: w.scheduler.label_stream(w.items, **kw),
     "engine.label_batch": lambda w, kw: w.engine.label_batch(w.items, **kw),
     "engine.label_stream": lambda w, kw: w.engine.label_stream(w.items, **kw),
     "LabelingService": lambda w, kw: LabelingService(w.engine, **kw),
     "submit": lambda w, kw: w.service.submit(w.items[0], **kw),
     "submit_many": lambda w, kw: w.service.submit_many(w.items, **kw),
     "make_backend": lambda w, kw: make_backend("process", **kw),
-    "with_backend": lambda w, kw: w.engine.with_backend("process", **kw),
+    "LabelingGateway": lambda w, kw: LabelingGateway(w.service, None, w.items, **kw),
 }
 REMOVED_SPELLINGS = [
     *(
         (entry, kwarg, value)
-        for entry in list(_CALLS)[:6]  # the entry points that took constraints
+        for entry in list(_CALLS)[:3]  # the entry points that took constraints
         for kwarg, value in (
             ("deadline", 0.5),
             ("memory_budget", 8000.0),
@@ -293,7 +272,11 @@ REMOVED_SPELLINGS = [
     ("submit_many", "nowait", True),
     ("submit_many", "priority", 1),
     ("make_backend", "max_workers", 3),
-    ("with_backend", "max_workers", 3),
+    # the engine carries the backend; the service runs on it as built
+    ("LabelingService", "backend", "process"),
+    # fixed periods and caps, not options
+    ("LabelingService", "expiry_interval", 0.05),
+    ("LabelingGateway", "max_jobs_per_tenant", 3),
 ]
 
 
@@ -301,12 +284,9 @@ class TestRemovedSpellings:
     """Every second spelling is gone, not deprecated: using one is an error."""
 
     @pytest.fixture(scope="class")
-    def world(self, zoo, world_config, trained, splits):
-        scheduler = AdaptiveModelScheduler(zoo, world_config, agent=trained.agent)
-        engine = scheduler.engine()
+    def world(self, engine, splits):
         _, test = splits
         return SimpleNamespace(
-            scheduler=scheduler,
             engine=engine,
             service=LabelingService(engine),
             items=test.items[:2],
