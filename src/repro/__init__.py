@@ -30,49 +30,44 @@ Quickstart::
 Fig. 3 loop); :class:`LabelingResult` is what it returns.
 """
 
+import importlib as _importlib
 import logging as _logging
 
-from repro.config import TrainConfig, WorldConfig, get_scale
-from repro.spec import LabelingSpec
-from repro.engine import (
-    BatchedBackend,
-    ClusterBackend,
-    ClusterConfig,
-    LabelingEngine,
-    LabelingResult,
-    ProcessConfig,
-    SerialBackend,
-    make_backend,
-)
-from repro.labels import LabelSpace, build_label_space
-from repro.serving import LabelingService
-from repro.zoo import GroundTruth, ModelZoo, build_zoo
-
 __version__ = "1.3.0"
+
+#: Module -> the names the package root re-exports from it.  A name is
+#: imported on first access, so ``import repro.experiments.runner`` does
+#: not pull in the serving stack or the engine's backends.
+_EXPORTS = {
+    "repro.config": ("TrainConfig", "WorldConfig", "get_scale"),
+    "repro.spec": ("LabelingSpec",),
+    "repro.engine": (
+        "LabelingResult",
+        "LabelingEngine",
+        "SerialBackend",
+        "BatchedBackend",
+        "ClusterBackend",
+        "ClusterConfig",
+        "ProcessConfig",
+        "make_backend",
+    ),
+    "repro.serving": ("LabelingService",),
+    "repro.labels": ("LabelSpace", "build_label_space"),
+    "repro.zoo": ("GroundTruth", "ModelZoo", "build_zoo"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
 
 # Library convention: emit through ``repro.*`` loggers, ship no handlers.
 # Applications opt in (e.g. ``repro.cli --log-level``); without that,
 # records vanish here instead of falling back to the root logger.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__all__ = [
-    "TrainConfig",
-    "WorldConfig",
-    "get_scale",
-    "LabelingResult",
-    "LabelingSpec",
-    "LabelingEngine",
-    "SerialBackend",
-    "BatchedBackend",
-    "ClusterBackend",
-    "ClusterConfig",
-    "ProcessConfig",
-    "make_backend",
-    "LabelingService",
-    "LabelSpace",
-    "build_label_space",
-    "GroundTruth",
-    "ModelZoo",
-    "build_zoo",
-    "__version__",
-]
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(_importlib.import_module(_HOME[name]), name)
+    globals()[name] = value
+    return value

@@ -30,8 +30,13 @@ class PolicyCurve:
 
     def at(self, threshold: float) -> tuple[float, float]:
         """(avg models, avg time) at the grid point nearest ``threshold``."""
-        i = int(np.argmin(np.abs(np.asarray(self.thresholds) - threshold)))
+        i = nearest(self.thresholds, threshold)
         return float(self.avg_models[i]), float(self.avg_time[i])
+
+
+def nearest(grid: Sequence[float], x: float) -> int:
+    """Index of the grid point nearest ``x`` (the first one on a tie)."""
+    return int(np.argmin(np.abs(np.asarray(grid) - x)))
 
 
 def average_cost_curves(

@@ -9,7 +9,6 @@ benchmark modules can share one world and one set of trained agents; the
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,7 +56,6 @@ class ExperimentContext:
         self._datasets: dict[str, tuple[Dataset, Dataset]] = {}
         self._truth: GroundTruth | None = None
         self._agents: dict[tuple, QAgent] = {}
-        self._train_seconds: dict[tuple, float] = {}
 
     # -- data -----------------------------------------------------------------
 
@@ -111,7 +109,6 @@ class ExperimentContext:
             truth = self.ensure_truth(dataset)
             train, _ = self.splits(dataset)
             cache_path = self._cache_path(key)
-            start = time.perf_counter()
             if cache_path is not None and cache_path.exists():
                 agent = self._load_agent(algo, cache_path)
             else:
@@ -126,7 +123,6 @@ class ExperimentContext:
                 if cache_path is not None:
                     cache_path.parent.mkdir(parents=True, exist_ok=True)
                     agent.save(cache_path)
-            self._train_seconds[key] = time.perf_counter() - start
             self._agents[key] = agent
         return self._agents[key]
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.cdf import empirical_cdf
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.tables import format_table
 from repro.experiments.common import (
     ExperimentContext,
     ExperimentReport,
     PREDICTION_DATASETS,
 )
+from repro.experiments.grid import cdf_table, recall_times, traces
 from repro.scheduling.qgreedy import QGreedyPolicy
 from repro.scheduling.random_policy import RandomOrderPredictor
 
@@ -43,18 +43,14 @@ def run(ctx: ExperimentContext, n_items: int | None = None) -> ExperimentReport:
         item_ids.extend(ctx.eval_ids(dataset, per_dataset))
 
     no_policy_time = ctx.zoo.total_time
-    random_policy = QGreedyPolicy(RandomOrderPredictor(seed=7))
-
-    random_costs = []
-    optimal_costs = []
-    for item_id in item_ids:
-        # Random: execute in random order until all valuable labels are in.
-        trace = random_policy.schedule(truth, item_id)
-        _, time_full = trace.cost_to_recall(1.0)
-        random_costs.append(time_full)
-        # Optimal: execute exactly the useful models.
-        useful = truth.record(item_id).useful_models
-        optimal_costs.append(float(ctx.zoo.times[useful].sum()))
+    # Random: execute in random order until all valuable labels are in.
+    policies = {"random": QGreedyPolicy(RandomOrderPredictor(seed=7))}
+    random_costs = recall_times(traces(truth, item_ids, policies)["random"])
+    # Optimal: execute exactly the useful models.
+    optimal_costs = [
+        float(ctx.zoo.times[truth.record(item_id).useful_models].sum())
+        for item_id in item_ids
+    ]
 
     random_time = float(np.mean(random_costs))
     optimal_time = float(np.mean(optimal_costs))
@@ -76,20 +72,16 @@ def run(ctx: ExperimentContext, n_items: int | None = None) -> ExperimentReport:
         title="Fig. 2 (left): average per-item time to recall all valuable labels",
     )
 
-    grid = np.round(np.arange(0.0, no_policy_time + 0.26, 0.5), 2)
-    _, cdf_random = empirical_cdf(random_costs, grid)
-    _, cdf_optimal = empirical_cdf(optimal_costs, grid)
-    cdf_table = format_series(
-        "time_s",
-        grid,
-        {"random_cdf": cdf_random, "optimal_cdf": cdf_optimal},
-        title="Fig. 2 (right): CDF of per-item time cost",
+    cdfs = cdf_table(
+        "Fig. 2 (right): CDF of per-item time cost",
+        {"random_cdf": random_costs, "optimal_cdf": optimal_costs},
+        no_policy_time,
     )
 
     return ExperimentReport(
         experiment="fig02",
         title="Data-driven analysis: no/random/optimal policies",
-        text=table + "\n\n" + cdf_table,
+        text=table + "\n\n" + cdfs,
         measured={
             "no_policy_time": no_policy_time,
             "random_time": random_time,

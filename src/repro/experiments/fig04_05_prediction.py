@@ -13,12 +13,7 @@ saves 44.1-60.6% executions at 0.8 recall and 48.4-50.0% at 1.0 recall
 
 from __future__ import annotations
 
-from repro.analysis.metrics import (
-    DEFAULT_RECALL_GRID,
-    PolicyCurve,
-    average_cost_curves,
-    savings,
-)
+from repro.analysis.metrics import DEFAULT_RECALL_GRID, PolicyCurve, savings
 from repro.analysis.tables import format_series
 from repro.experiments.common import (
     ALL_ALGOS,
@@ -26,6 +21,7 @@ from repro.experiments.common import (
     ExperimentReport,
     PREDICTION_DATASETS,
 )
+from repro.experiments.grid import cost_curves
 from repro.scheduling.optimal import SoloValuePredictor
 from repro.scheduling.qgreedy import QGreedyPolicy
 from repro.scheduling.random_policy import RandomOrderPredictor
@@ -58,11 +54,7 @@ def curves_for_dataset(
     }
     for algo in algos:
         policies[algo] = QGreedyPolicy(ctx.predictor(dataset, algo))
-    curves: dict[str, PolicyCurve] = {}
-    for name, policy in policies.items():
-        traces = [policy.schedule(truth, i) for i in item_ids]
-        curves[name] = average_cost_curves(name, traces)
-    return curves
+    return cost_curves(truth, item_ids, policies)
 
 
 def run(

@@ -9,9 +9,10 @@ structure at 30-model/1104-label scale.
 
 from __future__ import annotations
 
-from repro.analysis.metrics import DEFAULT_RECALL_GRID, average_cost_curves, savings
+from repro.analysis.metrics import DEFAULT_RECALL_GRID, savings
 from repro.analysis.tables import format_series, format_table
 from repro.experiments.common import ExperimentContext, ExperimentReport
+from repro.experiments.grid import cost_curves
 from repro.scheduling.optimal import SoloValuePredictor
 from repro.scheduling.qgreedy import QGreedyPolicy
 from repro.scheduling.random_policy import RandomOrderPredictor
@@ -38,10 +39,7 @@ def run(
         "random": QGreedyPolicy(RandomOrderPredictor(seed=5)),
         "optimal": QGreedyPolicy(SoloValuePredictor()),
     }
-    curves = {
-        name: average_cost_curves(name, [p.schedule(truth, i) for i in item_ids])
-        for name, p in policies.items()
-    }
+    curves = cost_curves(truth, item_ids, policies)
 
     rules_table = format_table(
         ("#", "rule"),

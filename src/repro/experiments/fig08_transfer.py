@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.cdf import empirical_cdf
 from repro.analysis.metrics import savings
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.tables import format_table
 from repro.experiments.common import ExperimentContext, ExperimentReport
+from repro.experiments.grid import cdf_table, recall_times, traces
 from repro.scheduling.optimal import SoloValuePredictor
 from repro.scheduling.qgreedy import QGreedyPolicy
 from repro.scheduling.random_policy import RandomOrderPredictor
@@ -36,16 +36,6 @@ DATASET1 = "stanford40"
 DATASET2 = "voc2012"
 
 
-def time_to_full_recall(policy, truth, item_ids) -> list[float]:
-    """Per-item time until all valuable labels are recalled."""
-    costs = []
-    for item_id in item_ids:
-        trace = policy.schedule(truth, item_id)
-        _, t = trace.cost_to_recall(1.0)
-        costs.append(t)
-    return costs
-
-
 def run(ctx: ExperimentContext, n_items: int | None = None) -> ExperimentReport:
     for dataset in (DATASET1, DATASET2):
         ctx.ensure_truth(dataset)
@@ -61,8 +51,8 @@ def run(ctx: ExperimentContext, n_items: int | None = None) -> ExperimentReport:
     for tag, dataset in (("dataset1", DATASET1), ("dataset2", DATASET2)):
         item_ids = ctx.eval_ids(dataset, n_items)
         costs = {
-            name: time_to_full_recall(policy, truth, item_ids)
-            for name, policy in agents.items()
+            name: recall_times(runs)
+            for name, runs in traces(truth, item_ids, agents).items()
         }
         means = {name: float(np.mean(c)) for name, c in costs.items()}
         for name, value in means.items():
@@ -84,17 +74,8 @@ def run(ctx: ExperimentContext, n_items: int | None = None) -> ExperimentReport:
                 title=f"Fig. 8 ({tag}={dataset}): avg time to 100% recall",
             )
         )
-        grid = np.round(np.arange(0.0, ctx.zoo.total_time + 0.26, 0.5), 2)
-        cdfs = {
-            name: empirical_cdf(cost, grid)[1] for name, cost in costs.items()
-        }
         sections.append(
-            format_series(
-                "time_s",
-                grid,
-                cdfs,
-                title=f"Fig. 8 CDF ({tag}={dataset})",
-            )
+            cdf_table(f"Fig. 8 CDF ({tag}={dataset})", costs, ctx.zoo.total_time)
         )
     summary = (
         f"agents save {measured['agents_saved_dataset1']:.1%} on dataset1 "

@@ -24,6 +24,7 @@ from repro.analysis.metrics import savings
 from repro.analysis.tables import format_table
 from repro.core.reward import RewardConfig
 from repro.experiments.common import ExperimentContext, ExperimentReport
+from repro.experiments.grid import recall_times, traces
 from repro.scheduling.qgreedy import QGreedyPolicy
 from repro.scheduling.random_policy import RandomOrderPredictor
 from repro.vocab import TASK_FACE
@@ -56,21 +57,7 @@ def run(
     target_models = ctx.zoo.models_for_task(TARGET_TASK)
     target_indices = {ctx.zoo.index_of(m.name) for m in target_models}
 
-    random_costs = []
-    random_policy = QGreedyPolicy(RandomOrderPredictor(seed=23))
-    random_orders = []
-    for item_id in item_ids:
-        trace = random_policy.schedule(truth, item_id)
-        _, t = trace.cost_to_recall(1.0)
-        random_costs.append(t)
-        for position, execution in enumerate(trace.executions, start=1):
-            if execution.model_index in target_indices:
-                random_orders.append(position)
-                break
-    random_time = float(np.mean(random_costs))
-
-    rows = []
-    measured: dict[str, float] = {"random_order": float(np.mean(random_orders))}
+    policies = {"random": QGreedyPolicy(RandomOrderPredictor(seed=23))}
     for theta in thetas:
         if theta != 1.0:
             reward_config = RewardConfig(
@@ -80,29 +67,37 @@ def run(
         else:
             reward_config = None
             tag = ""
-        policy = QGreedyPolicy(
+        policies[theta] = QGreedyPolicy(
             ctx.predictor(dataset, algo, reward_config=reward_config, tag=tag)
         )
-        orders = []
-        full_costs = []
-        for item_id in item_ids:
-            trace = policy.schedule(truth, item_id)
-            for position, execution in enumerate(trace.executions, start=1):
-                if execution.model_index in target_indices:
-                    orders.append(position)
-                    break
-            _, t = trace.cost_to_recall(1.0)
-            full_costs.append(t)
-        avg_order = float(np.mean(orders))
-        avg_time = float(np.mean(full_costs))
+    runs = traces(truth, item_ids, policies)
+
+    def first_target(trace) -> int | None:
+        """1-based position of the first target-task model, if one ran."""
+        for position, execution in enumerate(trace.executions, start=1):
+            if execution.model_index in target_indices:
+                return position
+        return None
+
+    def avg_order(name) -> float:
+        """Mean first-target position over the items where one ran."""
+        firsts = [first_target(trace) for trace in runs[name]]
+        return float(np.mean([k for k in firsts if k is not None]))
+
+    random_time = float(np.mean(recall_times(runs["random"])))
+    rows = []
+    measured: dict[str, float] = {"random_order": avg_order("random")}
+    for theta in thetas:
+        order = avg_order(theta)
+        avg_time = float(np.mean(recall_times(runs[theta])))
         saved = savings(random_time, avg_time)
-        measured[f"order_theta_{theta:g}"] = avg_order
+        measured[f"order_theta_{theta:g}"] = order
         measured[f"time_saved_theta_{theta:g}"] = saved
         rows.append(
             (
                 f"{theta:g}",
                 f"{PAPER.get(f'order_theta_{theta:g}', float('nan')):.1f}",
-                f"{avg_order:.1f}",
+                f"{order:.1f}",
                 f"{avg_time:.2f}",
                 f"{saved:.1%}",
             )

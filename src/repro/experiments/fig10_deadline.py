@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.metrics import improvement, performance_ratio
+from repro.analysis.metrics import improvement, nearest, performance_ratio
 from repro.analysis.tables import format_series
 from repro.experiments.common import (
     ExperimentContext,
     ExperimentReport,
     PREDICTION_DATASETS,
 )
+from repro.experiments.grid import recall_curves
 from repro.scheduling.deadline import (
     CostQGreedyScheduler,
     QGreedyDeadlineScheduler,
@@ -35,44 +36,6 @@ PAPER = {
 DEADLINES = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
 
 
-def sweep_dataset(
-    ctx: ExperimentContext,
-    dataset: str,
-    deadlines: tuple[float, ...],
-    n_items: int | None = None,
-    algo: str = "dueling_dqn",
-) -> dict[str, np.ndarray]:
-    """Mean recall per deadline for the four Fig. 10 policies."""
-    truth = ctx.ensure_truth(dataset)
-    item_ids = ctx.eval_ids(dataset, n_items)
-    predictor = ctx.predictor(dataset, algo)
-    cost_q = CostQGreedyScheduler(predictor)
-    q_greedy = QGreedyDeadlineScheduler(predictor)
-    random_sched = QGreedyDeadlineScheduler(RandomStepPredictor(seed=31))
-    star = RelaxedOptimalDeadline()
-
-    out = {
-        name: np.zeros(len(deadlines))
-        for name in ("cost_q_greedy", "q_greedy", "random", "optimal_star")
-    }
-    for di, deadline in enumerate(deadlines):
-        recalls = {name: [] for name in out}
-        for item_id in item_ids:
-            recalls["cost_q_greedy"].append(
-                cost_q.schedule(truth, item_id, deadline).recall_by(deadline)
-            )
-            recalls["q_greedy"].append(
-                q_greedy.schedule(truth, item_id, deadline).recall_by(deadline)
-            )
-            recalls["random"].append(
-                random_sched.schedule(truth, item_id, deadline).recall_by(deadline)
-            )
-            recalls["optimal_star"].append(star.recall(truth, item_id, deadline))
-        for name in out:
-            out[name][di] = float(np.mean(recalls[name]))
-    return out
-
-
 def run(
     ctx: ExperimentContext,
     datasets: tuple[str, ...] = PREDICTION_DATASETS,
@@ -85,7 +48,17 @@ def run(
     ratios = {}
     ratio_series = {}
     for dataset in datasets:
-        curves = sweep_dataset(ctx, dataset, deadlines, n_items)
+        truth = ctx.ensure_truth(dataset)
+        item_ids = ctx.eval_ids(dataset, n_items)
+        predictor = ctx.predictor(dataset, "dueling_dqn")
+        policies = {
+            "cost_q_greedy": CostQGreedyScheduler(predictor),
+            "q_greedy": QGreedyDeadlineScheduler(predictor),
+            "random": QGreedyDeadlineScheduler(RandomStepPredictor(seed=31)),
+            "optimal_star": RelaxedOptimalDeadline(),
+        }
+        budgets = [(deadline,) for deadline in deadlines]
+        curves = recall_curves(truth, item_ids, policies, budgets)
         sections.append(
             format_series(
                 "deadline_s",
@@ -102,7 +75,7 @@ def run(
             performance_ratio([o], [s]) for o, s in zip(ours, star)
         ]
         # improvement vs random at the deadline closest to 0.5 s
-        i05 = int(np.argmin(np.abs(np.asarray(deadlines) - 0.5)))
+        i05 = nearest(deadlines, 0.5)
         imp = improvement(curves["random"][i05], curves["cost_q_greedy"][i05])
         improvements_05.append(imp)
         measured[f"{dataset}_improvement_at_0.5s"] = imp

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.metrics import improvement, performance_ratio
+from repro.analysis.metrics import improvement, nearest, performance_ratio
 from repro.analysis.tables import format_series
 from repro.experiments.common import ExperimentContext, ExperimentReport
+from repro.experiments.grid import recall_curves
 from repro.scheduling.deadline_memory import (
     MemoryDeadlineScheduler,
     RandomMemoryDeadlineScheduler,
@@ -48,38 +49,23 @@ def run(
     truth = ctx.ensure_truth(TEST_DATASET)
     item_ids = ctx.eval_ids(TEST_DATASET, n_items)
     predictor = ctx.predictor(TRAIN_DATASET, "dueling_dqn")
-    agent_sched = MemoryDeadlineScheduler(predictor)
-    random_sched = RandomMemoryDeadlineScheduler(seed=17)
-    star = RelaxedOptimalMemoryDeadline()
+    policies = {
+        "agent": MemoryDeadlineScheduler(predictor),
+        "random": RandomMemoryDeadlineScheduler(seed=17),
+        "optimal_star": RelaxedOptimalMemoryDeadline(),
+    }
+    budgets = [(deadline, mem) for mem in memory_budgets for deadline in deadlines]
+    shape = (len(memory_budgets), len(deadlines))
+    by_memory = {
+        name: recalls.reshape(shape)
+        for name, recalls in recall_curves(truth, item_ids, policies, budgets).items()
+    }
 
     sections = []
     measured: dict[str, float] = {}
     ratios = {}
-    for mem in memory_budgets:
-        curves = {
-            name: np.zeros(len(deadlines))
-            for name in ("agent", "random", "optimal_star")
-        }
-        for di, deadline in enumerate(deadlines):
-            agent_recalls = []
-            random_recalls = []
-            star_recalls = []
-            for item_id in item_ids:
-                agent_recalls.append(
-                    agent_sched.schedule(truth, item_id, deadline, mem).recall_by(
-                        deadline
-                    )
-                )
-                random_recalls.append(
-                    random_sched.schedule(truth, item_id, deadline, mem).recall_by(
-                        deadline
-                    )
-                )
-                star_recalls.append(star.recall(truth, item_id, deadline, mem))
-            curves["agent"][di] = float(np.mean(agent_recalls))
-            curves["random"][di] = float(np.mean(random_recalls))
-            curves["optimal_star"][di] = float(np.mean(star_recalls))
-
+    for m, mem in enumerate(memory_budgets):
+        curves = {name: recalls[m] for name, recalls in by_memory.items()}
         gb = mem / 1000
         sections.append(
             format_series(
@@ -89,7 +75,7 @@ def run(
                 title=f"Fig. 11 ({gb:.0f}GB): value recall vs deadline",
             )
         )
-        i08 = int(np.argmin(np.abs(np.asarray(deadlines) - 0.8)))
+        i08 = nearest(deadlines, 0.8)
         imp = improvement(curves["random"][i08], curves["agent"][i08])
         measured[f"improvement_{gb:.0f}gb_at_0.8s"] = imp
         ratio = performance_ratio(curves["agent"], curves["optimal_star"])

@@ -9,11 +9,10 @@ Dataset1/Dataset2.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.analysis.metrics import improvement
+from repro.analysis.metrics import improvement, nearest
 from repro.analysis.tables import format_series
 from repro.experiments.common import ExperimentContext, ExperimentReport
+from repro.experiments.grid import recall_curves
 from repro.scheduling.deadline import (
     CostQGreedyScheduler,
     QGreedyDeadlineScheduler,
@@ -41,42 +40,19 @@ def run(
     for dataset in (DATASET1, DATASET2):
         ctx.ensure_truth(dataset)
     truth = ctx.truth
-    schedulers = {
+    policies = {
         "agent1": CostQGreedyScheduler(ctx.predictor(DATASET1, "dueling_dqn")),
         "agent2": CostQGreedyScheduler(ctx.predictor(DATASET2, "dueling_dqn")),
+        "random": QGreedyDeadlineScheduler(RandomStepPredictor(seed=41)),
+        "optimal_star": RelaxedOptimalDeadline(),
     }
-    random_sched = QGreedyDeadlineScheduler(RandomStepPredictor(seed=41))
-    star = RelaxedOptimalDeadline()
+    budgets = [(deadline,) for deadline in deadlines]
 
     sections = []
     measured: dict[str, float] = {}
     for tag, dataset in (("dataset1", DATASET1), ("dataset2", DATASET2)):
         item_ids = ctx.eval_ids(dataset, n_items)
-        curves = {
-            name: np.zeros(len(deadlines))
-            for name in ("agent1", "agent2", "random", "optimal_star")
-        }
-        for di, deadline in enumerate(deadlines):
-            for name, scheduler in schedulers.items():
-                curves[name][di] = float(
-                    np.mean(
-                        [
-                            scheduler.schedule(truth, i, deadline).recall_by(deadline)
-                            for i in item_ids
-                        ]
-                    )
-                )
-            curves["random"][di] = float(
-                np.mean(
-                    [
-                        random_sched.schedule(truth, i, deadline).recall_by(deadline)
-                        for i in item_ids
-                    ]
-                )
-            )
-            curves["optimal_star"][di] = float(
-                np.mean([star.recall(truth, i, deadline) for i in item_ids])
-            )
+        curves = recall_curves(truth, item_ids, policies, budgets)
         sections.append(
             format_series(
                 "deadline_s",
@@ -85,7 +61,7 @@ def run(
                 title=f"Fig. 12 ({tag}={dataset}): value recall vs deadline",
             )
         )
-        i1 = int(np.argmin(np.abs(np.asarray(deadlines) - 1.0)))
+        i1 = nearest(deadlines, 1.0)
         for name in ("agent1", "agent2"):
             imp = improvement(curves["random"][i1], curves[name][i1])
             measured[f"{name}_improvement_{tag}_at_1s"] = imp

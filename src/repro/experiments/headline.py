@@ -18,6 +18,7 @@ from repro.experiments.common import (
     ExperimentReport,
     PREDICTION_DATASETS,
 )
+from repro.experiments.grid import recall_curves, recall_times, traces
 from repro.scheduling.deadline import CostQGreedyScheduler, QGreedyDeadlineScheduler
 from repro.scheduling.qgreedy import QGreedyPolicy
 from repro.scheduling.random_policy import RandomStepPredictor
@@ -38,23 +39,19 @@ def run(ctx: ExperimentContext, n_items: int | None = None) -> ExperimentReport:
     for dataset in PREDICTION_DATASETS:
         truth = ctx.ensure_truth(dataset)
         item_ids = ctx.eval_ids(dataset, n_items)
-        policy = QGreedyPolicy(ctx.predictor(dataset, "dueling_dqn"))
-        for item_id in item_ids:
-            trace = policy.schedule(truth, item_id)
-            _, t08 = trace.cost_to_recall(0.8)
-            _, t10 = trace.cost_to_recall(1.0)
-            times_08.append(t08)
-            times_10.append(t10)
+        predictor = ctx.predictor(dataset, "dueling_dqn")
+        runs = traces(truth, item_ids, {"agent": QGreedyPolicy(predictor)})
+        times_08 += recall_times(runs["agent"], 0.8)
+        times_10 += recall_times(runs["agent"], 1.0)
         # value improvement vs random at 0.5 s
-        scheduler = CostQGreedyScheduler(ctx.predictor(dataset, "dueling_dqn"))
-        random_sched = QGreedyDeadlineScheduler(RandomStepPredictor(seed=59))
-        ours = np.mean(
-            [scheduler.schedule(truth, i, 0.5).recall_by(0.5) for i in item_ids]
+        policies = {
+            "ours": CostQGreedyScheduler(predictor),
+            "random": QGreedyDeadlineScheduler(RandomStepPredictor(seed=59)),
+        }
+        curves = recall_curves(truth, item_ids, policies, [(0.5,)])
+        improvements.append(
+            improvement(float(curves["random"][0]), float(curves["ours"][0]))
         )
-        rand = np.mean(
-            [random_sched.schedule(truth, i, 0.5).recall_by(0.5) for i in item_ids]
-        )
-        improvements.append(improvement(float(rand), float(ours)))
 
     saved_10 = savings(no_policy_time, float(np.mean(times_10)))
     saved_08 = savings(no_policy_time, float(np.mean(times_08)))

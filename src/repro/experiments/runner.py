@@ -6,8 +6,9 @@ Usage::
     python -m repro.experiments.runner --exp fig10 fig11 --scale paper
     python -m repro.experiments.runner --list
 
-Reports are printed to stdout and optionally appended to a markdown file
-(``--out results.md``) in the EXPERIMENTS.md format.
+Reports are printed to stdout.  ``--out results.md`` also appends each
+one to a markdown file: a ``## <id>: <title>`` heading followed by the
+report text in a fenced code block.
 """
 
 from __future__ import annotations

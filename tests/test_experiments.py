@@ -5,10 +5,14 @@ and satisfy the qualitative shape it reproduces.  These are the slowest
 tests in the suite (they train agents on the mini world).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.config import get_scale
 from repro.experiments import (
+    common,
     fig02_motivation,
     fig04_05_prediction,
     fig06_rules,
@@ -81,16 +85,16 @@ class TestExperiments:
         assert m["mscoco2017_improvement_at_0.5s"] > 0.0
         assert 0.0 < m["min_ratio"] <= 1.0
 
-    def test_fig10d_prints_the_ratio_of_each_deadline(self, monkeypatch):
+    def test_fig10d_prints_the_ratio_of_each_deadline(self, ctx, monkeypatch):
         curves = {
             "cost_q_greedy": np.array([0.21, 0.5, 0.9]),
             "q_greedy": np.array([0.2, 0.4, 0.8]),
             "random": np.array([0.1, 0.25, 0.6]),
             "optimal_star": np.array([0.5, 0.625, 0.9]),
         }
-        monkeypatch.setattr(fig10_deadline, "sweep_dataset", lambda *a, **k: curves)
+        monkeypatch.setattr(fig10_deadline, "recall_curves", lambda *a, **k: curves)
         report = fig10_deadline.run(
-            None, datasets=("mscoco2017",), deadlines=(0.25, 0.5, 1.0)
+            ctx, datasets=("mscoco2017",), deadlines=(0.25, 0.5, 1.0), n_items=3
         )
         table = report.text.split("Fig. 10(d)")[1].splitlines()
         rows = [line.split() for line in table[3:6]]
@@ -146,6 +150,30 @@ class TestExperiments:
         m = report.measured
         # agent selection must be far below the fastest model execution
         assert m["selection_ms"] < m["model_ms_low"]
+
+
+class TestAgentCache:
+    def test_paper_scale_trains_once_then_loads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        scale = dataclasses.replace(get_scale("smoke"), name="paper")
+        first = ExperimentContext(scale)
+        trained = first.agent("mscoco2017")
+        (path,) = tmp_path.glob("*.npz")
+        assert path.name == (
+            f"paper-{scale.world.seed}-mscoco2017-dueling_dqn-"
+            f"{scale.train.episodes}ep.npz"
+        )
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cached agent was trained again")
+
+        monkeypatch.setattr(common, "train_agent", no_training)
+        loaded = ExperimentContext(scale).agent("mscoco2017")
+        rng = np.random.default_rng(0)
+        observations = (rng.random((5, len(first.space))) < 0.1).astype(np.float64)
+        np.testing.assert_array_equal(
+            loaded.q_values(observations), trained.q_values(observations)
+        )
 
 
 class TestRunner:

@@ -6,12 +6,18 @@ subpackages (``repro.zoo.oracle`` belongs to ``zoo``, ``repro.cli`` to
 ``cli``).  Imports inside functions and under ``if TYPE_CHECKING:`` run
 later or never, so they are not edges; ``repro/__init__.py`` is the
 re-export surface and sits above every subpackage, so it is skipped.
+That root imports what it re-exports lazily, on first access, which the
+last test checks in a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import ast
 import graphlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -93,3 +99,24 @@ def test_subpackage_graph_is_acyclic():
             "import cycle between repro subpackages:\n" + "\n".join(sites)
         ) from None
     assert set(order) == set(graph)
+
+
+def test_experiment_runner_loads_no_serving_stack():
+    probe = (
+        "import json, sys, repro.experiments.runner; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout)
+    heavy = [
+        name
+        for name in loaded
+        if name.startswith(("repro.serving", "repro.durability", "repro.engine"))
+        or name in ("sqlite3", "asyncio", "socket")
+    ]
+    assert heavy == []
+    assert "repro.experiments.grid" in loaded
