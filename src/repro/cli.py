@@ -8,8 +8,6 @@ Subcommands mirror the adoption workflow:
 * ``schedule`` — label items from an archive with a trained agent under
   optional deadline / memory budgets;
 * ``zoo``      — print the Table I summary of the model zoo;
-* ``graph``    — build the model-relationship graph and print its
-  strongest learned relationships (the auto-learned Table II);
 * ``serve``    — run the micro-batching labeling service over a generated
   stream of concurrent client requests and print its telemetry report;
   ``--metrics-port`` additionally serves live Prometheus/JSON metrics and
@@ -52,7 +50,6 @@ from repro.engine import (
     LabelingEngine,
     ProcessConfig,
 )
-from repro.graph import build_relationship_graph
 from repro.labels import build_label_space
 from repro.persistence import load_ground_truth, save_ground_truth
 from repro.rl.agents import AGENT_REGISTRY, make_agent
@@ -77,12 +74,15 @@ def _workers_arg(value: str):
             raise argparse.ArgumentTypeError("empty worker address list")
         return addresses
     try:
-        return int(value)
+        count = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a pool size or a host:port[,host:port...] list, "
             f"got {value!r}"
         ) from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"pool size must be >= 1, got {count}")
+    return count
 
 
 def _backend(args):
@@ -335,22 +335,6 @@ def cmd_zoo(args) -> int:
     print(
         f"\n{len(zoo)} models, {len(space)} labels, "
         f"{zoo.total_time:.2f}s to execute everything"
-    )
-    return 0
-
-
-def cmd_graph(args) -> int:
-    config, _, zoo = _world(args)
-    truth = load_ground_truth(zoo, args.truth, config)
-    graph = build_relationship_graph(truth)
-    print("strongest learned model relationships (lift of usefulness):")
-    for source, target, lift in graph.strongest_edges(args.top):
-        print(f"  {source:26s} -> {target:26s} lift {lift:5.2f}")
-    exported = graph.to_networkx(min_lift_ratio=args.min_lift)
-    print(
-        f"\nnetworkx export at min lift ratio {args.min_lift}: "
-        f"{exported.number_of_nodes()} nodes, "
-        f"{exported.number_of_edges()} edges"
     )
     return 0
 
@@ -782,12 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zoo", help="print the model zoo (Table I)")
     p.set_defaults(func=cmd_zoo)
-
-    p = sub.add_parser("graph", help="model-relationship graph from a recording")
-    p.add_argument("--truth", required=True)
-    p.add_argument("--top", type=int, default=15)
-    p.add_argument("--min-lift", type=float, default=1.5)
-    p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser(
         "serve", help="run the micro-batching service over a generated stream"

@@ -32,9 +32,9 @@ per round, one stacked forward over the rows whose observation changed
 A *round* is therefore one iteration of the loop in each driver.
 
 Every serial baseline is a predictor on the Q-greedy episode: random
-order, the optimal solo-value order, the Table II rules and the
-relationship graph differ from the agent only in what ``predict``
-returns, as in the paper's framework (Fig. 3).
+order, the optimal solo-value order and the Table II rules differ from
+the agent only in what ``predict`` returns, as in the paper's framework
+(Fig. 3).
 
 Training (:func:`repro.rl.training.train_agent`) plays the Q-greedy episode
 with the agent's epsilon-greedy actions in place of :func:`best_ratio`.

@@ -5,8 +5,8 @@ model with the maximal predicted Q value given the current labeling state.
 It is cost-oblivious; Algorithm 1 adds cost-awareness on top of the same
 predictions.  Its episode, :func:`qgreedy_episode`, is also what every
 serial baseline runs: the baselines are predictors (random order, solo
-values, the Table II rules, the relationship graph), and Fig. 10's
-cost-oblivious deadline baselines are the same episode stopped by a clock.
+values, the Table II rules), and Fig. 10's cost-oblivious deadline
+baselines are the same episode stopped by a clock.
 
 :func:`qgreedy_episode` is also the training MDP of §IV-B:
 :func:`repro.rl.training.train_agent` plays it with the agent's actions,

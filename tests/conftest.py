@@ -77,8 +77,8 @@ def test_item_ids(splits) -> list[str]:
 
 @pytest.fixture(scope="session")
 def full_world() -> SimpleNamespace:
-    """The full 30-model, 1104-label world: 80 MSCOCO items, the first 40
-    to fit on (``fit_ids``), the last 40 to schedule (``test_ids``)."""
+    """The full 30-model, 1104-label world: 80 MSCOCO items recorded, the
+    last 40 to schedule (``test_ids``)."""
     config = WorldConfig(vocab_scale="full")
     space = build_label_space("full")
     items = generate_dataset(space, config, "mscoco2017", 80)
@@ -87,7 +87,6 @@ def full_world() -> SimpleNamespace:
         config=config,
         space=space,
         truth=GroundTruth(build_zoo(config, space), items, config),
-        fit_ids=ids[:40],
         test_ids=ids[40:],
     )
 

@@ -8,6 +8,10 @@ later or never, so they are not edges; ``repro/__init__.py`` is the
 re-export surface and sits above every subpackage, so it is skipped.
 That root imports what it re-exports lazily, on first access, which the
 last test checks in a fresh interpreter.
+
+Every import, function bodies included, must also name the stdlib,
+``repro`` or a package ``setup.py`` declares in ``install_requires``: an
+undeclared one fails ``import repro.*`` wherever it is not installed.
 """
 
 from __future__ import annotations
@@ -16,11 +20,13 @@ import ast
 import graphlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 
 def _unit(module: str) -> str | None:
@@ -99,6 +105,39 @@ def test_subpackage_graph_is_acyclic():
             "import cycle between repro subpackages:\n" + "\n".join(sites)
         ) from None
     assert set(order) == set(graph)
+
+
+def _declared_requirements() -> set[str]:
+    """Top-level names in ``setup.py``'s ``install_requires``, specifiers
+    stripped (``"numpy>=1.24"`` -> ``"numpy"``)."""
+    tree = ast.parse((ROOT / "setup.py").read_text())
+    for node in ast.walk(tree):
+        for keyword in getattr(node, "keywords", ()):
+            if keyword.arg == "install_requires":
+                requires = ast.literal_eval(keyword.value)
+                return {re.split(r"[\s<>=!~;\[]", req)[0] for req in requires}
+    raise AssertionError("setup.py declares no install_requires")
+
+
+def test_every_third_party_import_is_declared():
+    allowed = _declared_requirements() | set(sys.stdlib_module_names) | {"repro"}
+    assert "numpy" in allowed
+    undeclared = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):  # module level and inside functions
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            undeclared += [
+                f"repro/{path.relative_to(SRC)}:{node.lineno} ({module})"
+                for module in modules
+                if module.split(".")[0] not in allowed
+            ]
+    assert undeclared == [], "imports missing from install_requires"
 
 
 def test_experiment_runner_loads_no_serving_stack():

@@ -54,7 +54,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "10 models" in out
 
-    def test_record_train_schedule_graph_workflow(self, tmp_path, capsys):
+    def test_record_train_schedule_workflow(self, tmp_path, capsys):
         gt_path = tmp_path / "gt.npz"
         agent_path = tmp_path / "agent.npz"
         base = ["--scale", "mini"]
@@ -75,11 +75,6 @@ class TestCLI:
         ]) == 0
         out = capsys.readouterr().out
         assert "mean value recall" in out
-        assert main(base + [
-            "graph", "--truth", str(gt_path), "--top", "5",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "lift" in out
 
     def test_train_rejects_negative_episodes_and_writes_nothing(
         self, tmp_path, capsys
@@ -329,3 +324,24 @@ class TestServingCommands:
         with pytest.raises(SystemExit, match="--recover requires --journal"):
             main(self.base + [command, *self.tiny, "--recover"])
         assert capsys.readouterr().out == ""  # refused before any work
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["serve"],
+        ["gateway"],
+        ["schedule", "--truth", "gt.npz", "--agent", "a.npz", "--backend", "process"],
+        ["schedule", "--truth", "gt.npz", "--agent", "a.npz", "--backend", "cluster"],
+    ],
+    ids=["serve", "gateway", "schedule-process", "schedule-cluster"],
+)
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_workers_below_one_is_a_usage_error(command, count, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--scale", "mini", *command, "--workers", count])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"pool size must be >= 1, got {count}" in err
+    assert "usage:" in err

@@ -4,7 +4,7 @@
 moves, for predictors that read the state only through ``vector``.  These
 tests pin the two halves of that contract: the revision moves exactly when
 the vector gains a bit, and predictors reading more of the state
-(``OraclePredictor`` its confidences, ``GraphPredictor`` its executed
+(``OraclePredictor`` its confidences, a test predictor its executed
 models) opt out, so their batched traces still equal the serial ones on
 items where an execution adds no new bit.
 """
@@ -18,10 +18,12 @@ from repro.config import WorldConfig
 from repro.core.state import LabelingState
 from repro.data.datasets import generate_dataset
 from repro.engine import BatchedBackend, LabelingJob, SerialBackend
-from repro.graph import build_relationship_graph
-from repro.graph.policy import GraphPredictor
 from repro.labels import build_label_space
-from repro.scheduling.qgreedy import AgentPredictor, OraclePredictor
+from repro.scheduling.qgreedy import (
+    AgentPredictor,
+    OraclePredictor,
+    QValuePredictor,
+)
 from repro.spec import LabelingSpec
 from repro.zoo.builder import build_zoo
 from repro.zoo.oracle import GroundTruth
@@ -102,12 +104,24 @@ class TestRevision:
         assert cases  # labels already set by other models occur
 
 
-def _oracle(truth, train):
+def _oracle(truth):
     return OraclePredictor(truth)
 
 
-def _graph(truth, train):
-    return GraphPredictor(build_relationship_graph(truth, train), truth, train)
+class _ExecutedPredictor(QValuePredictor):
+    """Q read from ``state.executed`` alone: the ranking rotates by two
+    with every execution, whether or not it set a new bit, so a reused
+    row would pick a different model in every regime."""
+
+    observation_only = False
+
+    def predict(self, state: LabelingState) -> np.ndarray:
+        n = len(state.executed)
+        return np.roll(np.arange(1.0, n + 1.0), -2 * int(state.executed.sum()))
+
+
+def _executed(truth):
+    return _ExecutedPredictor()
 
 
 def _stalls(truth, trace) -> bool:
@@ -123,11 +137,11 @@ def _stalls(truth, trace) -> bool:
     return stalled
 
 
-@pytest.mark.parametrize("make", (_oracle, _graph), ids=("oracle", "graph"))
+@pytest.mark.parametrize("make", (_oracle, _executed), ids=("oracle", "executed"))
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.regime)
 def test_state_reading_predictors_are_never_reused(full_truth, make, spec):
     item_ids = list(full_truth.item_ids)
-    predictor = make(full_truth, item_ids[24:])
+    predictor = make(full_truth)
     assert not predictor.observation_only
     job = LabelingJob(truth=full_truth, item_ids=tuple(item_ids[:24]), spec=spec)
     serial = SerialBackend().run(job, predictor)

@@ -8,7 +8,6 @@ from trace_oracle import check_trace
 from repro.analysis.metrics import average_cost_curves
 from repro.core.evaluation import marginal_gain
 from repro.core.state import LabelingState
-from repro.graph import GraphPredictor, build_relationship_graph
 from repro.scheduling.base import TOLERANCE, ScheduledExecution, ScheduleTrace
 from repro.scheduling.optimal import SoloValuePredictor
 from repro.scheduling.qgreedy import (
@@ -22,12 +21,11 @@ from repro.spec import LabelingSpec
 
 
 @pytest.fixture(scope="module")
-def worlds(truth, splits, test_item_ids, full_world):
-    """world -> (truth, ids to fit on, ids to schedule)."""
-    train, _ = splits
+def worlds(truth, test_item_ids, full_world):
+    """world -> (truth, ids to schedule)."""
     return {
-        "mini": (truth, [i.item_id for i in train], test_item_ids),
-        "full": (full_world.truth, full_world.fit_ids, full_world.test_ids),
+        "mini": (truth, test_item_ids),
+        "full": (full_world.truth, full_world.test_ids),
     }
 
 
@@ -163,7 +161,7 @@ class TestOraclePredictorAndQGreedy:
     def test_oracle_predicts_true_marginal_gains(self, worlds, world):
         """At every state along its Q-greedy traces, the oracle's dense
         row equals the per-model ``marginal_gain`` sums."""
-        truth, _, item_ids = worlds[world]
+        truth, item_ids = worlds[world]
         oracle = OraclePredictor(truth)
         policy = QGreedyPolicy(oracle)
         for item_id in item_ids[:10]:
@@ -238,16 +236,12 @@ class TestRandomPolicy:
 
 
 @pytest.mark.parametrize("max_models", [None, 3])
-@pytest.mark.parametrize("baseline", ["solo_value", "graph"])
+@pytest.mark.parametrize("baseline", [SoloValuePredictor], ids=["solo_value"])
 @pytest.mark.parametrize("world", ["mini", "full"])
 def test_baseline_traces_obey_the_qgreedy_rule(worlds, world, baseline, max_models):
     """The trace oracle judges the deterministic baselines' traces."""
-    truth, fit_ids, item_ids = worlds[world]
-    if baseline == "graph":
-        graph = build_relationship_graph(truth, fit_ids)
-        predictor = GraphPredictor(graph, truth, fit_ids)
-    else:
-        predictor = SoloValuePredictor()
+    truth, item_ids = worlds[world]
+    predictor = baseline()
     spec = LabelingSpec(max_models=max_models)
     policy = QGreedyPolicy(predictor)
     for item_id in item_ids[:15]:

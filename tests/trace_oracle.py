@@ -24,13 +24,20 @@ so a defect mirrored in the serial and the lock-step driver (which trace
   at one instant are two waves a trace cannot tell apart, so only
   feasibility and the final no-idle-fit are checked there.
 
-In the two serial regimes start/finish times must chain, and in all three
-``marginal_value`` / ``new_labels`` must be the replayed state's deltas.
+In the two serial regimes start/finish times must chain.  In all three
+the replay re-derives Eq. (1) itself, from a best-confidence dict built
+out of ``truth.valuable`` and never through :class:`LabelingState`: each
+execution's ``marginal_value`` is the sum of its confidence improvements
+and ``new_labels`` their count, the replayed state's label vector is the
+union of the executed models' valuable labels, and its ``revision`` moves
+exactly when that union grows.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+
+import numpy as np
 
 from repro.core.state import LabelingState
 
@@ -57,13 +64,24 @@ def _first_best(scores, candidates):
     return best
 
 
-def _replay(state, zoo, execution) -> None:
-    """Execute on the replay state; the trace must record its deltas."""
-    before = state.value
-    _, new_confs = state.execute(execution.model_index)
-    assert execution.model_name == zoo[execution.model_index].name
-    assert execution.marginal_value == state.value - before
-    assert execution.new_labels == len(new_confs)
+def _replay(state, best, execution) -> None:
+    """Execute on the replay state, and judge the trace's deltas and the
+    state's vector and revision by Eq. (1) over ``best`` (label id -> best
+    confidence so far), which only this replay updates."""
+    j = execution.model_index
+    assert execution.model_name == state.truth.zoo[j].name
+    ids, confs = state.truth.valuable(state.item_id, j)
+    pairs = list(zip(ids.tolist(), confs.tolist()))
+    gains = [max(conf - best.get(i, 0.0), 0.0) for i, conf in pairs]
+    grew = any(i not in best for i, _ in pairs)
+    for i, conf in pairs:
+        best[i] = max(best.get(i, 0.0), conf)
+    revision = state.revision
+    state.execute(j)
+    assert abs(execution.marginal_value - sum(gains)) <= 1e-12
+    assert execution.new_labels == sum(gain > 0.0 for gain in gains)
+    assert set(np.flatnonzero(state.vector).tolist()) == set(best)
+    assert (state.revision != revision) == grew
 
 
 def _check_serial(truth, predictor, spec, trace) -> None:
@@ -72,7 +90,7 @@ def _check_serial(truth, predictor, spec, trace) -> None:
     timed = spec.regime == "deadline"
     limit = len(zoo) if timed or spec.max_models is None else spec.max_models
     remaining = spec.deadline if timed else float("inf")
-    state = LabelingState(truth, trace.item_id)
+    state, best = LabelingState(truth, trace.item_id), {}
     clock = 0.0
 
     def admissible():
@@ -91,7 +109,7 @@ def _check_serial(truth, predictor, spec, trace) -> None:
         assert execution.model_index == _first_best(scores, admissible())
         assert execution.start_time == clock
         assert execution.finish_time == clock + times[execution.model_index]
-        _replay(state, zoo, execution)
+        _replay(state, best, execution)
         clock = execution.finish_time
         remaining -= times[execution.model_index]
     if len(trace.executions) < limit:
@@ -116,12 +134,12 @@ def _check_waves(truth, predictor, spec, trace) -> None:
     instants = [0.0] + sorted(set(finishes))
     assert set(waves) <= set(instants), "a start outside t=0 / a completion"
 
-    state = LabelingState(truth, trace.item_id)
+    state, best = LabelingState(truth, trace.item_id), {}
     done = 0
     for t in instants:
         completed_here = 0
         while done < len(executions) and executions[done].finish_time == t:
-            _replay(state, zoo, executions[done])
+            _replay(state, best, executions[done])
             done += 1
             completed_here += 1
         if not t < deadline:
