@@ -1,6 +1,9 @@
 """Persistence round-trips and the CLI workflow."""
 
+import http.client
+import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -318,6 +321,43 @@ class TestServingCommands:
             "gateway", *self.tiny, "--items", "16", "--duration", "0.3",
         ]) == 0
         assert "gateway listening at http://127.0.0.1:" in capsys.readouterr().out
+
+    def test_gateway_drains_and_exits_zero_on_sigterm(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", *self.base,
+                "gateway", *self.tiny, "--items", "16",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            for line in proc.stdout:
+                if line.startswith("gateway listening at"):
+                    break
+            else:
+                pytest.fail(f"gateway never listened: {proc.stderr.read()}")
+            host, port = line.split()[3].removeprefix("http://").split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=30)
+            headers = {"Authorization": "Bearer demo-key-tenant-0"}
+            conn.request("GET", "/v1/items", headers=headers)
+            ids = json.loads(conn.getresponse().read())["items"][:8]
+            conn.request("POST", "/v1/label/batch", json.dumps({"items": ids}),
+                         headers)
+            body = json.loads(conn.getresponse().read())
+            assert body["completed"] == 8
+            conn.close()
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0, err
+        assert "completed 8" in out
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["serve", "gateway"])
     def test_recover_requires_journal(self, command, capsys):
