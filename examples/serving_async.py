@@ -7,11 +7,11 @@ Run with::
 The :class:`~repro.serving.LabelingService` is front-end-agnostic: its
 queue, micro-batcher, and result cache all operate on plain
 ``concurrent.futures`` futures, so an event-loop application — a web
-handler, a websocket gateway — talks to the same service through the
-unified :meth:`~repro.serving.LabelingService.submit` /
+handler, a websocket gateway — talks to the same service through
+:meth:`~repro.serving.LabelingService.submit` /
 :meth:`~repro.serving.LabelingService.submit_many` with
-``wait="async"``, which admits without blocking the loop and wraps the
-futures for ``await``.
+``wait="nowait"``, which admits without blocking the loop, and wraps the
+returned futures with :func:`asyncio.wrap_future` to ``await`` them.
 
 Two coroutines share one service here:
 
@@ -47,7 +47,7 @@ async def camera_feed(service: LabelingService, frames) -> int:
     labeled = 0
     spec = LabelingSpec(deadline=0.25, priority=2)
     for frame in frames:
-        result = await service.submit(frame, spec, wait="async")
+        result = await asyncio.wrap_future(service.submit(frame, spec, wait="nowait"))
         labeled += 1
         if labeled <= 3:  # show a few, stay quiet afterwards
             names = ", ".join(result.label_names[:4]) or "<nothing valuable>"
@@ -55,10 +55,15 @@ async def camera_feed(service: LabelingService, frames) -> int:
     return labeled
 
 
+def gather(futures) -> asyncio.Future:
+    """Await a list of service futures on the running loop."""
+    return asyncio.gather(*map(asyncio.wrap_future, futures))
+
+
 async def archive_backfill(service: LabelingService, items) -> tuple[int, int]:
     """Bulk-submit, gather, then replay the slice against the cache."""
-    first = await asyncio.gather(*service.submit_many(items, wait="async"))
-    again = await asyncio.gather(*service.submit_many(items, wait="async"))
+    first = await gather(service.submit_many(items, wait="nowait"))
+    again = await gather(service.submit_many(items, wait="nowait"))
     assert [r.item_id for r in again] == [r.item_id for r in first]
     return len(first), len(again)
 

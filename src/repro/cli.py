@@ -37,8 +37,10 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import signal
 import sys
-from contextlib import closing
+import threading
+from contextlib import closing, contextmanager
 
 import numpy as np
 
@@ -83,6 +85,19 @@ def _workers_arg(value: str):
     if count < 1:
         raise argparse.ArgumentTypeError(f"pool size must be >= 1, got {count}")
     return count
+
+
+def _at_least(kind, minimum):
+    """argparse type: a ``kind`` number no smaller than ``minimum``."""
+
+    def parse(value: str):
+        number = kind(value)
+        if not number >= minimum:  # also rejects NaN
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return number
+
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
 
 
 def _backend(args):
@@ -175,6 +190,27 @@ def _recover(service) -> None:
         f"replayed, {report.recovered} recovered, "
         f"{report.failed} failed ({report.duration:.3f}s)"
     )
+
+
+@contextmanager
+def _stop_on_signals(action: str):
+    """SIGTERM and SIGINT set the yielded event (printing ``action``)
+    instead of ending the process; the previous handlers come back on
+    exit."""
+    stopping = threading.Event()
+
+    def handle(signum, frame) -> None:
+        print(f"received {signal.Signals(signum).name}: {action}", flush=True)
+        stopping.set()
+
+    previous = {
+        sig: signal.signal(sig, handle) for sig in (signal.SIGTERM, signal.SIGINT)
+    }
+    try:
+        yield stopping
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 def _print_report(service):
@@ -340,8 +376,6 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import signal
-    import threading
     import time
 
     from repro.serving import DeadlineExpired, QueueFull
@@ -396,24 +430,6 @@ def cmd_serve(args) -> int:
             f"traces: {metrics_gateway.url}/traces"
         )
 
-    # Graceful shutdown: SIGTERM/SIGINT stop the load generators, then
-    # the normal drain (bounded by --drain-timeout) and report run —
-    # acknowledged work completes, the journal flushes, and we exit 0.
-    stopping = threading.Event()
-
-    def handle_signal(signum, frame) -> None:
-        print(
-            f"received {signal.Signals(signum).name}: stopping clients and "
-            f"draining (timeout {args.drain_timeout:.0f}s)",
-            flush=True,
-        )
-        stopping.set()
-
-    previous_handlers = {
-        sig: signal.signal(sig, handle_signal)
-        for sig in (signal.SIGTERM, signal.SIGINT)
-    }
-
     def client(index: int) -> None:
         # Each client replays its slice of the stream at ~rate/clients
         # requests/sec with seeded jitter, mimicking independent callers.
@@ -440,52 +456,57 @@ def cmd_serve(args) -> int:
             if gap:
                 time.sleep(float(gap * rng.uniform(0.5, 1.5)))
 
+    # Graceful shutdown: SIGTERM/SIGINT stop the load generators (or the
+    # metrics linger), then the normal drain (bounded by --drain-timeout)
+    # and report run — acknowledged work completes, the journal flushes,
+    # and we exit 0.
     try:
-        with service:
-            if args.recover:
-                _recover(service)
-            threads = [
-                threading.Thread(target=client, args=(i,))
-                for i in range(args.clients)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            service.drain(args.drain_timeout if stopping.is_set() else None)
-        regimes = (
-            "mixed regimes (qgreedy + deadline + deadline_memory)"
-            if args.mixed_regimes
-            else f"regime {service_spec.regime}"
-        )
-        print(
-            f"served {args.items} generated items from {args.clients} clients "
-            f"at ~{args.rate:.0f} req/s, {regimes} "
-            f"[batch {args.batch_size}, max_wait {args.max_wait * 1000:.0f}ms, "
-            f"{_service_workers(args)} workers, {args.backend} backend]"
-        )
-        snapshot = _print_report(service)
-        if tracer is not None:
-            print(
-                f"  traces      {tracer.finished} finished, "
-                f"{len(tracer)} in ring, {tracer.dropped} dropped"
+        with _stop_on_signals(
+            f"stopping clients and draining (timeout {args.drain_timeout:.0f}s)"
+        ) as stopping:
+            with service:
+                if args.recover:
+                    _recover(service)
+                threads = [
+                    threading.Thread(target=client, args=(i,))
+                    for i in range(args.clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                service.drain(args.drain_timeout if stopping.is_set() else None)
+            regimes = (
+                "mixed regimes (qgreedy + deadline + deadline_memory)"
+                if args.mixed_regimes
+                else f"regime {service_spec.regime}"
             )
-        if args.trace_export is not None:
-            with open(args.trace_export, "w") as fh:
-                fh.write(tracer.to_json())
-            print(f"  trace ring exported to {args.trace_export}")
-        if metrics_gateway is not None and args.metrics_linger > 0:
-            # Keep the endpoint up after drain so an external scraper
-            # (CI smoke, a curious operator) can read the final families.
             print(
-                f"metrics endpoint lingering {args.metrics_linger:.0f}s "
-                f"at {metrics_gateway.url}/metrics"
+                f"served {args.items} generated items from {args.clients} clients "
+                f"at ~{args.rate:.0f} req/s, {regimes} "
+                f"[batch {args.batch_size}, max_wait {args.max_wait * 1000:.0f}ms, "
+                f"{_service_workers(args)} workers, {args.backend} backend]"
             )
-            time.sleep(args.metrics_linger)
-        return 0 if snapshot.counters["failed"] == 0 else 1
+            snapshot = _print_report(service)
+            if tracer is not None:
+                print(
+                    f"  traces      {tracer.finished} finished, "
+                    f"{len(tracer)} in ring, {tracer.dropped} dropped"
+                )
+            if args.trace_export is not None:
+                with open(args.trace_export, "w") as fh:
+                    fh.write(tracer.to_json())
+                print(f"  trace ring exported to {args.trace_export}")
+            if metrics_gateway is not None and args.metrics_linger > 0:
+                # Keep the endpoint up after drain so an external scraper
+                # (CI smoke, a curious operator) can read the final families.
+                print(
+                    f"metrics endpoint lingering {args.metrics_linger:.0f}s "
+                    f"at {metrics_gateway.url}/metrics"
+                )
+                stopping.wait(args.metrics_linger)
+            return 0 if snapshot.counters["failed"] == 0 else 1
     finally:
-        for sig, handler in previous_handlers.items():
-            signal.signal(sig, handler)
         service.engine.backend.close()
         if metrics_gateway is not None:
             metrics_gateway.stop_background()
@@ -496,9 +517,6 @@ def cmd_serve(args) -> int:
 
 
 def cmd_gateway(args) -> int:
-    import asyncio
-    import contextlib
-    import signal
     from pathlib import Path
 
     from repro.obs import MetricsRegistry, TraceBuffer, install, uninstall
@@ -551,47 +569,21 @@ def cmd_gateway(args) -> int:
         job_dir=journal_dir / "jobs" if journal_dir else None,
     )
 
-    async def run() -> None:
-        await gateway.start_async()
-        print(
-            f"gateway listening at {gateway.url}  "
-            f"({len(gateway.catalog)} items, {len(directory)} tenants)",
-            flush=True,
-        )
-        # SIGTERM and SIGINT both mean "stop accepting, drain, exit 0":
-        # the event breaks this loop, then the drain below (bounded by
-        # --drain-timeout) settles in-flight work and flushes journals.
-        stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError, RuntimeError):
-                loop.add_signal_handler(sig, stop_event.set)
-        try:
-            if args.duration is not None:
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(stop_event.wait(), args.duration)
-            else:
-                await stop_event.wait()
-            if stop_event.is_set():
-                print(
-                    f"shutdown signal: draining (timeout "
-                    f"{args.drain_timeout:.0f}s)",
-                    flush=True,
-                )
-        finally:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError, RuntimeError):
-                    loop.remove_signal_handler(sig)
-            await gateway.stop_async()
-
     try:
         with service:
             if args.recover:
                 _recover(service)
-            try:
-                asyncio.run(run())
-            except KeyboardInterrupt:
-                pass
+            # SIGTERM/SIGINT (or --duration) close the gateway, then the
+            # drain settles in-flight work and flushes journals; exit 0.
+            with _stop_on_signals(
+                f"draining (timeout {args.drain_timeout:.0f}s)"
+            ) as stopping, gateway:
+                print(
+                    f"gateway listening at {gateway.url}  "
+                    f"({len(gateway.catalog)} items, {len(directory)} tenants)",
+                    flush=True,
+                )
+                stopping.wait(args.duration)
             service.drain(args.drain_timeout)
         _print_report(service)
         return 0
@@ -781,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
         "0 disables the cache",
         trace_buffer="finished request-trace spans kept in the ring",
     )
-    p.add_argument("--clients", type=int, default=4)
+    p.add_argument("--clients", type=_at_least(int, 1), default=4)
     p.add_argument(
         "--rate", type=float, default=400.0, help="aggregate requests/sec (0 = asap)"
     )
@@ -828,7 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="keep the metrics endpoint up this many seconds after the "
-        "run drains, so external scrapers can read the final families",
+        "run drains, so external scrapers can read the final families "
+        "(a shutdown signal ends it early)",
     )
     p.add_argument(
         "--trace-export",
@@ -933,12 +926,12 @@ def _add_service_flags(
     command's ``--cache-size`` default and its own help wording."""
     p.add_argument("--dataset", default="mscoco2017")
     p.add_argument("--items", type=int, default=128, help=items)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_at_least(int, 1), default=32)
     p.add_argument(
-        "--max-wait", type=float, default=0.02, help="flush timer, seconds"
+        "--max-wait", type=_at_least(float, 0), default=0.02, help="flush timer (s)"
     )
     p.add_argument("--workers", type=_workers_arg, default=2, help=workers)
-    p.add_argument("--max-depth", type=int, default=1024)
+    p.add_argument("--max-depth", type=_at_least(int, 1), default=1024)
     p.add_argument("--cache-size", type=int, default=cache_size, help=cache)
     p.add_argument("--backend", default="batched", choices=sorted(BACKEND_REGISTRY))
     p.add_argument("--agent", default=None, help="optional trained agent .npz")

@@ -12,8 +12,10 @@ The serving stack, outside-in:
    manifest per job on disk, resumed through the service on restart.
 5. :mod:`~repro.serving.gateway.app` — :class:`LabelingGateway`, the
    routed edge: label/batch/job/stream endpoints riding the service's
-   non-blocking ``submit_many(wait="async")`` path, with the observability
-   routes mounted on the same port.
+   non-blocking ``submit_many(wait="nowait")`` path, with the observability
+   routes mounted on the same port.  Its event loop runs on one thread
+   between ``start_background()`` and ``stop_background()``; no module
+   outside this subpackage uses asyncio.
 
 Fairness *between* admitted tenants is not the gateway's job — the
 service's :class:`~repro.serving.queue.RequestQueue` always runs a

@@ -28,19 +28,24 @@ GET       ``/healthz``            liveness probe
 Admission is defense-in-depth, cheapest check first: API key (constant
 time, 401), token-bucket rate + in-flight quota (429 with
 ``Retry-After``), then the service's own bounded queue via the
-non-blocking ``submit_many(wait="async")`` path — so a full queue is an
-*immediate* 429, never a blocked event loop.  The three label routes
-share that front half (``_submit``; ``/v1/label`` is its one-item
-case).  Tenant fairness between admitted requests is the queue's job
-(pass the roster's weights with ``LabelingService(queue_factory=...)``);
-the gateway just stamps ``spec.tenant``, which also partitions the
-result cache per tenant.
+non-blocking ``submit_many(wait="nowait")`` path, whose futures the
+gateway wraps for its loop — so a full queue is an *immediate* 429, never
+a blocked event loop.  The three label routes share that front half
+(``_submit``; ``/v1/label`` is its one-item case).  Tenant fairness
+between admitted requests is the queue's job (pass the roster's weights
+with ``LabelingService(queue_factory=...)``); the gateway just stamps
+``spec.tenant``, which also partitions the result cache per tenant.
 
 The obs routes are mounted from the same registry/tracer the service
 publishes into, so one port serves both traffic and scrape; this is the
 only HTTP implementation of them (``serve --metrics-port`` binds a
 gateway for exactly these routes).  They are deliberately
 unauthenticated (point them at your monitoring network, not the world).
+
+The event loop lives on the gateway's own thread, from
+:meth:`LabelingGateway.start_background` to
+:meth:`~LabelingGateway.stop_background` (or ``with gateway:``); callers
+stay synchronous.
 """
 
 from __future__ import annotations
@@ -139,7 +144,6 @@ class LabelingGateway:
         host: str = "127.0.0.1",
         port: int = 0,
         job_dir: str | Path | None = None,
-        clock=time.monotonic,
     ):
         self.service = service
         self.directory = directory
@@ -154,12 +158,13 @@ class LabelingGateway:
         self.host = host
         self._requested_port = port
         self.port: int | None = None
-        self._clock = clock
-        self._quotas = {t.name: TenantQuota(t, clock) for t in directory}
+        self._quotas = {t.name: TenantQuota(t) for t in directory}
         self._jobs = JobStore(job_dir, MAX_JOBS_PER_TENANT)
-        self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stopping: asyncio.Event | None = None
+        #: Live connection handlers, cancelled when the gateway stops.
+        self._connections: set[asyncio.Task] = set()
 
         self._requests = self.registry.counter(
             "repro_gateway_requests_total",
@@ -189,78 +194,27 @@ class LabelingGateway:
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def start_async(self) -> "LabelingGateway":
-        """Resume restored unfinished jobs, then bind and start accepting
-        on the running event loop."""
-        if self._server is not None:
-            raise RuntimeError("gateway already started")
-        for job in self._jobs.restore(self.catalog, self._quotas):
-            # Outside the tenant's quota, and wait="block" off the loop:
-            # acknowledged work waits for queue space (as recover()'s
-            # backlog does) instead of taking an immediate QueueFull.
-            items = [self.catalog[item_id] for item_id in job.item_ids]
-            job.cached = [self._was_cached(i, job.spec) for i in job.item_ids]
-            futures = await asyncio.to_thread(
-                self.service.submit_many, items, job.spec, wait="block"
-            )
-            job.futures = [asyncio.wrap_future(future) for future in futures]
-            self._watch(job)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        logger.info("gateway listening on %s", self.url)
-        return self
-
-    async def stop_async(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def serve_forever(self) -> None:
-        """``start_async`` first; blocks until the server is closed."""
-        assert self._server is not None, "call start_async() first"
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._server.serve_forever()
-
     @property
     def url(self) -> str:
         assert self.port is not None, "gateway not started"
         return f"http://{self.host}:{self.port}"
 
     def start_background(self) -> "LabelingGateway":
-        """Run the gateway on a dedicated event-loop thread.
-
-        For tests, benchmarks, and embedding in synchronous programs;
-        pair with :meth:`stop_background`.
-        """
+        """Resume restored unfinished jobs, bind, and serve on a dedicated
+        event-loop thread until :meth:`stop_background` (``with gateway:``
+        does both).  A failure to resume or bind is raised here."""
         if self._thread is not None:
             raise RuntimeError("gateway already running in background")
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
+        bound = threading.Event()
         failure: list[BaseException] = []
-
-        def run() -> None:
-            asyncio.set_event_loop(self._loop)
-            try:
-                self._loop.run_until_complete(self.start_async())
-            except BaseException as exc:  # noqa: BLE001 — surfaced to caller
-                failure.append(exc)
-                started.set()
-                return
-            started.set()
-            try:
-                self._loop.run_forever()
-            finally:
-                self._loop.run_until_complete(self._loop.shutdown_asyncgens())
-                self._loop.close()
-
         self._thread = threading.Thread(
-            target=run, name="labeling-gateway", daemon=True
+            target=asyncio.run,
+            args=(self._serve(bound, failure),),
+            name="labeling-gateway",
+            daemon=True,
         )
         self._thread.start()
-        started.wait()
+        bound.wait()
         if failure:
             self._thread.join()
             self._thread = None
@@ -268,17 +222,12 @@ class LabelingGateway:
         return self
 
     def stop_background(self, timeout: float = 5.0) -> None:
-        if self._thread is None or self._loop is None:
+        """Stop accepting, close every live connection, end the loop."""
+        if self._thread is None:
             return
-
-        async def shutdown() -> None:
-            await self.stop_async()
-            asyncio.get_running_loop().stop()
-
-        asyncio.run_coroutine_threadsafe(shutdown(), self._loop)
+        self._loop.call_soon_threadsafe(self._stopping.set)
         self._thread.join(timeout)
         self._thread = None
-        self._loop = None
 
     def __enter__(self) -> "LabelingGateway":
         return self.start_background()
@@ -286,11 +235,48 @@ class LabelingGateway:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop_background()
 
+    async def _serve(self, bound: threading.Event, failure: list) -> None:
+        """The loop thread's whole life: resume jobs, bind, serve until
+        stopped, then unbind and cancel the connection handlers (their
+        ``finally`` closes each writer) before the loop ends."""
+        self._loop = asyncio.get_running_loop()
+        self._stopping = asyncio.Event()
+        try:
+            for job in self._jobs.restore(self.catalog, self._quotas):
+                # Outside the tenant's quota, and wait="block" off the
+                # loop: acknowledged work waits for queue space (as
+                # recover()'s backlog does) instead of taking QueueFull.
+                items = [self.catalog[item_id] for item_id in job.item_ids]
+                job.cached = [self._was_cached(i, job.spec) for i in job.item_ids]
+                futures = await asyncio.to_thread(
+                    self.service.submit_many, items, job.spec, wait="block"
+                )
+                job.futures = [asyncio.wrap_future(future) for future in futures]
+                self._watch(job)
+            server = await asyncio.start_server(
+                self._handle_connection, self.host, self._requested_port
+            )
+            self.port = server.sockets[0].getsockname()[1]
+        except BaseException as exc:  # noqa: BLE001 — surfaced to the caller
+            failure.append(exc)
+            return
+        finally:
+            bound.set()
+        logger.info("gateway listening on %s", self.url)
+        await self._stopping.wait()
+        server.close()
+        for task in self._connections:
+            task.cancel()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        await server.wait_closed()
+
     # -- connection / routing ------------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
             while True:
                 try:
@@ -310,11 +296,17 @@ class LabelingGateway:
                 keep_alive = await self._dispatch(request, writer)
                 if not keep_alive:
                     break
-        except (ConnectionResetError, BrokenPipeError, TimeoutError):
+        except (
+            ConnectionResetError,
+            BrokenPipeError,
+            TimeoutError,
+            asyncio.CancelledError,  # the gateway is stopping
+        ):
             pass
         except Exception:  # noqa: BLE001 — one connection must not kill accept
             logger.exception("gateway connection handler failed")
         finally:
+            self._connections.discard(task)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
@@ -569,18 +561,17 @@ class LabelingGateway:
         items = [self._lookup_item(item_id) for item_id in raw_items]
         spec = self._build_spec(body, tenant)
         deadline = self._admission_deadline(body)
-        started = self._clock()
+        started = time.monotonic()
         self._admit(tenant, len(items))
         cached = [self._was_cached(item.item_id, spec) for item in items]
         try:
             futures = self.service.submit_many(
-                items, spec, deadline=deadline, wait="async"
+                items, spec, deadline=deadline, wait="nowait"
             )
         except ServiceStopped:
             self._release(tenant.name, len(items))
             raise
-        for future in futures:
-            self._track(tenant, future)
+        futures = [self._track(tenant, asyncio.wrap_future(f)) for f in futures]
         # "Admitted" here means past the gateway's quota gate; per-item
         # service-level rejections (queue full, expired) still surface on
         # the futures and in repro_requests_total{outcome=...}.
@@ -602,7 +593,7 @@ class LabelingGateway:
                 else None
             )
             return status, {"error": str(exc), "reason": reason}, extra
-        self._e2e.labels(tenant=tenant.name).observe(self._clock() - started)
+        self._e2e.labels(tenant=tenant.name).observe(time.monotonic() - started)
         return 200, self._encode_result(result, cached), None
 
     async def _handle_batch(self, request: HttpRequest, tenant: Tenant):
@@ -628,7 +619,7 @@ class LabelingGateway:
         await asyncio.gather(*futures, return_exceptions=True)
         results = self._rows([item.item_id for item in items], futures, cached)
         completed = sum(1 for r in results if r["status"] == "completed")
-        self._e2e.labels(tenant=tenant.name).observe(self._clock() - started)
+        self._e2e.labels(tenant=tenant.name).observe(time.monotonic() - started)
         return (
             200,
             {"total": len(results), "completed": completed, "results": results},
@@ -716,7 +707,7 @@ class LabelingGateway:
                     completed += 1
                 await stream.send_json_line(line)
             self._e2e.labels(tenant=tenant.name).observe(
-                self._clock() - started
+                time.monotonic() - started
             )
             await stream.send_json_line(
                 {"status": "end", "total": len(items), "completed": completed}

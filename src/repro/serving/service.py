@@ -10,14 +10,13 @@ engine's batched path (one stacked Q forward per tick over the rows whose
 observation changed, see :class:`~repro.engine.backends.BatchedBackend`).
 While every worker is busy the dispatcher holds at most one formed batch; the
 backlog stays queued, under its depth bound, admission deadlines and fair
-dispatch.  Event-loop clients pass ``wait="async"`` to
-:meth:`~LabelingService.submit` / :meth:`~LabelingService.submit_many` — the
-same futures wrapped with :func:`asyncio.wrap_future` after non-blocking
-admission — and an engine built with ``backend="process"`` moves the
-CPU-bound scheduling phase into worker processes (the GIL otherwise caps the
-whole worker pool near one core) while admission, caching, and recording stay
-in the parent; ``backend=ClusterConfig(...)`` moves it onto socket workers
-that may live on other hosts.
+dispatch.  Event-loop clients admit with ``wait="nowait"`` and wrap the
+returned futures with :func:`asyncio.wrap_future` themselves, and an engine
+built with ``backend="process"`` moves the CPU-bound scheduling phase into
+worker processes (the GIL otherwise caps the whole worker pool near one
+core) while admission, caching, and recording stay in the parent;
+``backend=ClusterConfig(...)`` moves it onto socket workers that may live
+on other hosts.
 
 Each request carries a :class:`~repro.spec.LabelingSpec` — its scheduling
 regime, constraints, and priority.  Requests submitted without one inherit
@@ -89,7 +88,6 @@ identical result trace.  Under the journal's
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import threading
 import time
@@ -130,10 +128,8 @@ logger = logging.getLogger("repro.serving.service")
 
 
 def _check_wait_mode(wait: str) -> None:
-    if wait not in ("block", "nowait", "async"):
-        raise ValueError(
-            f"wait must be 'block', 'nowait', or 'async', got {wait!r}"
-        )
+    if wait not in ("block", "nowait"):
+        raise ValueError(f"wait must be 'block' or 'nowait', got {wait!r}")
 
 
 @dataclass
@@ -382,7 +378,7 @@ class LabelingService:
         deadline: float | None = None,
         timeout: float | None = None,
         wait: str = "block",
-    ) -> Future | asyncio.Future:
+    ) -> Future:
         """Enqueue one item; returns a future resolving to its result.
 
         ``spec`` sets this request's scheduling constraints and priority
@@ -401,12 +397,8 @@ class LabelingService:
           ``block``; returns a :class:`concurrent.futures.Future`.
         * ``"nowait"`` — a full queue raises :class:`QueueFull`
           immediately regardless of overflow policy (the calling thread
-          never blocks on backpressure).
-        * ``"async"`` — non-blocking admission like ``"nowait"``, but
-          returns an :class:`asyncio.Future` resolving on the calling
-          event loop: the submission path a network front end uses
-          (e.g. the gateway's 429 + ``Retry-After`` shed logic).  Must
-          be called with a running event loop.
+          never blocks on backpressure): the path an event loop uses,
+          wrapping the future with :func:`asyncio.wrap_future`.
 
         With a result cache, a submission whose ``(item_id, batch_key)``
         is already cached resolves immediately without queueing, and one
@@ -423,7 +415,7 @@ class LabelingService:
         )
         if refusals:
             raise refusals[0]
-        return asyncio.wrap_future(futures[0]) if wait == "async" else futures[0]
+        return futures[0]
 
     def submit_many(
         self,
@@ -433,7 +425,7 @@ class LabelingService:
         deadline: float | None = None,
         timeout: float | None = None,
         wait: str = "block",
-    ) -> list[Future] | list[asyncio.Future]:
+    ) -> list[Future]:
         """Bulk-submit items under one shared spec; one future per item.
 
         Unlike a loop of :meth:`submit` calls, admission bookkeeping is
@@ -448,10 +440,7 @@ class LabelingService:
         ``"block"`` (default) may park on a full queue up to ``timeout``;
         ``"nowait"`` turns queue-full waits into immediate per-item
         rejections (the corresponding futures fail with
-        :class:`QueueFull`); ``"async"`` is non-blocking admission
-        returning input-ordered :class:`asyncio.Future` awaitables, so
-        ``asyncio.gather(..., return_exceptions=True)`` sees the complete
-        picture.
+        :class:`QueueFull`).
 
         With a result cache, cached items resolve immediately, duplicates
         of in-flight keys (including duplicates *within* this call) share
@@ -467,8 +456,6 @@ class LabelingService:
         )
         if futures:
             self.telemetry.count("submitted_many")
-        if wait == "async":
-            return [asyncio.wrap_future(future) for future in futures]
         return futures
 
     def _admit(
@@ -849,7 +836,7 @@ class LabelingService:
         Every request that ever held a ``_pending`` count leaves here —
         completed, failed in a batch, expired (at admission, in the queue
         or on the reaper's sweep), rejected by the depth bound, cancelled
-        by a stop.  ``stage`` is derived from the error once and the
+        by a stop or by its client.  ``stage`` is derived from the error once and the
         journal terminal, the trace span, the outcome counter and the
         regime / tenant SLO series are all written from it, so they
         cannot disagree about a request.
@@ -859,11 +846,14 @@ class LabelingService:
         # the gateway's ``cached`` flag) must observe the settled entry.
         if self.cache is not None and request.cache_key is not None:
             self.cache.settle(request.cache_key, result=result, error=error)
-        if error is not None:
+        # A client may have cancelled the future (the gateway cancels a
+        # refused job's); the request still settles as ``cancelled``.
+        claimed = request.future.set_running_or_notify_cancel()
+        if claimed and error is not None:
             request.future.set_exception(error)
-        else:
+        elif claimed:
             request.future.set_result(result)
-        stage = _terminal_stage(error)
+        stage = _terminal_stage(error) if claimed else "cancelled"
         if self.journal is not None and request.journal_seq is not None:
             self._journal_terminal(request.journal_seq, stage)
         self._finish_trace(request, stage)

@@ -7,6 +7,7 @@ wire -> auth -> quota -> nowait-submit -> dispatch path.
 """
 
 import dataclasses
+import gc
 import http.client
 import json
 import logging
@@ -842,3 +843,61 @@ class TestJobDurability:
             gw.stop_background()
             service.shutdown()
         assert not marker.exists()
+
+
+class TestStopAndCancel:
+    def test_refused_job_settles_its_cancelled_requests(
+        self, engine, truth, dataset, monkeypatch
+    ):
+        # The second job is refused (429 "jobs") after admission, and the
+        # gateway cancels its futures; the service must still settle those
+        # requests and the rest of their batch.
+        monkeypatch.setattr("repro.serving.gateway.app.MAX_JOBS_PER_TENANT", 1)
+        directory = TenantDirectory([Tenant("solo", "key-solo")])
+        service = LabelingService(engine, truth=truth, batch_size=8)
+        gw = LabelingGateway(service, directory, dataset).start_background()
+        try:
+            ids = [item.item_id for item in dataset][:8]
+            status, _, first = call(
+                gw, "POST", "/v1/label/batch",
+                {"items": ids[:4], "mode": "job"}, key="key-solo",
+            )
+            assert status == 202
+            status, _, body = call(
+                gw, "POST", "/v1/label/batch",
+                {"items": ids[4:], "mode": "job"}, key="key-solo",
+            )
+            assert (status, body["reason"]) == (429, "jobs")
+            service.start()
+            assert service.drain(timeout=5)
+            assert service._pending == 0
+            assert service.snapshot().counters["cancelled"] == 4
+            status, _, job = call(
+                gw, "GET", f"/v1/jobs/{first['job_id']}", key="key-solo"
+            )
+            assert [row["status"] for row in job["results"]] == ["completed"] * 4
+        finally:
+            gw.stop_background()
+            service.shutdown()
+
+    def test_stop_closes_idle_keep_alive_connections(
+        self, engine, truth, dataset, caplog
+    ):
+        service = LabelingService(engine, truth=truth)
+        gw = LabelingGateway(service, DIRECTORY, dataset).start_background()
+        conn = http.client.HTTPConnection("127.0.0.1", gw.port, timeout=5)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read() == b"ok\n"
+            gw.stop_background()
+            assert conn.sock.recv(1) == b""  # the gateway closed it
+        finally:
+            conn.close()
+            gw.stop_background()
+            service.shutdown()
+        gc.collect()
+        destroyed = [
+            r for r in caplog.records
+            if r.name == "asyncio" and "Task was destroyed" in r.getMessage()
+        ]
+        assert destroyed == []

@@ -25,6 +25,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
@@ -140,11 +142,29 @@ def test_every_third_party_import_is_declared():
     assert undeclared == [], "imports missing from install_requires"
 
 
-def test_experiment_runner_loads_no_serving_stack():
-    probe = (
-        "import json, sys, repro.experiments.runner; "
-        "print(json.dumps(sorted(sys.modules)))"
-    )
+@pytest.mark.parametrize(
+    "module, heavy_prefixes, heavy_names, expected",
+    [
+        (
+            "repro.experiments.runner",
+            ("repro.serving", "repro.durability", "repro.engine"),
+            ("sqlite3", "asyncio", "socket"),
+            "repro.experiments.grid",
+        ),
+        # the event loop stays inside the gateway subpackage
+        (
+            "repro.serving",
+            ("repro.serving.gateway",),
+            ("asyncio",),
+            "repro.serving.service",
+        ),
+    ],
+    ids=["runner", "serving"],
+)
+def test_experiment_runner_loads_no_serving_stack(
+    module, heavy_prefixes, heavy_names, expected
+):
+    probe = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True
@@ -154,8 +174,7 @@ def test_experiment_runner_loads_no_serving_stack():
     heavy = [
         name
         for name in loaded
-        if name.startswith(("repro.serving", "repro.durability", "repro.engine"))
-        or name in ("sqlite3", "asyncio", "socket")
+        if name.startswith(heavy_prefixes) or name in heavy_names
     ]
     assert heavy == []
-    assert "repro.experiments.grid" in loaded
+    assert expected in loaded

@@ -322,7 +322,8 @@ class TestServingCommands:
         ]) == 0
         assert "gateway listening at http://127.0.0.1:" in capsys.readouterr().out
 
-    def test_gateway_drains_and_exits_zero_on_sigterm(self):
+    @pytest.mark.parametrize("hold_open", [False, True], ids=["closed", "idle"])
+    def test_gateway_drains_and_exits_zero_on_sigterm(self, hold_open):
         src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.Popen(
             [
@@ -349,9 +350,13 @@ class TestServingCommands:
                          headers)
             body = json.loads(conn.getresponse().read())
             assert body["completed"] == 8
-            conn.close()
+            if not hold_open:
+                conn.close()
             proc.send_signal(signal.SIGTERM)
             out, err = proc.communicate(timeout=30)
+            if hold_open:  # an idle keep-alive connection across the stop
+                assert conn.sock.recv(1) == b""
+                conn.close()
         finally:
             proc.kill()
             proc.wait()
@@ -384,4 +389,27 @@ def test_workers_below_one_is_a_usage_error(command, count, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"pool size must be >= 1, got {count}" in err
+    assert "usage:" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command in ("serve", "gateway")
+        for flag, value in (
+            ("--batch-size", "0"),
+            ("--max-wait", "-1"),
+            ("--max-depth", "0"),
+        )
+    ]
+    + [("serve", "--clients", "0")],
+)
+def test_out_of_range_service_flag_is_a_usage_error(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--scale", "mini", command, flag, value])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: must be >= " in err
     assert "usage:" in err

@@ -21,6 +21,12 @@ from repro.spec import LabelingSpec
 
 
 @pytest.fixture(scope="module")
+def items(splits):
+    _, test = splits
+    return test.items[:16]
+
+
+@pytest.fixture(scope="module")
 def worlds(truth, test_item_ids, full_world):
     """world -> (truth, ids to schedule)."""
     return {
@@ -185,6 +191,51 @@ class TestOraclePredictorAndQGreedy:
     def test_agent_predictor_rejects_small_agent(self, trained):
         with pytest.raises(ValueError):
             AgentPredictor(trained.agent, trained.agent.n_actions + 5)
+
+
+class TestOracleBatchConsistency:
+    """The vectorized oracle satellite: same numbers, fewer Python loops."""
+
+    def test_predict_matches_marginal_gain(self, truth, items):
+        from repro.core.evaluation import marginal_gain
+        from repro.core.state import LabelingState
+        from repro.scheduling.qgreedy import OraclePredictor
+
+        oracle = OraclePredictor(truth)
+        state = LabelingState(truth, items[0].item_id)
+        state.execute(0)
+        state.execute(3)
+        gains = oracle.predict(state)
+        expected = np.asarray(
+            [
+                marginal_gain(truth, items[0].item_id, state.confidences, index)
+                for index in range(len(truth.zoo))
+            ]
+        )
+        np.testing.assert_allclose(gains, expected, rtol=0, atol=1e-12)
+
+    def test_predict_batch_matches_per_state_loop(self, truth, items):
+        from repro.core.state import LabelingState
+        from repro.scheduling.qgreedy import OraclePredictor
+
+        oracle = OraclePredictor(truth)
+        states = [LabelingState(truth, item.item_id) for item in items[:5]]
+        states[1].execute(2)
+        states[4].execute(0)
+        stacked = oracle.predict_batch(states)
+        assert stacked.shape == (5, len(truth.zoo))
+        looped = np.stack([oracle.predict(s) for s in states])
+        np.testing.assert_array_equal(stacked, looped)
+
+    def test_gain_matrix_cache_is_bounded(self, truth, items):
+        from repro.core.state import LabelingState
+        from repro.scheduling.qgreedy import OraclePredictor
+
+        oracle = OraclePredictor(truth)
+        oracle.CACHE_ITEMS = 2  # instance attribute shadows the class bound
+        for item in items[:4]:
+            oracle.predict(LabelingState(truth, item.item_id))
+        assert len(oracle._gain_matrices) <= 2
 
 
 class TestRules:

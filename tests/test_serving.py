@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.engine import LabelingEngine
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, TraceBuffer
 from repro.rl.agents import make_agent
 from repro.zoo.oracle import GroundTruth
 from repro.scheduling.qgreedy import AgentPredictor
@@ -299,6 +299,29 @@ class TestLifecycle:
         snapshot = service.snapshot()
         assert snapshot.counters["cancelled"] == 5
         assert snapshot.queue_depth == 0
+
+    def test_cancelled_future_settles_and_its_batch_finishes(
+        self, engine, truth, items, tmp_path
+    ):
+        tracer = TraceBuffer(16)
+        service = service_for(
+            engine, truth, batch_size=8, tracer=tracer, journal=str(tmp_path)
+        )
+        futures = [service.submit(item) for item in items[:4]]
+        assert futures[1].cancel()
+        service.start()
+        assert service.drain(timeout=3)
+        assert service._pending == 0
+        assert futures[1].cancelled()
+        assert [f.result().item_id for f in futures[2:]] == [
+            item.item_id for item in items[2:4]
+        ]
+        assert service.snapshot().counters["cancelled"] == 1
+        assert service.journal.stats().pending == 0
+        assert sorted(t["status"] for t in tracer.tail()) == [
+            "cancelled", "completed", "completed", "completed",
+        ]
+        service.shutdown()
 
     def test_context_manager_drains_on_exit(self, engine, truth, items):
         with service_for(engine, truth, batch_size=4) as service:

@@ -1,6 +1,7 @@
 """LabelingSpec: eager validation, regime derivation, grouping, spec= calls."""
 
 import math
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -277,6 +278,7 @@ REMOVED_SPELLINGS = [
     # fixed periods and caps, not options
     ("LabelingService", "expiry_interval", 0.05),
     ("LabelingGateway", "max_jobs_per_tenant", 3),
+    ("LabelingGateway", "clock", time.monotonic),
 ]
 
 

@@ -1,6 +1,5 @@
 """The unified submit family: submit()/submit_many() and their wait= modes."""
 
-import asyncio
 from concurrent.futures import Future
 
 import pytest
@@ -33,10 +32,11 @@ def items(splits):
 class TestWaitModes:
     def test_invalid_wait_mode(self, engine, truth, items):
         service = LabelingService(engine, truth=truth)
-        with pytest.raises(ValueError, match="wait must be"):
-            service.submit(items[0], wait="eventually")
-        with pytest.raises(ValueError, match="wait must be"):
-            service.submit_many(items[:2], wait="eventually")
+        for wait in ("eventually", "async"):
+            with pytest.raises(ValueError, match="wait must be"):
+                service.submit(items[0], wait=wait)
+            with pytest.raises(ValueError, match="wait must be"):
+                service.submit_many(items[:2], wait=wait)
 
     def test_block_returns_concurrent_future(self, engine, truth, items):
         service = LabelingService(engine, batch_size=4, truth=truth)
@@ -61,40 +61,6 @@ class TestWaitModes:
         with service:
             pass  # drain the two admitted requests
         assert service.snapshot().counters["rejected"] == 1
-
-    def test_async_returns_awaitables_on_the_calling_loop(
-        self, engine, truth, items
-    ):
-        async def run():
-            service = LabelingService(engine, batch_size=4, truth=truth)
-            with service:
-                one = service.submit(items[0], wait="async")
-                assert isinstance(one, asyncio.Future)
-                many = service.submit_many(items[1:5], wait="async")
-                assert all(isinstance(f, asyncio.Future) for f in many)
-                results = await asyncio.gather(one, *many)
-                service.drain()
-            return results
-
-        results = asyncio.run(run())
-        assert [r.item_id for r in results] == [i.item_id for i in items[:5]]
-
-    def test_async_admission_never_blocks(self, engine, truth, items):
-        # A full queue fails the futures instead of parking the loop.
-        async def run():
-            service = LabelingService(
-                engine, batch_size=4, truth=truth, max_depth=2, overflow="block"
-            )
-            # Submit before the workers start so the queue cannot drain:
-            # exactly max_depth admissions, the rest must fail instantly.
-            futures = service.submit_many(items[:6], wait="async")
-            with service:
-                outcomes = await asyncio.gather(*futures, return_exceptions=True)
-                service.drain()
-            return outcomes
-
-        outcomes = asyncio.run(run())
-        assert sum(isinstance(o, QueueFull) for o in outcomes) == 4
 
     def test_submit_many_modes_return_input_ordered_lists(
         self, engine, truth, items
